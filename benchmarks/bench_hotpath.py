@@ -20,6 +20,16 @@ Each phase reports the best-of-``--repeat`` wall time (best-of is the
 standard way to suppress scheduler noise on a deterministic workload) and
 the suite-wide tracemalloc peak of one cold end-to-end leg.
 
+A **scaling** leg compiles single procedures of growing size — the
+generator at 6/24/96/384/768 segments (~100 to ~9k instructions), the
+largest seeded ``chaos_cfg`` flowgraph and the largest catalog pyfunc —
+and records each one's µs per instruction as the median of three
+thread-CPU-time compiles, sampled in interleaved rounds.  It runs first,
+before the suite inputs fill the heap.  ``scaling_ratio`` divides the
+~9k-instruction figure by the ~300-instruction one; the script exits
+non-zero when it exceeds ``MAX_SCALING_RATIO``, because compile cost per
+instruction must stay flat as procedures grow.
+
 Run from a checkout::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py [--seed 0] [--repeat 5]
@@ -30,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 import tracemalloc
@@ -39,7 +50,13 @@ _SRC = os.path.join(_REPO_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-SCHEMA = "repro-spill/bench-hotpath/v1"
+SCHEMA = "repro-spill/bench-hotpath/v2"
+
+#: Generator sizes of the scaling leg; 24 segments is ~300 instructions and
+#: 768 is ~9k, the two ends of ``scaling_ratio``.
+SCALING_SEGMENTS = (6, 24, 96, 384, 768)
+SCALING_SAMPLES = 3
+MAX_SCALING_RATIO = 2.0
 
 
 def _best_of(repeat, fn):
@@ -51,6 +68,63 @@ def _best_of(repeat, fn):
         if best is None or elapsed < best:
             best = elapsed
     return best
+
+
+def scaling_leg(seed, machine):
+    """µs per instruction of single-procedure compiles across sizes."""
+
+    from repro.pipeline.compiler import compile_procedure
+    from repro.workloads.catalog import get_catalog
+    from repro.workloads.generator import GeneratorConfig, generate_procedure
+    from repro.workloads.scenarios import build_scenario
+
+    def largest(procedures):
+        return max(procedures, key=lambda p: p.function.instruction_count())
+
+    cases = [
+        (
+            f"generator_{segments}",
+            generate_procedure(GeneratorConfig(seed=1, num_segments=segments)),
+        )
+        for segments in SCALING_SEGMENTS
+    ]
+    cases.append(("chaos_cfg", largest(build_scenario("chaos_cfg", seed=seed, machine=machine))))
+    pyfuncs = [entry.build(seed=seed) for entry in get_catalog().entries if entry.kind == "pyfunc"]
+    cases.append(("pyfunc", largest(pyfuncs)))
+
+    # Interleave the samples (every case once per round) so a drift in host
+    # speed lands on small and large procedures alike.
+    samples = {name: [] for name, _procedure in cases}
+    for _ in range(SCALING_SAMPLES):
+        for name, procedure in cases:
+            started = time.thread_time()
+            compile_procedure(procedure, machine=machine, cache=None)
+            samples[name].append(time.thread_time() - started)
+
+    sizes = []
+    for name, procedure in cases:
+        instructions = procedure.function.instruction_count()
+        seconds = statistics.median(samples[name])
+        us = seconds / instructions * 1e6
+        sizes.append(
+            {
+                "case": name,
+                "procedure": procedure.name,
+                "instructions": instructions,
+                "median_thread_seconds": round(seconds, 6),
+                "us_per_instruction": round(us, 3),
+            }
+        )
+        print(f"{name:>14s}: {instructions:6d} instr  {us:8.1f} us/instr")
+    by_case = {entry["case"]: entry for entry in sizes}
+    small = by_case[f"generator_{SCALING_SEGMENTS[1]}"]["us_per_instruction"]
+    large = by_case[f"generator_{SCALING_SEGMENTS[-1]}"]["us_per_instruction"]
+    return {
+        "samples": SCALING_SAMPLES,
+        "sizes": sizes,
+        "scaling_ratio": round(large / small, 3),
+        "max_scaling_ratio": MAX_SCALING_RATIO,
+    }
 
 
 def main(argv=None) -> int:
@@ -80,6 +154,10 @@ def main(argv=None) -> int:
     from repro.workloads.scenarios import build_scenario_suite
 
     machine = get_target(args.target)
+    # First, while the heap is small: the suite inputs built below would
+    # otherwise be traversed by every garbage collection the large compiles
+    # trigger.
+    scaling = scaling_leg(args.seed, machine)
     suite = build_scenario_suite(seed=args.seed, machine=machine)
     procedures = [p for group in suite.values() for p in group]
     instructions = sum(p.function.instruction_count() for p in procedures)
@@ -164,6 +242,7 @@ def main(argv=None) -> int:
         "instructions": instructions,
         "phases": timings,
         "tracemalloc_peak_bytes": peak,
+        "scaling": scaling,
     }
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -172,8 +251,15 @@ def main(argv=None) -> int:
     print(
         f"hotpath: {len(procedures)} procedures / {instructions} instructions, "
         f"end-to-end {timings['end_to_end']['seconds'] * 1000:.1f} ms, "
-        f"peak {peak / 1e6:.1f} MB"
+        f"peak {peak / 1e6:.1f} MB, scaling ratio {scaling['scaling_ratio']:.2f}"
     )
+    if scaling["scaling_ratio"] > MAX_SCALING_RATIO:
+        print(
+            f"FAIL: compile cost per instruction grew {scaling['scaling_ratio']:.2f}x "
+            f"from ~300 to ~9k instructions (limit {MAX_SCALING_RATIO:.1f}x)",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

@@ -8,7 +8,7 @@ on IR functions and on the edge-split graph used for edge dominance.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.analysis.graph import DiGraph, edge_split_graph, function_cfg
 
@@ -16,7 +16,14 @@ Node = Hashable
 
 
 class DominatorTree:
-    """The immediate-dominator relation for nodes reachable from the root."""
+    """The immediate-dominator relation for nodes reachable from the root.
+
+    The tree is numbered once at construction: every node gets its pre-order
+    position, the end of its subtree's pre-order interval, and its depth.
+    ``a`` dominates ``b`` exactly when ``b``'s position falls inside ``a``'s
+    interval, so :meth:`dominates` and :meth:`depth` are O(1) and
+    :meth:`descendants` is a slice of the pre-order list.
+    """
 
     def __init__(self, root: Node, idom: Dict[Node, Optional[Node]], rpo_index: Dict[Node, int]):
         self.root = root
@@ -26,6 +33,33 @@ class DominatorTree:
         for node, parent in idom.items():
             if parent is not None and node != root:
                 self._children.setdefault(parent, []).append(node)
+
+        # Iterative pre-order walk (no recursion limit on deep trees).  A
+        # subtree is contiguous in pre-order, so a parent's interval ends
+        # where its last child's does.
+        preorder: List[Node] = []
+        stack: List[Node] = [root]
+        while stack:
+            node = stack.pop()
+            preorder.append(node)
+            children = self._children.get(node)
+            if children:
+                stack.extend(reversed(children))
+        start = {node: i for i, node in enumerate(preorder)}
+        parent_pos = [0] + [start[idom[node]] for node in preorder[1:]]
+        end = list(range(1, len(preorder) + 1))
+        for i in range(len(preorder) - 1, 0, -1):
+            if end[i] > end[parent_pos[i]]:
+                end[parent_pos[i]] = end[i]
+        depth = [0] * len(preorder)
+        for i in range(1, len(preorder)):
+            depth[i] = depth[parent_pos[i]] + 1
+        self._preorder = preorder
+        #: ``node -> pre-order position``; ``_end[i]`` is one past the last
+        #: position of that node's subtree, ``_depth[i]`` its depth.
+        self._start = start
+        self._end = end
+        self._depth = depth
 
     # -- queries ------------------------------------------------------------------
 
@@ -44,16 +78,17 @@ class DominatorTree:
         return list(self._children.get(node, []))
 
     def dominates(self, a: Node, b: Node) -> bool:
-        """True when ``a`` dominates ``b`` (reflexive)."""
+        """True when ``a`` dominates ``b`` (reflexive).
 
-        node: Optional[Node] = b
-        while node is not None:
-            if node == a:
-                return True
-            if node == self.root:
-                return False
-            node = self._idom[node]
-        return False
+        Raises ``KeyError`` when ``b`` is not in the tree (and differs from
+        ``a``); an ``a`` outside the tree dominates nothing but itself.
+        """
+
+        if a == b:
+            return True
+        position = self._start[b]
+        start = self._start.get(a)
+        return start is not None and start <= position < self._end[start]
 
     def strictly_dominates(self, a: Node, b: Node) -> bool:
         return a != b and self.dominates(a, b)
@@ -71,7 +106,15 @@ class DominatorTree:
         return result
 
     def depth(self, node: Node) -> int:
-        return len(self.dominators_of(node)) - 1
+        """Number of strict dominators of ``node`` (the root has depth 0)."""
+
+        return self._depth[self._start[node]]
+
+    def descendants(self, node: Node) -> List[Node]:
+        """``node`` and every node it dominates, in pre-order."""
+
+        start = self._start[node]
+        return self._preorder[start : self._end[start]]
 
     def __contains__(self, node: Node) -> bool:
         return node in self._idom
@@ -92,20 +135,19 @@ def compute_dominators_of_graph(graph: DiGraph, entry: Node) -> DominatorTree:
                 b = idom[b]
         return a
 
+    reachable_preds = {
+        node: [p for p in graph.predecessors(node) if p in rpo_index] for node in rpo[1:]
+    }
     changed = True
     while changed:
         changed = False
-        for node in rpo:
-            if node == entry:
+        for node in rpo[1:]:
+            new_idom = None
+            for pred in reachable_preds[node]:
+                if pred in idom:
+                    new_idom = pred if new_idom is None else intersect(new_idom, pred)
+            if new_idom is None:
                 continue
-            processed_preds = [
-                p for p in graph.predecessors(node) if p in idom and p in rpo_index
-            ]
-            if not processed_preds:
-                continue
-            new_idom = processed_preds[0]
-            for pred in processed_preds[1:]:
-                new_idom = intersect(new_idom, pred)
             if idom.get(node) != new_idom:
                 idom[node] = new_idom
                 changed = True
@@ -157,6 +199,20 @@ class EdgeDominance:
 
     def edge_postdominates_edge(self, a: Tuple[str, str], b: Tuple[str, str]) -> bool:
         return self._postdom.dominates(self.node_for(a), self.node_for(b))
+
+    def edge_depth(self, edge_key: Tuple[str, str]) -> int:
+        """Depth of ``edge_key`` in the edge dominator tree."""
+
+        return self._dom.depth(self.node_for(edge_key))
+
+    def blocks_dominated_by_edge(self, edge_key: Tuple[str, str]) -> List[str]:
+        """Labels of the blocks ``edge_key`` dominates, read off its dominator subtree."""
+
+        return [
+            node[1]
+            for node in self._dom.descendants(self.node_for(edge_key))
+            if node[0] == "block"
+        ]
 
     def edge_dominates_block(self, edge_key: Tuple[str, str], label: str) -> bool:
         return self._dom.dominates(self.node_for(edge_key), self.block_node(label))

@@ -21,6 +21,22 @@ class DiGraph:
         self._preds: Dict[Node, List[Node]] = {}
         self._order: List[Node] = []
 
+    @classmethod
+    def from_adjacency(
+        cls, succs: Dict[Node, Sequence[Node]], preds: Dict[Node, Sequence[Node]]
+    ) -> "DiGraph":
+        """A graph with a copy of deduplicated adjacency lists.
+
+        Node order is the key order of ``succs``; ``preds`` must hold the
+        same nodes.
+        """
+
+        graph = cls()
+        graph._succs = {node: list(nodes) for node, nodes in succs.items()}
+        graph._preds = {node: list(nodes) for node, nodes in preds.items()}
+        graph._order = list(succs)
+        return graph
+
     # -- construction -------------------------------------------------------------
 
     def add_node(self, node: Node) -> None:
@@ -102,12 +118,11 @@ class DiGraph:
     def reversed(self) -> "DiGraph":
         """A new graph with every edge direction flipped."""
 
-        rev = DiGraph()
-        for node in self._order:
-            rev.add_node(node)
-        for src, dst in self.edges():
-            rev.add_edge(dst, src)
-        return rev
+        rev_succs: Dict[Node, List[Node]] = {node: [] for node in self._order}
+        for src in self._order:
+            for dst in self._succs[src]:
+                rev_succs[dst].append(src)
+        return DiGraph.from_adjacency(rev_succs, self._succs)
 
 
 def function_cfg(function) -> Tuple[DiGraph, Node, Node]:
@@ -117,12 +132,9 @@ def function_cfg(function) -> Tuple[DiGraph, Node, Node]:
     label (the function must be in single-exit form).
     """
 
-    graph = DiGraph()
-    for label in function.block_labels:
-        graph.add_node(label)
-    for edge in function.edges():
-        graph.add_edge(edge.src, edge.dst)
-    return graph, function.entry.label, function.exit.label
+    cfg = function.cfg()
+    graph = DiGraph.from_adjacency(cfg.graph_succs, cfg.graph_preds)
+    return graph, function.entry.label, cfg.exit_label
 
 
 def edge_split_graph(function) -> Tuple[DiGraph, Node, Node, Dict[Tuple[str, str], Node]]:

@@ -19,7 +19,7 @@ depend on it; see :mod:`repro.spill.shrink_wrap`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analysis.dominance import DominatorTree, compute_dominators
 from repro.ir.function import Function
@@ -88,19 +88,20 @@ class LoopForest:
         return max((loop.depth for loop in self.loops), default=0)
 
 
-def _natural_loop_body(function: Function, header: str, latch: str) -> Set[str]:
-    """Blocks of the natural loop with the given back edge."""
+def _natural_loop_body(preds: Mapping[str, Sequence[str]], header: str, latch: str) -> Set[str]:
+    """Blocks of the natural loop with the given back edge.
+
+    ``preds`` is the predecessor map of one CFG snapshot, shared by every
+    back edge of a :func:`compute_loop_forest` call.
+    """
 
     body = {header, latch}
     stack = [latch]
-    preds: Dict[str, List[str]] = {}
-    for edge in function.edges():
-        preds.setdefault(edge.dst, []).append(edge.src)
     while stack:
         label = stack.pop()
         if label == header:
             continue
-        for pred in preds.get(label, []):
+        for pred in preds.get(label, ()):
             if pred not in body:
                 body.add(pred)
                 stack.append(pred)
@@ -159,11 +160,12 @@ def compute_loop_forest(function: Function, dom: Optional[DominatorTree] = None)
     dom = dom or compute_dominators(function)
     back_edges = back_edges_of(function, dom)
 
+    preds = function.cfg().preds
     loops_by_header: Dict[str, Loop] = {}
     for latch, header in back_edges:
         loop = loops_by_header.setdefault(header, Loop(header=header))
         loop.latches.add(latch)
-        loop.body |= _natural_loop_body(function, header, latch)
+        loop.body |= _natural_loop_body(preds, header, latch)
 
     loops = list(loops_by_header.values())
 

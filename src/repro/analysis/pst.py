@@ -63,10 +63,17 @@ class Region:
 class ProgramStructureTree:
     """The PST of one function."""
 
-    def __init__(self, function: Function, root: Region, regions: List[Region]):
+    def __init__(
+        self,
+        function: Function,
+        root: Region,
+        regions: List[Region],
+        innermost: Dict[str, Region],
+    ):
         self.function = function
         self.root = root
         self._regions = regions  # includes the root, ordered by construction
+        self._innermost = innermost  # block label -> smallest region holding it
 
     # -- queries ------------------------------------------------------------------
 
@@ -86,11 +93,7 @@ class ProgramStructureTree:
     def smallest_region_containing(self, label: str) -> Region:
         """The innermost region whose block set contains ``label``."""
 
-        best = self.root
-        for region in self._regions:
-            if label in region.blocks and len(region.blocks) < len(best.blocks):
-                best = region
-        return best
+        return self._innermost.get(label, self.root)
 
     def topological_order(self) -> List[Region]:
         """Regions ordered children-before-parents (the traversal the paper uses).
@@ -155,18 +158,44 @@ def build_pst(function: Function, maximal: bool = True) -> ProgramStructureTree:
     # already represents it and its boundaries are the procedure entry/exit.
     regions = [r for r in regions if r.blocks != root.blocks]
 
-    # Establish nesting: the parent of a region is the smallest region whose
-    # block set strictly contains it; the root catches everything else.
-    by_size = sorted(regions, key=lambda r: len(r.blocks))
-    for region in by_size:
-        candidates = [
-            other
-            for other in by_size
-            if other is not region and region.blocks < other.blocks
-        ]
-        parent = min(candidates, key=lambda r: len(r.blocks)) if candidates else root
-        region.parent = parent
-        parent.children.append(region)
+    by_size, innermost = _nest_regions(root, regions)
+    return ProgramStructureTree(function, root, [root] + by_size, innermost)
 
-    all_regions = [root] + by_size
-    return ProgramStructureTree(function, root, all_regions)
+
+def _nest_regions(
+    root: Region, regions: List[Region]
+) -> Tuple[List[Region], Dict[str, Region]]:
+    """Set every region's parent and children; return ``(by_size, innermost)``.
+
+    The parent of a region is the smallest region whose block set strictly
+    contains it (the first in size order on a tie); the root catches
+    everything else.  Regions are nearly always nested or disjoint, so one
+    pass from the largest region to the smallest over a block ->
+    innermost-region map finds every parent: all of a region's blocks map
+    to the same enclosing region, and a region with the same block set as
+    that enclosing region shares its parent.  Canonical regions of some
+    irreducible flowgraphs overlap; a region whose blocks map to several
+    regions takes the strict-superset scan instead.  The final map answers
+    :meth:`ProgramStructureTree.smallest_region_containing`.
+    """
+
+    by_size = sorted(regions, key=lambda r: len(r.blocks))
+    innermost: Dict[str, Region] = dict.fromkeys(root.blocks, root)
+    for region in reversed(by_size):
+        enclosing = {id(innermost[label]): innermost[label] for label in region.blocks}
+        if len(enclosing) == 1:
+            parent = next(iter(enclosing.values()))
+            if parent.blocks == region.blocks:
+                parent = parent.parent
+        else:
+            parent = min(
+                (other for other in by_size if region.blocks < other.blocks),
+                key=lambda r: len(r.blocks),
+                default=root,
+            )
+        region.parent = parent
+        for label in region.blocks:
+            innermost[label] = region
+    for region in by_size:
+        region.parent.children.append(region)
+    return by_size, innermost

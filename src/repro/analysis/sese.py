@@ -83,25 +83,26 @@ def compute_edge_classes(function: Function) -> Dict[EdgeKey, int]:
     return {key: cls for key, cls in classes.items() if key != VIRTUAL_RETURN_EDGE}
 
 
-def _region_blocks(function: Function, dominance: EdgeDominance,
-                   entry_edge: EdgeKey, exit_edge: EdgeKey) -> FrozenSet[str]:
-    blocks = frozenset(
+def _region_blocks(
+    dominance: EdgeDominance, entry_edge: EdgeKey, exit_edge: EdgeKey
+) -> FrozenSet[str]:
+    """Blocks dominated by ``entry_edge`` and post-dominated by ``exit_edge``.
+
+    Only the entry edge's dominator subtree can hold region blocks, so the
+    candidates are enumerated from it rather than from the whole function.
+    """
+
+    return frozenset(
         label
-        for label in function.block_labels
-        if dominance.edge_dominates_block(entry_edge, label)
-        and dominance.edge_postdominates_block(exit_edge, label)
+        for label in dominance.blocks_dominated_by_edge(entry_edge)
+        if dominance.edge_postdominates_block(exit_edge, label)
     )
-    return blocks
 
 
 def _ordered_class_edges(edges: List[EdgeKey], dominance: EdgeDominance) -> List[EdgeKey]:
     """Order the edges of one cycle-equivalence class along the dominance chain."""
 
-    def depth(edge: EdgeKey) -> int:
-        node = dominance.node_for(edge)
-        return dominance._dom.depth(node)
-
-    return sorted(edges, key=depth)
+    return sorted(edges, key=dominance.edge_depth)
 
 
 def _chain_runs(edges: List[EdgeKey], dominance: EdgeDominance) -> List[List[EdgeKey]]:
@@ -152,7 +153,7 @@ def _collect_regions(function: Function, pair_selector) -> List[SESERegion]:
                 if key in seen:
                     continue
                 seen.add(key)
-                blocks = _region_blocks(function, dominance, entry_edge, exit_edge)
+                blocks = _region_blocks(dominance, entry_edge, exit_edge)
                 if blocks:
                     regions.append(SESERegion(entry_edge, exit_edge, blocks))
     regions.sort(key=lambda r: (len(r.blocks), r.entry_edge, r.exit_edge))

@@ -23,7 +23,8 @@ from typing import Dict, Mapping, Optional, Tuple
 from repro.ir.cfg import EdgeKind, FunctionCFG
 from repro.ir.function import ENTRY_SENTINEL, EXIT_SENTINEL, Function
 from repro.profiling.profile_data import EdgeProfile
-from repro.spill.model import EdgeKey, SaveRestoreSet, SpillLocation
+from repro.ir.values import PhysicalRegister
+from repro.spill.model import EdgeKey, SaveRestoreSet, SpillKind, SpillLocation
 from repro.target.machine import MachineDescription, cost_weights
 
 
@@ -69,6 +70,21 @@ def requires_jump_block(
             cached = cfg.edge(src, dst).kind is EdgeKind.JUMP
         memo[edge] = cached
     return cached
+
+
+#: Stand-in register for the hypothetical save/restore pair a boundary cost prices.
+_BOUNDARY_REGISTER = PhysicalRegister("__cost__", -1)
+
+
+def _boundary_locations(
+    entry_edge: EdgeKey, exit_edge: EdgeKey
+) -> Tuple[SpillLocation, SpillLocation]:
+    """A save on ``entry_edge`` and a restore on ``exit_edge``."""
+
+    return (
+        SpillLocation(_BOUNDARY_REGISTER, SpillKind.SAVE, entry_edge),
+        SpillLocation(_BOUNDARY_REGISTER, SpillKind.RESTORE, exit_edge),
+    )
 
 
 class CostModel(abc.ABC):
@@ -158,18 +174,16 @@ class CostModel(abc.ABC):
         profile: EdgeProfile,
         entry_edge: EdgeKey,
         exit_edge: EdgeKey,
+        cfg: Optional[FunctionCFG] = None,
     ) -> float:
         """Cost of saving at ``entry_edge`` and restoring at ``exit_edge``.
 
-        New sets always pay the full jump cost, hence no sharing map.
+        New sets always pay the full jump cost, hence no sharing map.  A
+        model that consults the CFG may use ``cfg`` instead of re-fetching
+        the snapshot.
         """
 
-        from repro.spill.model import SpillKind
-        from repro.ir.values import PhysicalRegister
-
-        placeholder = PhysicalRegister("__cost__", -1)
-        save = SpillLocation(placeholder, SpillKind.SAVE, entry_edge)
-        restore = SpillLocation(placeholder, SpillKind.RESTORE, exit_edge)
+        save, restore = _boundary_locations(entry_edge, exit_edge)
         return self.location_cost(function, profile, save) + self.location_cost(
             function, profile, restore
         )
@@ -208,14 +222,29 @@ class JumpEdgeCostModel(CostModel):
         location: SpillLocation,
         jump_sharing: Optional[Mapping[EdgeKey, int]] = None,
     ) -> float:
+        return self._location_cost(function, profile, location, jump_sharing, None)
+
+    def _location_cost(
+        self,
+        function: Function,
+        profile: EdgeProfile,
+        location: SpillLocation,
+        jump_sharing: Optional[Mapping[EdgeKey, int]],
+        cfg: Optional[FunctionCFG],
+    ) -> float:
         count = profile.edge_count(location.edge)
         cost = count * self.location_weight(location)
-        if not requires_jump_block(function, location.edge):
+        if not requires_jump_block(function, location.edge, cfg=cfg):
             return cost
         sharing = 1
         if jump_sharing is not None:
             sharing = max(1, jump_sharing.get(location.edge, 1))
         return cost + count * self._jump_weight / sharing
+
+    # ``set_cost`` and ``boundary_cost`` fetch the CFG snapshot once instead
+    # of once per location inside ``requires_jump_block``.  Only safe for this
+    # exact class: a subclass overriding ``location_cost`` must still be
+    # consulted per location, so it takes the generic path.
 
     def set_cost(
         self,
@@ -224,25 +253,31 @@ class JumpEdgeCostModel(CostModel):
         srset: SaveRestoreSet,
         jump_sharing: Optional[Mapping[EdgeKey, int]] = None,
     ) -> float:
-        # Fetch the CFG snapshot once per set instead of once per location
-        # inside ``requires_jump_block``.  Only safe for this exact class: a
-        # subclass overriding ``location_cost`` must still be consulted per
-        # location, so it takes the generic path.
         if type(self) is not JumpEdgeCostModel:
             return super().set_cost(function, profile, srset, jump_sharing)
         cfg = function.cfg()
         sharing = jump_sharing if srset.initial else None
-        total = 0.0
-        for location in srset.locations:
-            count = profile.edge_count(location.edge)
-            cost = count * self.location_weight(location)
-            if requires_jump_block(function, location.edge, cfg=cfg):
-                share = 1
-                if sharing is not None:
-                    share = max(1, sharing.get(location.edge, 1))
-                cost += count * self._jump_weight / share
-            total += cost
-        return total
+        return sum(
+            self._location_cost(function, profile, location, sharing, cfg)
+            for location in srset.locations
+        )
+
+    def boundary_cost(
+        self,
+        function: Function,
+        profile: EdgeProfile,
+        entry_edge: EdgeKey,
+        exit_edge: EdgeKey,
+        cfg: Optional[FunctionCFG] = None,
+    ) -> float:
+        if type(self) is not JumpEdgeCostModel:
+            return super().boundary_cost(function, profile, entry_edge, exit_edge, cfg=cfg)
+        if cfg is None:
+            cfg = function.cfg()
+        save, restore = _boundary_locations(entry_edge, exit_edge)
+        return self._location_cost(function, profile, save, None, cfg) + self._location_cost(
+            function, profile, restore, None, cfg
+        )
 
 
 def make_cost_model(

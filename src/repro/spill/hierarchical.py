@@ -224,7 +224,7 @@ def place_hierarchical(
     # Steps 4-6: topological traversal of the PST.
     for region in pst.topological_order():
         boundary_cost = cost_model.boundary_cost(
-            function, profile, region.entry_edge, region.exit_edge
+            function, profile, region.entry_edge, region.exit_edge, cfg=cfg
         )
         for register in usage.used_registers():
             sets = current.get(register, [])
