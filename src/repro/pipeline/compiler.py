@@ -57,20 +57,26 @@ def procedure_parts(
 LINT_POLICIES = ("strict",)
 
 
-def _lint_gate(function: Function, profile: EdgeProfile, machine, lint: str) -> None:
-    """Apply the ``lint`` policy to one procedure before compiling it.
+def _lint_gate(procedures: Sequence, machine, lint: str) -> None:
+    """Apply the ``lint`` policy to ``procedures`` before compiling any.
 
-    Imported lazily so that compiles with ``lint=None`` never pay for (or
-    depend on) the lint subsystem.
+    Raises one :class:`repro.lint.LintError` carrying a report per
+    offending procedure.  Imported lazily so that compiles with
+    ``lint=None`` never pay for (or depend on) the lint subsystem.
     """
 
     if lint not in LINT_POLICIES:
         raise ValueError(f"unknown lint policy {lint!r}; expected one of {LINT_POLICIES}")
     from repro.lint import LintError, lint_function
 
-    report = lint_function(function, profile=profile, machine=machine)
-    if report.has_errors():
-        raise LintError([report])
+    bad = []
+    for procedure in procedures:
+        function, profile = procedure_parts(procedure)
+        report = lint_function(function, profile=profile, machine=machine)
+        if report.has_errors():
+            bad.append(report)
+    if bad:
+        raise LintError(bad)
 
 
 @dataclass
@@ -159,7 +165,7 @@ def compile_procedure(
     function, profile = procedure_parts(procedure)
     machine = resolve_target(machine)
     if lint is not None:
-        _lint_gate(function, profile, machine, lint)
+        _lint_gate([procedure], machine, lint)
     if isinstance(cost_model, str):
         cost_model = make_cost_model(cost_model, machine)
 
@@ -271,20 +277,7 @@ def compile_many(
         )
     procedures = list(procedures)
     if lint is not None:
-        if lint not in LINT_POLICIES:
-            raise ValueError(
-                f"unknown lint policy {lint!r}; expected one of {LINT_POLICIES}"
-            )
-        from repro.lint import LintError, lint_function
-
-        bad = []
-        for procedure in procedures:
-            function, profile = procedure_parts(procedure)
-            report = lint_function(function, profile=profile, machine=machine)
-            if report.has_errors():
-                bad.append(report)
-        if bad:
-            raise LintError(bad)
+        _lint_gate(procedures, machine, lint)
     # Imported lazily: the parallel engine lives with the evaluation layer,
     # which imports this module at load time.
     from repro.evaluation.parallel import compile_procedures_parallel

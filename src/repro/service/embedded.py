@@ -106,22 +106,27 @@ class EmbeddedServer:
     def stop(self, timeout: float = 60.0) -> None:
         """Drain the server gracefully and join the background thread."""
 
-        loop = self._loop
-        if loop is not None and self.server is not None and not loop.is_closed():
-            coroutine = self.server.drain()
+        loop, server = self._loop, self.server
+        # A drain already under way (a client's ``shutdown``) needs no
+        # second one; the join below waits for it.
+        if (
+            loop is not None
+            and server is not None
+            and not server.draining
+            and not loop.is_closed()
+        ):
+            coroutine = server.drain()
             try:
-                future = asyncio.run_coroutine_threadsafe(coroutine, loop)
+                asyncio.run_coroutine_threadsafe(coroutine, loop)
             except RuntimeError:
                 # The loop exited between the check and the call (e.g. a
                 # client-driven shutdown already completed the drain): the
                 # coroutine never started, so close the orphan.  Never
                 # close a *scheduled* coroutine — it belongs to the loop.
                 coroutine.close()
-            else:
-                try:
-                    future.result(timeout)
-                except Exception:  # pragma: no cover - slow/failed drain
-                    pass
+        # The loop thread exits once the drain completes.  Joining it, not
+        # the drain's future, cannot hang when a client-driven drain ends
+        # the loop before the scheduled coroutine gets to run.
         if self._thread is not None:
             self._thread.join(timeout)
 
@@ -139,9 +144,9 @@ class EmbeddedServer:
 async def _snapshot(server: CompileServer) -> Dict[str, Any]:
     """Take the snapshot on the server's own loop (metrics are loop-owned).
 
-    The cache disk sweep still runs in a worker thread
-    (:meth:`~repro.service.server.CompileServer.stats_snapshot_async`), so
-    a large store never stalls the embedded server's event loop.
+    :meth:`~repro.service.server.CompileServer.stats_snapshot_async` runs
+    the cache disk sweep in a worker thread, so a large store never stalls
+    the embedded server's event loop.
     """
 
     return await server.stats_snapshot_async()

@@ -54,11 +54,13 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.service.health import (
-    METRICS_TEXT_SCHEMA,
-    HealthMonitor,
-    render_metrics_text,
+from repro.service.endpoint import (
+    STREAM_LIMIT,
+    Connection,
+    JsonLinesEndpoint,
+    PipelinedConnection,
 )
+from repro.service.health import HealthMonitor
 from repro.service.metrics import LatencyHistogram
 from repro.service.peering import (
     DEFAULT_TIER_ENTRIES,
@@ -66,28 +68,16 @@ from repro.service.peering import (
     serve_peering_connection,
 )
 from repro.service.protocol import (
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
     CompileAnswer,
-    ProtocolError,
-    decode_message,
-    encode_message,
     error_message,
     hello_message,
     lint_result_message,
-    parse_compile_request,
-    parse_hello,
-    parse_lint_request,
     resolve_compile_request,
     resolve_lint_request,
 )
 from repro.service.policy import Decision, PolicyEngine, default_engine
 from repro.service.ring import HashRing
-from repro.service.server import (
-    DEFAULT_HEALTH_INTERVAL,
-    SEND_TIMEOUT_SECONDS,
-    _check_admin_fields,
-)
+from repro.service.server import DEFAULT_HEALTH_INTERVAL
 
 #: Seconds of "pending work but no response" after which the stall
 #: watchdog declares a shard wedged and isolates it (tests shrink this).
@@ -199,55 +189,50 @@ class _ShardLink:
         self.answered = 0
         self._on_death = on_death
         self._counter = 0
-        self._dead: Optional[str] = None
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._reader_task: Optional[asyncio.Task] = None
-        self._pending: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
-        self._write_lock = asyncio.Lock()
-        # The wedge detector's clock: reset whenever pending work starts
-        # or any response arrives; stale + pending work = wedged.
-        self._last_progress = time.monotonic()
+        self._connection: Optional[PipelinedConnection] = None
 
     @property
     def healthy(self) -> bool:
         """Whether the link is connected and usable for forwards."""
 
-        return self._dead is None and self._writer is not None
+        return self._connection is not None and self._connection.closed is None
 
     @property
     def pending_count(self) -> int:
         """Forwards currently awaiting a response from this shard."""
 
-        return len(self._pending)
+        return self._connection.pending_count if self._connection is not None else 0
 
     @property
     def stalled_seconds(self) -> float:
-        """Seconds since this link last made progress (see watchdog)."""
+        """Seconds since this link last made progress (see watchdog).
 
-        return time.monotonic() - self._last_progress
+        The clock resets whenever pending work starts or any response
+        arrives; stale + pending work = wedged.
+        """
+
+        if self._connection is None:
+            return 0.0
+        return time.monotonic() - self._connection.last_progress
 
     async def connect(self, timeout: float = 30.0) -> None:
         """Open the connection and complete the protocol handshake."""
 
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(
-                self.host, self.port, limit=MAX_FRAME_BYTES + 1024
-            ),
-            timeout=timeout,
+        def check_reply(reply: Dict[str, Any]) -> None:
+            if reply.get("type") != "hello":
+                raise ConnectionError(
+                    f"shard {self.shard_id} rejected the handshake: {reply!r}"
+                )
+
+        self._connection = await PipelinedConnection.open(
+            self.host,
+            self.port,
+            hello_message(),
+            check_reply,
+            timeout,
+            label="shard",
+            on_close=lambda reason: self._on_death(self.shard_id, reason),
         )
-        writer.write(encode_message(hello_message()))
-        await asyncio.wait_for(writer.drain(), timeout=timeout)
-        reply = decode_message(await asyncio.wait_for(reader.readline(), timeout=timeout))
-        if reply.get("type") != "hello":
-            writer.close()
-            raise ConnectionError(
-                f"shard {self.shard_id} rejected the handshake: {reply!r}"
-            )
-        self._reader = reader
-        self._writer = writer
-        self._last_progress = time.monotonic()
-        self._reader_task = asyncio.ensure_future(self._read_loop())
 
     async def request(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """Forward one message and await the matching response.
@@ -256,87 +241,29 @@ class _ShardLink:
         link is or goes down before the response arrives.
         """
 
-        if self._dead is not None or self._writer is None:
-            raise ShardDied(self._dead or "link not connected")
+        if not self.healthy:
+            raise ShardDied(
+                self._connection.closed if self._connection else "link not connected"
+            )
         self._counter += 1
-        internal_id = f"x{self._counter}"
         forward = dict(message)
-        forward["id"] = internal_id
-        future: "asyncio.Future[Dict[str, Any]]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        if not self._pending:
-            self._last_progress = time.monotonic()
-        self._pending[internal_id] = future
+        forward["id"] = f"x{self._counter}"
         self.forwarded += 1
         try:
-            async with self._write_lock:
-                self._writer.write(encode_message(forward))
-                await asyncio.wait_for(
-                    self._writer.drain(), timeout=SEND_TIMEOUT_SECONDS
-                )
-        except Exception:
-            self._pending.pop(internal_id, None)
-            self.close("write to shard failed")
-            raise ShardDied("write to shard failed")
-        try:
-            return await future
-        finally:
-            self._pending.pop(internal_id, None)
-
-    async def _read_loop(self) -> None:
-        assert self._reader is not None
-        while True:
-            try:
-                line = await self._reader.readline()
-            except (ConnectionResetError, ValueError, asyncio.CancelledError):
-                break
-            if not line:
-                break
-            if not line.strip():
-                continue
-            try:
-                message = decode_message(line)
-            except ProtocolError:
-                continue
-            self._last_progress = time.monotonic()
-            future = self._pending.pop(message.get("id"), None)
-            if future is not None and not future.done():
-                self.answered += 1
-                future.set_result(message)
-        self.close("shard connection closed")
+            response = await self._connection.request(forward)
+        except ConnectionError as exc:
+            raise ShardDied(str(exc)) from None
+        self.answered += 1
+        return response
 
     def close(self, reason: str) -> None:
         """Tear the link down (idempotent): fail pending, notify once."""
 
-        if self._dead is not None:
-            return
-        self._dead = reason
-        if self._reader_task is not None and self._reader_task is not asyncio.current_task():
-            self._reader_task.cancel()
-        if self._writer is not None:
-            try:
-                self._writer.close()
-            except Exception:  # pragma: no cover - best-effort close
-                pass
-        pending, self._pending = self._pending, {}
-        for future in pending.values():
-            if not future.done():
-                future.set_exception(ShardDied(reason))
-        self._on_death(self.shard_id, reason)
+        if self._connection is not None:
+            self._connection.close(reason)
 
 
-@dataclass(eq=False)
-class _ClientConnection:
-    """Per-client-connection state on the router (mirror of the server's)."""
-
-    reader: asyncio.StreamReader
-    writer: asyncio.StreamWriter
-    write_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
-    greeted: bool = False
-
-
-class FleetRouter:
+class FleetRouter(JsonLinesEndpoint):
     """The fleet frontend: protocol endpoint, hash ring, shared tier.
 
     Construct, ``await start()`` (both listeners bind; ephemeral ports
@@ -344,6 +271,9 @@ class FleetRouter:
     ``await serve_forever()``.  The synchronous wrapper most callers want
     is :class:`Fleet`.
     """
+
+    role = "router"
+    draining_text = "fleet is draining; try again later"
 
     def __init__(
         self,
@@ -356,48 +286,30 @@ class FleetRouter:
     ):
         if stall_timeout <= 0:
             raise ValueError(f"stall_timeout must be > 0, got {stall_timeout!r}")
-        if health_interval <= 0:
-            raise ValueError(f"health_interval must be > 0, got {health_interval!r}")
-        self.host = host
-        self.port = port
+        super().__init__(host, port, health_interval)
         self.peer_port = peer_port
         self.stall_timeout = stall_timeout
         self.ring = HashRing()
         self.tier = SharedCacheTier(max_entries=tier_entries)
         self.metrics = RouterMetrics()
-        self.health_interval = health_interval
         self.health = HealthMonitor(counters=tuple(self.metrics.counter_values()))
 
         self._links: Dict[str, _ShardLink] = {}
         self._lost: Dict[str, str] = {}
         self._memo: "OrderedDict[Tuple, str]" = OrderedDict()
-        self._server: Optional[asyncio.base_events.Server] = None
         self._peer_server: Optional[asyncio.base_events.Server] = None
-        self._connections: set = set()
-        self._watchdog_task: Optional[asyncio.Task] = None
-        self._health_task: Optional[asyncio.Task] = None
-        self._draining = False
-        self._active_requests = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._closed = asyncio.Event()
 
     # -- lifecycle ----------------------------------------------------------------
 
     async def start(self) -> None:
         """Bind the client and peering listeners and start the watchdog."""
 
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=MAX_FRAME_BYTES + 1024
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._listen()
         self._peer_server = await asyncio.start_server(
-            self._handle_peering, self.host, self.peer_port,
-            limit=MAX_FRAME_BYTES + 1024,
+            self._handle_peering, self.host, self.peer_port, limit=STREAM_LIMIT
         )
         self.peer_port = self._peer_server.sockets[0].getsockname()[1]
-        self._watchdog_task = asyncio.ensure_future(self._watchdog())
-        self._health_task = asyncio.ensure_future(self._health_loop())
+        self._background.append(asyncio.ensure_future(self._watchdog()))
 
     async def _handle_peering(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -457,18 +369,15 @@ class FleetRouter:
                         f"for {link.stalled_seconds:.1f}s"
                     )
 
-    async def _health_loop(self) -> None:
-        """Feed the router counters into the rolling window every tick.
+    def health_tick(self) -> None:
+        """Feed the router counters into the rolling window.
 
-        Keeps the windowed rates current even between ``stats`` polls, so
-        a recorded trace attributes counter deltas close to event time.
+        Run every ``health_interval`` seconds, keeping the windowed rates
+        current even between ``stats`` polls, so a recorded trace
+        attributes counter deltas close to event time.
         """
 
-        while not self._draining:
-            await asyncio.sleep(self.health_interval)
-            if self._draining:
-                return
-            self.health.feed_counters(self.metrics.counter_values())
+        self.health.feed_counters(self.metrics.counter_values())
 
     def health_sample(self) -> Dict[str, Any]:
         """The router's ``health-sample/v1`` payload, with shard link state.
@@ -479,7 +388,7 @@ class FleetRouter:
         restart policy rules consume, live and on replay.
         """
 
-        self.health.feed_counters(self.metrics.counter_values())
+        self.health_tick()
         sample = self.health.sample()
         sample["shards"] = [
             {
@@ -514,26 +423,10 @@ class FleetRouter:
         link.close(f"wedged: {reason}")
         return True
 
-    def request_drain(self) -> None:
-        """Schedule a graceful fleet drain (signal-handler safe)."""
+    async def _drain_hook(self) -> None:
+        """Ask every shard to drain, drop the links, stop the peering port."""
 
-        asyncio.ensure_future(self.drain())
-
-    async def drain(self) -> None:
-        """Stop admitting, finish in-flight work, drain shards, close up.
-
-        Idempotent; concurrent callers await the same shutdown.
-        """
-
-        if self._draining:
-            await self._closed.wait()
-            return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-        await self._idle.wait()
-        # Ask every shard to drain gracefully; a shard that cannot answer
-        # (dead, wedged) is simply closed.
+        # A shard that cannot answer (dead, wedged) is simply closed.
         for link in list(self._links.values()):
             try:
                 await asyncio.wait_for(
@@ -544,65 +437,8 @@ class FleetRouter:
                 pass
         for link in list(self._links.values()):
             link.close("fleet drained")
-        if self._watchdog_task is not None:
-            self._watchdog_task.cancel()
-            try:
-                await self._watchdog_task
-            except asyncio.CancelledError:
-                pass
-        if self._health_task is not None:
-            self._health_task.cancel()
-            try:
-                await self._health_task
-            except asyncio.CancelledError:
-                pass
-        for connection in list(self._connections):
-            try:
-                connection.writer.close()
-            except Exception:  # pragma: no cover - best-effort close
-                pass
         if self._peer_server is not None:
             self._peer_server.close()
-        if self._server is not None:
-            try:
-                await asyncio.wait_for(self._server.wait_closed(), timeout=5.0)
-            except asyncio.TimeoutError:  # pragma: no cover - defensive
-                pass
-        self._closed.set()
-
-    async def serve_forever(self) -> None:
-        """Block until the fleet has fully drained and closed."""
-
-        await self._closed.wait()
-
-    def install_signal_handlers(self) -> None:
-        """Drain gracefully on SIGTERM/SIGINT (POSIX event loops only)."""
-
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, self.request_drain)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-
-    @property
-    def draining(self) -> bool:
-        """Whether the router has begun a graceful drain."""
-
-        return self._draining
-
-    # -- request bookkeeping ------------------------------------------------------
-
-    def _request_started(self) -> None:
-        self._active_requests += 1
-        self._idle.clear()
-
-    def _request_finished(self) -> None:
-        self._active_requests -= 1
-        if self._active_requests == 0:
-            self._idle.set()
-
-    # -- the client-facing protocol endpoint --------------------------------------
 
     def describe(self) -> Dict[str, Any]:
         """The server-info dict sent in the router's handshake ``hello``."""
@@ -613,161 +449,6 @@ class FleetRouter:
             "tier_entries": self.tier.max_entries,
             "stall_timeout": self.stall_timeout,
         }
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        connection = _ClientConnection(reader=reader, writer=writer)
-        self._connections.add(connection)
-        tasks: set = set()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ConnectionResetError:
-                    break
-                except (ValueError, asyncio.IncompleteReadError):
-                    self.metrics.protocol_errors += 1
-                    self.metrics.errors += 1
-                    await self._send(
-                        connection,
-                        error_message(
-                            "protocol",
-                            f"frame exceeds {MAX_FRAME_BYTES} bytes or the "
-                            "stream is malformed; closing",
-                        ),
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    message = decode_message(line)
-                except ProtocolError as exc:
-                    self.metrics.protocol_errors += 1
-                    self.metrics.errors += 1
-                    await self._send(connection, error_message("bad_request", str(exc)))
-                    continue
-                if not connection.greeted:
-                    if not await self._handshake(connection, message):
-                        break
-                    continue
-                kind = message.get("type")
-                if kind in ("compile", "lint"):
-                    task = asyncio.ensure_future(
-                        self._handle_request(connection, message, kind)
-                    )
-                    tasks.add(task)
-                    task.add_done_callback(tasks.discard)
-                elif kind in ("stats", "metrics", "shutdown"):
-                    try:
-                        _check_admin_fields(message, kind)
-                    except ProtocolError as exc:
-                        self.metrics.protocol_errors += 1
-                        self.metrics.errors += 1
-                        await self._send(
-                            connection,
-                            error_message("bad_request", str(exc), message.get("id")),
-                        )
-                        continue
-                    if kind == "stats":
-                        await self._send(
-                            connection,
-                            {
-                                "type": "stats",
-                                "id": message.get("id"),
-                                "stats": await self.stats_snapshot_async(),
-                            },
-                        )
-                    elif kind == "metrics":
-                        await self._send(
-                            connection,
-                            {
-                                "type": "metrics",
-                                "id": message.get("id"),
-                                "schema": METRICS_TEXT_SCHEMA,
-                                "text": render_metrics_text(
-                                    await self.stats_snapshot_async()
-                                ),
-                            },
-                        )
-                    else:
-                        await self._send(
-                            connection, {"type": "ok", "id": message.get("id")}
-                        )
-                        self.request_drain()
-                else:
-                    self.metrics.protocol_errors += 1
-                    self.metrics.errors += 1
-                    await self._send(
-                        connection,
-                        error_message(
-                            "bad_request",
-                            f"unknown message type {kind!r}",
-                            message.get("id") if isinstance(message.get("id"), str) else None,
-                        ),
-                    )
-        except ConnectionResetError:  # pragma: no cover - peer vanished
-            pass
-        finally:
-            if tasks:
-                await asyncio.gather(*list(tasks), return_exceptions=True)
-            self._connections.discard(connection)
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover - best-effort close
-                pass
-
-    async def _handshake(
-        self, connection: _ClientConnection, message: Dict[str, Any]
-    ) -> bool:
-        try:
-            if message.get("type") != "hello":
-                raise ProtocolError(
-                    "first message must be a 'hello' handshake", code="protocol"
-                )
-            version = parse_hello(message)
-        except ProtocolError as exc:
-            self.metrics.protocol_errors += 1
-            self.metrics.errors += 1
-            await self._send(connection, error_message("protocol", str(exc)))
-            return False
-        if version != PROTOCOL_VERSION:
-            self.metrics.protocol_errors += 1
-            self.metrics.errors += 1
-            await self._send(
-                connection,
-                error_message(
-                    "protocol",
-                    f"protocol version mismatch: client speaks {version}, "
-                    f"router speaks {PROTOCOL_VERSION}",
-                ),
-            )
-            return False
-        connection.greeted = True
-        await self._send(connection, hello_message(server_info=self.describe()))
-        return True
-
-    async def _send(
-        self, connection: _ClientConnection, message: Dict[str, Any]
-    ) -> None:
-        """Bounded, locked write of one message to a client connection."""
-
-        payload = encode_message(message)
-        async with connection.write_lock:
-            try:
-                connection.writer.write(payload)
-                await asyncio.wait_for(
-                    connection.writer.drain(), timeout=SEND_TIMEOUT_SECONDS
-                )
-            except asyncio.TimeoutError:
-                try:
-                    connection.writer.close()
-                except Exception:  # pragma: no cover - best-effort close
-                    pass
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
 
     # -- routing ------------------------------------------------------------------
 
@@ -794,108 +475,68 @@ class FleetRouter:
         return resolved.cache_key
 
     async def _handle_request(
-        self, connection: _ClientConnection, message: Dict[str, Any], kind: str
+        self, connection: Connection, message: Dict[str, Any], kind: str
     ) -> None:
         """Route one compile or lint request: tier front, then forward.
 
         Both kinds share the whole flow — parse, key, tier, consistent-hash
-        forward — and differ only in the parser/resolver pair and the shape
-        of a tier-hit answer.
+        forward — and differ only in the resolver and the shape of a
+        tier-hit answer.
         """
 
-        parser = parse_compile_request if kind == "compile" else parse_lint_request
         resolver = (
             resolve_compile_request if kind == "compile" else resolve_lint_request
         )
-        self.metrics.received += 1
         self._request_started()
         arrived = time.monotonic()
-        request_id = message.get("id") if isinstance(message.get("id"), str) else None
         try:
-            try:
-                request = parser(message)
-                request_id = request.id
-                cache_key = await self._cache_key_for(request, resolver)
-            except ProtocolError as exc:
-                self.metrics.protocol_errors += 1
-                self.metrics.errors += 1
-                await self._send(
-                    connection, error_message(exc.code, str(exc), request_id)
-                )
-                return
-            except Exception as exc:
-                self.metrics.errors += 1
-                await self._send(
-                    connection,
-                    error_message(
-                        "internal",
-                        f"request resolution failed: {type(exc).__name__}: {exc}",
-                        request_id,
-                    ),
-                )
-                return
-
-            if self._draining:
-                self.metrics.rejected_shutting_down += 1
-                self.metrics.errors += 1
-                await self._send(
-                    connection,
-                    error_message(
-                        "shutting_down", "fleet is draining; try again later",
-                        request_id,
-                    ),
-                )
-                return
-
-            # Tier front: the whole fleet may already know this answer.
-            if request.cache == "use":
-                entry = self.tier.get(cache_key)
-                if entry is not None:
-                    if kind == "compile":
-                        answer = CompileAnswer(
-                            result=dict(entry["result"]),
-                            pass_seconds=dict(entry["pass_seconds"]),
-                            cache_status="tier",
-                            queue_ms=0.0,
-                            compile_ms=0.0,
-                        ).to_message(request_id)
-                    else:
-                        answer = lint_result_message(
-                            request_id, dict(entry["result"]), cache_status="tier"
-                        )
-                    self.metrics.tier_hits += 1
-                    self.metrics.completed += 1
-                    latency_ms = (time.monotonic() - arrived) * 1000.0
-                    self.metrics.latency_ms.record(latency_ms)
-                    self.health.observe_latency(latency_ms)
-                    await self._send(connection, answer)
-                    return
-
-            response, shard_id = await self._forward(message, cache_key)
-            if response is None:
-                self.metrics.errors += 1
-                await self._send(
-                    connection,
-                    error_message(
-                        "internal", "no healthy shard available", request_id
-                    ),
-                )
-                return
-            relayed = dict(response)
-            relayed["id"] = request_id
-            if relayed.get("type") == "result":
-                service = dict(relayed.get("service") or {})
-                service["shard"] = shard_id
-                relayed["service"] = service
-                self.metrics.completed += 1
-                latency_ms = (time.monotonic() - arrived) * 1000.0
-                self.metrics.latency_ms.record(latency_ms)
-                self.health.observe_latency(latency_ms)
-            else:
-                self.metrics.errors += 1
-            await self._send(connection, relayed)
+            request, cache_key, reply = await self._admit(
+                message, kind, lambda request: self._cache_key_for(request, resolver)
+            )
+            if reply is None:
+                reply = await self._route(kind, message, request, cache_key, arrived)
+            await connection.send(reply)
         finally:
             self._request_finished()
+
+    async def _route(
+        self, kind: str, message: Dict[str, Any], request, cache_key: str, arrived: float
+    ) -> Dict[str, Any]:
+        """The reply to one admitted request: a tier hit or a shard's answer."""
+
+        request_id = request.id
+        # Tier front: the whole fleet may already know this answer.
+        if request.cache == "use":
+            entry = self.tier.get(cache_key)
+            if entry is not None:
+                self.metrics.tier_hits += 1
+                self._complete(arrived)
+                if kind == "lint":
+                    return lint_result_message(
+                        request_id, dict(entry["result"]), cache_status="tier"
+                    )
+                return CompileAnswer(
+                    result=dict(entry["result"]),
+                    pass_seconds=dict(entry["pass_seconds"]),
+                    cache_status="tier",
+                    queue_ms=0.0,
+                    compile_ms=0.0,
+                ).to_message(request_id)
+
+        response, shard_id = await self._forward(message, cache_key)
+        if response is None:
+            self.metrics.errors += 1
+            return error_message("internal", "no healthy shard available", request_id)
+        relayed = dict(response)
+        relayed["id"] = request_id
+        if relayed.get("type") == "result":
+            service = dict(relayed.get("service") or {})
+            service["shard"] = shard_id
+            relayed["service"] = service
+            self._complete(arrived)
+        else:
+            self.metrics.errors += 1
+        return relayed
 
     async def _forward(
         self, message: Dict[str, Any], cache_key: str
@@ -1455,24 +1096,26 @@ class Fleet:
             self._policy_thread.join(timeout)
             self._policy_thread = None
         loop, router = self._loop, self.router
-        if loop is not None and router is not None and not loop.is_closed():
+        if (
+            loop is not None
+            and router is not None
+            and not router.draining
+            and not loop.is_closed()
+        ):
             coroutine = router.drain()
             try:
-                future = asyncio.run_coroutine_threadsafe(coroutine, loop)
+                asyncio.run_coroutine_threadsafe(coroutine, loop)
             except RuntimeError:
                 coroutine.close()
-            else:
-                try:
-                    future.result(timeout)
-                except Exception:  # pragma: no cover - slow/failed drain
-                    pass
+        # The router thread exits once its drain completes (see
+        # EmbeddedServer.stop for why the thread, not the future, is joined).
+        if self._thread is not None:
+            self._thread.join(timeout)
         for shard in self.shards:
             try:
                 shard.stop()
             except Exception:  # pragma: no cover - best-effort reap
                 pass
-        if self._thread is not None:
-            self._thread.join(timeout)
 
     # -- operations ---------------------------------------------------------------
 

@@ -71,12 +71,9 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import random
 
+from repro.service.endpoint import PipelinedConnection
 from repro.service.metrics import LatencyHistogram
 from repro.service.protocol import (
-    MAX_FRAME_BYTES,
-    ProtocolError,
-    decode_message,
-    encode_message,
     hello_message,
     parse_compile_request,
     resolve_compile_request,
@@ -252,98 +249,41 @@ class _PipelinedClient:
     """One connection with id-demultiplexed concurrent requests.
 
     Unlike :class:`~repro.service.client.AsyncServiceClient` this allows
-    many requests in flight at once on a single connection: a reader task
-    routes every response to its request's future by id.
+    many requests in flight at once on a single connection
+    (:class:`~repro.service.endpoint.PipelinedConnection`); request ids
+    are the caller's.
     """
 
-    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        self._reader = reader
-        self._writer = writer
-        self._pending: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
-        self._protocol_errors = 0
-        self._reader_task: Optional[asyncio.Task] = None
+    def __init__(self, connection: PipelinedConnection):
+        self._connection = connection
 
     @classmethod
     async def connect(cls, host: str, port: int, timeout: float) -> "_PipelinedClient":
         """Open, handshake and start the response demultiplexer."""
 
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port, limit=MAX_FRAME_BYTES + 1024),
-            timeout=timeout,
+        return cls(
+            await PipelinedConnection.open(
+                host, port, hello_message(), _check_hello, timeout, label="server"
+            )
         )
-        client = cls(reader, writer)
-        writer.write(encode_message(hello_message()))
-        await writer.drain()
-        line = await asyncio.wait_for(reader.readline(), timeout=timeout)
-        _check_hello(decode_message(line))
-        client._reader_task = asyncio.ensure_future(client._read_loop())
-        return client
-
-    async def _read_loop(self) -> None:
-        while True:
-            try:
-                line = await self._reader.readline()
-            except (ConnectionResetError, asyncio.CancelledError):
-                break
-            except ValueError:
-                # Over-limit frame: the stream cannot be re-synchronized.
-                self._protocol_errors += 1
-                break
-            if not line:
-                break
-            try:
-                message = decode_message(line)
-            except ProtocolError:
-                self._protocol_errors += 1
-                continue
-            request_id = message.get("id")
-            future = self._pending.pop(request_id, None)
-            if future is None or future.done():
-                self._protocol_errors += 1
-                continue
-            future.set_result(message)
-        # Fail anything still outstanding so callers do not hang.
-        for future in self._pending.values():
-            if not future.done():
-                future.set_exception(
-                    ConnectionError("connection closed with requests in flight")
-                )
-        self._pending.clear()
 
     @property
     def protocol_errors(self) -> int:
         """Responses that failed to parse or matched no pending request."""
 
-        return self._protocol_errors
+        return self._connection.stray_frames
 
     async def request(
         self, message: Mapping[str, Any], timeout: float
     ) -> Dict[str, Any]:
         """Send one message and await the response with the matching id."""
 
-        request_id = message["id"]
-        future: "asyncio.Future[Dict[str, Any]]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._pending[request_id] = future
-        self._writer.write(encode_message(message))
-        await self._writer.drain()
-        return await asyncio.wait_for(future, timeout=timeout)
+        return await asyncio.wait_for(self._connection.request(message), timeout)
 
     async def close(self) -> None:
         """Stop the demultiplexer and close the connection."""
 
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except (asyncio.CancelledError, Exception):  # pragma: no cover
-                pass
-        try:
-            self._writer.close()
-            await self._writer.wait_closed()
-        except (OSError, ConnectionResetError):  # pragma: no cover
-            pass
+        self._connection.close("client closed")
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.service.protocol import (
-    MAX_FRAME_BYTES,
-    ProtocolError,
-    decode_message,
-    encode_message,
-)
+from repro.service.endpoint import Connection, FrameOverflow, PipelinedConnection
+from repro.service.protocol import ProtocolError
 
 #: Bump on any incompatible change to the peering frames; the ``peer-hello``
 #: handshake rejects mismatched peers instead of misreading their frames.
@@ -267,23 +263,18 @@ async def serve_peering_connection(
     handshake (version-checked), then ``cache-get``/``cache-put`` frames.
     Protocol violations are answered with an ``error`` frame and, for
     handshake violations, the connection is dropped — exactly the posture
-    of the main protocol.
+    of the main protocol.  Framing and the bounded write are the endpoint
+    core's (:class:`~repro.service.endpoint.Connection`).
     """
 
-    greeted = False
+    connection = Connection(reader=reader, writer=writer)
     try:
         while True:
             try:
-                line = await reader.readline()
-            except (ConnectionResetError, ValueError, asyncio.IncompleteReadError):
-                break
-            if not line:
-                break
-            if not line.strip():
-                continue
-            try:
-                message = decode_message(line)
-                if not greeted:
+                message = await connection.read_message()
+                if message is None:
+                    break
+                if not connection.greeted:
                     version = parse_peer_hello(message)
                     if version != PEERING_VERSION:
                         raise ProtocolError(
@@ -291,22 +282,17 @@ async def serve_peering_connection(
                             f"tier speaks {PEERING_VERSION}",
                             code="protocol",
                         )
-                    greeted = True
-                    writer.write(encode_message(peer_hello_message()))
-                    await writer.drain()
+                    connection.greeted = True
+                    await connection.send(peer_hello_message())
                     continue
                 kind, request_id, key, entry = parse_peering_frame(message)
+            except FrameOverflow:
+                break
             except ProtocolError as exc:
                 tier.stats.protocol_errors += 1
-                try:
-                    writer.write(
-                        encode_message(
-                            {"type": "error", "code": exc.code, "message": str(exc)}
-                        )
-                    )
-                    await writer.drain()
-                except (ConnectionResetError, BrokenPipeError):
-                    break
+                await connection.send(
+                    {"type": "error", "code": exc.code, "message": str(exc)}
+                )
                 if exc.code == "protocol":
                     break
                 continue
@@ -336,21 +322,19 @@ async def serve_peering_connection(
                     "code": "bad_request",
                     "message": f"tier does not accept {kind!r} frames",
                 }
-            try:
-                writer.write(encode_message(response))
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                break
+            await connection.send(response)
     finally:
-        try:
-            writer.close()
-        except Exception:  # pragma: no cover - best-effort close
-            pass
+        connection.close()
 
 
 # ---------------------------------------------------------------------------
 # The shard-side client.
 # ---------------------------------------------------------------------------
+
+
+def _check_peer_hello(reply: Dict[str, Any]) -> None:
+    if parse_peer_hello(reply) != PEERING_VERSION:
+        raise ProtocolError("peering version mismatch", code="protocol")
 
 
 class PeerCacheClient:
@@ -359,9 +343,9 @@ class PeerCacheClient:
     Lives on the shard server's event loop.  The connection is opened on
     first use and re-opened after :data:`PEER_RETRY_SECONDS` following any
     transport failure; while the peer is unreachable every :meth:`get` is
-    a miss and every :meth:`put` a no-op.  Requests are id-demultiplexed,
-    so concurrent gets and puts share one connection without blocking each
-    other.
+    a miss and every :meth:`put` a no-op.  Requests are id-demultiplexed
+    (:class:`~repro.service.endpoint.PipelinedConnection`), so concurrent
+    gets and puts share one connection without blocking each other.
     """
 
     def __init__(
@@ -380,104 +364,55 @@ class PeerCacheClient:
         self.puts = 0
         self.errors = 0
         self._counter = 0
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._reader_task: Optional[asyncio.Task] = None
-        self._pending: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
+        self._connection: Optional[PipelinedConnection] = None
         self._disabled_until = 0.0
         self._connect_lock = asyncio.Lock()
+
+    @property
+    def _writer(self) -> Optional[asyncio.StreamWriter]:
+        return self._connection.writer if self._connection is not None else None
 
     def _next_id(self) -> str:
         self._counter += 1
         return f"p{self._counter}"
 
-    async def _ensure_connected(self) -> bool:
-        """Open the connection (handshake included) unless in cooldown."""
+    async def _connected(self) -> Optional[PipelinedConnection]:
+        """The open connection (handshake included), or None in cooldown."""
 
-        if self._writer is not None:
-            return True
-        if time.monotonic() < self._disabled_until:
-            return False
         async with self._connect_lock:
-            if self._writer is not None:
-                return True
-            if time.monotonic() < self._disabled_until:
-                return False
-            try:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(
-                        self.host, self.port, limit=MAX_FRAME_BYTES + 1024
-                    ),
-                    timeout=self.timeout,
-                )
-                writer.write(encode_message(peer_hello_message()))
-                await asyncio.wait_for(writer.drain(), timeout=self.timeout)
-                line = await asyncio.wait_for(reader.readline(), timeout=self.timeout)
-                reply = decode_message(line)
-                if parse_peer_hello(reply) != PEERING_VERSION:
-                    raise ProtocolError("peering version mismatch", code="protocol")
-            except Exception:
-                self.errors += 1
-                self._disabled_until = time.monotonic() + self.retry_seconds
-                return False
-            self._reader = reader
-            self._writer = writer
-            self._reader_task = asyncio.ensure_future(self._read_loop())
-            return True
+            if self._connection is None and time.monotonic() >= self._disabled_until:
+                try:
+                    self._connection = await PipelinedConnection.open(
+                        self.host,
+                        self.port,
+                        peer_hello_message(),
+                        _check_peer_hello,
+                        self.timeout,
+                        label="peer",
+                        on_close=self._lost,
+                    )
+                except Exception:
+                    self.errors += 1
+                    self._disabled_until = time.monotonic() + self.retry_seconds
+            return self._connection
 
-    async def _read_loop(self) -> None:
-        assert self._reader is not None
-        while True:
-            try:
-                line = await self._reader.readline()
-            except (ConnectionResetError, ValueError, asyncio.CancelledError):
-                break
-            if not line:
-                break
-            try:
-                message = decode_message(line)
-            except ProtocolError:
-                self.errors += 1
-                continue
-            future = self._pending.pop(message.get("id"), None)
-            if future is not None and not future.done():
-                future.set_result(message)
-        self._teardown(ConnectionError("peer connection closed"))
+    def _lost(self, _reason: str) -> None:
+        """Connection-close callback: forget it and start the cooldown."""
 
-    def _teardown(self, exc: BaseException) -> None:
-        """Drop the connection, fail in-flight frames, start the cooldown."""
-
-        if self._writer is not None:
-            try:
-                self._writer.close()
-            except Exception:  # pragma: no cover - best-effort close
-                pass
-        self._reader = None
-        self._writer = None
+        self._connection = None
         self._disabled_until = time.monotonic() + self.retry_seconds
-        pending, self._pending = self._pending, {}
-        for future in pending.values():
-            if not future.done():
-                future.set_exception(exc)
 
     async def _roundtrip(self, message: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         """One frame out, the matching frame back; None on any failure."""
 
-        if not await self._ensure_connected():
+        connection = await self._connected()
+        if connection is None:
             return None
-        assert self._writer is not None
-        future: "asyncio.Future[Dict[str, Any]]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._pending[message["id"]] = future
         try:
-            self._writer.write(encode_message(message))
-            await asyncio.wait_for(self._writer.drain(), timeout=self.timeout)
-            return await asyncio.wait_for(future, timeout=self.timeout)
+            return await asyncio.wait_for(connection.request(message), self.timeout)
         except Exception:
             self.errors += 1
-            self._pending.pop(message["id"], None)
-            self._teardown(ConnectionError("peer round trip failed"))
+            connection.close("peer round trip failed")
             return None
 
     async def get(self, key: str) -> Optional[Dict[str, Any]]:
@@ -504,14 +439,8 @@ class PeerCacheClient:
     async def close(self) -> None:
         """Close the connection (idempotent)."""
 
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except (asyncio.CancelledError, Exception):  # pragma: no cover
-                pass
-            self._reader_task = None
-        self._teardown(ConnectionError("peer client closed"))
+        if self._connection is not None:
+            self._connection.close("peer client closed")
         # Closing is deliberate: do not serve a cooldown for it.
         self._disabled_until = 0.0
 
@@ -521,7 +450,7 @@ class PeerCacheClient:
         return {
             "host": self.host,
             "port": self.port,
-            "connected": self._writer is not None,
+            "connected": self._connection is not None,
             "gets": self.gets,
             "hits": self.hits,
             "puts": self.puts,

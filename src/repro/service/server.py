@@ -41,36 +41,23 @@ from __future__ import annotations
 
 import asyncio
 import json
-import signal
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cache.store import CacheSpec, resolve_cache
-from repro.service.health import (
-    METRICS_TEXT_SCHEMA,
-    HealthMonitor,
-    render_metrics_text,
-)
+from repro.service.endpoint import Connection, JsonLinesEndpoint
+from repro.service.health import HealthMonitor
 from repro.service.metrics import ServiceMetrics, cache_stats_payload
 from repro.service.policy import PolicyEngine, default_engine
 from repro.service.peering import PeerCacheClient, parse_peer_address
 from repro.service.protocol import (
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
     CompileAnswer,
-    ProtocolError,
     ResolvedCompile,
     compile_lint_rejection,
-    decode_message,
-    encode_message,
     error_message,
-    hello_message,
     lint_result_message,
-    parse_compile_request,
-    parse_hello,
-    parse_lint_request,
     resolve_compile_request,
     resolve_lint_request,
     result_payload,
@@ -87,27 +74,8 @@ DEFAULT_BATCH_MAX_REQUESTS = 16
 #: ... or when this much time has passed since the first waiting entry.
 DEFAULT_BATCH_WINDOW_MS = 10.0
 
-#: Bound on one response write.  A client that stops reading fills its
-#: transport buffer and would otherwise block ``writer.drain()`` forever —
-#: keeping its requests "active" and wedging a graceful drain.  Past this
-#: deadline the connection is closed instead.
-SEND_TIMEOUT_SECONDS = 30.0
-
 #: Default seconds between health ticks (rolling-window feed + policy step).
 DEFAULT_HEALTH_INTERVAL = 1.0
-
-
-def _check_admin_fields(message: Dict[str, Any], kind: str) -> None:
-    """Strictly validate a ``stats``/``metrics``/``shutdown`` message (``id`` only)."""
-
-    unknown = sorted(set(message) - {"type", "id"})
-    if unknown:
-        raise ProtocolError(
-            f"{kind} request has unknown field(s): {', '.join(unknown)}"
-        )
-    request_id = message.get("id")
-    if request_id is not None and not isinstance(request_id, str):
-        raise ProtocolError(f"{kind} request 'id' must be a string")
 
 
 @dataclass
@@ -119,17 +87,7 @@ class _PendingEntry:
     enqueued_at: float
 
 
-@dataclass(eq=False)
-class _Connection:
-    """Per-connection state: the writer, its lock, and handshake status."""
-
-    reader: asyncio.StreamReader
-    writer: asyncio.StreamWriter
-    write_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
-    greeted: bool = False
-
-
-class CompileServer:
+class CompileServer(JsonLinesEndpoint):
     """A compile-as-a-service endpoint over asyncio streams.
 
     Construct, then either ``await start()`` + ``await serve_forever()``
@@ -138,6 +96,9 @@ class CompileServer:
     ``port=0`` binds an ephemeral port; :attr:`port` holds the real one
     after :meth:`start`.
     """
+
+    role = "server"
+    draining_text = "server is draining; try another replica"
 
     def __init__(
         self,
@@ -153,8 +114,7 @@ class CompileServer:
         enable_policy: bool = True,
         policy: Optional[PolicyEngine] = None,
     ):
-        if health_interval <= 0:
-            raise ValueError(f"health_interval must be > 0, got {health_interval!r}")
+        super().__init__(host, port, health_interval)
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue!r}")
         if batch_max_requests < 1:
@@ -163,8 +123,6 @@ class CompileServer:
             )
         if batch_window_ms < 0:
             raise ValueError(f"batch_window_ms must be >= 0, got {batch_window_ms!r}")
-        self.host = host
-        self.port = port
         self.workers = workers
         self.cache = resolve_cache(cache)
         self.max_queue = max_queue
@@ -180,7 +138,6 @@ class CompileServer:
         # engine.  The monitor is delta-fed from ``self.metrics`` every
         # ``health_interval`` seconds; the engine's decisions are applied
         # on the spot (shedding) and logged as structured JSON records.
-        self.health_interval = health_interval
         self.health = HealthMonitor(
             counters=tuple(self.metrics.counter_values()),
             gauges=("queue_depth",),
@@ -189,134 +146,44 @@ class CompileServer:
         self.policy_enabled = enable_policy
         self.policy = policy if policy is not None else default_engine()
         self._shedding = False
-        self._health_task: Optional[asyncio.Task] = None
 
-        self._server: Optional[asyncio.base_events.Server] = None
         self._queue: "asyncio.Queue[Optional[_PendingEntry]]" = asyncio.Queue()
         self._inflight: Dict[str, _PendingEntry] = {}
         # In-flight lint work, coalesced by (cache policy, lint cache key).
         # Lint requests never enter the compile queue: they are pure
         # analysis, answered directly off the event loop.
         self._lint_inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
-        self._connections: set = set()
         self._batcher_task: Optional[asyncio.Task] = None
-        self._draining = False
-        self._active_requests = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._closed = asyncio.Event()
 
     # -- lifecycle ----------------------------------------------------------------
 
     async def start(self) -> None:
         """Bind the listening socket and start the batch dispatcher."""
 
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=MAX_FRAME_BYTES + 1024
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._listen()
         if self._peer_address is not None:
             # Constructed here (not in __init__) so its primitives bind to
             # the server's running event loop on every Python version.
             self.peer = PeerCacheClient(*self._peer_address)
         self._batcher_task = asyncio.ensure_future(self._batcher())
-        self._health_task = asyncio.ensure_future(self._health_loop())
 
-    async def serve_forever(self) -> None:
-        """Block until the server has fully drained and closed."""
+    async def _drain_hook(self) -> None:
+        """Finish every admitted compile, then drop the tier connection."""
 
-        await self._closed.wait()
-
-    def install_signal_handlers(self) -> None:
-        """Drain gracefully on SIGTERM/SIGINT (POSIX event loops only)."""
-
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, self.request_drain)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-
-    def request_drain(self) -> None:
-        """Schedule a graceful drain from synchronous context (signal-safe)."""
-
-        asyncio.ensure_future(self.drain())
-
-    async def drain(self) -> None:
-        """Stop admitting, finish all queued/in-flight work, close everything.
-
-        Idempotent: concurrent callers all wait for the same shutdown to
-        complete.
-        """
-
-        if self._draining:
-            await self._closed.wait()
-            return
-        self._draining = True
-        if self._server is not None:
-            # Stop accepting.  ``wait_closed`` is deliberately NOT awaited
-            # here: on Python >= 3.12 it blocks until every accepted
-            # connection has finished, so awaiting it before we close the
-            # client connections below would deadlock against any idle
-            # client that simply stays connected.
-            self._server.close()
-        # Every admitted request completes: the batcher keeps dispatching
-        # until it sees the sentinel, which is queued *behind* all work.
-        await self._idle.wait()
+        # The batcher keeps dispatching until it sees the sentinel, which
+        # is queued *behind* all work.
         await self._queue.put(None)
         if self._batcher_task is not None:
             await self._batcher_task
-        if self._health_task is not None:
-            self._health_task.cancel()
-            try:
-                await self._health_task
-            except asyncio.CancelledError:
-                pass
         if self.peer is not None:
             await self.peer.close()
-        for connection in list(self._connections):
-            try:
-                connection.writer.close()
-            except Exception:  # pragma: no cover - best-effort close
-                pass
-        if self._server is not None:
-            try:
-                # All transports are closed now, so this resolves promptly;
-                # the timeout is a belt against handler stragglers.
-                await asyncio.wait_for(self._server.wait_closed(), timeout=5.0)
-            except asyncio.TimeoutError:  # pragma: no cover - defensive
-                pass
-        self._closed.set()
-
-    @property
-    def draining(self) -> bool:
-        """Whether the server has begun a graceful drain."""
-
-        return self._draining
-
-    def stats_snapshot(self) -> Dict[str, Any]:
-        """The metrics snapshot a ``stats`` request is answered with.
-
-        Synchronous variant: the cache disk sweep (a glob plus a ``stat``
-        per entry) runs inline, so call this from tests/tools, not from
-        the event loop — the wire handler and the embedded helper use
-        :meth:`stats_snapshot_async` instead.
-        """
-
-        if self.peer is not None:
-            self.metrics.peer_errors = self.peer.errors
-        snapshot = self.metrics.snapshot(queue_depth=self._queue.qsize())
-        snapshot["draining"] = self._draining
-        snapshot["health"] = self.health.sample()
-        snapshot["policy"] = self._policy_payload()
-        if self.cache is not None:
-            snapshot["cache"] = cache_stats_payload(self.cache)
-        if self.peer is not None:
-            snapshot["peer"] = self.peer.snapshot()
-        return snapshot
 
     async def stats_snapshot_async(self) -> Dict[str, Any]:
-        """:meth:`stats_snapshot` with the cache disk sweep off the loop."""
+        """The metrics snapshot a ``stats`` request is answered with.
+
+        The cache disk sweep (a glob plus a ``stat`` per entry) runs in a
+        worker thread, off the event loop.
+        """
 
         if self.peer is not None:
             self.metrics.peer_errors = self.peer.errors
@@ -346,15 +213,6 @@ class CompileServer:
         }
 
     # -- health & policy ----------------------------------------------------------
-
-    async def _health_loop(self) -> None:
-        """Tick the health monitor + policy engine every ``health_interval``."""
-
-        while not self._draining:
-            await asyncio.sleep(self.health_interval)
-            if self._draining:
-                return
-            self.health_tick()
 
     def health_tick(self, now: Optional[float] = None) -> List[Any]:
         """One health/policy tick; returns the decisions it produced.
@@ -401,373 +259,126 @@ class CompileServer:
             "recent": [decision.payload() for decision in self.policy.log[-5:]],
         }
 
-    # -- request bookkeeping ------------------------------------------------------
+    # -- compile and lint requests ------------------------------------------------
 
-    def _request_started(self) -> None:
-        self._active_requests += 1
-        self._idle.clear()
-
-    def _request_finished(self) -> None:
-        self._active_requests -= 1
-        if self._active_requests == 0:
-            self._idle.set()
-
-    # -- the connection handler ---------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    async def _handle_request(
+        self, connection: Connection, message: Dict[str, Any], kind: str
     ) -> None:
-        connection = _Connection(reader=reader, writer=writer)
-        self._connections.add(connection)
-        # Completed tasks discard themselves: a long-lived connection must
-        # not accumulate one Task object per request it ever served.
-        tasks: set = set()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ConnectionResetError:
-                    break
-                except (ValueError, asyncio.IncompleteReadError):
-                    # ``readline`` reports an over-limit line as ValueError
-                    # (it wraps LimitOverrunError).  The stream cannot be
-                    # re-synchronized after that, so report and drop the
-                    # connection.
-                    self.metrics.protocol_errors += 1
-                    self.metrics.errors += 1
-                    await self._send(
-                        connection,
-                        error_message(
-                            "protocol",
-                            f"frame exceeds {MAX_FRAME_BYTES} bytes or the "
-                            "stream is malformed; closing",
-                        ),
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    message = decode_message(line)
-                except ProtocolError as exc:
-                    self.metrics.protocol_errors += 1
-                    self.metrics.errors += 1
-                    await self._send(connection, error_message("bad_request", str(exc)))
-                    continue
-                if not connection.greeted:
-                    if not await self._handshake(connection, message):
-                        break
-                    continue
-                kind = message.get("type")
-                if kind in ("compile", "lint"):
-                    # Handled concurrently so one long compile does not
-                    # stall pipelined requests on the same connection.
-                    handler = (
-                        self._handle_compile if kind == "compile" else self._handle_lint
-                    )
-                    task = asyncio.ensure_future(handler(connection, message))
-                    tasks.add(task)
-                    task.add_done_callback(tasks.discard)
-                elif kind in ("stats", "metrics", "shutdown"):
-                    try:
-                        _check_admin_fields(message, kind)
-                    except ProtocolError as exc:
-                        self.metrics.protocol_errors += 1
-                        self.metrics.errors += 1
-                        await self._send(
-                            connection,
-                            error_message("bad_request", str(exc), message.get("id")),
-                        )
-                        continue
-                    if kind == "stats":
-                        await self._send(
-                            connection,
-                            {
-                                "type": "stats",
-                                "id": message.get("id"),
-                                "stats": await self.stats_snapshot_async(),
-                            },
-                        )
-                    elif kind == "metrics":
-                        await self._send(
-                            connection,
-                            {
-                                "type": "metrics",
-                                "id": message.get("id"),
-                                "schema": METRICS_TEXT_SCHEMA,
-                                "text": render_metrics_text(
-                                    await self.stats_snapshot_async()
-                                ),
-                            },
-                        )
-                    else:
-                        await self._send(
-                            connection, {"type": "ok", "id": message.get("id")}
-                        )
-                        self.request_drain()
-                else:
-                    self.metrics.protocol_errors += 1
-                    self.metrics.errors += 1
-                    await self._send(
-                        connection,
-                        error_message(
-                            "bad_request",
-                            f"unknown message type {kind!r}",
-                            message.get("id") if isinstance(message.get("id"), str) else None,
-                        ),
-                    )
-        except ConnectionResetError:  # pragma: no cover - peer vanished
-            pass
-        finally:
-            if tasks:
-                await asyncio.gather(*list(tasks), return_exceptions=True)
-            self._connections.discard(connection)
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover - best-effort close
-                pass
+        """Answer one ``compile`` or ``lint`` request.
 
-    async def _handshake(self, connection: _Connection, message: Dict[str, Any]) -> bool:
-        """Process the first client message; returns False to drop the link."""
-
-        try:
-            if message.get("type") != "hello":
-                raise ProtocolError(
-                    "first message must be a 'hello' handshake", code="protocol"
-                )
-            version = parse_hello(message)
-        except ProtocolError as exc:
-            self.metrics.protocol_errors += 1
-            self.metrics.errors += 1
-            await self._send(connection, error_message("protocol", str(exc)))
-            return False
-        if version != PROTOCOL_VERSION:
-            self.metrics.protocol_errors += 1
-            self.metrics.errors += 1
-            await self._send(
-                connection,
-                error_message(
-                    "protocol",
-                    f"protocol version mismatch: client speaks {version}, "
-                    f"server speaks {PROTOCOL_VERSION}",
-                ),
-            )
-            return False
-        connection.greeted = True
-        await self._send(connection, hello_message(server_info=self.describe()))
-        return True
-
-    async def _send(self, connection: _Connection, message: Dict[str, Any]) -> None:
-        """Serialize and write one message under the connection's lock.
-
-        Bounded: a peer that stops reading cannot block the server — after
-        :data:`SEND_TIMEOUT_SECONDS` the connection is closed and the
-        write abandoned (the request still counts as finished, so a stuck
-        client can never wedge a graceful drain).
+        Both kinds share parsing, off-loop resolution (IR parsing,
+        scenario generation and fingerprinting are real work), error
+        mapping and the draining check; they differ only in the tail.
         """
 
-        payload = encode_message(message)
-        async with connection.write_lock:
-            try:
-                connection.writer.write(payload)
-                await asyncio.wait_for(
-                    connection.writer.drain(), timeout=SEND_TIMEOUT_SECONDS
-                )
-            except asyncio.TimeoutError:
-                try:
-                    connection.writer.close()
-                except Exception:  # pragma: no cover - best-effort close
-                    pass
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
-
-    # -- compile requests ---------------------------------------------------------
-
-    async def _handle_compile(
-        self, connection: _Connection, message: Dict[str, Any]
-    ) -> None:
-        self.metrics.received += 1
         self._request_started()
         arrived = time.monotonic()
-        request_id = message.get("id") if isinstance(message.get("id"), str) else None
         try:
-            try:
-                request = parse_compile_request(message)
-                request_id = request.id
-                # Resolution can be real work (IR parsing/verification,
-                # scenario generation, fingerprinting): keep it off the
-                # event loop so big requests do not stall other
-                # connections.
-                resolved = await asyncio.to_thread(resolve_compile_request, request)
-            except ProtocolError as exc:
-                self.metrics.protocol_errors += 1
-                self.metrics.errors += 1
-                await self._send(
-                    connection, error_message(exc.code, str(exc), request_id)
-                )
-                return
-            except Exception as exc:
-                # A resolution bug must answer the request, not strand the
-                # client until its timeout.
-                self.metrics.errors += 1
-                await self._send(
-                    connection,
-                    error_message(
-                        "internal",
-                        f"request resolution failed: {type(exc).__name__}: {exc}",
-                        request_id,
-                    ),
-                )
-                return
-
-            if self._draining:
-                self.metrics.rejected_shutting_down += 1
-                self.metrics.errors += 1
-                await self._send(
-                    connection,
-                    error_message(
-                        "shutting_down", "server is draining; try another replica",
-                        request_id,
-                    ),
-                )
-                return
-
-            # Policy-driven load shedding: below the queue-full bound, the
-            # shed-load rule can reject at admission while the windowed
-            # queue-depth peak stays above its threshold.  The rejection
-            # reuses the ``overloaded`` error code, so clients back off
-            # and retry exactly as for a full queue.
-            if self._shedding:
-                self.metrics.rejected_shed += 1
-                self.metrics.rejected_overloaded += 1
-                self.metrics.errors += 1
-                await self._send(
-                    connection,
-                    error_message(
-                        "overloaded",
-                        "admission shedding is active (queue pressure); "
-                        "retry with backoff",
-                        request_id,
-                    ),
-                )
-                return
-
-            # Strict-lint gate: reject IR with error-severity diagnostics
-            # before it consumes a cache lookup, a queue slot or a compile.
-            # The rejection payload is the same structured report the
-            # pipeline's LintError and the CLI's --json mode carry.
-            if request.lint == "strict":
-                rejection = await asyncio.to_thread(compile_lint_rejection, resolved)
-                if rejection is not None:
-                    self.metrics.errors += 1
-                    await self._send(
-                        connection,
-                        error_message(
-                            "lint_rejected",
-                            "lint found error-severity diagnostics",
-                            request_id,
-                            diagnostics=rejection,
-                        ),
-                    )
-                    return
-
-            # Cache front: answer admitted-but-already-compiled work
-            # immediately, without a queue slot or a batch.  The lookup
-            # (a pickle read on a miss-from-memory) runs off the loop; the
-            # store is thread-safe.
-            if request.cache == "use" and self.cache is not None:
-                cached = await asyncio.to_thread(self.cache.get, resolved.cache_key)
-                if cached is not None:
-                    answer = CompileAnswer(
-                        result=result_payload(resolved, cached),
-                        pass_seconds=dict(cached.pass_seconds),
-                        cache_status="hit",
-                        queue_ms=0.0,
-                        compile_ms=0.0,
-                    )
-                    self.metrics.cache_hits += 1
-                    self._complete(arrived)
-                    await self._send(connection, answer.to_message(request_id))
-                    return
-
-            # Shared-tier front: another shard may already have compiled
-            # this key.  A peer failure is just a miss (the client never
-            # raises), so this adds no correctness dependency.
-            if request.cache == "use" and self.peer is not None:
-                entry_payload = await self.peer.get(resolved.cache_key)
-                if entry_payload is not None:
-                    answer = CompileAnswer(
-                        result=dict(entry_payload["result"]),
-                        pass_seconds=dict(entry_payload["pass_seconds"]),
-                        cache_status="peer",
-                        queue_ms=0.0,
-                        compile_ms=0.0,
-                    )
-                    self.metrics.peer_hits += 1
-                    self._complete(arrived)
-                    await self._send(connection, answer.to_message(request_id))
-                    return
-
-            coalesced = False
-            entry = self._inflight.get(resolved.coalesce_key)
-            if entry is not None:
-                # Identical in-flight work: attach, compile nothing.
-                coalesced = True
-            else:
-                if self._queue.qsize() >= self.max_queue:
-                    self.metrics.rejected_overloaded += 1
-                    self.metrics.errors += 1
-                    await self._send(
-                        connection,
-                        error_message(
-                            "overloaded",
-                            f"admission queue is full ({self.max_queue} entries); "
-                            "retry with backoff",
-                            request_id,
-                        ),
-                    )
-                    return
-                entry = _PendingEntry(
-                    resolved=resolved,
-                    future=asyncio.get_running_loop().create_future(),
-                    enqueued_at=arrived,
-                )
-                self._inflight[resolved.coalesce_key] = entry
-                self._queue.put_nowait(entry)
-                self.metrics.observe_queue_depth(self._queue.qsize())
-
-            try:
-                answer = await entry.future
-            except Exception as exc:
-                self.metrics.errors += 1
-                await self._send(
-                    connection,
-                    error_message("internal", f"compile failed: {exc}", request_id),
-                )
-                return
-            if coalesced:
-                answer = CompileAnswer(
-                    result=answer.result,
-                    pass_seconds=answer.pass_seconds,
-                    cache_status=answer.cache_status,
-                    coalesced=True,
-                    batch_size=answer.batch_size,
-                    queue_ms=answer.queue_ms,
-                    compile_ms=answer.compile_ms,
-                )
-                self.metrics.coalesced += 1
-            self._complete(arrived)
-            await self._send(connection, answer.to_message(request_id))
+            resolver = (
+                resolve_compile_request if kind == "compile" else resolve_lint_request
+            )
+            request, resolved, reply = await self._admit(
+                message, kind, lambda request: asyncio.to_thread(resolver, request)
+            )
+            if reply is None:
+                tail = self._answer_compile if kind == "compile" else self._answer_lint
+                reply = await tail(request, resolved, arrived)
+            await connection.send(reply)
         finally:
             self._request_finished()
 
-    # -- lint requests ------------------------------------------------------------
+    async def _answer_compile(self, request, resolved, arrived: float) -> Dict[str, Any]:
+        """Shedding, strict-lint gate, cache/peer front, then the batch queue."""
 
-    async def _handle_lint(
-        self, connection: _Connection, message: Dict[str, Any]
-    ) -> None:
-        """Answer one ``lint`` request: cache front, coalesce, analyse.
+        request_id = request.id
+        # Policy-driven load shedding: below the queue-full bound, the
+        # shed-load rule can reject at admission while the windowed
+        # queue-depth peak stays above its threshold.  The rejection
+        # reuses the ``overloaded`` error code, so clients back off
+        # and retry exactly as for a full queue.
+        if self._shedding:
+            self.metrics.rejected_shed += 1
+            self.metrics.rejected_overloaded += 1
+            self.metrics.errors += 1
+            return error_message(
+                "overloaded",
+                "admission shedding is active (queue pressure); retry with backoff",
+                request_id,
+            )
+
+        # Strict-lint gate: reject IR with error-severity diagnostics
+        # before it consumes a cache lookup, a queue slot or a compile.
+        # The rejection payload is the same structured report the
+        # pipeline's LintError and the CLI's --json mode carry.
+        if request.lint == "strict":
+            rejection = await asyncio.to_thread(compile_lint_rejection, resolved)
+            if rejection is not None:
+                self.metrics.errors += 1
+                return error_message(
+                    "lint_rejected",
+                    "lint found error-severity diagnostics",
+                    request_id,
+                    diagnostics=rejection,
+                )
+
+        front = await self._cache_front("compile", request, resolved)
+        if front is not None:
+            cache_status, entry = front
+            answer = CompileAnswer(
+                result=dict(entry["result"]),
+                pass_seconds=dict(entry["pass_seconds"]),
+                cache_status=cache_status,
+                queue_ms=0.0,
+                compile_ms=0.0,
+            )
+            self._complete(arrived)
+            return answer.to_message(request_id)
+
+        coalesced = False
+        entry = self._inflight.get(resolved.coalesce_key)
+        if entry is not None:
+            # Identical in-flight work: attach, compile nothing.
+            coalesced = True
+        else:
+            if self._queue.qsize() >= self.max_queue:
+                self.metrics.rejected_overloaded += 1
+                self.metrics.errors += 1
+                return error_message(
+                    "overloaded",
+                    f"admission queue is full ({self.max_queue} entries); "
+                    "retry with backoff",
+                    request_id,
+                )
+            entry = _PendingEntry(
+                resolved=resolved,
+                future=asyncio.get_running_loop().create_future(),
+                enqueued_at=arrived,
+            )
+            self._inflight[resolved.coalesce_key] = entry
+            self._queue.put_nowait(entry)
+            self.metrics.observe_queue_depth(self._queue.qsize())
+
+        try:
+            answer = await entry.future
+        except Exception as exc:
+            self.metrics.errors += 1
+            return error_message("internal", f"compile failed: {exc}", request_id)
+        if coalesced:
+            answer = CompileAnswer(
+                result=answer.result,
+                pass_seconds=answer.pass_seconds,
+                cache_status=answer.cache_status,
+                coalesced=True,
+                batch_size=answer.batch_size,
+                queue_ms=answer.queue_ms,
+                compile_ms=answer.compile_ms,
+            )
+            self.metrics.coalesced += 1
+        self._complete(arrived)
+        return answer.to_message(request_id)
+
+    async def _answer_lint(self, request, resolved, arrived: float) -> Dict[str, Any]:
+        """Cache/peer front, coalesce, then analyse inline (off the loop).
 
         Lint reports are pure functions of the resolved inputs, so the
         request reuses the compile machinery's guarantees — shared cache
@@ -775,134 +386,95 @@ class CompileServer:
         fleet tier — without ever entering the compile batch queue.
         """
 
-        self.metrics.received += 1
-        self._request_started()
-        arrived = time.monotonic()
-        request_id = message.get("id") if isinstance(message.get("id"), str) else None
-        try:
-            try:
-                request = parse_lint_request(message)
-                request_id = request.id
-                resolved = await asyncio.to_thread(resolve_lint_request, request)
-            except ProtocolError as exc:
-                self.metrics.protocol_errors += 1
-                self.metrics.errors += 1
-                await self._send(
-                    connection, error_message(exc.code, str(exc), request_id)
-                )
-                return
-            except Exception as exc:
-                self.metrics.errors += 1
-                await self._send(
-                    connection,
-                    error_message(
-                        "internal",
-                        f"request resolution failed: {type(exc).__name__}: {exc}",
-                        request_id,
-                    ),
-                )
-                return
-
-            if self._draining:
-                self.metrics.rejected_shutting_down += 1
-                self.metrics.errors += 1
-                await self._send(
-                    connection,
-                    error_message(
-                        "shutting_down", "server is draining; try another replica",
-                        request_id,
-                    ),
-                )
-                return
-
-            use_cache = request.cache == "use"
-            if use_cache and self.cache is not None:
-                cached = await asyncio.to_thread(self.cache.get, resolved.cache_key)
-                if isinstance(cached, dict):
-                    self.metrics.cache_hits += 1
-                    self._complete(arrived)
-                    await self._send(
-                        connection,
-                        lint_result_message(request_id, cached, cache_status="hit"),
-                    )
-                    return
-            if use_cache and self.peer is not None:
-                entry_payload = await self.peer.get(resolved.cache_key)
-                if entry_payload is not None:
-                    self.metrics.peer_hits += 1
-                    self._complete(arrived)
-                    await self._send(
-                        connection,
-                        lint_result_message(
-                            request_id,
-                            entry_payload["result"],
-                            cache_status="peer",
-                        ),
-                    )
-                    return
-
-            coalesced = False
-            future = self._lint_inflight.get(resolved.coalesce_key)
-            if future is not None:
-                coalesced = True
-            else:
-                future = asyncio.get_running_loop().create_future()
-                self._lint_inflight[resolved.coalesce_key] = future
-                try:
-                    payload = await asyncio.to_thread(run_lint_request, resolved)
-                except Exception as exc:
-                    self._lint_inflight.pop(resolved.coalesce_key, None)
-                    if not future.done():
-                        future.set_exception(
-                            RuntimeError(f"lint failed: {type(exc).__name__}: {exc}")
-                        )
-                        # Awaited below with the waiters; consume the
-                        # exception there.
-                else:
-                    if use_cache and self.cache is not None:
-                        await asyncio.to_thread(
-                            self.cache.put, resolved.cache_key, payload
-                        )
-                    # Publish to the fleet tier before resolving waiters,
-                    # same ordering discipline as compile dispatch.
-                    if use_cache and self.peer is not None:
-                        self.metrics.peer_puts += 1
-                        await self.peer.put(
-                            resolved.cache_key, {"result": payload, "pass_seconds": {}}
-                        )
-                    self._lint_inflight.pop(resolved.coalesce_key, None)
-                    if not future.done():
-                        future.set_result(payload)
-
-            try:
-                payload = await future
-            except Exception as exc:
-                self.metrics.errors += 1
-                await self._send(
-                    connection,
-                    error_message("internal", str(exc), request_id),
-                )
-                return
-            if coalesced:
-                self.metrics.coalesced += 1
-            status = "miss" if use_cache else "bypass"
+        request_id = request.id
+        front = await self._cache_front("lint", request, resolved)
+        if front is not None:
+            cache_status, entry = front
             self._complete(arrived)
-            await self._send(
-                connection,
-                lint_result_message(
-                    request_id, payload, cache_status=status, coalesced=coalesced
-                ),
+            return lint_result_message(
+                request_id, entry["result"], cache_status=cache_status
             )
-        finally:
-            self._request_finished()
 
-    def _complete(self, arrived: float) -> None:
-        """Account a successfully answered compile request."""
+        use_cache = request.cache == "use"
+        coalesced = False
+        future = self._lint_inflight.get(resolved.coalesce_key)
+        if future is not None:
+            coalesced = True
+        else:
+            future = asyncio.get_running_loop().create_future()
+            self._lint_inflight[resolved.coalesce_key] = future
+            try:
+                payload = await asyncio.to_thread(run_lint_request, resolved)
+            except Exception as exc:
+                self._lint_inflight.pop(resolved.coalesce_key, None)
+                if not future.done():
+                    future.set_exception(
+                        RuntimeError(f"lint failed: {type(exc).__name__}: {exc}")
+                    )
+                    # Awaited below with the waiters; consume the
+                    # exception there.
+            else:
+                if use_cache and self.cache is not None:
+                    await asyncio.to_thread(self.cache.put, resolved.cache_key, payload)
+                # Publish to the fleet tier before resolving waiters,
+                # same ordering discipline as compile dispatch.
+                if use_cache and self.peer is not None:
+                    self.metrics.peer_puts += 1
+                    await self.peer.put(
+                        resolved.cache_key, {"result": payload, "pass_seconds": {}}
+                    )
+                self._lint_inflight.pop(resolved.coalesce_key, None)
+                if not future.done():
+                    future.set_result(payload)
 
-        self.metrics.completed += 1
-        latency_ms = (time.monotonic() - arrived) * 1000.0
-        self.metrics.latency_ms.record(latency_ms)
-        self.health.observe_latency(latency_ms)
+        try:
+            payload = await future
+        except Exception as exc:
+            self.metrics.errors += 1
+            return error_message("internal", str(exc), request_id)
+        if coalesced:
+            self.metrics.coalesced += 1
+        self._complete(arrived)
+        return lint_result_message(
+            request_id,
+            payload,
+            cache_status="miss" if use_cache else "bypass",
+            coalesced=coalesced,
+        )
+
+    async def _cache_front(
+        self, kind: str, request, resolved
+    ) -> Optional[Tuple[str, Dict[str, Any]]]:
+        """Answer admitted work from the local cache, then the fleet tier.
+
+        Returns ``(cache_status, {"result": ..., "pass_seconds": ...})``
+        for a ``hit`` or ``peer`` answer, else None.  The local lookup (a
+        pickle read on a miss-from-memory) runs off the loop; the store
+        is thread-safe.  A peer failure is just a miss (the client never
+        raises), so the tier adds no correctness dependency.
+        """
+
+        if request.cache != "use":
+            return None
+        if self.cache is not None:
+            cached = await asyncio.to_thread(self.cache.get, resolved.cache_key)
+            entry = None
+            if kind == "lint" and isinstance(cached, dict):
+                entry = {"result": cached, "pass_seconds": {}}
+            elif kind == "compile" and cached is not None:
+                entry = {
+                    "result": result_payload(resolved, cached),
+                    "pass_seconds": cached.pass_seconds,
+                }
+            if entry is not None:
+                self.metrics.cache_hits += 1
+                return "hit", entry
+        if self.peer is not None:
+            entry = await self.peer.get(resolved.cache_key)
+            if entry is not None:
+                self.metrics.peer_hits += 1
+                return "peer", entry
+        return None
 
     # -- the batch dispatcher -----------------------------------------------------
 

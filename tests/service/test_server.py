@@ -17,6 +17,7 @@ from repro.service.client import (
     ServiceClient,
     ServiceError,
 )
+from repro.service.fleet import Fleet
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     decode_message,
@@ -24,6 +25,28 @@ from repro.service.protocol import (
     response_result_bytes,
 )
 from tests.service.conftest import oracle_result_bytes
+
+
+@pytest.fixture(params=["server", "router"])
+def endpoint(request, embedded_server):
+    """Factory fixture over both JSON-lines endpoints.
+
+    ``endpoint()`` is a context manager yielding an object with a live
+    ``port``: a :class:`CompileServer` (via ``EmbeddedServer``) or a
+    :class:`FleetRouter` in front of one thread-backend shard.
+    """
+
+    if request.param == "server":
+        return embedded_server
+    return lambda: Fleet(shards=1, backend="thread")
+
+
+def protocol_error_count(stats) -> int:
+    """The endpoint's ``protocol_errors`` counter from a ``stats`` reply."""
+
+    if stats.get("schema") == "fleet-stats/v1":
+        return stats["router"]["protocol_errors"]
+    return stats["requests"]["protocol_errors"]
 
 
 class TestBasicServing:
@@ -261,8 +284,8 @@ class TestAdmissionControl:
 
 
 class TestHandshake:
-    def test_version_mismatch_rejected_and_closed(self, embedded_server):
-        with embedded_server() as emb:
+    def test_version_mismatch_rejected_and_closed(self, endpoint):
+        with endpoint() as emb:
             with socket.create_connection(("127.0.0.1", emb.port), timeout=10) as raw:
                 raw.sendall(encode_message({"type": "hello", "protocol": 99}))
                 with raw.makefile("rb") as stream:
@@ -270,8 +293,8 @@ class TestHandshake:
                 assert reply["type"] == "error"
                 assert reply["code"] == "protocol"
 
-    def test_first_message_must_be_hello(self, embedded_server):
-        with embedded_server() as emb:
+    def test_first_message_must_be_hello(self, endpoint):
+        with endpoint() as emb:
             with socket.create_connection(("127.0.0.1", emb.port), timeout=10) as raw:
                 raw.sendall(encode_message({"type": "stats"}))
                 with raw.makefile("rb") as stream:
@@ -289,8 +312,8 @@ class TestHandshake:
         assert reply["protocol"] == PROTOCOL_VERSION
         assert reply["server"]["max_queue"] == 7
 
-    def test_unknown_message_type_is_bad_request(self, embedded_server):
-        with embedded_server() as emb:
+    def test_unknown_message_type_is_bad_request(self, endpoint):
+        with endpoint() as emb:
             with ServiceClient(port=emb.port) as client:
                 client._send({"type": "frobnicate", "id": "z"})
                 reply = client._receive()
@@ -342,28 +365,26 @@ class TestStatsAndDrain:
 
 
 class TestRobustness:
-    def test_drain_completes_with_an_idle_client_still_connected(
-        self, embedded_server
-    ):
+    def test_drain_completes_with_an_idle_client_still_connected(self, endpoint):
         """Graceful drain must not wait for idle clients to hang up
         (``Server.wait_closed`` on 3.12+ blocks until every accepted
         connection finishes — the drain closes them itself first)."""
 
-        with embedded_server() as emb:
+        with endpoint() as emb:
             idle = ServiceClient(port=emb.port)  # connected, never sends
             try:
                 with ServiceClient(port=emb.port) as active:
                     active.compile(scenario="scenario:call_web:5:0")
                     active.shutdown()
-                # Exiting the embedded_server context joins the drain; a
+                # Exiting the endpoint context joins the drain; a
                 # deadlock here fails the test by timeout.
             finally:
                 idle.close()
 
-    def test_oversized_frame_answered_and_connection_dropped(self, embedded_server):
+    def test_oversized_frame_answered_and_connection_dropped(self, endpoint):
         from repro.service.protocol import MAX_FRAME_BYTES
 
-        with embedded_server() as emb:
+        with endpoint() as emb:
             with socket.create_connection(("127.0.0.1", emb.port), timeout=30) as raw:
                 raw.sendall(encode_message({"type": "hello", "protocol": PROTOCOL_VERSION}))
                 with raw.makefile("rb") as stream:
@@ -380,8 +401,8 @@ class TestRobustness:
                 response = client.compile(scenario="scenario:call_web:0:0")
                 assert response["type"] == "result"
 
-    def test_stats_and_shutdown_reject_unknown_fields(self, embedded_server):
-        with embedded_server() as emb:
+    def test_stats_and_shutdown_reject_unknown_fields(self, endpoint):
+        with endpoint() as emb:
             with ServiceClient(port=emb.port) as client:
                 client._send({"type": "stats", "id": "s1", "scope": "all"})
                 reply = client._receive()
@@ -393,4 +414,18 @@ class TestRobustness:
                 assert reply["code"] == "bad_request"
                 # Valid requests still work on the same connection (and the
                 # rejected shutdown did NOT start a drain).
-                assert client.stats()["requests"]["protocol_errors"] == 2
+                assert protocol_error_count(client.stats()) == 2
+
+    def test_rejected_admin_request_drops_a_non_string_id(self, endpoint):
+        with endpoint() as emb:
+            with ServiceClient(port=emb.port) as client:
+                client._send({"type": "stats", "id": {"nested": [1, 2]}})
+                reply = client._receive()
+                assert reply["type"] == "error"
+                assert reply["code"] == "bad_request"
+                assert "id" not in reply
+                # A string id is still echoed.
+                client._send({"type": "metrics", "id": "m1", "scope": "all"})
+                reply = client._receive()
+                assert reply["code"] == "bad_request"
+                assert reply["id"] == "m1"
