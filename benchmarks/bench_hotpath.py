@@ -98,7 +98,7 @@ def scaling_leg(seed, machine):
     for _ in range(SCALING_SAMPLES):
         for name, procedure in cases:
             started = time.thread_time()
-            compile_procedure(procedure, machine=machine, cache=None)
+            compile_procedure(procedure, machine=machine)
             samples[name].append(time.thread_time() - started)
 
     sizes = []
@@ -178,7 +178,7 @@ def main(argv=None) -> int:
 
     def end_to_end():
         for procedure in procedures:
-            compile_procedure(procedure, machine=machine, cache=None)
+            compile_procedure(procedure, machine=machine)
 
     def regalloc():
         for procedure in procedures:

@@ -2,25 +2,30 @@
 
 The pipeline is deterministic, so a compile result is fully determined by
 its cache key (see :mod:`repro.ir.fingerprint`).  This store maps those keys
-to pickled values:
+to pickled values — for compiles, one
+:class:`~repro.pipeline.compiler.CompileRecord` per procedure:
 
 * **On-disk layout** — ``<directory>/v<CACHE_VERSION>/<key[:2]>/<key>.pkl``.
   Sharding by the first two hex digits of the key keeps directories small
   (at most 256 shards) however many entries accumulate; the version
   directory means a format bump simply strands old entries instead of
   misreading them.
+* **Entry format** — one header line, ``repro-cache <version> <key>
+  <sha256>``, then the pickled value bytes.  The SHA-256 digest covers the
+  value bytes and is checked *before* anything is unpickled, so a flipped
+  bit is a miss rather than a silently wrong answer.
 * **Atomic writes** — every entry is written to a temporary file in its
   shard directory and ``os.replace``-d into place, so a crashed or
   concurrent writer can never leave a torn entry behind; concurrent writers
   of the same key are idempotent (same key ⇒ same value).
-* **Corruption policy** — unreadable pickles, payloads of the wrong shape,
-  version or key mismatches are all *silently treated as misses* (counted
-  in ``stats.corrupt`` and best-effort deleted).  A cache must never turn a
-  bad disk into a compile failure.
+* **Corruption policy** — a malformed header, a version, key or digest
+  mismatch, or value bytes that do not unpickle are all *silently treated
+  as misses* (counted in ``stats.corrupt`` and best-effort deleted).  A
+  cache must never turn a bad disk into a compile failure.
 * **In-memory LRU** — the hottest ``memory_entries`` values are kept
   deserialized in process, so repeated lookups inside one run skip the disk
-  entirely.  Values are treated as immutable by convention: the same object
-  may be handed to several callers.
+  entirely.  The same object may be handed to several callers, which is
+  why compile records are frozen.
 * **Stats** — hits, misses, stores, evictions and corrupt entries are
   counted per :class:`CompileCache` instance (i.e. per process, not
   persisted).
@@ -36,6 +41,7 @@ hold anything picklable.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import tempfile
@@ -47,7 +53,10 @@ from typing import Any, Iterator, List, Optional, Union
 
 #: Bump when the on-disk payload format changes; old ``v<N>`` directories
 #: are ignored by newer stores and removed by :meth:`CompileCache.clear`.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
+
+#: First word of every entry's header line.
+_MAGIC = b"repro-cache"
 
 _MISSING = object()
 
@@ -106,9 +115,10 @@ class CompileCache:
     def get(self, key: str, default: Any = None) -> Any:
         """The cached value for ``key``, or ``default`` on a miss.
 
-        Any kind of disk trouble — missing file, unreadable pickle, version
-        or key mismatch — is a miss, never an exception; in particular a
-        concurrent :meth:`clear` racing this lookup yields a miss.
+        Any kind of disk trouble — missing file, unreadable pickle, version,
+        key or digest mismatch — is a miss, never an exception; in
+        particular a concurrent :meth:`clear` racing this lookup yields a
+        miss.
         """
 
         with self._lock:
@@ -133,28 +143,24 @@ class CompileCache:
     def _read_disk(self, key: str) -> Any:
         path = self._path(key)
         try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
+            data = path.read_bytes()
         except FileNotFoundError:
             return _MISSING
-        except Exception:
-            # Torn write survivor, truncated disk, unpicklable garbage, a
-            # class that no longer exists ... all of it is just a miss.
-            with self._lock:
-                self.stats.corrupt += 1
-            self._discard(path)
-            return _MISSING
-        if (
-            not isinstance(payload, dict)
-            or payload.get("schema") != CACHE_VERSION
-            or payload.get("key") != key
-            or "value" not in payload
-        ):
-            with self._lock:
-                self.stats.corrupt += 1
-            self._discard(path)
-            return _MISSING
-        return payload["value"]
+        except OSError:
+            data = b""
+        header, _, body = data.partition(b"\n")
+        if header == _entry_header(key, body):
+            try:
+                return pickle.loads(body)
+            except Exception:
+                # A class that no longer exists, or a writer bug: a miss.
+                pass
+        # Torn write survivor, flipped bit, stale format, foreign file ...
+        # all of it is just a miss.
+        with self._lock:
+            self.stats.corrupt += 1
+        self._discard(path)
+        return _MISSING
 
     @staticmethod
     def _discard(path: Path) -> None:
@@ -184,10 +190,8 @@ class CompileCache:
 
         self._remember(key, value)
         path = self._path(key)
-        payload = pickle.dumps(
-            {"schema": CACHE_VERSION, "key": key, "value": value},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        body = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        payload = _entry_header(key, body) + b"\n" + body
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-")
@@ -274,6 +278,13 @@ class CompileCache:
         with self._lock:
             self._memory.clear()
         return removed
+
+
+def _entry_header(key: str, body: bytes) -> bytes:
+    """The header line an entry holding ``body`` under ``key`` starts with."""
+
+    digest = hashlib.sha256(body).hexdigest()
+    return b"%s %d %s %s" % (_MAGIC, CACHE_VERSION, key.encode(), digest.encode())
 
 
 #: What every ``cache=`` parameter accepts: a store, a directory, or nothing.

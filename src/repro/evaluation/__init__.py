@@ -11,8 +11,9 @@
 * :mod:`repro.evaluation.ablations` — extra studies the paper motivates but
   does not tabulate: execution-count vs. jump-edge cost model, and maximal
   vs. canonical SESE regions.
-* :mod:`repro.evaluation.parallel` — the process-pool engine that shards the
-  suite at procedure granularity (``workers=`` on the runners and the CLI).
+* :mod:`repro.evaluation.parallel` — the process-pool engine behind
+  ``compile_many`` that shards a batch at procedure granularity
+  (``workers=`` on the runners and the CLI).
 * :mod:`repro.evaluation.differential` — the differential stress harness:
   every scenario family × registered target × technique compiled with
   verification on, diffed against the techniques' overhead invariants
@@ -20,15 +21,7 @@
 * :mod:`repro.evaluation.reporting` — plain-text table and bar-chart rendering.
 """
 
-from repro.evaluation.parallel import (
-    ProcedureMeasurement,
-    available_cpus,
-    compile_procedures_parallel,
-    effective_workers,
-    measure_procedure,
-    measure_procedure_groups,
-    resolve_workers,
-)
+from repro.evaluation.parallel import available_cpus, effective_workers, resolve_workers
 from repro.evaluation.runner import BenchmarkMeasurement, SuiteMeasurement, run_benchmark, run_suite
 from repro.evaluation.figure5 import Figure5Row, figure5, render_figure5
 from repro.evaluation.table1 import Table1Row, render_table1, table1
@@ -51,7 +44,6 @@ __all__ = [
     "AblationRow",
     "BenchmarkMeasurement",
     "Figure5Row",
-    "ProcedureMeasurement",
     "StressReport",
     "StressRow",
     "StressViolation",
@@ -59,12 +51,9 @@ __all__ = [
     "Table1Row",
     "Table2Row",
     "available_cpus",
-    "compile_procedures_parallel",
     "effective_workers",
     "cost_model_ablation",
     "figure5",
-    "measure_procedure",
-    "measure_procedure_groups",
     "resolve_workers",
     "region_granularity_ablation",
     "render_ablation",

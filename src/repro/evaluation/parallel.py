@@ -1,28 +1,21 @@
-"""Process-pool parallel evaluation engine.
+"""Process-pool sharding behind :func:`repro.pipeline.compiler.compile_many`.
 
-Every procedure of the synthetic suite is compiled independently — register
-allocation, the three placement techniques and the overhead accounting share
-nothing between procedures — so the evaluation parallelizes at *procedure*
-granularity.  This module provides the sharding machinery the evaluation
-runner (:mod:`repro.evaluation.runner`), the ablations and the batch compiler
-(:func:`repro.pipeline.compiler.compile_many`) plug into:
-
-* :class:`ProcedureMeasurement` — the compact, picklable per-procedure
-  summary workers send back (the full :class:`CompiledProcedure`, with its
-  rewritten function and placements, stays in the worker).
-* :func:`measure_procedure_groups` — shards groups (benchmarks) of
-  procedures over a :class:`~concurrent.futures.ProcessPoolExecutor` with
-  chunked submission and a **deterministic merge**: results are re-assembled
-  in the original submission order, so parallel and serial runs aggregate
-  the same floating-point sums in the same order and produce bit-identical
-  measurements.
-* :func:`compile_procedures_parallel` — the same sharding for callers that
-  need the full compiled artifacts back.
+Every procedure is compiled independently — register allocation, the three
+placement techniques and the overhead accounting share nothing between
+procedures — so compiles parallelize at *procedure* granularity.
+:func:`compile_records` shards a flat batch over a
+:class:`~concurrent.futures.ProcessPoolExecutor` with chunked submission
+and a **deterministic merge**: each worker returns one frozen
+:class:`~repro.pipeline.compiler.CompileRecord` per procedure (the allocated
+IR and placements stay in the worker), and the records are re-assembled in
+submission order, so parallel and serial runs aggregate the same
+floating-point sums in the same order and produce bit-identical
+measurements.
 
 Serial fallback: ``workers=1`` (or a single procedure, or a cost model /
 machine that cannot be pickled, e.g. a closure-based custom model) runs the
-exact same code path in-process — no executor, no pickling — so the engine
-is safe to leave enabled everywhere.  ``workers=None`` ("auto") resolves to
+same worker body in-process — no executor, no pickling — so the engine is
+safe to leave enabled everywhere.  ``workers=None`` ("auto") resolves to
 the *available* cores and stays serial on a single-core machine, where a
 pool is pure overhead.
 
@@ -32,12 +25,9 @@ pending chunks are cancelled and the pool is shut down (workers joined)
 *before* the exception propagates, so a crashing evaluation cannot leak
 worker processes (regression-tested in ``tests/evaluation/test_parallel.py``).
 
-Compile cache: both sharding entry points accept ``cache=`` (a
-:class:`~repro.cache.store.CompileCache` or a directory).  Cache hits are
-resolved in the parent *before* chunk planning, so only misses are sharded
-to the pool; the parent writes the workers' results back through the same
-deterministic merge.  The cache stacks with ``workers`` — a warm run skips
-the pool entirely.
+The compile cache is not handled here: ``compile_many`` answers hits before
+it calls :func:`compile_records`, so only misses reach the pool, and a
+fully warm batch never starts one.
 """
 
 from __future__ import annotations
@@ -45,11 +35,9 @@ from __future__ import annotations
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.cache.store import CacheSpec, resolve_cache
-from repro.pipeline.compiler import TECHNIQUES, procedure_parts
+from repro.pipeline.compiler import CompileRecord
 
 #: Chunks submitted per worker (oversubscription smooths uneven chunk cost:
 #: a worker that drew cheap procedures picks up another chunk instead of
@@ -124,107 +112,24 @@ def _picklable(value: object) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ProcedureMeasurement:
-    """Everything the suite aggregation needs from one compiled procedure.
+# ---------------------------------------------------------------------------
+# The worker body (module-level so it pickles by qualified name).
+# ---------------------------------------------------------------------------
 
-    A compact, picklable summary — the worker keeps the heavyweight
-    :class:`~repro.pipeline.compiler.CompiledProcedure` (rewritten function,
-    placements, profiles) to itself and ships only these numbers back.
+
+def _compile_chunk(payload) -> List[CompileRecord]:
+    """Compile a chunk of procedures, return one record each.
+
+    Runs in a pool worker, and in-process on the serial path.  ``machine``
+    and ``cost_model`` arrive resolved (``compile_many`` resolves them).
     """
 
-    name: str
-    num_blocks: int
-    num_instructions: int
-    allocator_overhead: float
-    #: Callee-saved dynamic overhead per technique.
-    callee_saved_overhead: Dict[str, float]
-    #: Pass wall-clock seconds keyed by pass name (measured in the worker).
-    pass_seconds: Dict[str, float]
-
-
-def summarize_compiled(compiled, techniques: Sequence[str]) -> ProcedureMeasurement:
-    """Extract the :class:`ProcedureMeasurement` of one compiled procedure."""
-
-    return ProcedureMeasurement(
-        name=compiled.name,
-        num_blocks=len(compiled.allocation.function),
-        num_instructions=compiled.allocation.function.instruction_count(),
-        allocator_overhead=compiled.allocator_overhead,
-        callee_saved_overhead={
-            technique: compiled.callee_saved_overhead(technique) for technique in techniques
-        },
-        pass_seconds=dict(compiled.pass_seconds),
-    )
-
-
-def measure_procedure(
-    procedure,
-    machine=None,
-    cost_model="jump_edge",
-    techniques: Sequence[str] = TECHNIQUES,
-    verify: bool = True,
-    maximal_regions: bool = True,
-) -> ProcedureMeasurement:
-    """Compile one procedure and return its measurement summary."""
-
-    from repro.pipeline.compiler import compile_procedure
-
-    compiled = compile_procedure(
-        procedure,
-        machine=machine,
-        cost_model=cost_model,
-        techniques=techniques,
-        verify=verify,
-        maximal_regions=maximal_regions,
-    )
-    return summarize_compiled(compiled, techniques)
-
-
-# ---------------------------------------------------------------------------
-# Worker entry points (module-level so they pickle by qualified name).
-# ---------------------------------------------------------------------------
-
-
-def _measure_chunk(payload) -> List[ProcedureMeasurement]:
-    """Worker: compile a chunk of procedures, return their summaries."""
-
     procedures, machine, cost_model, techniques, verify, maximal_regions = payload
     from repro.analysis.bitset import base_register_index
-    from repro.spill.cost_models import make_cost_model
-    from repro.target.registry import resolve_target
+    from repro.pipeline.compiler import compile_procedure
 
-    machine = resolve_target(machine)
-    if isinstance(cost_model, str):
-        cost_model = make_cost_model(cost_model, machine)
     # Prime the per-process interning index once; every compile in this
     # worker forks it instead of re-interning the register universe.
-    base_register_index(machine)
-    return [
-        measure_procedure(
-            procedure,
-            machine=machine,
-            cost_model=cost_model,
-            techniques=techniques,
-            verify=verify,
-            maximal_regions=maximal_regions,
-        )
-        for procedure in procedures
-    ]
-
-
-def _compile_chunk(payload) -> list:
-    """Worker: compile a chunk of procedures, return the full artifacts."""
-
-    procedures, machine, cost_model, techniques, verify, maximal_regions = payload
-    from repro.analysis.bitset import base_register_index
-    from repro.pipeline.compiler import compile_procedure
-    from repro.spill.cost_models import make_cost_model
-    from repro.target.registry import resolve_target
-
-    machine = resolve_target(machine)
-    if isinstance(cost_model, str):
-        cost_model = make_cost_model(cost_model, machine)
     base_register_index(machine)
     return [
         compile_procedure(
@@ -234,84 +139,9 @@ def _compile_chunk(payload) -> list:
             techniques=techniques,
             verify=verify,
             maximal_regions=maximal_regions,
-        )
+        ).record
         for procedure in procedures
     ]
-
-
-# ---------------------------------------------------------------------------
-# Cache resolution (before any chunk planning).
-# ---------------------------------------------------------------------------
-
-
-def _cache_options_token(
-    machine, cost_model, techniques: Sequence[str], verify: bool, maximal_regions: bool
-) -> Optional[str]:
-    """The batch's cache-key options token, or ``None`` when uncacheable.
-
-    The target is resolved and a by-name cost model instantiated first, so
-    ``cost_model="jump_edge"`` and an equivalent
-    :class:`~repro.spill.cost_models.JumpEdgeCostModel` instance produce the
-    same token (and therefore share cache entries).
-    """
-
-    from repro.ir.fingerprint import compile_options_token
-    from repro.spill.cost_models import make_cost_model
-    from repro.target.registry import resolve_target
-
-    resolved = resolve_target(machine)
-    model = (
-        make_cost_model(cost_model, resolved)
-        if isinstance(cost_model, str)
-        else cost_model
-    )
-    return compile_options_token(resolved, model, techniques, verify, maximal_regions)
-
-
-def _resolve_cached(
-    store,
-    groups: Sequence[Sequence[object]],
-    machine,
-    cost_model,
-    techniques: Sequence[str],
-    verify: bool,
-    maximal_regions: bool,
-    kind: str,
-):
-    """Fill result slots from the cache; return what still must be compiled.
-
-    Returns ``(results, keys, misses)``: ``results`` mirrors ``groups`` with
-    hits filled in and ``None`` holes, ``keys`` holds the cache key of every
-    procedure (``None`` everywhere when the batch is uncacheable), and
-    ``misses`` lists the ``(group, index)`` positions left to compile.
-    """
-
-    results: List[List[object]] = [[None] * len(group) for group in groups]
-    keys: List[List[Optional[str]]] = [[None] * len(group) for group in groups]
-    misses: List[Tuple[int, int]] = [
-        (g, i) for g, group in enumerate(groups) for i in range(len(group))
-    ]
-    if store is None:
-        return results, keys, misses
-    token = _cache_options_token(machine, cost_model, techniques, verify, maximal_regions)
-    if token is None:
-        # Identity-less custom cost model: bypass the cache for the batch.
-        return results, keys, misses
-
-    from repro.ir.fingerprint import procedure_cache_key
-
-    misses = []
-    for g, group in enumerate(groups):
-        for i, procedure in enumerate(group):
-            function, profile = procedure_parts(procedure)
-            key = procedure_cache_key(function, profile, token, kind=kind)
-            keys[g][i] = key
-            hit = store.get(key)
-            if hit is None:
-                misses.append((g, i))
-            else:
-                results[g][i] = hit
-    return results, keys, misses
 
 
 # ---------------------------------------------------------------------------
@@ -319,30 +149,18 @@ def _resolve_cached(
 # ---------------------------------------------------------------------------
 
 
-def _chunk_plan(
-    group_sizes: Sequence[int], workers: int
-) -> List[Tuple[int, int, int]]:
-    """Split groups of procedures into submission chunks.
+def _chunk_plan(total: int, workers: int) -> List[Tuple[int, int]]:
+    """Split ``total`` procedures into ``(start, stop)`` submission chunks.
 
-    Returns ``(group_index, start, stop)`` triples covering every procedure
-    of every group, in deterministic (group, position) order.  The chunk size
-    targets ``workers * CHUNKS_PER_WORKER`` chunks over the *whole* batch, so
-    small benchmarks in a suite share workers with large ones instead of each
-    benchmark being sharded on its own.
+    The chunks cover every position in order.  The chunk size targets
+    ``workers * CHUNKS_PER_WORKER`` chunks over the *whole* batch, so the
+    small benchmarks of a suite share workers with the large ones.
     """
 
-    total = sum(group_sizes)
     if total == 0:
         return []
     chunk_size = max(1, -(-total // (workers * CHUNKS_PER_WORKER)))
-    plan: List[Tuple[int, int, int]] = []
-    for group_index, size in enumerate(group_sizes):
-        start = 0
-        while start < size:
-            stop = min(start + chunk_size, size)
-            plan.append((group_index, start, stop))
-            start = stop
-    return plan
+    return [(start, min(start + chunk_size, total)) for start in range(0, total, chunk_size)]
 
 
 def _can_shard(workers: int, total: int, machine, cost_model) -> bool:
@@ -355,44 +173,41 @@ def _can_shard(workers: int, total: int, machine, cost_model) -> bool:
     return True
 
 
-def _run_sharded(
-    worker_fn,
-    groups: Sequence[Sequence[object]],
+def compile_records(
+    procedures: Sequence[object],
     machine,
     cost_model,
     techniques: Sequence[str],
     verify: bool,
     maximal_regions: bool,
-    workers: int,
-) -> List[List[object]]:
-    """Submit chunks of every group to a pool; merge in submission order."""
+    workers: Optional[int],
+) -> List[CompileRecord]:
+    """Compile ``procedures`` into records, in input order.
 
-    sizes = [len(group) for group in groups]
-    plan = _chunk_plan(sizes, workers)
-    results: List[List[object]] = [[None] * size for size in sizes]
-    techniques = tuple(techniques)
-    pool = ProcessPoolExecutor(max_workers=min(workers, max(1, len(plan))))
-    futures = []
+    Shards over a ``workers``-process pool when :func:`_can_shard` allows,
+    else runs the worker body in-process.
+    """
+
+    workers = resolve_workers(workers)
+    options = (tuple(techniques), verify, maximal_regions)
+    if not _can_shard(workers, len(procedures), machine, cost_model):
+        return _compile_chunk((procedures, machine, cost_model) + options)
+
+    plan = _chunk_plan(len(procedures), workers)
+    records: List[CompileRecord] = []
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(plan)))
     try:
         futures = [
             pool.submit(
-                worker_fn,
-                (
-                    list(groups[g][start:stop]),
-                    machine,
-                    cost_model,
-                    techniques,
-                    verify,
-                    maximal_regions,
-                ),
+                _compile_chunk,
+                (list(procedures[start:stop]), machine, cost_model) + options,
             )
-            for g, start, stop in plan
+            for start, stop in plan
         ]
         # Collect in submission order — the merge is deterministic no matter
         # which worker finished first.
-        for (g, start, _stop), future in zip(plan, futures):
-            chunk = future.result()
-            results[g][start : start + len(chunk)] = chunk
+        for future in futures:
+            records.extend(future.result())
     except BaseException:
         # A failing chunk (or a KeyboardInterrupt in the parent) must not
         # leave workers grinding through the rest of the plan:
@@ -402,144 +217,4 @@ def _run_sharded(
         pool.shutdown(wait=True, cancel_futures=True)
         raise
     pool.shutdown(wait=True)
-    return results
-
-
-def _compute_groups(
-    worker_fn,
-    serial_fn,
-    groups: Sequence[Sequence[object]],
-    machine,
-    cost_model,
-    techniques: Sequence[str],
-    verify: bool,
-    maximal_regions: bool,
-    workers: Optional[int],
-    cache: CacheSpec,
-    kind: str,
-) -> List[List[object]]:
-    """Shared skeleton of both entry points: cache → shard misses → merge.
-
-    Cache hits are resolved *before* chunk planning, so only misses reach
-    the pool (or the serial loop); the parent writes every miss result back
-    to the cache after the deterministic merge.
-    """
-
-    workers = resolve_workers(workers)
-    store = resolve_cache(cache)
-    results, keys, misses = _resolve_cached(
-        store, groups, machine, cost_model, techniques, verify, maximal_regions, kind
-    )
-    if not misses:
-        return results
-
-    if _can_shard(workers, len(misses), machine, cost_model):
-        miss_indices: List[List[int]] = [[] for _ in groups]
-        for g, i in misses:
-            miss_indices[g].append(i)
-        miss_groups = [
-            [groups[g][i] for i in indices] for g, indices in enumerate(miss_indices)
-        ]
-        computed = _run_sharded(
-            worker_fn,
-            miss_groups,
-            machine,
-            cost_model,
-            techniques,
-            verify,
-            maximal_regions,
-            workers,
-        )
-        for g, indices in enumerate(miss_indices):
-            for position, i in enumerate(indices):
-                results[g][i] = computed[g][position]
-    else:
-        for g, i in misses:
-            results[g][i] = serial_fn(
-                groups[g][i],
-                machine=machine,
-                cost_model=cost_model,
-                techniques=techniques,
-                verify=verify,
-                maximal_regions=maximal_regions,
-            )
-    if store is not None:
-        for g, i in misses:
-            if keys[g][i] is not None:
-                store.put(keys[g][i], results[g][i])
-    return results
-
-
-def measure_procedure_groups(
-    groups: Sequence[Sequence[object]],
-    machine=None,
-    cost_model="jump_edge",
-    techniques: Sequence[str] = TECHNIQUES,
-    verify: bool = True,
-    maximal_regions: bool = True,
-    workers: Optional[int] = 1,
-    cache: CacheSpec = None,
-) -> List[List[ProcedureMeasurement]]:
-    """Measure groups (benchmarks) of procedures, one summary per procedure.
-
-    The returned lists mirror ``groups`` exactly — ``result[g][i]`` is the
-    measurement of ``groups[g][i]`` — regardless of worker scheduling, so
-    downstream aggregation is order-deterministic and parallel runs are
-    bit-identical to serial ones.  With ``cache``, hits fill their slots
-    before chunk planning and only misses are compiled (then written back).
-    """
-
-    return _compute_groups(
-        _measure_chunk,
-        measure_procedure,
-        groups,
-        machine,
-        cost_model,
-        techniques,
-        verify,
-        maximal_regions,
-        workers,
-        cache,
-        kind="measure",
-    )
-
-
-def _compile_one(procedure, **kwargs):
-    from repro.pipeline.compiler import compile_procedure
-
-    return compile_procedure(procedure, **kwargs)
-
-
-def compile_procedures_parallel(
-    procedures: Sequence[object],
-    machine=None,
-    cost_model="jump_edge",
-    techniques: Sequence[str] = TECHNIQUES,
-    verify: bool = True,
-    maximal_regions: bool = True,
-    workers: Optional[int] = 1,
-    cache: CacheSpec = None,
-) -> list:
-    """Compile a flat batch of procedures, returning full artifacts in order.
-
-    The parallel backend of :func:`repro.pipeline.compiler.compile_many`:
-    unlike :func:`measure_procedure_groups` the complete
-    :class:`~repro.pipeline.compiler.CompiledProcedure` objects are pickled
-    back from the workers, which is only worth it when the caller needs the
-    placements themselves rather than the aggregate numbers.  Cached under
-    the ``"compile"`` key namespace, disjoint from the summaries.
-    """
-
-    return _compute_groups(
-        _compile_chunk,
-        _compile_one,
-        [procedures],
-        machine,
-        cost_model,
-        techniques,
-        verify,
-        maximal_regions,
-        workers,
-        cache,
-        kind="compile",
-    )[0]
+    return records

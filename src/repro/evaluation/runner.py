@@ -3,10 +3,12 @@
 Both drivers accept a ``workers`` argument: ``workers=1`` (the default)
 compiles in-process, ``workers=N`` shards the procedures over an ``N``-worker
 process pool, and ``workers=None`` uses every available core (serial on a
-single-core machine).  Aggregation always runs over the per-procedure
-summaries in generation order, so parallel and serial runs produce
-bit-identical measurements (only the timings differ — they are measurements
-of time, not of code).
+single-core machine).  Both compile through one
+:func:`~repro.pipeline.compiler.compile_many` call and aggregate its
+per-procedure records (:class:`~repro.pipeline.compiler.CompileRecord`) in
+generation order, so parallel and serial runs produce bit-identical
+measurements (only the timings differ — they are measurements of time, not
+of code).
 
 Both drivers also accept ``cache=`` (a
 :class:`~repro.cache.store.CompileCache` or a directory path): compile
@@ -31,17 +33,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.cache.store import CacheSpec
-from repro.evaluation.parallel import (
-    ProcedureMeasurement,
-    compile_procedures_parallel,
-    effective_workers,
-    measure_procedure_groups,
-    summarize_compiled,
-)
+from repro.evaluation.parallel import effective_workers
 from repro.pipeline.compiler import (
     TECHNIQUES,
-    CompiledProcedure,
+    CompileRecord,
     TargetSpec,
+    compile_many,
 )
 from repro.spill.cost_models import CostModel, make_cost_model
 from repro.target.registry import resolve_target
@@ -70,7 +67,6 @@ class BenchmarkMeasurement:
     num_procedures: int = 0
     num_blocks: int = 0
     num_instructions: int = 0
-    procedures: List[CompiledProcedure] = field(default_factory=list)
     paper_optimized_ratio: Optional[float] = None
     paper_shrinkwrap_ratio: Optional[float] = None
 
@@ -175,27 +171,27 @@ def _new_measurement(
 
 def _aggregate(
     measurement: BenchmarkMeasurement,
-    summaries: Sequence[ProcedureMeasurement],
+    records: Sequence[CompileRecord],
     techniques: Sequence[str],
 ) -> BenchmarkMeasurement:
-    """Fold per-procedure summaries into the benchmark aggregate.
+    """Fold per-procedure records into the benchmark aggregate.
 
-    This is the single accumulation loop both the serial and the parallel
-    path run, in procedure-generation order — floating-point addition is not
-    associative, so sharing the order (and the code) is what makes parallel
-    measurements bit-identical to serial ones.
+    The single accumulation loop every driver runs, in procedure-generation
+    order — floating-point addition is not associative, so sharing the
+    order (and the code) is what makes parallel measurements bit-identical
+    to serial ones.
     """
 
-    for summary in summaries:
+    for record in records:
         measurement.num_procedures += 1
-        measurement.num_blocks += summary.num_blocks
-        measurement.num_instructions += summary.num_instructions
-        measurement.allocator_overhead += summary.allocator_overhead
+        measurement.num_blocks += record.num_blocks
+        measurement.num_instructions += record.num_instructions
+        measurement.allocator_overhead += record.allocator_overhead
         for technique in techniques:
-            measurement.callee_saved_overhead[technique] += summary.callee_saved_overhead[
+            measurement.callee_saved_overhead[technique] += record.callee_saved_overhead(
                 technique
-            ]
-        for name, seconds in summary.pass_seconds.items():
+            )
+        for name, seconds in record.pass_seconds:
             measurement.pass_seconds[name] = measurement.pass_seconds.get(name, 0.0) + seconds
     return measurement
 
@@ -207,54 +203,29 @@ def run_benchmark(
     techniques: Sequence[str] = TECHNIQUES,
     verify: bool = True,
     maximal_regions: bool = True,
-    keep_procedures: bool = False,
     workers: Optional[int] = 1,
     cache: CacheSpec = None,
 ) -> BenchmarkMeasurement:
     """Compile every procedure of one benchmark and aggregate the measurements.
 
     ``workers`` shards the procedures over a process pool (``None`` = all
-    available cores); with ``keep_procedures`` the full compiled artifacts
-    are pickled back from the workers instead of compact summaries.
-    ``cache`` reuses per-procedure results across runs; only misses are
-    compiled.
+    available cores).  ``cache`` reuses per-procedure records across runs;
+    only misses are compiled.
     """
 
     started = time.perf_counter()
-    machine = resolve_target(machine)
     measurement = _new_measurement(benchmark, techniques)
-    # Resolve the cost model once for the batch, then stream: procedures are
-    # aggregated and discarded one at a time (unless keep_procedures), so
-    # peak memory stays O(1) in the benchmark size.
-    if isinstance(cost_model, str):
-        cost_model = make_cost_model(cost_model, machine)
-    if keep_procedures:
-        compiled_procedures = compile_procedures_parallel(
-            benchmark.procedures,
-            machine=machine,
-            cost_model=cost_model,
-            techniques=techniques,
-            verify=verify,
-            maximal_regions=maximal_regions,
-            workers=workers,
-            cache=cache,
-        )
-        measurement.procedures.extend(compiled_procedures)
-        summaries: List[ProcedureMeasurement] = [
-            summarize_compiled(compiled, techniques) for compiled in compiled_procedures
-        ]
-    else:
-        summaries = measure_procedure_groups(
-            [benchmark.procedures],
-            machine=machine,
-            cost_model=cost_model,
-            techniques=techniques,
-            verify=verify,
-            maximal_regions=maximal_regions,
-            workers=workers,
-            cache=cache,
-        )[0]
-    _aggregate(measurement, summaries, techniques)
+    records = compile_many(
+        benchmark.procedures,
+        machine=machine,
+        cost_model=cost_model,
+        techniques=techniques,
+        verify=verify,
+        maximal_regions=maximal_regions,
+        workers=workers,
+        cache=cache,
+    )
+    _aggregate(measurement, records, techniques)
     measurement.wall_seconds = time.perf_counter() - started
     return measurement
 
@@ -295,8 +266,10 @@ def run_suite(
         cost_model=model_name,
         workers_used=effective_workers(workers, total_procedures, machine, cost_model),
     )
-    groups = measure_procedure_groups(
-        [benchmark.procedures for benchmark in suite],
+    # One batch for the whole suite (one shared pool — small benchmarks
+    # ride along with large ones), split back by benchmark afterwards.
+    records = compile_many(
+        [procedure for benchmark in suite for procedure in benchmark.procedures],
         machine=machine,
         cost_model=cost_model,
         verify=verify,
@@ -304,9 +277,12 @@ def run_suite(
         workers=workers,
         cache=cache,
     )
-    for benchmark, summaries in zip(suite, groups):
+    start = 0
+    for benchmark in suite:
+        stop = start + len(benchmark.procedures)
         measurement.benchmarks.append(
-            _aggregate(_new_measurement(benchmark, TECHNIQUES), summaries, TECHNIQUES)
+            _aggregate(_new_measurement(benchmark, TECHNIQUES), records[start:stop], TECHNIQUES)
         )
+        start = stop
     measurement.wall_seconds = time.perf_counter() - started
     return measurement

@@ -33,13 +33,6 @@ class BasicBlock:
         return {"label": self.label, "instructions": self.instructions}
 
     def __setstate__(self, state) -> None:
-        # Accept the pre-slots dict state as well as the ``(dict, slots)``
-        # two-tuple, so old cache payloads keep loading.
-        if isinstance(state, tuple):
-            dict_state, slot_state = state
-            merged = dict(dict_state or {})
-            merged.update(slot_state or {})
-            state = merged
         for key, value in state.items():
             setattr(self, key, value)
 

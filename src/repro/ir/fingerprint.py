@@ -183,10 +183,9 @@ def procedure_cache_key(
     """The composite cache key of one procedure compile.
 
     ``kind`` namespaces the key by cached *value* type: ``"compile"``
-    entries hold full :class:`~repro.pipeline.compiler.CompiledProcedure`
-    artifacts, ``"measure"`` entries hold compact
-    :class:`~repro.evaluation.parallel.ProcedureMeasurement` summaries.
-    The two must never alias even for identical inputs.
+    entries hold one :class:`~repro.pipeline.compiler.CompileRecord`
+    each, ``"lint"`` entries hold lint report payloads.  The namespaces must
+    never alias even for identical inputs.
     """
 
     return _digest(

@@ -291,11 +291,6 @@ class Function:
         state["_cfg"] = None
         return state
 
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        # Payloads pickled before the snapshot existed carry no ``_cfg`` key.
-        self.__dict__.setdefault("_cfg", None)
-
     # -- cloning -----------------------------------------------------------------
 
     def clone(self, name: Optional[str] = None) -> "Function":

@@ -209,14 +209,6 @@ class Instruction:
         return {slot: getattr(self, slot) for slot in Instruction.__slots__}
 
     def __setstate__(self, state) -> None:
-        # Accept both the historical dataclass dict state and the default
-        # ``(dict, slots)`` two-tuple, so cache payloads pickled before the
-        # class was slotted still load as hits.
-        if isinstance(state, tuple):
-            dict_state, slot_state = state
-            merged = dict(dict_state or {})
-            merged.update(slot_state or {})
-            state = merged
         for key, value in state.items():
             setattr(self, key, value)
 

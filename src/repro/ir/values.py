@@ -9,9 +9,8 @@ hash, and take an identity fast path in ``__eq__`` (the canonical
 are between the very same object).
 
 The classes replicate the semantics of the frozen dataclasses they replaced:
-equality is class-sensitive and field-based, attribute assignment raises, and
-payloads pickled by earlier versions still load (``__setstate__`` accepts the
-historical dict state).
+equality is class-sensitive and field-based, and attribute assignment
+raises.
 """
 
 from __future__ import annotations
@@ -33,18 +32,9 @@ class Value:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _restore(self, state) -> None:
-        """Shared ``__setstate__`` body: accept dict or ``(dict, slots)`` state."""
-
-        if isinstance(state, tuple):
-            dict_state, slot_state = state
-            merged = dict(dict_state or {})
-            merged.update(slot_state or {})
-            state = merged
+    def __setstate__(self, state) -> None:
         for key, value in state.items():
             object.__setattr__(self, key, value)
-
-    __setstate__ = _restore
 
 
 class Register(Value):

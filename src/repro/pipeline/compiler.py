@@ -6,6 +6,19 @@ and the resulting allocation — including the allocator's own spill code and
 the callee-saved occupancy — is shared by all three placement techniques, so
 the only difference between the measured variants is where the callee-saved
 save/restore instructions go.
+
+Two result types, one per audience:
+
+* :class:`CompiledProcedure` — everything one in-process compile produced,
+  allocated IR and placements included; built only by
+  :func:`compile_procedure`, for callers that need the placements.
+* :class:`CompileRecord` — the frozen per-compile numbers the paper
+  reports (structure counts, allocator overhead, each technique's
+  :class:`~repro.spill.overhead.PlacementOverhead`) plus the cold pass
+  timings.  It is what crosses every process, disk and wire boundary:
+  :func:`compile_many` returns records, pool workers send them back, the
+  compile cache stores them, and the suite runner and the compile service
+  build their results from them.
 """
 
 from __future__ import annotations
@@ -94,9 +107,49 @@ class PlacementOutcome:
         return self.overhead.total
 
 
+@dataclass(frozen=True)
+class CompileRecord:
+    """The outcome of one compile: what the paper measures, plus timings.
+
+    Immutable and free of mutable containers, so one instance can be handed
+    out of the cache's in-memory LRU to any number of callers.  Equality
+    ignores :attr:`pass_seconds`: two compiles of the same input produce
+    equal records however long each took.
+    """
+
+    name: str
+    num_blocks: int
+    num_instructions: int
+    #: Allocator spill overhead (identical across techniques).
+    allocator_overhead: float
+    #: ``(technique, overhead)`` pairs, in the order the techniques ran.
+    overheads: Tuple[Tuple[str, PlacementOverhead], ...]
+    #: ``(pass, seconds)`` pairs, in the order the passes ran — the cold
+    #: compile's timings, also when the record is served from a cache.
+    pass_seconds: Tuple[Tuple[str, float], ...] = field(compare=False)
+
+    def overhead(self, technique: str) -> PlacementOverhead:
+        """One technique's dynamic overhead breakdown."""
+
+        for name, overhead in self.overheads:
+            if name == technique:
+                return overhead
+        raise KeyError(technique)
+
+    def callee_saved_overhead(self, technique: str) -> float:
+        """One technique's callee-saved overhead (allocator spill excluded)."""
+
+        return self.overhead(technique).total
+
+    def total_overhead(self, technique: str) -> float:
+        """Allocator spill overhead plus the technique's callee-saved overhead."""
+
+        return self.allocator_overhead + self.callee_saved_overhead(technique)
+
+
 @dataclass
 class CompiledProcedure:
-    """Everything measured for one procedure."""
+    """Everything one in-process compile produced, placements included."""
 
     name: str
     allocation: AllocationResult
@@ -116,6 +169,22 @@ class CompiledProcedure:
 
         return self.outcomes[technique].callee_saved_overhead
 
+    @property
+    def record(self) -> CompileRecord:
+        """This compile's :class:`CompileRecord`, derived on demand."""
+
+        function = self.allocation.function
+        return CompileRecord(
+            name=self.name,
+            num_blocks=len(function),
+            num_instructions=function.instruction_count(),
+            allocator_overhead=self.allocator_overhead,
+            overheads=tuple(
+                (technique, outcome.overhead) for technique, outcome in self.outcomes.items()
+            ),
+            pass_seconds=tuple(self.pass_seconds.items()),
+        )
+
 
 def compile_procedure(
     procedure: Union[GeneratedProcedure, Tuple[Function, EdgeProfile]],
@@ -124,7 +193,6 @@ def compile_procedure(
     techniques: Sequence[str] = TECHNIQUES,
     verify: bool = True,
     maximal_regions: bool = True,
-    cache: CacheSpec = None,
     lint: Optional[str] = None,
 ) -> CompiledProcedure:
     """Run the full pipeline on one procedure.
@@ -146,13 +214,6 @@ def compile_procedure(
         Check every produced placement against the callee-saved convention.
     maximal_regions:
         Passed to the hierarchical algorithm (``False`` only for ablations).
-    cache:
-        A :class:`~repro.cache.store.CompileCache` (or a directory path) to
-        consult before compiling and fill afterwards.  The pipeline is
-        deterministic, so a cached result is bit-identical to a fresh
-        compile; ``pass_seconds`` on a hit are the timings of the original
-        (cold) compile.  Custom cost models without a stable
-        ``cache_identity()`` bypass the cache.
     lint:
         ``None`` (the default) compiles as always — zero cost, nothing
         about the compile changes.  ``"strict"`` lints the procedure first
@@ -160,6 +221,8 @@ def compile_procedure(
         report when any error-severity diagnostic fires.  Linting is a
         pre-compile gate: accepted procedures produce bit-identical
         results and cache keys either way (property-tested).
+
+    Always compiles; :func:`compile_many` is the cached driver.
     """
 
     function, profile = procedure_parts(procedure)
@@ -168,18 +231,6 @@ def compile_procedure(
         _lint_gate([procedure], machine, lint)
     if isinstance(cost_model, str):
         cost_model = make_cost_model(cost_model, machine)
-
-    store = resolve_cache(cache)
-    key = None
-    if store is not None:
-        token = compile_options_token(
-            machine, cost_model, techniques, verify, maximal_regions
-        )
-        if token is not None:
-            key = procedure_cache_key(function, profile, token, kind="compile")
-            cached = store.get(key)
-            if cached is not None:
-                return cached
 
     stopwatch = Stopwatch()
     with stopwatch.measure("regalloc"):
@@ -228,8 +279,6 @@ def compile_procedure(
         )
 
     result.pass_seconds = dict(stopwatch.durations)
-    if key is not None:
-        store.put(key, result)
     return result
 
 
@@ -243,22 +292,25 @@ def compile_many(
     workers: Optional[int] = 1,
     cache: CacheSpec = None,
     lint: Optional[str] = None,
-) -> List[CompiledProcedure]:
-    """Compile a batch of procedures, amortizing the per-procedure setup.
+) -> List[CompileRecord]:
+    """Compile a batch of procedures into one :class:`CompileRecord` each.
 
     The target is resolved, the cost model instantiated and the technique
-    list validated exactly once for the whole batch — the driver the
-    evaluation runner and benchmark harnesses use instead of calling
-    :func:`compile_procedure` in a loop.
+    list validated exactly once for the whole batch.  This is the one
+    cached, sharded driver: the suite runner, the compile service and the
+    benchmark harnesses all compile through it.
 
-    ``workers`` shards the batch over a process pool at procedure
-    granularity (``None`` = every core); results come back in input order
-    regardless of worker scheduling.  ``workers=1``, a single procedure, or
-    a non-picklable cost model / machine fall back to compiling in-process.
+    ``cache`` (a :class:`~repro.cache.store.CompileCache` or a directory)
+    answers already-compiled procedures *before* the batch is sharded, so
+    only misses are compiled; their records are written back afterwards.
+    The pipeline is deterministic, so a cached record equals a fresh one;
+    its ``pass_seconds`` are those of the original (cold) compile.  Custom
+    cost models without a stable ``cache_identity()`` bypass the cache.
 
-    ``cache`` short-circuits already-compiled procedures *before* the batch
-    is sharded, so only cache misses reach the pool; the parent process
-    writes miss results back through the same deterministic merge.
+    ``workers`` shards the misses over a process pool at procedure
+    granularity (``None`` = every available core); records come back in
+    input order regardless of worker scheduling.  ``workers=1``, a single
+    miss, or a non-picklable cost model / machine compile in-process.
 
     ``lint="strict"`` gates the whole batch before any compile starts:
     every procedure is linted, and a single :class:`repro.lint.LintError`
@@ -275,20 +327,42 @@ def compile_many(
         raise ValueError(
             f"unknown technique(s) {unknown!r}; expected a subset of {TECHNIQUES}"
         )
+    techniques = tuple(techniques)
     procedures = list(procedures)
     if lint is not None:
         _lint_gate(procedures, machine, lint)
-    # Imported lazily: the parallel engine lives with the evaluation layer,
-    # which imports this module at load time.
-    from repro.evaluation.parallel import compile_procedures_parallel
 
-    return compile_procedures_parallel(
-        procedures,
+    store = resolve_cache(cache)
+    token = None
+    if store is not None:
+        token = compile_options_token(
+            machine, cost_model, techniques, verify, maximal_regions
+        )
+    keys: List[Optional[str]] = [None] * len(procedures)
+    records: List[Optional[CompileRecord]] = [None] * len(procedures)
+    if token is not None:
+        for index, procedure in enumerate(procedures):
+            keys[index] = procedure_cache_key(
+                *procedure_parts(procedure), token, kind="compile"
+            )
+            records[index] = store.get(keys[index])
+    misses = [index for index, record in enumerate(records) if record is None]
+
+    # Imported lazily: the process pool lives with the evaluation layer,
+    # which imports this module at load time.
+    from repro.evaluation.parallel import compile_records
+
+    fresh = compile_records(
+        [procedures[index] for index in misses],
         machine=machine,
         cost_model=cost_model,
         techniques=techniques,
         verify=verify,
         maximal_regions=maximal_regions,
         workers=workers,
-        cache=cache,
     )
+    for index, record in zip(misses, fresh):
+        records[index] = record
+        if keys[index] is not None:
+            store.put(keys[index], record)
+    return records

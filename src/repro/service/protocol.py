@@ -43,7 +43,7 @@ Determinism contract
 The ``result`` field of a compile response is **bit-identical** to what a
 direct :func:`repro.pipeline.compiler.compile_many` call produces for the
 same (program, target, techniques, profile): it is built by
-:func:`result_payload` from the same :class:`CompiledProcedure`, and JSON
+:func:`result_payload` from the same :class:`CompileRecord`, and JSON
 round-trips Python floats exactly (shortest-repr encoding), so equality
 survives the wire.  Timing and service metadata (queue latency, cache and
 coalesce status) live *outside* ``result`` — they legitimately differ
@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.ir.fingerprint import (
     compile_options_token,
@@ -70,7 +70,7 @@ from repro.ir.function import Function
 from repro.ir.parser import IRParseError, parse_module
 from repro.ir.passes import ensure_single_exit
 from repro.ir.verifier import IRVerificationError, verify_function
-from repro.pipeline.compiler import TECHNIQUES, CompiledProcedure
+from repro.pipeline.compiler import TECHNIQUES, CompiledProcedure, CompileRecord
 from repro.profiling.profile_data import EdgeProfile, ProfileError
 from repro.profiling.synthetic import (
     profile_from_branch_probabilities,
@@ -785,32 +785,36 @@ def compile_lint_rejection(resolved: ResolvedCompile) -> Optional[Dict[str, Any]
 # ---------------------------------------------------------------------------
 
 
-def result_payload(resolved: ResolvedCompile, compiled: CompiledProcedure) -> Dict[str, Any]:
+def result_payload(
+    resolved: ResolvedCompile, compiled: Union[CompileRecord, CompiledProcedure]
+) -> Dict[str, Any]:
     """The deterministic ``result`` payload of one compile.
 
-    Built from the same :class:`CompiledProcedure` a direct
-    :func:`~repro.pipeline.compiler.compile_many` produces, and containing
-    only deterministic quantities — overheads, fingerprints, structure
-    counts — never timing.  This function *is* the bit-identity contract:
-    the property tests compare the server's payload against one computed
-    locally through this same function.
+    Built from the :class:`CompileRecord` a direct
+    :func:`~repro.pipeline.compiler.compile_many` returns (a
+    :class:`CompiledProcedure` is reduced to its record first), and
+    containing only deterministic quantities — overheads, fingerprints,
+    structure counts — never timing.  This function *is* the bit-identity
+    contract: the property tests compare the server's payload against one
+    computed locally through this same function.
     """
 
+    record = compiled.record if isinstance(compiled, CompiledProcedure) else compiled
     request = resolved.request
     techniques_overhead: Dict[str, Any] = {}
     for technique in request.techniques:
-        overhead = compiled.outcomes[technique].overhead
+        overhead = record.overhead(technique)
         techniques_overhead[technique] = {
             "save_count": overhead.save_count,
             "restore_count": overhead.restore_count,
             "jump_count": overhead.jump_count,
             "num_jump_blocks": overhead.num_jump_blocks,
             "callee_saved_total": overhead.total,
-            "total_overhead": compiled.total_overhead(technique),
+            "total_overhead": record.total_overhead(technique),
         }
     return {
         "schema": RESULT_SCHEMA,
-        "name": compiled.name,
+        "name": record.name,
         "target": request.target,
         "cost_model": request.cost_model,
         "techniques": list(request.techniques),
@@ -819,9 +823,9 @@ def result_payload(resolved: ResolvedCompile, compiled: CompiledProcedure) -> Di
             "profile": resolved.profile_fingerprint,
             "cache_key": resolved.cache_key,
         },
-        "num_blocks": len(compiled.allocation.function),
-        "num_instructions": compiled.allocation.function.instruction_count(),
-        "allocator_overhead": compiled.allocator_overhead,
+        "num_blocks": record.num_blocks,
+        "num_instructions": record.num_instructions,
+        "allocator_overhead": record.allocator_overhead,
         "techniques_overhead": techniques_overhead,
     }
 

@@ -24,8 +24,8 @@ concurrent JSON-lines connections (:mod:`repro.service.protocol`):
 * **Shared cache front** — a single :class:`~repro.cache.store.CompileCache`
   serves every connection: admitted-but-cached work is answered at
   admission time (status ``hit``) without touching the queue, and batch
-  dispatch passes the same store to ``compile_many`` so fresh results are
-  written back for the next caller.  Requests may opt out per-request
+  dispatch passes the same store to ``compile_many`` so fresh compile
+  records are written back for the next caller.  Requests may opt out per-request
   (``cache: "bypass"``).
 * **Graceful drain** — on SIGTERM/SIGINT (or a ``shutdown`` request) the
   server stops admitting (``shutting_down`` errors), finishes every queued
@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cache.store import CacheSpec, resolve_cache
+from repro.pipeline.compiler import CompileRecord
 from repro.service.endpoint import Connection, JsonLinesEndpoint
 from repro.service.health import HealthMonitor
 from repro.service.metrics import ServiceMetrics, cache_stats_payload
@@ -461,10 +462,10 @@ class CompileServer(JsonLinesEndpoint):
             entry = None
             if kind == "lint" and isinstance(cached, dict):
                 entry = {"result": cached, "pass_seconds": {}}
-            elif kind == "compile" and cached is not None:
+            elif kind == "compile" and isinstance(cached, CompileRecord):
                 entry = {
                     "result": result_payload(resolved, cached),
-                    "pass_seconds": cached.pass_seconds,
+                    "pass_seconds": dict(cached.pass_seconds),
                 }
             if entry is not None:
                 self.metrics.cache_hits += 1
@@ -545,10 +546,10 @@ class CompileServer(JsonLinesEndpoint):
                         completions.append((entry, RuntimeError(str(value)), None))
                         continue
                     try:
-                        compiled = value[position]
+                        record = value[position]
                         answer = CompileAnswer(
-                            result=result_payload(entry.resolved, compiled),
-                            pass_seconds=dict(compiled.pass_seconds),
+                            result=result_payload(entry.resolved, record),
+                            pass_seconds=dict(record.pass_seconds),
                             cache_status=(
                                 "miss"
                                 if entry.resolved.request.cache == "use"
@@ -611,7 +612,7 @@ class CompileServer(JsonLinesEndpoint):
     def _compile_groups(self, grouped) -> List[Tuple[str, Any]]:
         """Worker-thread body: run ``compile_many`` for every option group.
 
-        Returns one ``("ok", [CompiledProcedure, ...])`` or
+        Returns one ``("ok", [CompileRecord, ...])`` or
         ``("error", message)`` outcome per group — a failing group turns
         into per-request ``internal`` errors without taking down its batch
         siblings or the server.
@@ -625,7 +626,7 @@ class CompileServer(JsonLinesEndpoint):
                 (entry.resolved.function, entry.resolved.profile) for entry in entries
             ]
             try:
-                compiled = compile_many(
+                records = compile_many(
                     procedures,
                     machine=target,
                     cost_model=cost_model,
@@ -638,7 +639,7 @@ class CompileServer(JsonLinesEndpoint):
             except Exception as exc:
                 outcomes.append(("error", f"{type(exc).__name__}: {exc}"))
             else:
-                outcomes.append(("ok", compiled))
+                outcomes.append(("ok", records))
         return outcomes
 
 

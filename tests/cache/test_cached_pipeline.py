@@ -1,13 +1,17 @@
 """The cache's acceptance property: cached ≡ fresh, and warm runs do no work.
 
-* a cached compile result is **bit-identical** to a fresh compile —
+* a cached compile record equals a fresh compile's record on every field —
   property-tested across targets, techniques and cost models;
 * a warm suite run performs **zero spill-placement work**: every placement
   entry point is monkeypatched to explode, and the run still succeeds
   entirely from the store;
-* the parallel engine resolves hits before sharding and writes worker
-  results back, so cache + workers compose.
+* ``compile_many`` resolves hits before sharding and writes worker results
+  back, so cache + workers compose;
+* a disk entry whose bytes changed is a miss, never a wrong answer.
 """
+
+import dataclasses
+import struct
 
 import pytest
 
@@ -26,38 +30,15 @@ NAMES = ("gzip", "mcf")
 SCALE = 0.1
 
 
-def _compiled_view(compiled):
-    """Every deterministic field of a compiled procedure, for bit-comparison.
+def _record_view(record):
+    """Every field of a compile record, ``pass_seconds`` included.
 
-    ``pass_seconds`` is intentionally included when comparing cached against
-    cached (the store returns the cold run's timings verbatim) but must be
-    excluded when comparing cached against *fresh* — a fresh compile times
-    itself anew.
+    Record equality already ignores ``pass_seconds`` (a fresh compile times
+    itself anew); comparing cached against cached also pins the timings,
+    which the store must return verbatim.
     """
 
-    from repro.ir.printer import print_function
-
-    return (
-        compiled.name,
-        print_function(compiled.allocation.function),
-        compiled.allocator_overhead,
-        {t: compiled.callee_saved_overhead(t) for t in compiled.outcomes},
-        {
-            t: sorted(
-                (str(loc) for loc in outcome.placement.locations()),
-            )
-            for t, outcome in compiled.outcomes.items()
-        },
-        {
-            t: (
-                outcome.overhead.save_count,
-                outcome.overhead.restore_count,
-                outcome.overhead.jump_count,
-                outcome.overhead.num_jump_blocks,
-            )
-            for t, outcome in compiled.outcomes.items()
-        },
-    )
+    return dataclasses.astuple(record)
 
 
 def _suite_view(measurement):
@@ -80,30 +61,29 @@ class TestCachedEqualsFresh:
 
         directory = tmp_path_factory.mktemp("cache")
         cache = CompileCache(directory)
-        fresh = compile_procedure(
-            procedure, machine=target, cost_model=cost_model, cache=cache
-        )
-        cached = compile_procedure(
-            procedure, machine=target, cost_model=cost_model, cache=cache
-        )
+        fresh = compile_procedure(procedure, machine=target, cost_model=cost_model).record
+        (cold,) = compile_many([procedure], machine=target, cost_model=cost_model, cache=cache)
+        (cached,) = compile_many([procedure], machine=target, cost_model=cost_model, cache=cache)
         assert cache.stats.hits == 1
-        assert _compiled_view(cached) == _compiled_view(fresh)
+        assert cold == fresh and cached == fresh
+        assert _record_view(cached) == _record_view(cold)
         # A second store instance exercises the disk tier (pickle round trip).
-        reread = compile_procedure(
-            procedure,
+        (reread,) = compile_many(
+            [procedure],
             machine=target,
             cost_model=cost_model,
             cache=CompileCache(directory),
         )
-        assert _compiled_view(reread) == _compiled_view(fresh)
+        assert _record_view(reread) == _record_view(cold)
 
     def test_technique_subset_does_not_alias_full_compile(self, tmp_path):
         procedure = build_suite(names=["mcf"], scale=SCALE)[0].procedures[0]
         cache = CompileCache(tmp_path)
-        full = compile_procedure(procedure, cache=cache)
-        subset = compile_procedure(procedure, techniques=("baseline",), cache=cache)
-        assert set(full.outcomes) == set(TECHNIQUES)
-        assert set(subset.outcomes) == {"baseline"}
+        (full,) = compile_many([procedure], cache=cache)
+        (subset,) = compile_many([procedure], techniques=("baseline",), cache=cache)
+        assert [technique for technique, _ in full.overheads] == list(TECHNIQUES)
+        assert [technique for technique, _ in subset.overheads] == ["baseline"]
+        assert cache.stats.hits == 0 and cache.stats.stores == 2
 
     def test_warm_suite_bit_identical_to_cold(self, tmp_path):
         cache = CompileCache(tmp_path)
@@ -116,6 +96,49 @@ class TestCachedEqualsFresh:
         plain = run_suite(names=NAMES, scale=SCALE)
         cached = run_suite(names=NAMES, scale=SCALE, cache=CompileCache(tmp_path))
         assert _suite_view(plain) == _suite_view(cached)
+
+    def test_records_share_no_mutable_state_with_the_lru(self, tmp_path):
+        """A record handed out of the memory tier cannot be changed by a caller."""
+
+        procedure = build_suite(names=["mcf"], scale=SCALE)[0].procedures[0]
+        cache = CompileCache(tmp_path)
+        (first,) = compile_many([procedure], cache=cache)
+        (second,) = compile_many([procedure], cache=cache)
+        assert second is first  # served from the LRU
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.allocator_overhead = 0.0
+        # Hashable means no list, dict or set anywhere in the compared
+        # fields; the timings are a tuple of pairs.
+        hash(first)
+        assert isinstance(first.pass_seconds, tuple)
+        assert all(isinstance(pair, tuple) for pair in first.pass_seconds)
+
+
+class TestIntegrityCheckedEntries:
+    def test_flipped_value_byte_is_a_miss_and_recompiles(self, tmp_path):
+        """A bit flip that still unpickles is caught by the entry digest."""
+
+        procedure = build_suite(names=["mcf"], scale=SCALE)[0].procedures[0]
+        (cold,) = compile_many([procedure], cache=CompileCache(tmp_path))
+        (path,) = sorted(tmp_path.glob("v*/*/*.pkl"))
+        data = bytearray(path.read_bytes())
+        # Flip the low bit of one float inside the pickled record: without
+        # the digest this reads back as a (wrong) hit.
+        overhead = cold.overhead("baseline").save_count
+        assert overhead > 0.0
+        at = bytes(data).index(b"G" + struct.pack(">d", overhead)) + 8
+        data[at] ^= 0x01
+        path.write_bytes(bytes(data))
+
+        cache = CompileCache(tmp_path)
+        (again,) = compile_many([procedure], cache=cache)
+        assert cache.stats.hits == 0 and cache.stats.misses == 1
+        assert cache.stats.corrupt == 1
+        assert again == cold
+        # The recompiled record replaced the bad entry on disk.
+        assert cache.stats.stores == 1
+        (reread,) = compile_many([procedure], cache=CompileCache(tmp_path))
+        assert reread == cold
 
 
 class TestWarmRunsDoNoWork:
@@ -179,7 +202,7 @@ class TestCacheAndWorkersCompose:
         cache = CompileCache(tmp_path)
         cold = compile_many(procedures, cache=cache)
         warm = compile_many(procedures, workers=2, cache=cache)
-        assert [_compiled_view(c) for c in cold] == [_compiled_view(w) for w in warm]
+        assert [_record_view(c) for c in cold] == [_record_view(w) for w in warm]
 
 
 class TestCacheBypass:
@@ -194,12 +217,12 @@ class TestCacheBypass:
 
         cache = CompileCache(tmp_path)
         procedure = build_suite(names=["mcf"], scale=SCALE)[0].procedures[0]
-        compile_procedure(procedure, cost_model=Anonymous(), cache=cache)
-        compile_procedure(procedure, cost_model=Anonymous(), cache=cache)
+        compile_many([procedure], cost_model=Anonymous(), cache=cache)
+        compile_many([procedure], cost_model=Anonymous(), cache=cache)
         assert cache.stats.lookups == 0 and cache.stats.stores == 0
 
     def test_no_cache_is_the_default(self, tmp_path):
         procedure = build_suite(names=["mcf"], scale=SCALE)[0].procedures[0]
-        compiled = compile_procedure(procedure)
-        assert compiled.name == procedure.name
+        (record,) = compile_many([procedure])
+        assert record.name == procedure.name
         assert CompileCache(tmp_path).entry_count() == 0

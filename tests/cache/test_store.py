@@ -1,5 +1,6 @@
 """Tests for the on-disk compile cache store."""
 
+import hashlib
 import pickle
 
 import pytest
@@ -9,6 +10,19 @@ from repro.cache.store import CACHE_VERSION, CompileCache, resolve_cache
 
 KEY = "ab" + "0" * 62  # hex-digest-shaped key, shard "ab"
 OTHER = "cd" + "1" * 62
+
+
+def _write_entry(cache, header_fields, body):
+    """Write a hand-made entry for ``KEY``: a header line, then ``body``."""
+
+    path = cache._path(KEY)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(" ".join(header_fields).encode() + b"\n" + body)
+    return path
+
+
+def _digest(body):
+    return hashlib.sha256(body).hexdigest()
 
 
 class TestRoundTrip:
@@ -57,31 +71,48 @@ class TestCorruption:
 
     def test_wrong_schema_version_is_a_miss(self, tmp_path):
         cache = CompileCache(tmp_path)
-        path = cache._path(KEY)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(
-            pickle.dumps({"schema": CACHE_VERSION + 1, "key": KEY, "value": "stale"})
+        body = pickle.dumps("stale")
+        _write_entry(
+            cache, ["repro-cache", str(CACHE_VERSION - 1), KEY, _digest(body)], body
         )
         assert cache.get(KEY) is None
         assert cache.stats.corrupt == 1
 
     def test_key_mismatch_is_a_miss(self, tmp_path):
         cache = CompileCache(tmp_path)
-        path = cache._path(KEY)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(
-            pickle.dumps({"schema": CACHE_VERSION, "key": OTHER, "value": "aliased"})
+        body = pickle.dumps("aliased")
+        _write_entry(
+            cache, ["repro-cache", str(CACHE_VERSION), OTHER, _digest(body)], body
         )
         assert cache.get(KEY) is None
         assert cache.stats.corrupt == 1
 
     def test_payload_of_wrong_shape_is_a_miss(self, tmp_path):
         cache = CompileCache(tmp_path)
-        path = cache._path(KEY)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(pickle.dumps(["not", "a", "dict"]))
+        # A header without its digest field.
+        _write_entry(cache, ["repro-cache", str(CACHE_VERSION), KEY], pickle.dumps("x"))
         assert cache.get(KEY) is None
         assert cache.stats.corrupt == 1
+
+    def test_pre_digest_entry_is_a_miss(self, tmp_path):
+        """An entry in the previous format (a pickled envelope) reads as a miss."""
+
+        cache = CompileCache(tmp_path)
+        path = cache._path(KEY)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(pickle.dumps({"schema": CACHE_VERSION, "key": KEY, "value": 1}))
+        assert cache.get(KEY) is None
+        assert cache.stats.corrupt == 1
+
+    def test_unpicklable_value_with_good_digest_is_a_miss(self, tmp_path):
+        cache = CompileCache(tmp_path)
+        body = b"not a pickle"
+        path = _write_entry(
+            cache, ["repro-cache", str(CACHE_VERSION), KEY, _digest(body)], body
+        )
+        assert cache.get(KEY) is None
+        assert cache.stats.corrupt == 1
+        assert not path.exists()
 
 
 class TestMemoryTier:

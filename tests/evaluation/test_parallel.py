@@ -8,16 +8,9 @@ float — overheads, counts — must be bit-identical between ``workers=1`` and
 
 import pytest
 
-from repro.evaluation.parallel import (
-    ProcedureMeasurement,
-    _chunk_plan,
-    effective_workers,
-    measure_procedure,
-    measure_procedure_groups,
-    resolve_workers,
-)
+from repro.evaluation.parallel import _chunk_plan, effective_workers, resolve_workers
 from repro.evaluation.runner import run_benchmark, run_suite
-from repro.pipeline.compiler import compile_many
+from repro.pipeline.compiler import CompileRecord, compile_many, compile_procedure
 from repro.spill.cost_models import JumpEdgeCostModel
 from repro.workloads.spec_like import build_suite
 
@@ -157,21 +150,19 @@ class TestEffectiveWorkers:
 
 class TestChunkPlan:
     def test_covers_every_procedure_in_order(self):
-        plan = _chunk_plan([5, 1, 7], workers=2)
-        seen = {0: [], 1: [], 2: []}
-        for group, start, stop in plan:
+        plan = _chunk_plan(13, workers=2)
+        covered = []
+        for start, stop in plan:
             assert start < stop
-            seen[group].extend(range(start, stop))
-        assert seen == {0: list(range(5)), 1: [0], 2: list(range(7))}
+            covered.extend(range(start, stop))
+        assert covered == list(range(13))
 
-    def test_empty_groups(self):
-        assert _chunk_plan([], workers=4) == []
-        assert _chunk_plan([0, 0], workers=4) == []
+    def test_empty_batch(self):
+        assert _chunk_plan(0, workers=4) == []
 
-    def test_chunks_shared_across_groups(self):
+    def test_chunk_size_spans_the_whole_batch(self):
         # 8 procedures over 2 workers * 4 chunks-per-worker => chunk size 1.
-        plan = _chunk_plan([4, 4], workers=2)
-        assert len(plan) == 8
+        assert len(_chunk_plan(8, workers=2)) == 8
 
 
 class TestParallelIdenticalToSerial:
@@ -240,40 +231,34 @@ class TestSerialFallback:
 
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", boom)
         procedures = build_suite(names=["mcf"], scale=SCALE)[0].procedures[:1]
-        groups = measure_procedure_groups([procedures], workers=8)
-        assert len(groups) == 1 and len(groups[0]) == 1
-        assert isinstance(groups[0][0], ProcedureMeasurement)
+        records = compile_many(procedures, workers=8)
+        assert len(records) == 1
+        assert isinstance(records[0], CompileRecord)
 
 
 class TestCompileMany:
-    def test_parallel_results_in_input_order(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_records_equal_compile_procedure_records(self, workers):
         procedures = build_suite(names=["gzip"], scale=0.3)[0].procedures
-        serial = compile_many(procedures, workers=1)
-        parallel = compile_many(procedures, workers=2)
-        assert [c.name for c in serial] == [c.name for c in parallel]
-        for a, b in zip(serial, parallel):
-            assert a.allocator_overhead == b.allocator_overhead
-            for technique in a.outcomes:
-                assert a.callee_saved_overhead(technique) == b.callee_saved_overhead(technique)
+        records = compile_many(procedures, workers=workers)
+        assert records == [compile_procedure(p).record for p in procedures]
+        assert all(isinstance(r, CompileRecord) for r in records)
 
-    def test_keep_procedures_retains_artifacts(self):
-        benchmark = build_suite(names=["mcf"], scale=SCALE)[0]
-        measurement = run_benchmark(benchmark, keep_procedures=True)
-        assert len(measurement.procedures) == measurement.num_procedures
-
-
-class TestMeasureProcedure:
-    def test_summary_matches_compiled_procedure(self):
-        from repro.pipeline.compiler import compile_procedure
-
+    def test_record_matches_compiled_procedure(self):
         procedure = build_suite(names=["mcf"], scale=SCALE)[0].procedures[0]
         compiled = compile_procedure(procedure)
-        summary = measure_procedure(procedure)
-        assert summary.name == compiled.name
-        assert summary.allocator_overhead == compiled.allocator_overhead
-        assert summary.callee_saved_overhead == {
-            t: compiled.callee_saved_overhead(t) for t in ("baseline", "shrinkwrap", "optimized")
-        }
+        record = compiled.record
+        assert record.name == compiled.name
+        assert record.num_blocks == len(compiled.allocation.function)
+        assert record.num_instructions == compiled.allocation.function.instruction_count()
+        assert record.allocator_overhead == compiled.allocator_overhead
+        assert record.pass_seconds == tuple(compiled.pass_seconds.items())
+        for technique in ("baseline", "shrinkwrap", "optimized"):
+            assert record.overhead(technique) is compiled.outcomes[technique].overhead
+            assert record.callee_saved_overhead(technique) == compiled.callee_saved_overhead(
+                technique
+            )
+            assert record.total_overhead(technique) == compiled.total_overhead(technique)
 
 
 class TestPoolTeardown:
@@ -303,11 +288,7 @@ class TestPoolTeardown:
         import multiprocessing
         import time
 
-        from repro.evaluation import parallel as parallel_mod
-
         procedures = list(build_suite(names=["gzip"], scale=0.2)[0].procedures)
-
-        original_chunk = parallel_mod._compile_chunk
 
         def interrupting_result(self, timeout=None):
             raise KeyboardInterrupt
@@ -324,4 +305,3 @@ class TestPoolTeardown:
         while multiprocessing.active_children() and time.monotonic() < deadline:
             time.sleep(0.05)
         assert multiprocessing.active_children() == []
-        assert original_chunk is parallel_mod._compile_chunk  # sanity

@@ -173,16 +173,16 @@ class TestCacheKey:
     def test_every_option_changes_the_token(self, override):
         assert self._token(**override) != self._token()
 
-    def test_key_separates_compile_and_measure_namespaces(self):
+    def test_key_separates_compile_and_lint_namespaces(self):
         procedure = build_suite(names=["mcf"], scale=0.1)[0].procedures[0]
         token = self._token()
         compile_key = procedure_cache_key(
             procedure.function, procedure.profile, token, kind="compile"
         )
-        measure_key = procedure_cache_key(
-            procedure.function, procedure.profile, token, kind="measure"
+        lint_key = procedure_cache_key(
+            procedure.function, procedure.profile, token, kind="lint"
         )
-        assert compile_key != measure_key
+        assert compile_key != lint_key
 
     def test_key_depends_on_function_and_profile(self):
         benchmark = build_suite(names=["mcf"], scale=0.2)[0]

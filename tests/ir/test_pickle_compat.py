@@ -1,14 +1,12 @@
-"""Pickle compatibility of the slotted IR classes.
+"""Pickle round trips of the slotted IR classes.
 
 The IR hot classes (operand values, instructions, basic blocks) are
-hand-slotted for the allocator hot path, but their pickle format must stay
-compatible in both directions:
-
-* new objects round-trip through pickle unchanged (the compile cache stores
-  whole :class:`CompiledProcedure` payloads), and
-* payloads pickled *before* the classes were slotted — whose state is the
-  historical ``__dict__`` of the frozen dataclasses they replaced — still
-  load, so existing cache directories keep producing hits.
+hand-slotted for the allocator hot path, and the compile pool pickles
+procedures to send them to its workers, so every class must round-trip
+through pickle unchanged.  :class:`~repro.ir.function.Function` drops its
+derived CFG snapshot when pickled.  No persistent store holds IR (the
+compile cache stores compile records), so there is no historical pickle
+state to accept.
 """
 
 import pickle
@@ -43,64 +41,14 @@ def test_values_round_trip():
         assert type(clone) is type(value)
 
 
-def test_values_accept_historical_dict_state():
-    """State dicts written by the pre-slots frozen dataclasses still load."""
-
-    register = VirtualRegister.__new__(VirtualRegister)
-    register.__setstate__({"name": "v7"})
-    assert register == vreg(7)
-
-    physical = PhysicalRegister.__new__(PhysicalRegister)
-    physical.__setstate__({"name": "r4", "index": 4})
-    assert physical == preg(4)
-
-    slot = StackSlot.__new__(StackSlot)
-    slot.__setstate__({"index": 2, "purpose": "spill"})
-    assert slot == StackSlot(2, "spill")
-
-    immediate = Immediate.__new__(Immediate)
-    immediate.__setstate__({"value": -1})
-    assert immediate == Immediate(-1)
-
-    label = Label.__new__(Label)
-    label.__setstate__({"name": "exit"})
-    assert label == Label("exit")
-
-
-def test_values_accept_two_tuple_state():
-    """The default ``(dict, slots)`` protocol-2 shape also loads."""
-
-    register = VirtualRegister.__new__(VirtualRegister)
-    register.__setstate__((None, {"name": "v11"}))
-    assert register == vreg(11)
-
-    physical = PhysicalRegister.__new__(PhysicalRegister)
-    physical.__setstate__(({}, {"name": "r1", "index": 1}))
-    assert physical == preg(1)
-
-
-def test_instruction_round_trip_and_historical_state():
+def test_instruction_round_trip():
     inst = Instruction(Opcode.ADD, defs=(vreg(0),), uses=(vreg(1), vreg(2)))
     clone = pickle.loads(pickle.dumps(inst))
     assert clone.opcode is Opcode.ADD
     assert clone.defs == inst.defs
     assert clone.uses == inst.uses
     assert clone.purpose == inst.purpose
-
-    historical = Instruction.__new__(Instruction)
-    historical.__setstate__(
-        {
-            "opcode": Opcode.MOV,
-            "defs": (vreg(0),),
-            "uses": (vreg(1),),
-            "target": None,
-            "targets": (),
-            "purpose": "program",
-            "uid": 17,
-        }
-    )
-    assert historical.opcode is Opcode.MOV
-    assert historical.uid == 17
+    assert clone.uid == inst.uid
 
 
 def test_basic_block_round_trip():
@@ -121,15 +69,3 @@ def test_function_round_trip_preserves_fingerprint_and_drops_cfg_cache():
         assert fingerprint_function(clone) == fingerprint_function(function)
         assert clone.cfg().entry_label == function.cfg().entry_label
         assert [b.label for b in clone.blocks] == [b.label for b in function.blocks]
-
-
-def test_function_state_without_cfg_key_still_loads():
-    """Payloads pickled before the snapshot existed carry no ``_cfg`` key."""
-
-    function = diamond_function()
-    state = function.__getstate__()
-    state.pop("_cfg", None)
-    revived = type(function).__new__(type(function))
-    revived.__setstate__(state)
-    assert revived._cfg is None
-    assert fingerprint_function(revived) == fingerprint_function(function)

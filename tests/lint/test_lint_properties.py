@@ -125,14 +125,14 @@ class TestZeroCostOff:
         """lint="strict" on a passing compile fills the same cache entry."""
 
         from repro.cache.store import CompileCache
-        from repro.pipeline.compiler import compile_procedure
+        from repro.pipeline.compiler import compile_many
 
         procedure = _procedures("classic_mix", "parisc", count=1)[0]
         cache_a = CompileCache(tmp_path / "a")
         cache_b = CompileCache(tmp_path / "b")
-        compile_procedure(procedure, machine="parisc", cache=cache_a)
-        compile_procedure(
-            procedure,
+        compile_many([procedure], machine="parisc", cache=cache_a)
+        compile_many(
+            [procedure],
             machine="parisc",
             cache=cache_b,
             lint="strict",
@@ -141,7 +141,7 @@ class TestZeroCostOff:
         )
         assert cache_a.entry_count() == cache_b.entry_count() == 1
         # Warm hit across caches proves the key bytes match.
-        compile_procedure(procedure, machine="parisc", cache=cache_b)
+        compile_many([procedure], machine="parisc", cache=cache_b)
         assert cache_b.stats.hits == 1
 
     def test_lint_off_does_not_import_the_lint_package(self):

@@ -18,6 +18,7 @@ from repro.service.protocol import (
     parse_compile_request,
     parse_hello,
     resolve_compile_request,
+    result_payload,
 )
 
 
@@ -231,3 +232,24 @@ class TestWireRoundTrip:
         # Through JSON, as the wire would carry it.
         parsed = parse_compile_request(json.loads(encode_message(request.to_message())))
         assert parsed == request
+
+
+class TestResultPayload:
+    @pytest.mark.parametrize("techniques", [None, ["optimized", "baseline"]])
+    def test_compiled_procedure_and_its_record_give_the_same_payload(self, techniques):
+        from repro.pipeline.compiler import compile_procedure
+
+        overrides = {} if techniques is None else {"techniques": techniques}
+        request = parse_compile_request(compile_message(**overrides))
+        resolved = resolve_compile_request(request)
+        compiled = compile_procedure(
+            (resolved.function, resolved.profile),
+            machine=resolved.machine,
+            cost_model=request.cost_model,
+            techniques=request.techniques,
+        )
+        expected = result_payload(resolved, compiled)
+        assert json.dumps(result_payload(resolved, compiled.record), sort_keys=True) == (
+            json.dumps(expected, sort_keys=True)
+        )
+        assert list(expected["techniques_overhead"]) == list(request.techniques)

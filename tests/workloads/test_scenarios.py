@@ -10,7 +10,7 @@ from repro.ir.instructions import Opcode
 from repro.ir.parser import parse_function
 from repro.ir.printer import print_function
 from repro.ir.verifier import verify_function
-from repro.pipeline.compiler import compile_procedure
+from repro.pipeline.compiler import compile_many, compile_procedure
 from repro.spill.cost_models import requires_jump_block
 from repro.spill.hierarchical import place_hierarchical
 from repro.spill.insertion import apply_placement
@@ -208,26 +208,10 @@ class TestPipelineCoverage:
             procedures.extend(build_scenario(name, seed=0, count=2, machine=parisc))
         cache = CompileCache(str(tmp_path))
 
-        def views(results):
-            return [
-                (
-                    compiled.name,
-                    compiled.allocator_overhead,
-                    tuple(
-                        (technique, compiled.callee_saved_overhead(technique))
-                        for technique in sorted(compiled.outcomes)
-                    ),
-                )
-                for compiled in results
-            ]
-
-        cold = [
-            compile_procedure(p, machine=parisc, cache=cache) for p in procedures
-        ]
-        warm = [
-            compile_procedure(p, machine=parisc, cache=cache) for p in procedures
-        ]
-        assert views(warm) == views(cold)
+        cold = compile_many(procedures, machine=parisc, cache=cache)
+        warm = compile_many(procedures, machine=parisc, cache=cache)
+        assert warm == cold
+        assert warm == [compile_procedure(p, machine=parisc).record for p in procedures]
         assert cache.stats.hits >= len(procedures)
 
     def test_irreducible_family_reaches_hierarchical_with_decisions(self, parisc):
