@@ -11,7 +11,9 @@ show up as a phase-level diff between commits:
 * **end_to_end** — ``compile_procedure`` per procedure, serial, no cache;
 * **regalloc** — liveness + live ranges + interference + colouring;
 * **dataflow** — the bit-liveness solve alone;
-* **interference** — graph construction on precomputed liveness;
+* **interference** — the allocation round's instruction scan (live-range
+  statistics and interference edges) plus graph construction, on
+  precomputed liveness;
 * **coloring** — simplify/select on a prebuilt graph;
 * **placement** — the three placement techniques plus verification on a
   fixed allocation.
@@ -145,7 +147,7 @@ def main(argv=None) -> int:
     from repro.regalloc.allocator import allocate_registers
     from repro.regalloc.coloring import color_graph
     from repro.regalloc.interference import build_interference_graph
-    from repro.regalloc.live_ranges import compute_live_ranges
+    from repro.regalloc.live_ranges import compute_live_ranges, scan_instructions
     from repro.spill.entry_exit import place_entry_exit
     from repro.spill.hierarchical import place_hierarchical
     from repro.spill.shrink_wrap import place_shrink_wrap
@@ -190,7 +192,9 @@ def main(argv=None) -> int:
 
     def interference():
         for procedure, info in zip(procedures, range_infos):
-            build_interference_graph(procedure.function, info.liveness)
+            function = procedure.function
+            scan_instructions(function, info.liveness, dict.fromkeys(function.block_labels, 1.0))
+            build_interference_graph(function, info.liveness)
 
     def coloring():
         for graph, info in zip(graphs, range_infos):

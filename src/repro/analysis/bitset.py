@@ -18,7 +18,7 @@ indexes it, so callers that only touch a few blocks never pay for the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Dict,
     Hashable,
@@ -32,7 +32,7 @@ from typing import (
     TypeVar,
 )
 
-from repro.ir.values import VirtualRegister, vreg
+from repro.ir.values import Register, VirtualRegister, vreg
 
 T = TypeVar("T", bound=Hashable)
 
@@ -129,22 +129,21 @@ class RegisterIndex:
     def set_of(self, mask: int) -> Set[Hashable]:
         """Materialize ``mask`` back into a set of facts."""
 
-        result = set()
-        fact_at = self._fact_at
-        while mask:
-            low = mask & -mask
-            result.add(fact_at[low.bit_length() - 1])
-            mask ^= low
-        return result
+        return set(self.iter_bits(mask))
 
     def iter_bits(self, mask: int) -> Iterator[Hashable]:
         """Yield the facts of ``mask`` one by one, in bit order."""
 
-        fact_at = self._fact_at
-        while mask:
-            low = mask & -mask
-            yield fact_at[low.bit_length() - 1]
-            mask ^= low
+        return map(self._fact_at.__getitem__, bit_positions(mask))
+
+
+def bit_positions(mask: int) -> Iterator[int]:
+    """Yield the positions of the set bits of ``mask``, lowest first."""
+
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # Persistent per-worker base indexes, keyed by target identity.  Every compile
@@ -354,6 +353,43 @@ def solve_bit_dataflow(function, problem: BitDataflowProblem) -> BitDataflowResu
     return BitDataflowResult(block_in=block_out, block_out=block_in)
 
 
+def pack_instructions(instructions, index: RegisterIndex) -> Tuple[List[Tuple[int, int]], int, int, int]:
+    """Pack one block's operands into masks, interning registers on the way.
+
+    Returns ``(masks, repeats, uses, defs)``: ``masks`` holds one
+    ``(write_mask, read_mask)`` pair per instruction; bit ``i`` of
+    ``repeats`` is set when instruction ``i`` names one register more than
+    once among its reads or among its writes, which a mask cannot count;
+    ``uses``/``defs`` are the block's upward-exposed uses and definitions.
+    """
+
+    bit_of = index._bit_of
+    add = index.add
+    masks: List[Tuple[int, int]] = []
+    repeats = 0
+    use_mask = 0
+    def_mask = 0
+    for position, inst in enumerate(instructions):
+        read_mask = 0
+        reads = 0
+        for operand in inst.uses:
+            if isinstance(operand, Register):
+                bit = bit_of.get(operand)
+                read_mask |= 1 << (add(operand) if bit is None else bit)
+                reads += 1
+        write_mask = 0
+        writes = inst.defs
+        for reg in writes:
+            bit = bit_of.get(reg)
+            write_mask |= 1 << (add(reg) if bit is None else bit)
+        if read_mask.bit_count() != reads or write_mask.bit_count() != len(writes):
+            repeats |= 1 << position
+        use_mask |= read_mask & ~def_mask
+        def_mask |= write_mask
+        masks.append((write_mask, read_mask))
+    return masks, repeats, use_mask, def_mask
+
+
 @dataclass
 class BitLiveness:
     """The liveness solution as bitmasks, plus the register index behind them.
@@ -369,62 +405,18 @@ class BitLiveness:
     live_out: Dict[str, int]
     uses: Dict[str, int]
     defs: Dict[str, int]
-    #: Per-block ``[(write_mask, read_mask)]`` instruction masks, built once
-    #: and shared by every consumer walking the instructions (live ranges,
-    #: interference, per-instruction liveness refinement).
-    _inst_masks: Dict[str, List[Tuple[int, int]]] = field(default_factory=dict)
-
-    def virtual_register_mask(self) -> int:
-        """Mask over all interned bits that denote virtual registers.
-
-        With a forked per-target base index the index may carry virtual
-        registers the function never mentions; intersect with
-        :meth:`mentioned_mask` when enumerating a function's registers.
-        """
-
-        return self.index.virtual_mask
-
-    def mentioned_mask(self, function) -> int:
-        """Mask over the registers the function actually mentions.
-
-        Block-level ``uses``/``defs`` cover exactly the registers read or
-        written by the block's instructions, so their union over all blocks
-        plus the parameters reproduces the historical "walk every
-        instruction" enumeration — without the walk, and unpolluted by
-        whatever else a shared base index happens to carry.
-        """
-
-        mentioned = self.index.mask_of(function.params)
-        for mask in self.uses.values():
-            mentioned |= mask
-        for mask in self.defs.values():
-            mentioned |= mask
-        # Hand-built solutions (bit_liveness_from_sets) may carry registers
-        # that are live at a boundary without being mentioned in a block;
-        # computed solutions add nothing here (live sets are unions of uses).
-        for mask in self.live_in.values():
-            mentioned |= mask
-        for mask in self.live_out.values():
-            mentioned |= mask
-        return mentioned
+    #: Per-block ``([(write_mask, read_mask)], repeats)`` from
+    #: :func:`pack_instructions`, filled by the operand walk that builds the
+    #: solution and shared by every consumer walking the instructions.
+    instructions: Dict[str, Tuple[List[Tuple[int, int]], int]]
+    #: Opaque memo of the register allocator's instruction scan over this
+    #: solution; :func:`repro.regalloc.live_ranges.scan_edges` owns its shape.
+    scan: Optional[object] = None
 
     def instruction_masks(self, function, label: str) -> List[Tuple[int, int]]:
-        """``(write_mask, read_mask)`` per instruction of block ``label``.
+        """``(write_mask, read_mask)`` per instruction of block ``label``."""
 
-        Cached on the solution object: live-range construction and
-        interference building walk the same blocks and would otherwise pack
-        the same operand tuples twice.
-        """
-
-        cached = self._inst_masks.get(label)
-        if cached is None:
-            mask_of = self.index.mask_of
-            cached = [
-                (mask_of(inst.registers_written()), mask_of(inst.registers_read()))
-                for inst in function.block(label).instructions
-            ]
-            self._inst_masks[label] = cached
-        return cached
+        return self.instructions[label][0]
 
 
 def bit_liveness_from_sets(function, liveness) -> BitLiveness:
@@ -439,15 +431,17 @@ def bit_liveness_from_sets(function, liveness) -> BitLiveness:
     index = RegisterIndex()
     for reg in function.params:
         index.add(reg)
-    for inst in function.instructions():
-        for reg in inst.registers():
-            index.add(reg)
+    instructions = {}
+    for block in function.blocks:
+        masks, repeats, _, _ = pack_instructions(block.instructions, index)
+        instructions[block.label] = (masks, repeats)
     return BitLiveness(
         index=index,
         live_in={l: index.mask_of(s) for l, s in liveness.live_in.items()},
         live_out={l: index.mask_of(s) for l, s in liveness.live_out.items()},
         uses={l: index.mask_of(s) for l, s in liveness.uses.items()},
         defs={l: index.mask_of(s) for l, s in liveness.defs.items()},
+        instructions=instructions,
     )
 
 

@@ -26,6 +26,7 @@ from repro.analysis.bitset import (
     base_register_index,
     bit_liveness_from_sets,
     live_masks_at_each_instruction,
+    pack_instructions,
     solve_bit_dataflow,
 )
 from repro.analysis.dataflow import DataflowProblem, Direction, Meet
@@ -53,16 +54,6 @@ class LivenessInfo:
     #: The packed-bitset solution behind the set views (``None`` when the
     #: instance was constructed directly from plain sets).
     bits: Optional[BitLiveness] = None
-
-    def live_through(self, label: str) -> Set[Register]:
-        """Registers live across the whole block (in and out, not redefined)."""
-
-        return (self.live_in[label] & self.live_out[label]) - self.defs[label]
-
-    def live_anywhere_in(self, label: str) -> Set[Register]:
-        """Registers live at some point inside the block."""
-
-        return self.live_in[label] | self.live_out[label] | self.defs[label] | self.uses[label]
 
 
 def liveness_bits(function: Function, liveness: LivenessInfo) -> BitLiveness:
@@ -141,22 +132,19 @@ def compute_liveness(
     for param in function.params:
         index.add(param)
 
+    # One operand walk packs every instruction into (write, read) masks; the
+    # block-level gen/kill sets and every later per-instruction consumer
+    # (live ranges, interference, the final rewrite) read those masks.
     uses: Dict[str, int] = {}
     defs: Dict[str, int] = {}
+    inst_masks: Dict[str, Tuple[List[Tuple[int, int]], int]] = {}
     for block in function.blocks:
-        use_mask = 0
-        def_mask = 0
-        for inst in block.instructions:
-            for reg in inst.registers_read():
-                bit = 1 << index.add(reg)
-                if not def_mask & bit:
-                    use_mask |= bit
-            for reg in inst.registers_written():
-                def_mask |= 1 << index.add(reg)
+        masks, repeats, use_mask, def_mask = pack_instructions(block.instructions, index)
         if call_clobbers and block.label in call_clobbers:
             def_mask |= index.mask_of(call_clobbers[block.label])
         uses[block.label] = use_mask
         defs[block.label] = def_mask
+        inst_masks[block.label] = (masks, repeats)
 
     # Function parameters are live at entry; return values are used at exits.
     problem = BitDataflowProblem(
@@ -173,6 +161,7 @@ def compute_liveness(
         live_out=result.block_out,
         uses=uses,
         defs=defs,
+        instructions=inst_masks,
     )
     return LivenessInfo(
         live_in=MaskSetView(bits.live_in, index),

@@ -15,6 +15,13 @@ toy IR:
 * :mod:`repro.regalloc.callee_saved` — the callee-saved occupancy map
   consumed by the spill-placement pass;
 * :mod:`repro.regalloc.allocator` — the driver tying everything together.
+
+Each allocation round numbers its virtual registers once, by the liveness
+solution's bit, and runs on integers from there: live-range statistics are
+flat lists, interference is one adjacency mask per register, and colouring
+pops bits.  ``Register`` objects reappear only in the assignment and the
+rewrite.  The register-keyed stages this replaced are kept as test oracles
+in ``tests/oracles/regalloc.py``.
 """
 
 from repro.regalloc.allocator import AllocationResult, allocate_registers

@@ -18,13 +18,13 @@ for every placement technique, exactly as in the paper's methodology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.ir.function import Function
 from repro.ir.values import PhysicalRegister, Register
 from repro.profiling.profile_data import EdgeProfile
-from repro.regalloc.callee_saved import compute_callee_saved_usage
-from repro.regalloc.coloring import ColoringResult, color_graph
+from repro.regalloc.callee_saved import callee_saved_occupancy
+from repro.regalloc.coloring import color_graph
 from repro.regalloc.interference import build_interference_graph
 from repro.regalloc.live_ranges import compute_live_ranges
 from repro.regalloc.rewriter import (
@@ -91,7 +91,6 @@ def allocate_registers(
     work = function if in_place else function.clone()
     isolate_parameters(work)
     demote_overflow_parameters(work, machine)
-    total_assignment: Dict[Register, PhysicalRegister] = {}
     all_spilled: List[Register] = []
 
     rounds = 0
@@ -106,7 +105,6 @@ def allocate_registers(
         graph = build_interference_graph(work, ranges.liveness)
         coloring = color_graph(graph, ranges, machine)
         if coloring.is_complete:
-            total_assignment = coloring.assignment
             break
         # Spill the uncolourable ranges and try again; their reloads create
         # tiny live ranges which are always colourable eventually.
@@ -120,22 +118,26 @@ def allocate_registers(
         insert_spill_code(work, fresh)
         all_spilled.extend(fresh)
 
-    apply_assignment(work, total_assignment)
+    # The final round's liveness describes ``work`` up to the renaming the
+    # rewrite applies, so it also yields the callee-saved occupancy.
+    bits = ranges.liveness.bits
+    assignment = coloring.assignment
+    rewritten = apply_assignment(work, assignment, bits)
     # Parameters live in their assigned physical registers from the entry on;
     # remap the signature so callers (and the interpreter) see the real
     # location of each argument.
-    work.params = tuple(total_assignment.get(param, param) for param in work.params)
-    leftovers = unassigned_virtual_registers(work)
+    work.params = tuple(assignment.get(param, param) for param in work.params)
+    leftovers = unassigned_virtual_registers(work, rewritten)
     if leftovers:
         raise RegisterAllocationError(
             f"virtual registers left after allocation of {function.name!r}: "
             + ", ".join(sorted(r.name for r in leftovers))
         )
-    usage = compute_callee_saved_usage(work, machine)
+    usage = callee_saved_occupancy(bits, work.block_labels, machine, coloring.colour_masks)
     return AllocationResult(
         function=work,
         machine=machine,
-        assignment=total_assignment,
+        assignment=assignment,
         usage=usage,
         spilled_registers=all_spilled,
         rounds=rounds,

@@ -13,14 +13,24 @@ colouring: nodes are pushed on a stack in order of increasing "difficulty"
 (low degree first, then cheapest spill cost), popped in reverse order and
 coloured if possible.  Nodes that cannot be coloured become spill candidates
 and are returned to the driver, which inserts spill code and repeats.
+
+Both passes run over register bits.  Simplify keeps a lazily-invalidated
+heap of ``(degree, name rank, bit)`` entries, with degrees from
+``int.bit_count()``; select keeps one mask of coloured bits per colour, so
+the colours taken around a node are those whose mask meets its adjacency.
+Colours are positions in the machine's allocation order.  Ties break by the
+register name's rank, so the order — and every assignment — equals the
+``(degree, name)``-sorted scan kept as a test oracle in
+``tests/oracles/regalloc.py``.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Dict, List, Tuple
 
+from repro.analysis.bitset import bit_positions
 from repro.ir.values import PhysicalRegister, Register
 from repro.regalloc.interference import InterferenceGraph
 from repro.regalloc.live_ranges import LiveRangeInfo
@@ -34,54 +44,12 @@ class ColoringResult:
 
     assignment: Dict[Register, PhysicalRegister] = field(default_factory=dict)
     spilled: List[Register] = field(default_factory=list)
+    #: The graph bits coloured with each physical register.
+    colour_masks: Dict[PhysicalRegister, int] = field(default_factory=dict)
 
     @property
     def is_complete(self) -> bool:
         return not self.spilled
-
-    def callee_saved_assigned(self, machine: MachineDescription) -> Set[PhysicalRegister]:
-        return {
-            phys for phys in self.assignment.values() if machine.is_callee_saved(phys)
-        }
-
-
-def _allowed_registers(
-    register: Register,
-    ranges: LiveRangeInfo,
-    machine: MachineDescription,
-) -> Tuple[PhysicalRegister, ...]:
-    """The physical registers a virtual register may be assigned, in preference order."""
-
-    live_range = ranges.ranges.get(register)
-    crosses_call = live_range.crosses_call if live_range is not None else False
-    used_by_return = live_range.used_by_return if live_range is not None else False
-    is_parameter = live_range.is_parameter if live_range is not None else False
-    if is_parameter and not crosses_call:
-        # Incoming arguments live in caller-saved registers.
-        return machine.caller_saved
-    if is_parameter and crosses_call:
-        # Should not happen once parameters are isolated at the entry; spill
-        # defensively rather than hand an argument a callee-saved register.
-        return ()
-    if crosses_call and used_by_return:
-        # The value must survive a call (needs a callee-saved register) *and*
-        # be returned (needs a caller-saved register): no single register
-        # satisfies both, so the range is always spilled and its short reload
-        # before the return gets a caller-saved register.
-        return ()
-    if crosses_call:
-        # A caller-saved register would be clobbered by the call; only
-        # callee-saved registers can hold the value across it.
-        return machine.callee_saved
-    if used_by_return:
-        # Returned values travel in caller-saved registers; a callee-saved
-        # register would have to be restored before the return, clobbering
-        # the value being returned.
-        return machine.caller_saved
-    # Prefer caller-saved registers (no save/restore obligation); fall back to
-    # callee-saved registers under pressure.  ``allocation_order`` is the
-    # precomputed caller-first tuple, so no per-node concatenation happens.
-    return machine.allocation_order
 
 
 def color_graph(
@@ -91,180 +59,147 @@ def color_graph(
 ) -> ColoringResult:
     """Colour the interference graph; uncolourable nodes become spill candidates.
 
-    Selection order is identical to :func:`color_graph_reference` — the
-    reference picks the first satisfying node of a ``(degree, name)``-sorted
-    scan, which equals the minimum over satisfying nodes by that key.  The
-    per-iteration sorts are replaced by a lazily-invalidated heap of
-    ``(degree, name)`` entries: stale entries (node already removed, or its
-    degree has since changed) are discarded on pop, and entries whose node
-    does not satisfy its class bound are set aside and re-pushed.
+    Simplify removes the ``(degree, name)``-minimal node whose degree is
+    below its class size; when none exists it removes the node with the
+    smallest ``(spill cost / degree, name)`` optimistically.  Heap entries
+    that went stale (node removed, or its degree changed since) are
+    discarded on pop; entries over their class bound are set aside and
+    re-pushed.  Select gives each node a move partner's colour when one is
+    free — partners tried in name order — and otherwise the first free
+    register of its class.  ``graph`` and ``ranges`` must be built from one
+    liveness solution, as :func:`~repro.regalloc.live_ranges.compute_live_ranges`
+    and :func:`~repro.regalloc.interference.build_interference_graph` do.
     """
 
+    if ranges.liveness.bits.index is not graph.index:
+        raise ValueError("the graph and the live ranges must come from one liveness solution")
     result = ColoringResult()
-    nodes = sorted(graph.nodes, key=lambda r: r.name)
-    if not nodes:
+    node_mask = graph.node_mask
+    if not node_mask:
         return result
 
-    allowed: Dict[Register, Tuple[PhysicalRegister, ...]] = {
-        node: _allowed_registers(node, ranges, machine) for node in nodes
-    }
-    degrees: Dict[Register, int] = {node: graph.degree(node) for node in nodes}
-    stack: List[Register] = []
+    facts = graph.index.facts
+    adjacency = graph.adjacency
+    nodes = sorted(bit_positions(node_mask), key=lambda bit: facts[bit].name)
+    size = len(adjacency)
+    rank = [0] * size
+    for position, bit in enumerate(nodes):
+        rank[bit] = position
 
-    def spill_metric(node: Register) -> float:
-        # Spilling one of the allocator's own reload/store temporaries makes
-        # no progress (its replacement is an identical one-instruction range),
-        # so they are never optimistic spill candidates; pressure is relieved
-        # by splitting an original live-through range instead.
-        if is_spill_temp(node):
-            return float("inf")
-        live_range = ranges.ranges.get(node)
-        cost = live_range.spill_cost if live_range is not None else 0.0
-        degree = max(degrees[node], 1)
-        return cost / degree
+    # Register classes as colour numbers: positions in the allocation order,
+    # caller-saved first.
+    order = machine.allocation_order
+    caller_count = len(machine.caller_saved)
+    caller = tuple(range(caller_count))
+    callee = tuple(range(caller_count, len(order)))
+    anywhere = tuple(range(len(order)))
+    crossing = ranges.crossing_mask
+    fixed = ranges.parameter_mask | ranges.return_mask
+    cost = ranges.spill_cost
+    allowed: List[Tuple[int, ...]] = [()] * size
+    degrees = [0] * size
+    for bit in nodes:
+        degrees[bit] = adjacency[bit].bit_count()
+        if crossing >> bit & 1:
+            # A call-crossing range needs a callee-saved register; a
+            # parameter or returned value must sit in a caller-saved one, so
+            # a range that is both can only be spilled (its short reload
+            # before the return gets a caller-saved register).
+            allowed[bit] = () if fixed >> bit & 1 else callee
+        elif fixed >> bit & 1:
+            # Arguments arrive, and results leave, in caller-saved registers.
+            allowed[bit] = caller
+        else:
+            # Prefer caller-saved registers (no save/restore obligation);
+            # fall back to callee-saved registers under pressure.
+            allowed[bit] = anywhere
 
-    # Simplify: repeatedly remove the (degree, name)-minimal node with degree
-    # < k (its register-class size); when none exists, remove the cheapest
-    # node optimistically (ties broken by name).
-    work = set(nodes)
-    heap: List[Tuple[int, str, Register]] = [
-        (degrees[node], node.name, node) for node in nodes
-    ]
-    heapq.heapify(heap)
+    # Simplify.
+    work = node_mask
+    stack: List[int] = []
+    spill_temps = None
+    heap: List[Tuple[int, int, int]] = [(degrees[bit], rank[bit], bit) for bit in nodes]
+    heapify(heap)
     while work:
-        candidate = None
-        over_bound: List[Tuple[int, str, Register]] = []
+        candidate = -1
+        over_bound: List[Tuple[int, int, int]] = []
         while heap:
-            entry = heapq.heappop(heap)
-            degree, _, node = entry
-            if node not in work or degrees[node] != degree:
+            entry = heappop(heap)
+            degree, _, bit = entry
+            if not work >> bit & 1 or degrees[bit] != degree:
                 continue
-            if degree < len(allowed[node]):
-                candidate = node
+            if degree < len(allowed[bit]):
+                candidate = bit
                 break
             over_bound.append(entry)
         for entry in over_bound:
-            heapq.heappush(heap, entry)
-        if candidate is None:
-            best_key = None
-            for node in work:
-                key = (spill_metric(node), node.name)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    candidate = node
-        work.remove(candidate)
+            heappush(heap, entry)
+        if candidate < 0:
+            # Spilling one of the allocator's own reload/store temporaries
+            # makes no progress (its replacement is an identical
+            # one-instruction range), so they are never optimistic spill
+            # candidates; pressure is relieved by splitting an original
+            # live-through range instead.
+            if spill_temps is None:
+                spill_temps = 0
+                for bit in nodes:
+                    if is_spill_temp(facts[bit]):
+                        spill_temps |= 1 << bit
+            best = None
+            for bit in bit_positions(work):
+                if spill_temps >> bit & 1:
+                    metric = float("inf")
+                else:
+                    metric = cost[bit] / max(degrees[bit], 1)
+                key = (metric, rank[bit])
+                if best is None or key < best:
+                    best = key
+                    candidate = bit
+        work ^= 1 << candidate
         stack.append(candidate)
-        for neighbour in graph.adjacency(candidate):
-            if neighbour in work:
-                degree = degrees[neighbour] - 1
-                degrees[neighbour] = degree
-                heapq.heappush(heap, (degree, neighbour.name, neighbour))
+        neighbours = adjacency[candidate] & work
+        while neighbours:
+            low = neighbours & -neighbours
+            bit = low.bit_length() - 1
+            degree = degrees[bit] - 1
+            degrees[bit] = degree
+            heappush(heap, (degree, rank[bit], bit))
+            neighbours ^= low
 
-    # Select: pop nodes and colour them (Briggs' optimistic colouring).
+    # Select (Briggs' optimistic colouring).  A colour is taken when the
+    # bits already coloured with it meet the node's adjacency.
+    colour_masks = [0] * len(order)
+    colour = [0] * size
+    assigned = 0
+    partners = graph.partners
     assignment = result.assignment
     while stack:
-        node = stack.pop()
-        taken = set()
-        for n in graph.adjacency(node):
-            colour = assignment.get(n)
-            if colour is not None:
-                taken.add(colour)
-        chosen: Optional[PhysicalRegister] = None
-        # Move-related hint: try to reuse a partner's colour first.
-        for partner in graph.move_partners(node):
-            partner_colour = assignment.get(partner)
-            if (
-                partner_colour is not None
-                and partner_colour not in taken
-                and partner_colour in allowed[node]
-            ):
-                chosen = partner_colour
-                break
-        if chosen is None:
-            for candidate in allowed[node]:
-                if candidate not in taken:
+        bit = stack.pop()
+        neighbours = adjacency[bit]
+        candidates = allowed[bit]
+        chosen = -1
+        hints = partners.get(bit)
+        if hints:
+            # Move-related hint: reuse a partner's colour first.
+            for partner in sorted(hints, key=rank.__getitem__):
+                if assigned >> partner & 1:
+                    hint = colour[partner]
+                    if not colour_masks[hint] & neighbours and hint in candidates:
+                        chosen = hint
+                        break
+        if chosen < 0:
+            for candidate in candidates:
+                if not colour_masks[candidate] & neighbours:
                     chosen = candidate
                     break
-        if chosen is None:
-            result.spilled.append(node)
+        if chosen < 0:
+            result.spilled.append(facts[bit])
         else:
-            assignment[node] = chosen
-
-    return result
-
-
-def color_graph_reference(
-    graph: InterferenceGraph,
-    ranges: LiveRangeInfo,
-    machine: MachineDescription,
-) -> ColoringResult:
-    """The original sort-based colouring, kept as the differential reference.
-
-    The property tests in ``tests/regalloc`` assert that :func:`color_graph`
-    produces an identical assignment and spill list on generated scenarios.
-    """
-
-    result = ColoringResult()
-    nodes = sorted(graph.nodes, key=lambda r: r.name)
-    if not nodes:
-        return result
-
-    allowed: Dict[Register, Tuple[PhysicalRegister, ...]] = {
-        node: _allowed_registers(node, ranges, machine) for node in nodes
+            colour[bit] = chosen
+            colour_masks[chosen] |= 1 << bit
+            assigned |= 1 << bit
+            assignment[facts[bit]] = order[chosen]
+    result.colour_masks = {
+        order[number]: mask for number, mask in enumerate(colour_masks) if mask
     }
-    degrees: Dict[Register, int] = {node: graph.degree(node) for node in nodes}
-    removed: Set[Register] = set()
-    stack: List[Register] = []
-
-    def spill_metric(node: Register) -> float:
-        if is_spill_temp(node):
-            return float("inf")
-        live_range = ranges.ranges.get(node)
-        cost = live_range.spill_cost if live_range is not None else 0.0
-        degree = max(degrees[node], 1)
-        return cost / degree
-
-    work = set(nodes)
-    while work:
-        candidate = None
-        for node in sorted(work, key=lambda r: (degrees[r], r.name)):
-            if degrees[node] < len(allowed[node]):
-                candidate = node
-                break
-        if candidate is None:
-            candidate = min(sorted(work, key=lambda r: r.name), key=spill_metric)
-        work.remove(candidate)
-        removed.add(candidate)
-        stack.append(candidate)
-        for neighbour in graph.neighbours(candidate):
-            if neighbour not in removed:
-                degrees[neighbour] -= 1
-
-    while stack:
-        node = stack.pop()
-        taken = {
-            result.assignment[n]
-            for n in graph.neighbours(node)
-            if n in result.assignment
-        }
-        chosen: Optional[PhysicalRegister] = None
-        for partner in graph.move_partners(node):
-            partner_colour = result.assignment.get(partner)
-            if (
-                partner_colour is not None
-                and partner_colour not in taken
-                and partner_colour in allowed[node]
-            ):
-                chosen = partner_colour
-                break
-        if chosen is None:
-            for candidate in allowed[node]:
-                if candidate not in taken:
-                    chosen = candidate
-                    break
-        if chosen is None:
-            result.spilled.append(node)
-        else:
-            result.assignment[node] = chosen
-
     return result

@@ -4,167 +4,93 @@ Two virtual registers interfere when one is defined at a point where the
 other is live (the classic Chaitin construction); move instructions get the
 usual exemption so that copy-related registers may share a colour.
 
-Construction runs on the packed-bitset liveness representation: per-register
-adjacency is accumulated as integer bitmasks while walking the instructions
-and only materialized into the public ``Set``-based
-:class:`InterferenceGraph` once, at the end.
+The graph is dense-indexed, as Briggs, Cooper & Torczon keep it: every node
+is a bit of the round's :class:`~repro.analysis.bitset.RegisterIndex`, its
+adjacency is one integer mask, and move partners are bit lists.  The edges
+come from the allocation round's single instruction scan
+(:func:`repro.regalloc.live_ranges.scan_edges`); ``Register`` objects
+appear only at the public accessors.  The set-based construction this
+replaced is kept as a test oracle in ``tests/oracles/regalloc.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
-from repro.analysis.bitset import live_masks_at_each_instruction
-from repro.analysis.liveness import LivenessInfo, liveness_bits
+from repro.analysis.bitset import RegisterIndex
+from repro.analysis.liveness import LivenessInfo
 from repro.ir.function import Function
-from repro.ir.instructions import Opcode
-from repro.ir.values import Register, VirtualRegister
+from repro.ir.values import Register
+from repro.regalloc.live_ranges import scan_edges
 
 
-#: Shared empty set handed out by :meth:`InterferenceGraph.adjacency` for
-#: unknown registers (never mutated).
-_EMPTY_ADJACENCY: Set[Register] = set()
-
-
-@dataclass
 class InterferenceGraph:
-    """An undirected graph over virtual registers."""
+    """An undirected graph over registers, one adjacency mask per bit.
 
-    nodes: Set[Register] = field(default_factory=set)
-    _adjacency: Dict[Register, Set[Register]] = field(default_factory=dict)
-    #: Pairs related by moves (candidates for coalescing / same-colour hints).
-    move_pairs: Set[Tuple[Register, Register]] = field(default_factory=set)
+    Read-only: :func:`build_interference_graph` is the one constructor.
+    """
 
-    def add_node(self, register: Register) -> None:
-        self.nodes.add(register)
-        self._adjacency.setdefault(register, set())
+    def __init__(
+        self,
+        index: RegisterIndex,
+        node_mask: int,
+        adjacency: List[int],
+        moves: List[Tuple[int, int]],
+    ):
+        self.index = index
+        #: Bits of the graph's nodes.
+        self.node_mask = node_mask
+        #: Neighbour mask per bit (``adjacency[bit]``).
+        self.adjacency = adjacency
+        #: Copy-related ``(destination, source)`` bit pairs, distinct.
+        self.moves = moves
+        #: Move partners per bit, both directions.
+        self.partners: Dict[int, List[int]] = {}
+        for dst, src in moves:
+            self.partners.setdefault(dst, []).append(src)
+            self.partners.setdefault(src, []).append(dst)
 
-    def add_edge(self, a: Register, b: Register) -> None:
-        if a == b:
-            return
-        self.add_node(a)
-        self.add_node(b)
-        self._adjacency[a].add(b)
-        self._adjacency[b].add(a)
+    def _mask_of(self, register: Register) -> int:
+        if register not in self.index or not self.node_mask >> self.index.bit_of(register) & 1:
+            return 0
+        return self.adjacency[self.index.bit_of(register)]
 
-    def add_neighbours(self, register: Register, neighbours: Set[Register]) -> None:
-        """Bulk-insert pre-symmetrized adjacency for one register.
-
-        The batch builder accumulates adjacency as bitmasks and materializes
-        each register's full neighbour set once; the caller guarantees
-        symmetry (every ``b in neighbours`` of ``a`` is later given ``a``)
-        and ``register not in neighbours``.
-        """
-
-        self.add_node(register)
-        self._adjacency[register] |= neighbours
+    @property
+    def nodes(self) -> Set[Register]:
+        return self.index.set_of(self.node_mask)  # hotpath: ok (public accessor)
 
     def interferes(self, a: Register, b: Register) -> bool:
-        return b in self._adjacency.get(a, set())
+        return b in self.index and bool(self._mask_of(a) >> self.index.bit_of(b) & 1)
 
     def neighbours(self, register: Register) -> Set[Register]:
-        return set(self._adjacency.get(register, set()))
-
-    def adjacency(self, register: Register) -> Set[Register]:
-        """The internal neighbour set of ``register`` — treat as read-only.
-
-        :meth:`neighbours` copies; hot loops that only iterate (the colouring
-        simplify/select passes) use this accessor to skip the copy.
-        """
-
-        return self._adjacency.get(register, _EMPTY_ADJACENCY)
+        return self.index.set_of(self._mask_of(register))  # hotpath: ok (public accessor)
 
     def degree(self, register: Register) -> int:
-        return len(self._adjacency.get(register, set()))
+        return self._mask_of(register).bit_count()
 
     def num_edges(self) -> int:
-        return sum(len(adj) for adj in self._adjacency.values()) // 2
+        return sum(mask.bit_count() for mask in self.adjacency) // 2
+
+    @property
+    def move_pairs(self) -> FrozenSet[Tuple[Register, Register]]:
+        facts = self.index.facts
+        return frozenset((facts[dst], facts[src]) for dst, src in self.moves)
 
     def move_partners(self, register: Register) -> Set[Register]:
-        partners: Set[Register] = set()
-        for a, b in self.move_pairs:
-            if a == register:
-                partners.add(b)
-            elif b == register:
-                partners.add(a)
-        return partners
+        facts = self.index.facts
+        return {facts[src] for dst, src in self.moves if facts[dst] == register} | {
+            facts[dst] for dst, src in self.moves if facts[src] == register
+        }
 
 
 def build_interference_graph(
     function: Function, liveness: LivenessInfo
 ) -> InterferenceGraph:
-    """Chaitin-style interference graph over the virtual registers of ``function``."""
+    """Chaitin-style interference graph over the virtual registers of ``function``.
 
-    bits = liveness_bits(function, liveness)
-    index = bits.index
-    vreg_mask = bits.virtual_register_mask()
+    ``liveness`` must describe ``function`` as it is now: the edges are the
+    ones :func:`~repro.regalloc.live_ranges.scan_edges` finds for it.
+    """
 
-    graph = InterferenceGraph()
-    # The node set is the virtual registers the function mentions (parameters
-    # and instruction operands) — enumerated from the block-level masks, and
-    # explicitly restricted to this function because a forked per-target base
-    # index carries registers from outside it.
-    node_mask = bits.mentioned_mask(function) & vreg_mask
-    for reg in index.iter_bits(node_mask):
-        graph.add_node(reg)
-
-    # Adjacency accumulates as bit -> neighbour mask; symmetrized and
-    # materialized into sets once, below.
-    adjacency: Dict[int, int] = {}
-
-    for block in function.blocks:
-        live_after = live_masks_at_each_instruction(function, bits, block.label)
-        for position, inst in enumerate(block.instructions):
-            written = [r for r in inst.registers_written() if isinstance(r, VirtualRegister)]
-            if not written:
-                continue
-            live = live_after[position] & vreg_mask
-            move_source = None
-            if inst.opcode is Opcode.MOV and inst.uses and isinstance(inst.uses[0], VirtualRegister):
-                move_source = inst.uses[0]
-            written_bits = [index.add(reg) for reg in written]
-            sibling_mask = 0
-            for bit in written_bits:
-                sibling_mask |= 1 << bit
-            for dst, dst_bit in zip(written, written_bits):
-                # Multiple results of one instruction interfere with each
-                # other; the destination never interferes with itself.
-                others = (live | sibling_mask) & ~(1 << dst_bit)
-                if move_source is not None:
-                    source_bit = 1 << index.add(move_source)
-                    if others & source_bit and move_source != dst:
-                        # A move's source and destination do not interfere
-                        # through the move itself.
-                        graph.move_pairs.add((dst, move_source))
-                        others &= ~source_bit
-                adjacency[dst_bit] = adjacency.get(dst_bit, 0) | others
-
-    # Parameters are all defined at once by the calling convention on entry,
-    # so each interferes with everything live into the entry block — in
-    # particular with every other live-in parameter, which would otherwise
-    # carry no interference at all (parameters have no defining instruction)
-    # and could be assigned one shared register.
-    params = [r for r in function.params if isinstance(r, VirtualRegister)]
-    if params:
-        entry_live = bits.live_in.get(function.entry.label, 0) & vreg_mask
-        param_mask = 0
-        for param in params:
-            param_mask |= 1 << index.add(param)
-        for param in params:
-            bit = index.add(param)
-            others = (entry_live | param_mask) & ~(1 << bit)
-            adjacency[bit] = adjacency.get(bit, 0) | others
-
-    # Symmetrize (edges were recorded from the defining side only), then
-    # materialize the masks into the public set-based adjacency.
-    for bit, mask in list(adjacency.items()):
-        remaining = mask
-        while remaining:
-            low = remaining & -remaining
-            other = low.bit_length() - 1
-            adjacency[other] = adjacency.get(other, 0) | (1 << bit)
-            remaining ^= low
-    for bit, mask in adjacency.items():
-        graph.add_neighbours(index.fact_at(bit), index.set_of(mask))
-    return graph
+    edges = scan_edges(function, liveness)
+    return InterferenceGraph(liveness.bits.index, *edges)

@@ -6,21 +6,28 @@ which case a caller-saved register would be clobbered, so the range needs a
 callee-saved register or a stack slot), how often it is referenced, and its
 spill cost.
 
-Construction walks every instruction exactly once and keeps the per-point
-liveness as integer bitmasks (:mod:`repro.analysis.bitset`) rather than
-per-instruction ``set`` objects — registers are only materialized at the
-block granularity where they land in :attr:`LiveRange.blocks`.
+Each allocation round numbers its registers once — the liveness solution's
+:class:`~repro.analysis.bitset.RegisterIndex` bit — and keeps every fact in
+flat lists or masks indexed by that bit.  One backward walk per block
+(:func:`scan_instructions`) derives the live-after mask of each instruction
+from the packed ``(write, read)`` masks and, in the same pass, counts
+references, accumulates spill costs, flags call-crossing and returned
+ranges and records the Chaitin interference edges, which
+:func:`scan_edges` hands to
+:func:`repro.regalloc.interference.build_interference_graph`.
+:class:`LiveRange` objects exist only as an on-demand view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
-from repro.analysis.bitset import live_masks_at_each_instruction
-from repro.analysis.liveness import LivenessInfo, compute_liveness
+from repro.analysis.bitset import bit_positions
+from repro.analysis.liveness import LivenessInfo, compute_liveness, liveness_bits
 from repro.analysis.loops import compute_loop_forest
 from repro.ir.function import Function
+from repro.ir.instructions import Opcode
 from repro.ir.values import Register, VirtualRegister
 from repro.profiling.profile_data import EdgeProfile
 
@@ -56,13 +63,49 @@ class LiveRange:
 
 @dataclass
 class LiveRangeInfo:
-    """Live ranges for every virtual register plus the liveness solution."""
+    """One round's live ranges, indexed by the liveness solution's bits.
 
-    ranges: Dict[Register, LiveRange]
+    Lists are as long as the register index was when the scan ran; masks
+    are over the same bits.
+    """
+
     liveness: LivenessInfo
+    #: Virtual registers the function mentions (parameters and operands).
+    node_mask: int
+    definitions: List[int]
+    uses: List[int]
+    spill_cost: List[float]
+    crossing_mask: int
+    return_mask: int
+    parameter_mask: int
+    #: Virtual registers live in, defined in or used in each block.
+    block_masks: Dict[str, int]
+    _ranges: Optional[Dict[Register, LiveRange]] = field(default=None, repr=False)
 
-    def range_of(self, register: Register) -> LiveRange:
-        return self.ranges[register]
+    @property
+    def ranges(self) -> Dict[Register, LiveRange]:
+        """One :class:`LiveRange` per virtual register, built on first access."""
+
+        if self._ranges is None:
+            facts = self.liveness.bits.index.facts
+            blocks: Dict[int, Set[str]] = {bit: set() for bit in bit_positions(self.node_mask)}
+            for label, mask in self.block_masks.items():
+                for bit in bit_positions(mask):
+                    blocks[bit].add(label)
+            self._ranges = {
+                facts[bit]: LiveRange(
+                    register=facts[bit],
+                    blocks=labels,
+                    definitions=self.definitions[bit],
+                    uses=self.uses[bit],
+                    crosses_call=bool(self.crossing_mask >> bit & 1),
+                    is_parameter=bool(self.parameter_mask >> bit & 1),
+                    used_by_return=bool(self.return_mask >> bit & 1),
+                    spill_cost=self.spill_cost[bit],
+                )
+                for bit, labels in blocks.items()
+            }
+        return self._ranges
 
     def registers(self) -> List[Register]:
         return sorted(self.ranges.keys(), key=lambda r: r.name)
@@ -71,21 +114,162 @@ class LiveRangeInfo:
         return [r for r in self.registers() if self.ranges[r].crosses_call]
 
 
-def _block_weights(
-    function: Function,
-    profile: Optional[EdgeProfile],
-    loop_depth: Dict[str, int],
-) -> Dict[str, float]:
-    """Spill-cost weight of every block: profile count, or 10^loop-depth."""
+class InterferenceEdges(NamedTuple):
+    """The Chaitin interference graph of one scan, over liveness bits."""
 
-    if profile is not None:
-        return {
-            label: max(count, 0.0)
-            for label, count in profile.block_counts(function).items()
-        }
-    return {
-        label: float(10 ** loop_depth.get(label, 0)) for label in function.block_labels
-    }
+    #: Virtual registers the function mentions.
+    node_mask: int
+    #: Neighbour mask per bit, symmetric.
+    adjacency: List[int]
+    #: Distinct copy-related ``(destination, source)`` bit pairs, in
+    #: discovery order.
+    moves: List[Tuple[int, int]]
+
+
+def scan_edges(function: Function, liveness: LivenessInfo) -> InterferenceEdges:
+    """The interference edges over ``liveness``, which must describe ``function``.
+
+    An allocation round's :func:`compute_live_ranges` leaves them on its
+    liveness solution; any other solution is scanned here (the spill-cost
+    weights do not affect the edges).
+    """
+
+    bits = liveness_bits(function, liveness)
+    if bits.scan is None:
+        scan_instructions(function, liveness, dict.fromkeys(function.block_labels, 0.0))
+    return bits.scan
+
+
+def scan_instructions(
+    function: Function, liveness: LivenessInfo, weights: Dict[str, float]
+) -> LiveRangeInfo:
+    """Walk every block backwards once, from its live-out mask.
+
+    At each instruction the running mask is the set live after it, which
+    is all the Chaitin construction needs: a written virtual register
+    interferes with everything live after the write except itself and —
+    for a move — the move's source.  References are counted from the
+    masks; the rare instruction that names a register twice (flagged by
+    :func:`~repro.analysis.bitset.pack_instructions`) is counted from its
+    operand tuples, so ``add v1, v2, v2`` still counts two uses.  Spill
+    cost adds the block weight once per reference, in block order, so the
+    floating-point sums match a forward operand walk exactly.  The
+    interference edges are also left on the liveness solution, where
+    :func:`scan_edges` finds them.
+    """
+
+    bits = liveness.bits
+    index = bits.index
+    bit_of = index.bit_of
+    vmask = index.virtual_mask
+    size = len(index)
+    definitions = [0] * size
+    uses = [0] * size
+    spill_cost = [0.0] * size
+    adjacency = [0] * size
+    moves: Dict[Tuple[int, int], None] = {}  # an insertion-ordered set
+    crossing = returns = node_mask = 0
+    block_masks: Dict[str, int] = {}
+    live_in = bits.live_in
+    MOV, CALL, RET = Opcode.MOV, Opcode.CALL, Opcode.RET
+
+    for block in function.blocks:
+        label = block.label
+        weight = weights[label]
+        masks, repeats = bits.instructions[label]
+        live = bits.live_out[label]
+        present = (live_in[label] | live) & vmask
+        instructions = block.instructions
+        position = len(masks)
+        while position:
+            position -= 1
+            write_mask, read_mask = masks[position]
+            written = write_mask & vmask
+            read = read_mask & vmask
+            inst = instructions[position]
+            opcode = inst.opcode
+            if written or read:
+                present |= written | read
+                if repeats >> position & 1:
+                    for reg in inst.defs:
+                        if isinstance(reg, VirtualRegister):
+                            definitions[bit_of(reg)] += 1
+                            spill_cost[bit_of(reg)] += weight
+                    for reg in inst.registers_read():
+                        if isinstance(reg, VirtualRegister):
+                            uses[bit_of(reg)] += 1
+                            spill_cost[bit_of(reg)] += weight
+                else:
+                    mask = written
+                    while mask:
+                        low = mask & -mask
+                        bit = low.bit_length() - 1
+                        definitions[bit] += 1
+                        spill_cost[bit] += weight
+                        mask ^= low
+                    mask = read
+                    while mask:
+                        low = mask & -mask
+                        bit = low.bit_length() - 1
+                        uses[bit] += 1
+                        spill_cost[bit] += weight
+                        mask ^= low
+                if written:
+                    live_virtual = live & vmask
+                    source = 0
+                    if opcode is MOV and read and isinstance(inst.uses[0], VirtualRegister):
+                        source = 1 << bit_of(inst.uses[0])
+                    mask = written
+                    while mask:
+                        low = mask & -mask
+                        mask ^= low
+                        dst = low.bit_length() - 1
+                        # Results of one instruction interfere with each
+                        # other; a destination never with itself.
+                        others = (live_virtual | written) & ~low
+                        if others & source:
+                            # A move's source and destination do not
+                            # interfere through the move itself.
+                            others ^= source
+                            moves[dst, source.bit_length() - 1] = None
+                        adjacency[dst] |= others
+            if opcode is CALL:
+                crossing |= live & vmask & ~write_mask
+            elif opcode is RET:
+                returns |= read
+            live = (live & ~write_mask) | read_mask
+        block_masks[label] = present
+        node_mask |= present
+
+    # Parameters are all defined at once by the calling convention on entry,
+    # so each interferes with everything live into the entry block — in
+    # particular with every other live-in parameter, which would otherwise
+    # carry no interference at all (parameters have no defining instruction)
+    # and could be assigned one shared register.
+    parameters = 0
+    for param in function.params:
+        if isinstance(param, VirtualRegister):
+            parameters |= 1 << bit_of(param)
+            definitions[bit_of(param)] += 1
+    if parameters:
+        entry = function.entry.label
+        entry_live = live_in.get(entry, 0) & vmask
+        for bit in bit_positions(parameters):
+            adjacency[bit] |= (entry_live | parameters) & ~(1 << bit)
+        block_masks[entry] |= parameters
+        node_mask |= parameters
+
+    # Edges were recorded from the defining side only; add the transpose.
+    # Moves are distinct ``(destination, source)`` pairs in discovery order.
+    for bit, mask in enumerate(adjacency[:]):
+        for other in bit_positions(mask):
+            adjacency[other] |= 1 << bit
+    bits.scan = InterferenceEdges(node_mask, adjacency, list(moves))
+
+    return LiveRangeInfo(
+        liveness, node_mask, definitions, uses, spill_cost, crossing, returns, parameters,
+        block_masks,
+    )
 
 
 def compute_live_ranges(
@@ -95,66 +279,18 @@ def compute_live_ranges(
 ) -> LiveRangeInfo:
     """Build live ranges for all virtual registers of ``function``.
 
-    ``machine`` optionally selects the persistent per-target register index
-    for the liveness solve (see :func:`repro.analysis.liveness.compute_liveness`).
+    Spill costs weigh each reference by its block's profile count, or by
+    10^loop-depth without a profile.  ``machine`` optionally selects the
+    persistent per-target register index for the liveness solve (see
+    :func:`repro.analysis.liveness.compute_liveness`).
     """
 
     liveness = compute_liveness(function, machine=machine)
-    bits = liveness.bits
-    index = bits.index
-    vreg_mask = bits.virtual_register_mask()
-    loops = compute_loop_forest(function)
-    loop_depth = {label: loops.loop_depth(label) for label in function.block_labels}
-    weights = _block_weights(function, profile, loop_depth)
-
-    ranges: Dict[Register, LiveRange] = {}
-
-    def range_for(register: Register) -> LiveRange:
-        return ranges.setdefault(register, LiveRange(register=register))
-
-    for param in function.params:
-        if isinstance(param, VirtualRegister):
-            live_range = range_for(param)
-            live_range.definitions += 1
-            live_range.is_parameter = True
-            live_range.blocks.add(function.entry.label)
-
-    for block in function.blocks:
-        label = block.label
-        weight = weights[label]
-        live_after = live_masks_at_each_instruction(function, bits, label)
-        inst_masks = bits.instruction_masks(function, label)
-
-        # Track block membership: anything live-in, live-out, defined or used.
-        present = (bits.live_in[label] | bits.live_out[label]) & vreg_mask
-        for position, inst in enumerate(block.instructions):
-            written_mask, read_mask = inst_masks[position]
-            # Reference counting walks the operand tuples (not the masks):
-            # an instruction reading the same register twice counts two uses,
-            # exactly as before.
-            if written_mask & vreg_mask:
-                for reg in inst.registers_written():
-                    if isinstance(reg, VirtualRegister):
-                        live_range = range_for(reg)
-                        live_range.definitions += 1
-                        live_range.spill_cost += weight
-            if read_mask & vreg_mask:
-                for reg in inst.registers_read():
-                    if isinstance(reg, VirtualRegister):
-                        live_range = range_for(reg)
-                        live_range.uses += 1
-                        live_range.spill_cost += weight
-            present |= (written_mask | read_mask) & vreg_mask
-            if inst.is_call():
-                crossing = live_after[position] & vreg_mask & ~written_mask
-                for reg in index.iter_bits(crossing):
-                    range_for(reg).crosses_call = True
-            if inst.is_return():
-                for reg in inst.registers_read():
-                    if isinstance(reg, VirtualRegister):
-                        range_for(reg).used_by_return = True
-
-        for reg in index.iter_bits(present):
-            range_for(reg).blocks.add(label)
-
-    return LiveRangeInfo(ranges=ranges, liveness=liveness)
+    if profile is not None:
+        weights = {
+            label: max(count, 0.0) for label, count in profile.block_counts(function).items()
+        }
+    else:
+        loops = compute_loop_forest(function)
+        weights = {label: float(10 ** loops.loop_depth(label)) for label in function.block_labels}
+    return scan_instructions(function, liveness, weights)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from typing import Dict, Iterable, List, Set
 
+from repro.analysis.bitset import BitLiveness
 from repro.ir import instructions as ins
 from repro.ir.function import Function
 from repro.ir.values import PhysicalRegister, Register, StackSlot, VirtualRegister
@@ -155,24 +156,39 @@ def insert_spill_code(function: Function, spilled: Iterable[Register]) -> Dict[R
     return slots
 
 
-def apply_assignment(function: Function, assignment: Dict[Register, PhysicalRegister]) -> None:
-    """Replace every assigned virtual register with its physical register."""
+def apply_assignment(
+    function: Function, assignment: Dict[Register, PhysicalRegister], bits: BitLiveness
+) -> List[ins.Instruction]:
+    """Replace every assigned virtual register with its physical register.
 
+    ``bits`` is the liveness solution the assignment was coloured from; only
+    instructions whose masks mention a virtual register are rewritten, and
+    those are returned.
+    """
+
+    virtual = bits.index.virtual_mask
+    rewritten: List[ins.Instruction] = []
     for block in function.blocks:
-        block.instructions = [
-            inst.replace_registers(assignment) if any(
-                isinstance(r, VirtualRegister) and r in assignment for r in inst.registers()
-            ) else inst
-            for inst in block.instructions
-        ]
+        instructions = list(block.instructions)
+        for position, (write_mask, read_mask) in enumerate(
+            bits.instruction_masks(function, block.label)
+        ):
+            if (write_mask | read_mask) & virtual:
+                inst = instructions[position].replace_registers(assignment)
+                instructions[position] = inst
+                rewritten.append(inst)
+        block.instructions = instructions
+    return rewritten
 
 
-def unassigned_virtual_registers(function: Function) -> Set[VirtualRegister]:
-    """Virtual registers still present after the rewrite (should be empty)."""
+def unassigned_virtual_registers(
+    function: Function, instructions: Iterable[ins.Instruction]
+) -> Set[VirtualRegister]:
+    """Virtual registers still among ``function``'s parameters or the operands
+    of ``instructions`` after the rewrite."""
 
-    return {
-        r
-        for inst in function.instructions()
-        for r in inst.registers()
-        if isinstance(r, VirtualRegister)
-    }
+    found = {r for r in function.params if isinstance(r, VirtualRegister)}
+    found.update(
+        r for inst in instructions for r in inst.defs + inst.uses if isinstance(r, VirtualRegister)
+    )
+    return found

@@ -2,9 +2,10 @@
 
 The bitset solver (:mod:`repro.analysis.bitset`) must be observationally
 identical to the original set-based implementations it replaced.  These tests
-keep reference implementations of liveness and interference construction
-written directly over ``set`` objects (the seed's algorithms) and assert
-set-equality on randomly generated CFGs.
+compare it with reference liveness and interference construction written
+directly over ``set`` objects (the seed's algorithms; interference lives in
+``tests/oracles/regalloc.py``) and assert set-equality on randomly generated
+CFGs.
 """
 
 from hypothesis import given
@@ -24,12 +25,12 @@ from repro.analysis.liveness import (
     live_at_each_instruction,
     liveness_dataflow_problem,
 )
-from repro.ir.instructions import Opcode
-from repro.ir.values import VirtualRegister, vreg
-from repro.regalloc.interference import InterferenceGraph, build_interference_graph
+from repro.ir.values import vreg
+from repro.regalloc.interference import build_interference_graph
 from repro.workloads.programs import diamond_function, loop_function
 
 from tests.conftest import generated_procedures
+from tests.oracles.regalloc import reference_interference, reference_live_after
 
 
 # ---------------------------------------------------------------------------
@@ -46,53 +47,6 @@ def reference_liveness(function):
         live_in=result.block_in, live_out=result.block_out,
         uses=problem.gen, defs=problem.kill,
     )
-
-
-def reference_live_after(function, liveness, label):
-    block = function.block(label)
-    live = set(liveness.live_out[label])
-    after = [set() for _ in block.instructions]
-    for i in range(len(block.instructions) - 1, -1, -1):
-        after[i] = set(live)
-        inst = block.instructions[i]
-        live -= set(inst.registers_written())
-        live |= set(inst.registers_read())
-    return after
-
-
-def reference_interference(function, liveness):
-    """The seed's Chaitin construction, directly over sets."""
-
-    graph = InterferenceGraph()
-    for param in function.params:
-        if isinstance(param, VirtualRegister):
-            graph.add_node(param)
-    for inst in function.instructions():
-        for reg in inst.registers():
-            if isinstance(reg, VirtualRegister):
-                graph.add_node(reg)
-    for block in function.blocks:
-        live_after = reference_live_after(function, liveness, block.label)
-        for index, inst in enumerate(block.instructions):
-            written = [r for r in inst.registers_written() if isinstance(r, VirtualRegister)]
-            if not written:
-                continue
-            live = {r for r in live_after[index] if isinstance(r, VirtualRegister)}
-            move_source = None
-            if inst.opcode is Opcode.MOV and inst.uses and isinstance(inst.uses[0], VirtualRegister):
-                move_source = inst.uses[0]
-            for dst in written:
-                for other in live:
-                    if other == dst:
-                        continue
-                    if move_source is not None and other == move_source:
-                        graph.move_pairs.add((dst, move_source))
-                        continue
-                    graph.add_edge(dst, other)
-                for sibling in written:
-                    if sibling != dst:
-                        graph.add_edge(dst, sibling)
-    return graph
 
 
 # ---------------------------------------------------------------------------

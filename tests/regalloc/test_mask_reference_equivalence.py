@@ -3,8 +3,8 @@
 The allocator's hot path (liveness bitsets, heap-based colouring, mask-based
 callee-saved occupancy, the persistent per-target register index) must be
 *bit-identical* to the straightforward set-based implementations it replaced.
-Each optimized routine keeps its reference sibling in the source tree; these
-tests run both on generated procedures — via hypothesis and via the
+Those are kept as oracles in ``tests/oracles/regalloc.py``; these tests run
+both on generated procedures — via hypothesis and via the
 deterministic scenario families on several targets — and assert exact
 equality, not approximate agreement.
 """
@@ -15,19 +15,22 @@ import repro.analysis.bitset as bitset_mod
 from repro.analysis.bitset import base_register_index
 from repro.ir.values import VirtualRegister
 from repro.regalloc.allocator import allocate_registers
-from repro.regalloc.callee_saved import (
-    compute_callee_saved_usage,
-    compute_callee_saved_usage_reference,
-)
-from repro.regalloc.coloring import color_graph, color_graph_reference
+from repro.regalloc.callee_saved import compute_callee_saved_usage
+from repro.regalloc.coloring import color_graph
 from repro.regalloc.interference import build_interference_graph
 from repro.regalloc.live_ranges import compute_live_ranges
 from repro.target.generic import tiny_target
 from repro.target.parisc import parisc_target
 from repro.target.registry import get_target
+from repro.workloads.catalog import get_catalog
 from repro.workloads.scenarios import build_scenario_suite, scenario_names
 
 from tests.conftest import generated_procedures
+from tests.oracles.regalloc import (
+    color_graph_reference,
+    compute_callee_saved_usage_reference,
+    compute_live_ranges_reference,
+)
 
 
 def _scenario_procedures(machine, seed=3, count=1):
@@ -82,6 +85,38 @@ def test_callee_saved_usage_matches_reference_across_scenario_families():
                 procedure.function, machine, procedure.profile
             )
             _assert_same_usage(allocation.function, machine)
+
+
+def _assert_same_live_ranges(function, profile, machine):
+    dense = compute_live_ranges(function, profile, machine=machine).ranges
+    reference = compute_live_ranges_reference(function, profile, machine=machine).ranges
+    assert set(dense) == set(reference)
+    for register, slow in reference.items():
+        fast = dense[register]
+        assert (fast.blocks, fast.definitions, fast.uses, fast.spill_cost) == (
+            slow.blocks, slow.definitions, slow.uses, slow.spill_cost
+        ), register
+        assert (fast.crosses_call, fast.is_parameter, fast.used_by_return) == (
+            slow.crosses_call, slow.is_parameter, slow.used_by_return
+        ), register
+
+
+@given(generated_procedures(max_segments=5))
+def test_live_ranges_match_reference_on_random_procedures(procedure):
+    _assert_same_live_ranges(procedure.function, procedure.profile, parisc_target())
+
+
+def test_live_ranges_match_reference_across_scenarios_and_catalog():
+    """The catalog's translated functions read one register twice in some
+    instructions (``mul t, x, x``); each read is a reference of its own."""
+
+    machine = parisc_target()
+    for _name, procedure in _scenario_procedures(machine):
+        _assert_same_live_ranges(procedure.function, procedure.profile, machine)
+    catalog = get_catalog()
+    for name in catalog.names():
+        procedure = catalog.resolve(name).build(0, 0, machine)
+        _assert_same_live_ranges(procedure.function, procedure.profile, machine)
 
 
 @given(generated_procedures(max_segments=5))

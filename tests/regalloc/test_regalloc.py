@@ -188,7 +188,9 @@ class TestRewriter:
 class TestAllocator:
     def test_allocation_removes_all_virtual_registers(self):
         allocation = allocate_registers(call_chain_function(), parisc_target())
-        assert unassigned_virtual_registers(allocation.function) == set()
+        assert unassigned_virtual_registers(
+            allocation.function, allocation.function.instructions()
+        ) == set()
         verify_function(allocation.function, require_single_exit=True)
 
     def test_allocation_reports_callee_saved_usage(self):
@@ -206,7 +208,9 @@ class TestAllocator:
     def test_small_register_file_forces_spills_but_converges(self):
         allocation = allocate_registers(call_chain_function(), tiny_target(2, 1))
         assert allocation.rounds >= 1
-        assert unassigned_virtual_registers(allocation.function) == set()
+        assert unassigned_virtual_registers(
+            allocation.function, allocation.function.instructions()
+        ) == set()
 
     def test_semantics_preserved_by_allocation(self):
         function = call_chain_function()
@@ -226,7 +230,9 @@ class TestAllocator:
     def test_allocation_of_generated_procedures_is_complete_and_valid(self, procedure):
         machine = parisc_target()
         allocation = allocate_registers(procedure.function, machine, procedure.profile)
-        assert unassigned_virtual_registers(allocation.function) == set()
+        assert unassigned_virtual_registers(
+            allocation.function, allocation.function.instructions()
+        ) == set()
         verify_function(allocation.function, require_single_exit=True)
         # Occupied blocks must be actual blocks of the function.
         labels = set(allocation.function.block_labels)
@@ -241,7 +247,9 @@ class TestEveryRegisteredTarget:
         function = call_chain_function()
         reference = Interpreter(machine=registered_machine).run(function)
         allocation = allocate_registers(function, registered_machine)
-        assert unassigned_virtual_registers(allocation.function) == set()
+        assert unassigned_virtual_registers(
+            allocation.function, allocation.function.instructions()
+        ) == set()
         verify_function(allocation.function, require_single_exit=True)
         result = run_with_convention_check(allocation.function, registered_machine)
         assert result.return_values == reference.return_values
@@ -257,7 +265,9 @@ class TestEveryRegisteredTarget:
         allocation = allocate_registers(
             procedure.function, registered_machine, procedure.profile
         )
-        assert unassigned_virtual_registers(allocation.function) == set()
+        assert unassigned_virtual_registers(
+            allocation.function, allocation.function.instructions()
+        ) == set()
         verify_function(allocation.function, require_single_exit=True)
         for register in allocation.usage.used_registers():
             assert registered_machine.is_callee_saved(register)

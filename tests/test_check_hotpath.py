@@ -22,17 +22,11 @@ class TestRules:
         assert [v.code for v in found] == ["H001"]
         assert found[0].line == 2
 
-    def test_h002_catches_mask_materialization_in_spill_only(self):
+    def test_h002_catches_mask_materialization_in_spill_and_regalloc(self):
         source = "def f(ix, m):\n    return ix.set_of(m)\n"
-        assert [
-            v.code
-            for v in check_hotpath.check_source(source, "src/repro/spill/x.py")
-        ] == ["H002"]
-        # The regalloc interference boundary is outside H002's scope.
-        assert (
-            check_hotpath.check_source(source, "src/repro/regalloc/interference.py")
-            == []
-        )
+        for path in ("src/repro/spill/x.py", "src/repro/regalloc/interference.py"):
+            assert [v.code for v in check_hotpath.check_source(source, path)] == ["H002"]
+        assert check_hotpath.check_source(source, "src/repro/analysis/x.py") == []
 
     def test_h003_catches_blocking_calls_in_async_defs(self):
         source = "import time\nasync def f():\n    time.sleep(0.1)\n"

@@ -14,11 +14,12 @@ source tree and enforces three rules:
     mapping directly.
 
 ``H002``
-    ``.set_of(...)`` inside ``repro/spill``.  Materializing a register
-    bitmask back into a Python set throws away the whole point of the mask
-    pipeline; spill placement works on masks end to end.  The one sanctioned
-    materialization point is the interference-graph boundary in
-    ``repro/regalloc/interference.py``, which is outside this rule's scope.
+    ``.set_of(...)`` inside ``repro/spill`` or ``repro/regalloc``.
+    Materializing a register bitmask back into a Python set throws away the
+    whole point of the mask pipeline; allocation and spill placement work on
+    masks end to end.  The sanctioned materialization points are the
+    interference graph's public ``Set[Register]`` accessors, each marked
+    ``# hotpath: ok``.
 
 ``H003``
     Blocking calls (``time.sleep``, the ``subprocess`` run/call family,
@@ -70,7 +71,7 @@ SUPPRESSION = "hotpath: ok"
 #: the file's path with separators normalized).
 RULE_SCOPES = {
     "H001": ("repro/spill/", "repro/regalloc/"),
-    "H002": ("repro/spill/",),
+    "H002": ("repro/spill/", "repro/regalloc/"),
     "H003": ("repro/service/",),
 }
 
@@ -147,8 +148,8 @@ class _HotPathVisitor(ast.NodeVisitor):
                     node,
                     "H002",
                     f".{func.attr}() materializes a register mask into a set; "
-                    "spill placement must stay on masks (the interference-graph "
-                    "boundary is the only sanctioned materialization point)",
+                    "allocation and spill placement must stay on masks (only "
+                    "public accessors may materialize, marked # hotpath: ok)",
                 )
         if "H003" in self.rules and self._async_stack and self._async_stack[-1]:
             dotted = _dotted_name(func)
@@ -228,6 +229,11 @@ _SELF_TEST_CASES = (
         "def f(index, mask):\n    return index.set_of(mask)\n",
     ),
     (
+        "H002",
+        "src/repro/regalloc/example.py",
+        "def f(graph, bit):\n    return graph.index.set_of(graph.adjacency[bit])\n",
+    ),
+    (
         "H003",
         "src/repro/service/example.py",
         "import time\nasync def f():\n    time.sleep(1)\n",
@@ -238,9 +244,9 @@ _SELF_TEST_CLEAN = (
     # Out of scope: the same calls outside the rule's directories.
     ("src/repro/evaluation/example.py",
      "def f(function, label):\n    return function.block_out_edges(label)\n"),
-    # The interference boundary lives in regalloc, where H002 does not apply.
+    # A sanctioned public accessor in regalloc, marked as such.
     ("src/repro/regalloc/example.py",
-     "def f(index, mask):\n    return index.set_of(mask)\n"),
+     "def f(index, mask):\n    return index.set_of(mask)  # hotpath: ok\n"),
     # Suppressed by the audit-trail comment.
     ("src/repro/spill/example.py",
      "def f(index, mask):\n    return index.set_of(mask)  # hotpath: ok\n"),
