@@ -121,11 +121,9 @@ class CompileCache:
         miss.
         """
 
-        with self._lock:
-            if key in self._memory:
-                self._memory.move_to_end(key)
-                self.stats.hits += 1
-                return self._memory[key]
+        value = self._lookup_memory(key)
+        if value is not _MISSING:
+            return value
         # The disk read happens *outside* the lock: holding it across a
         # pickle load would serialize every other thread's lookups behind
         # this one's I/O (the compile server's event loop must never wait
@@ -139,6 +137,25 @@ class CompileCache:
             self.stats.hits += 1
         self._remember(key, value)
         return value
+
+    def get_from_memory(self, key: str) -> Any:
+        """The value for ``key`` if the in-memory tier holds it, else None.
+
+        Never touches the disk, so an event loop may call it.  A hit counts
+        as one; absence counts nothing, because a caller that finds nothing
+        here goes on to :meth:`get`, which counts the lookup once.
+        """
+
+        value = self._lookup_memory(key)
+        return None if value is _MISSING else value
+
+    def _lookup_memory(self, key: str) -> Any:
+        with self._lock:
+            if key not in self._memory:
+                return _MISSING
+            self._memory.move_to_end(key)
+            self.stats.hits += 1
+            return self._memory[key]
 
     def _read_disk(self, key: str) -> Any:
         path = self._path(key)

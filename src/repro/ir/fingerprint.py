@@ -188,9 +188,17 @@ def procedure_cache_key(
     never alias even for identical inputs.
     """
 
-    return _digest(
-        _tag(kind),
-        fingerprint_function(function),
-        fingerprint_profile(profile),
-        options_token,
+    return fingerprints_cache_key(
+        fingerprint_function(function), fingerprint_profile(profile), options_token, kind
     )
+
+
+def fingerprints_cache_key(
+    function_fingerprint: str,
+    profile_fingerprint: str,
+    options_token: str,
+    kind: str = "compile",
+) -> str:
+    """:func:`procedure_cache_key` from fingerprints the caller already holds."""
+
+    return _digest(_tag(kind), function_fingerprint, profile_fingerprint, options_token)

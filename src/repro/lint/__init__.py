@@ -30,6 +30,7 @@ from repro.lint.engine import (
     baseline_payload,
     lint_cache_key,
     lint_function,
+    lint_options_token,
     load_baseline,
     resolve_rule_codes,
     write_baseline,
@@ -52,6 +53,7 @@ __all__ = [
     "baseline_payload",
     "lint_cache_key",
     "lint_function",
+    "lint_options_token",
     "load_baseline",
     "register_rule",
     "resolve_rule_codes",

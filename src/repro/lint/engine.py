@@ -193,9 +193,20 @@ def lint_cache_key(
     compiles; ``kind="lint"`` keeps the two value types from aliasing.
     """
 
+    return procedure_cache_key(
+        function, profile, lint_options_token(machine, select, ignore), kind="lint"
+    )
+
+
+def lint_options_token(
+    machine,
+    select: Optional[Iterable[str]] = None,
+    ignore: Optional[Iterable[str]] = None,
+) -> str:
+    """The options token of a lint key: the machine plus the enabled rules."""
+
     enabled = ",".join(rule.code for rule in resolve_rule_codes(select, ignore))
-    token = compile_options_token(machine, "lint:" + enabled, (), False, False)
-    return procedure_cache_key(function, profile, token, kind="lint")
+    return compile_options_token(machine, "lint:" + enabled, (), False, False)
 
 
 # ---------------------------------------------------------------------------

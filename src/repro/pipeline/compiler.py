@@ -292,6 +292,7 @@ def compile_many(
     workers: Optional[int] = 1,
     cache: CacheSpec = None,
     lint: Optional[str] = None,
+    miss_keys: Optional[Sequence[str]] = None,
 ) -> List[CompileRecord]:
     """Compile a batch of procedures into one :class:`CompileRecord` each.
 
@@ -306,6 +307,10 @@ def compile_many(
     The pipeline is deterministic, so a cached record equals a fresh one;
     its ``pass_seconds`` are those of the original (cold) compile.  Custom
     cost models without a stable ``cache_identity()`` bypass the cache.
+    ``miss_keys`` (one cache key per procedure) says the caller has already
+    computed the keys and looked every one of them up in ``cache`` without
+    a hit: nothing is fingerprinted or looked up again, every procedure
+    compiles, and each record is stored under its given key.
 
     ``workers`` shards the misses over a process pool at procedure
     granularity (``None`` = every available core); records come back in
@@ -340,7 +345,13 @@ def compile_many(
         )
     keys: List[Optional[str]] = [None] * len(procedures)
     records: List[Optional[CompileRecord]] = [None] * len(procedures)
-    if token is not None:
+    if token is not None and miss_keys is not None:
+        if len(miss_keys) != len(procedures):
+            raise ValueError(
+                f"miss_keys has {len(miss_keys)} keys for {len(procedures)} procedures"
+            )
+        keys = list(miss_keys)
+    elif token is not None:
         for index, procedure in enumerate(procedures):
             keys[index] = procedure_cache_key(
                 *procedure_parts(procedure), token, kind="compile"

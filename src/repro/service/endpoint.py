@@ -6,8 +6,9 @@ Two halves of one wire discipline (:mod:`repro.service.protocol`):
   :data:`~repro.service.protocol.MAX_FRAME_BYTES` read limit, bad-JSON and
   oversized-frame answers), the ``hello`` handshake with its version
   check, the bounded per-connection write, the ``stats``/``metrics``/
-  ``shutdown`` admin requests, request accounting, signal handling and
-  the graceful-drain skeleton.
+  ``shutdown`` admin requests, request accounting, the request-resolution
+  memo (:class:`ResolveMemo`), signal handling and the graceful-drain
+  skeleton.
   :class:`~repro.service.server.CompileServer` and
   :class:`~repro.service.fleet.FleetRouter` subclass it and keep only what
   is theirs: ``describe()``, ``stats_snapshot_async()``, a drain hook and
@@ -21,8 +22,10 @@ Two halves of one wire discipline (:mod:`repro.service.protocol`):
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import signal
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
@@ -30,6 +33,7 @@ from repro.service.health import METRICS_TEXT_SCHEMA, render_metrics_text
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
+    CompileIdentity,
     ProtocolError,
     decode_message,
     encode_message,
@@ -56,6 +60,10 @@ WORK_TYPES = ("compile", "lint")
 ADMIN_TYPES = ("stats", "metrics", "shutdown")
 
 _PARSERS = {"compile": parse_compile_request, "lint": parse_lint_request}
+
+#: Entries kept in an endpoint's resolution memo (resolution is real CPU
+#: work; repeated requests — the common case under load — skip it).
+RESOLVE_MEMO_ENTRIES = 4096
 
 
 class FrameOverflow(ProtocolError):
@@ -87,6 +95,60 @@ def _check_admin_fields(message: Dict[str, Any], kind: str) -> None:
     request_id = message.get("id")
     if request_id is not None and not isinstance(request_id, str):
         raise ProtocolError(f"{kind} request 'id' must be a string")
+
+
+class ResolveMemo:
+    """A bounded LRU from request signature to :class:`CompileIdentity`.
+
+    Resolution is deterministic, so two requests with one signature (the
+    request minus its ``id``) resolve to one identity.  Keys are SHA-256
+    digests of the signature, so an inline-IR request costs the memo 64
+    bytes of key however large its program; values are identities, never
+    IR.  Signatures carry the message ``type`` field, so a compile and a
+    lint of the same program never alias.  Only the event loop touches it,
+    so it takes no lock.
+    """
+
+    def __init__(self, max_entries: int = RESOLVE_MEMO_ENTRIES):
+        self.max_entries = max_entries
+        self._entries: "OrderedDict[str, CompileIdentity]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    @staticmethod
+    def _key(request: Any) -> str:
+        return hashlib.sha256(request.signature().encode("utf-8")).hexdigest()
+
+    def get(self, request: Any) -> Optional[CompileIdentity]:
+        """The memoized identity of ``request``, or None (counted as a miss)."""
+
+        key = self._key(request)
+        identity = self._entries.get(key)
+        if identity is None:
+            self.misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return identity
+
+    def put(self, request: Any, identity: CompileIdentity) -> None:
+        """Remember ``request``'s identity, evicting the least recent past the bound."""
+
+        self._entries[self._key(request)] = identity
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+
+    def snapshot(self) -> Dict[str, int]:
+        """The ``resolve_memo`` section of a stats snapshot."""
+
+        return {
+            "entries": len(self._entries),
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+        }
 
 
 @dataclass(eq=False)
@@ -179,6 +241,7 @@ class JsonLinesEndpoint:
         self._idle = asyncio.Event()
         self._idle.set()
         self._closed = asyncio.Event()
+        self.resolve_memo = ResolveMemo()
 
     # -- hooks ---------------------------------------------------------------------
 
@@ -309,6 +372,28 @@ class JsonLinesEndpoint:
         latency_ms = (time.monotonic() - arrived) * 1000.0
         self.metrics.latency_ms.record(latency_ms)
         self.health.observe_latency(latency_ms)
+
+    async def _resolve_identity(
+        self, request: Any, resolver: Callable[[Any], Any], memoize: bool = True
+    ) -> Tuple[CompileIdentity, Any]:
+        """``(identity, resolved)`` for ``request``, through the memo.
+
+        A memo hit answers on the event loop as ``(identity, None)``: no
+        thread hop and no IR.  Otherwise ``resolver`` (IR parsing, scenario
+        generation and fingerprinting are real CPU work) runs in a thread
+        and its full resolution comes back with its identity, which the
+        memo keeps.  ``memoize=False`` always resolves and leaves the memo
+        alone.
+        """
+
+        if memoize:
+            identity = self.resolve_memo.get(request)
+            if identity is not None:
+                return identity, None
+        resolved = await asyncio.to_thread(resolver, request)
+        if memoize:
+            self.resolve_memo.put(request, resolved.identity)
+        return resolved.identity, resolved
 
     async def _admit(
         self,

@@ -50,7 +50,6 @@ import subprocess
 import sys
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -89,10 +88,6 @@ SHARD_STATS_TIMEOUT_SECONDS = 2.0
 
 #: Bound on the per-shard graceful-shutdown request during a fleet drain.
 SHARD_DRAIN_TIMEOUT_SECONDS = 30.0
-
-#: Entries kept in the router's signature → cache-key memo (resolution is
-#: real CPU work; repeated keys — the common case under load — skip it).
-RESOLVE_MEMO_ENTRIES = 4096
 
 
 class ShardDied(Exception):
@@ -296,7 +291,6 @@ class FleetRouter(JsonLinesEndpoint):
 
         self._links: Dict[str, _ShardLink] = {}
         self._lost: Dict[str, str] = {}
-        self._memo: "OrderedDict[Tuple, str]" = OrderedDict()
         self._peer_server: Optional[asyncio.base_events.Server] = None
 
     # -- lifecycle ----------------------------------------------------------------
@@ -452,28 +446,6 @@ class FleetRouter(JsonLinesEndpoint):
 
     # -- routing ------------------------------------------------------------------
 
-    async def _cache_key_for(self, request, resolver) -> str:
-        """The request's routing/tier key, memoized by request signature.
-
-        Resolution (IR parsing, scenario generation, fingerprinting) is
-        real CPU work, so it runs off the event loop — but only once per
-        distinct signature; under load the memo answers directly.  The
-        memo is shared across request kinds: signatures carry the message
-        ``type`` field, so a compile and a lint of the same program never
-        alias.
-        """
-
-        signature = request.signature()
-        cached = self._memo.get(signature)
-        if cached is not None:
-            self._memo.move_to_end(signature)
-            return cached
-        resolved = await asyncio.to_thread(resolver, request)
-        self._memo[signature] = resolved.cache_key
-        while len(self._memo) > RESOLVE_MEMO_ENTRIES:
-            self._memo.popitem(last=False)
-        return resolved.cache_key
-
     async def _handle_request(
         self, connection: Connection, message: Dict[str, Any], kind: str
     ) -> None:
@@ -481,7 +453,8 @@ class FleetRouter(JsonLinesEndpoint):
 
         Both kinds share the whole flow — parse, key, tier, consistent-hash
         forward — and differ only in the resolver and the shape of a
-        tier-hit answer.
+        tier-hit answer.  The key comes from the endpoint's resolution
+        memo, so a repeated request is routed without being resolved.
         """
 
         resolver = (
@@ -490,11 +463,14 @@ class FleetRouter(JsonLinesEndpoint):
         self._request_started()
         arrived = time.monotonic()
         try:
-            request, cache_key, reply = await self._admit(
-                message, kind, lambda request: self._cache_key_for(request, resolver)
+            request, resolution, reply = await self._admit(
+                message, kind, lambda request: self._resolve_identity(request, resolver)
             )
             if reply is None:
-                reply = await self._route(kind, message, request, cache_key, arrived)
+                identity, _resolved = resolution
+                reply = await self._route(
+                    kind, message, request, identity.cache_key, arrived
+                )
             await connection.send(reply)
         finally:
             self._request_finished()
@@ -639,6 +615,7 @@ class FleetRouter(JsonLinesEndpoint):
                 "points": self.ring.describe(),
             },
             "tier": self.tier.snapshot(),
+            "resolve_memo": self.resolve_memo.snapshot(),
             "shards": shards,
             "lost_shards": dict(self._lost),
         }

@@ -572,6 +572,13 @@ def _render_health(lines: List[str], prefix: str, health: Mapping[str, Any]) -> 
             )
 
 
+def _render_resolve_memo(lines: List[str], prefix: str, snapshot: Mapping[str, Any]) -> None:
+    memo = snapshot.get("resolve_memo")
+    if isinstance(memo, Mapping):
+        for stat in sorted(memo):
+            lines.append(_metric(f"{prefix}_resolve_memo", memo[stat], stat=stat))
+
+
 def _render_service(lines: List[str], snapshot: Mapping[str, Any], prefix: str = "repro") -> None:
     lines.append(f"# TYPE {prefix}_requests_total counter")
     for event in sorted(snapshot.get("requests", {})):
@@ -594,6 +601,7 @@ def _render_service(lines: List[str], snapshot: Mapping[str, Any], prefix: str =
     if "cache" in snapshot:
         for stat in sorted(snapshot["cache"]):
             lines.append(_metric(f"{prefix}_cache", snapshot["cache"][stat], stat=stat))
+    _render_resolve_memo(lines, prefix, snapshot)
     policy = snapshot.get("policy")
     if isinstance(policy, Mapping):
         lines.append(_metric(f"{prefix}_policy_shedding", bool(policy.get("shedding"))))
@@ -623,6 +631,7 @@ def _render_fleet(lines: List[str], snapshot: Mapping[str, Any]) -> None:
         if isinstance(value, (int, float)):
             lines.append(_metric("repro_tier", value, stat=stat))
     lines.append(_metric("repro_lost_shards", len(snapshot.get("lost_shards", {}))))
+    _render_resolve_memo(lines, "repro_router", snapshot)
     if isinstance(snapshot.get("health"), Mapping):
         _render_health(lines, "repro_router", snapshot["health"])
     for shard in snapshot.get("shards", []):

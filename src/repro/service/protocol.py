@@ -64,7 +64,7 @@ from repro.ir.fingerprint import (
     compile_options_token,
     fingerprint_function,
     fingerprint_profile,
-    procedure_cache_key,
+    fingerprints_cache_key,
 )
 from repro.ir.function import Function
 from repro.ir.parser import IRParseError, parse_module
@@ -80,7 +80,7 @@ from repro.spill.cost_models import make_cost_model
 from repro.target.machine import MachineDescription
 from repro.target.registry import DEFAULT_TARGET, available_targets, resolve_target
 from repro.workloads.catalog import get_catalog
-from repro.workloads.scenarios import get_scenario, scenario_names
+from repro.workloads.scenarios import scenario_names
 
 #: Bump on any incompatible wire-format change; the handshake rejects
 #: mismatched peers instead of misreading their messages.
@@ -393,26 +393,45 @@ def error_message(
 
 
 @dataclass(frozen=True)
+class CompileIdentity:
+    """What resolving a request decides, without the IR it built.
+
+    ``cache_key`` is the content address of the work; ``coalesce_key``
+    additionally namespaces the cache policy so a ``bypass`` request never
+    rides a ``use`` entry (results would be identical, but the service
+    metadata must stay truthful).  Everything :func:`result_payload`
+    reads besides the compile record is here, so a request whose identity
+    is already known can be answered from the cache without resolving it
+    again.  Lint resolutions carry one too, with no cost model or
+    techniques.  Small and immutable: the endpoints' resolution memo
+    holds these, never a :class:`Function` or an :class:`EdgeProfile`.
+    """
+
+    cache_key: str
+    coalesce_key: str
+    function_fingerprint: str
+    profile_fingerprint: str
+    target: str
+    cost_model: Optional[str] = None
+    techniques: Tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
 class ResolvedCompile:
     """A compile request resolved to concrete pipeline inputs.
 
     Shared by the server, the test oracle and the load generator's
     ``--check`` mode, so all three agree byte-for-byte on what a request
     means.  ``options_key`` groups requests that can share one
-    :func:`~repro.pipeline.compiler.compile_many` batch; ``cache_key`` is
-    the content address (and in-flight coalescing key) of the work;
-    ``coalesce_key`` additionally namespaces the cache policy so a
-    ``bypass`` request never rides a ``use`` entry (results would be
-    identical, but the service metadata must stay truthful).
+    :func:`~repro.pipeline.compiler.compile_many` batch; the keys and
+    fingerprints live in :attr:`identity`.
     """
 
     request: CompileRequest
     function: Function
     profile: EdgeProfile
     machine: MachineDescription
-    cache_key: str
-    function_fingerprint: str
-    profile_fingerprint: str
+    identity: CompileIdentity
 
     @property
     def options_key(self) -> Tuple[str, str, Tuple[str, ...], str]:
@@ -426,10 +445,45 @@ class ResolvedCompile:
         )
 
     @property
-    def coalesce_key(self) -> str:
-        """In-flight coalescing key (cache key namespaced by cache policy)."""
+    def cache_key(self) -> str:
+        return self.identity.cache_key
 
-        return f"{self.request.cache}:{self.cache_key}"
+    @property
+    def coalesce_key(self) -> str:
+        return self.identity.coalesce_key
+
+    @property
+    def function_fingerprint(self) -> str:
+        return self.identity.function_fingerprint
+
+    @property
+    def profile_fingerprint(self) -> str:
+        return self.identity.profile_fingerprint
+
+
+def _identity(
+    request: Union[CompileRequest, "LintRequest"],
+    function: Function,
+    profile: EdgeProfile,
+    options_token: str,
+    kind: str,
+) -> CompileIdentity:
+    """Fingerprint a resolved program once and derive its keys from that."""
+
+    function_fingerprint = fingerprint_function(function)
+    profile_fingerprint = fingerprint_profile(profile)
+    cache_key = fingerprints_cache_key(
+        function_fingerprint, profile_fingerprint, options_token, kind
+    )
+    return CompileIdentity(
+        cache_key=cache_key,
+        coalesce_key=f"{request.cache}:{cache_key}",
+        function_fingerprint=function_fingerprint,
+        profile_fingerprint=profile_fingerprint,
+        target=request.target,
+        cost_model=getattr(request, "cost_model", None),
+        techniques=tuple(getattr(request, "techniques", ())),
+    )
 
 
 def _reference_error(kind: str, reference: str, detail: str) -> ProtocolError:
@@ -510,18 +564,18 @@ def _resolve_program(
     """Resolve a request's ``program`` (+ optional profile) to pipeline inputs.
 
     Shared by compile and lint resolution so both request types agree
-    byte-for-byte on what a program reference means.
+    byte-for-byte on what a program reference means.  A ``scenario:``
+    reference names a family, which the catalog aliases to the entry that
+    builds the same procedures, so both reference kinds build through the
+    catalog.
     """
 
-    if "scenario" in program:
-        family_name, seed, index = _parse_scenario_reference(program["scenario"])
-        generated = get_scenario(family_name).builder(seed, index, machine)
-        return generated.function, generated.profile
-    if "catalog" in program:
-        reference = program["catalog"]
-        name, seed, index = _parse_catalog_reference(reference)
-        entry = get_catalog().resolve(name)
-        generated = entry.build(seed, index, machine)
+    if "scenario" in program or "catalog" in program:
+        if "scenario" in program:
+            name, seed, index = _parse_scenario_reference(program["scenario"])
+        else:
+            name, seed, index = _parse_catalog_reference(program["catalog"])
+        generated = get_catalog().resolve(name).build(seed, index, machine)
         return generated.function, generated.profile
     try:
         module = parse_module(program["ir"])
@@ -576,15 +630,12 @@ def resolve_compile_request(request: CompileRequest) -> ResolvedCompile:
     )
     # Named cost models always have an identity, so the token never misses.
     assert token is not None
-    key = procedure_cache_key(function, profile, token, kind="compile")
     return ResolvedCompile(
         request=request,
         function=function,
         profile=profile,
         machine=machine,
-        cache_key=key,
-        function_fingerprint=fingerprint_function(function),
-        profile_fingerprint=fingerprint_profile(profile),
+        identity=_identity(request, function, profile, token, "compile"),
     )
 
 
@@ -697,19 +748,21 @@ def parse_lint_request(message: Mapping[str, Any]) -> LintRequest:
 
 @dataclass(frozen=True)
 class ResolvedLint:
-    """A lint request resolved to concrete analysis inputs plus its cache key."""
+    """A lint request resolved to concrete analysis inputs plus its identity."""
 
     request: LintRequest
     function: Function
     profile: EdgeProfile
     machine: MachineDescription
-    cache_key: str
+    identity: CompileIdentity
+
+    @property
+    def cache_key(self) -> str:
+        return self.identity.cache_key
 
     @property
     def coalesce_key(self) -> str:
-        """In-flight coalescing key (cache key namespaced by cache policy)."""
-
-        return f"{self.request.cache}:{self.cache_key}"
+        return self.identity.coalesce_key
 
 
 def resolve_lint_request(request: LintRequest) -> ResolvedLint:
@@ -719,23 +772,20 @@ def resolve_lint_request(request: LintRequest) -> ResolvedLint:
     reported here (resolution time) rather than from inside the worker.
     """
 
-    from repro.lint import LintConfigError, lint_cache_key, resolve_rule_codes
+    from repro.lint import LintConfigError, lint_options_token
 
     machine = resolve_target(request.target)
     function, profile = _resolve_program(request.program, request.profile, machine)
     try:
-        resolve_rule_codes(request.select, request.ignore)
+        token = lint_options_token(machine, request.select, request.ignore)
     except LintConfigError as exc:
         raise ProtocolError(str(exc)) from None
-    key = lint_cache_key(
-        function, profile, machine, select=request.select, ignore=request.ignore
-    )
     return ResolvedLint(
         request=request,
         function=function,
         profile=profile,
         machine=machine,
-        cache_key=key,
+        identity=_identity(request, function, profile, token, "lint"),
     )
 
 
@@ -786,11 +836,14 @@ def compile_lint_rejection(resolved: ResolvedCompile) -> Optional[Dict[str, Any]
 
 
 def result_payload(
-    resolved: ResolvedCompile, compiled: Union[CompileRecord, CompiledProcedure]
+    identity: Union[CompileIdentity, ResolvedCompile],
+    compiled: Union[CompileRecord, CompiledProcedure],
 ) -> Dict[str, Any]:
     """The deterministic ``result`` payload of one compile.
 
-    Built from the :class:`CompileRecord` a direct
+    Built from the request's :class:`CompileIdentity` (a
+    :class:`ResolvedCompile` is reduced to its identity) and the
+    :class:`CompileRecord` a direct
     :func:`~repro.pipeline.compiler.compile_many` returns (a
     :class:`CompiledProcedure` is reduced to its record first), and
     containing only deterministic quantities — overheads, fingerprints,
@@ -799,10 +852,11 @@ def result_payload(
     computed locally through this same function.
     """
 
+    if isinstance(identity, ResolvedCompile):
+        identity = identity.identity
     record = compiled.record if isinstance(compiled, CompiledProcedure) else compiled
-    request = resolved.request
     techniques_overhead: Dict[str, Any] = {}
-    for technique in request.techniques:
+    for technique in identity.techniques:
         overhead = record.overhead(technique)
         techniques_overhead[technique] = {
             "save_count": overhead.save_count,
@@ -815,13 +869,13 @@ def result_payload(
     return {
         "schema": RESULT_SCHEMA,
         "name": record.name,
-        "target": request.target,
-        "cost_model": request.cost_model,
-        "techniques": list(request.techniques),
+        "target": identity.target,
+        "cost_model": identity.cost_model,
+        "techniques": list(identity.techniques),
         "fingerprints": {
-            "function": resolved.function_fingerprint,
-            "profile": resolved.profile_fingerprint,
-            "cache_key": resolved.cache_key,
+            "function": identity.function_fingerprint,
+            "profile": identity.profile_fingerprint,
+            "cache_key": identity.cache_key,
         },
         "num_blocks": record.num_blocks,
         "num_instructions": record.num_instructions,

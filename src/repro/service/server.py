@@ -15,18 +15,20 @@ concurrent JSON-lines connections (:mod:`repro.service.protocol`):
   :func:`repro.pipeline.compiler.compile_many` (``workers=`` shards big
   batches over the process pool) off the event loop.  Batches execute one
   at a time; the queue absorbs arrivals in the meantime.
-* **In-flight coalescing** — entries are keyed by their
+* **In-flight coalescing** — work is keyed by its
   :func:`~repro.ir.fingerprint.procedure_cache_key`.  A request identical
-  to one already admitted (same program, profile, target, techniques and
-  cache policy) attaches to the existing entry instead of consuming a
-  queue slot or a compile: one compile fans out to every waiter, each
-  response marked ``coalesced``.
+  to one already in flight (same program, profile, target, techniques and
+  cache policy) attaches to it instead of looking the cache up again or
+  consuming a queue slot or a compile: one answer fans out to every
+  waiter, each response marked ``coalesced``.
 * **Shared cache front** — a single :class:`~repro.cache.store.CompileCache`
   serves every connection: admitted-but-cached work is answered at
   admission time (status ``hit``) without touching the queue, and batch
   dispatch passes the same store to ``compile_many`` so fresh compile
-  records are written back for the next caller.  Requests may opt out per-request
-  (``cache: "bypass"``).
+  records are written back for the next caller.  A repeated request
+  resolves through the endpoint's memo (no IR, no fingerprint), and a
+  memory-tier hit is answered on the event loop with no thread hop.
+  Requests may opt out per-request (``cache: "bypass"``).
 * **Graceful drain** — on SIGTERM/SIGINT (or a ``shutdown`` request) the
   server stops admitting (``shutting_down`` errors), finishes every queued
   and in-flight compile, flushes the responses, then closes.
@@ -43,8 +45,8 @@ import asyncio
 import json
 import sys
 import time
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.cache.store import CacheSpec, resolve_cache
 from repro.pipeline.compiler import CompileRecord
@@ -55,6 +57,7 @@ from repro.service.policy import PolicyEngine, default_engine
 from repro.service.peering import PeerCacheClient, parse_peer_address
 from repro.service.protocol import (
     CompileAnswer,
+    CompileIdentity,
     ResolvedCompile,
     compile_lint_rejection,
     error_message,
@@ -79,9 +82,23 @@ DEFAULT_BATCH_WINDOW_MS = 10.0
 DEFAULT_HEALTH_INTERVAL = 1.0
 
 
+class _QueueFull(Exception):
+    """The admission queue has no slot: the request is answered ``overloaded``."""
+
+
+def _may_skip_resolution(request) -> bool:
+    """Whether ``request`` may be answered from its memoized identity.
+
+    Only a ``cache: "use"`` request can be answered from the cache, and a
+    strict-linted compile needs its IR for the lint gate.
+    """
+
+    return request.cache == "use" and getattr(request, "lint", "off") == "off"
+
+
 @dataclass
 class _PendingEntry:
-    """One admitted unit of unique compile work and its waiters' future."""
+    """One queued unit of unique compile work and the future it resolves."""
 
     resolved: ResolvedCompile
     future: "asyncio.Future[CompileAnswer]"
@@ -149,11 +166,9 @@ class CompileServer(JsonLinesEndpoint):
         self._shedding = False
 
         self._queue: "asyncio.Queue[Optional[_PendingEntry]]" = asyncio.Queue()
-        self._inflight: Dict[str, _PendingEntry] = {}
-        # In-flight lint work, coalesced by (cache policy, lint cache key).
-        # Lint requests never enter the compile queue: they are pure
-        # analysis, answered directly off the event loop.
-        self._lint_inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
+        # Unique compile and lint work in flight, by coalesce key (cache
+        # keys are namespaced by kind, so the two never alias).
+        self._inflight: Dict[str, "asyncio.Future[Any]"] = {}
         self._batcher_task: Optional[asyncio.Task] = None
 
     # -- lifecycle ----------------------------------------------------------------
@@ -192,6 +207,7 @@ class CompileServer(JsonLinesEndpoint):
         snapshot["draining"] = self._draining
         snapshot["health"] = self.health.sample()
         snapshot["policy"] = self._policy_payload()
+        snapshot["resolve_memo"] = self.resolve_memo.snapshot()
         if self.cache is not None:
             snapshot["cache"] = await asyncio.to_thread(
                 cache_stats_payload, self.cache
@@ -267,9 +283,11 @@ class CompileServer(JsonLinesEndpoint):
     ) -> None:
         """Answer one ``compile`` or ``lint`` request.
 
-        Both kinds share parsing, off-loop resolution (IR parsing,
-        scenario generation and fingerprinting are real work), error
-        mapping and the draining check; they differ only in the tail.
+        Both kinds share parsing, resolution, error mapping and the
+        draining check; they differ only in the tail.  A request that may
+        be answered from the cache resolves through the endpoint's memo,
+        so a repeat reaches its tail with its identity and no IR; every
+        other request resolves in full, in a thread.
         """
 
         self._request_started()
@@ -278,18 +296,24 @@ class CompileServer(JsonLinesEndpoint):
             resolver = (
                 resolve_compile_request if kind == "compile" else resolve_lint_request
             )
-            request, resolved, reply = await self._admit(
-                message, kind, lambda request: asyncio.to_thread(resolver, request)
+            request, resolution, reply = await self._admit(
+                message,
+                kind,
+                lambda request: self._resolve_identity(
+                    request, resolver, memoize=_may_skip_resolution(request)
+                ),
             )
             if reply is None:
                 tail = self._answer_compile if kind == "compile" else self._answer_lint
-                reply = await tail(request, resolved, arrived)
+                reply = await tail(request, *resolution, arrived)
             await connection.send(reply)
         finally:
             self._request_finished()
 
-    async def _answer_compile(self, request, resolved, arrived: float) -> Dict[str, Any]:
-        """Shedding, strict-lint gate, cache/peer front, then the batch queue."""
+    async def _answer_compile(
+        self, request, identity: CompileIdentity, resolved, arrived: float
+    ) -> Dict[str, Any]:
+        """Shedding, the strict-lint gate, then one in-flight answer per key."""
 
         request_id = request.id
         # Policy-driven load shedding: below the queue-full bound, the
@@ -310,7 +334,8 @@ class CompileServer(JsonLinesEndpoint):
         # Strict-lint gate: reject IR with error-severity diagnostics
         # before it consumes a cache lookup, a queue slot or a compile.
         # The rejection payload is the same structured report the
-        # pipeline's LintError and the CLI's --json mode carry.
+        # pipeline's LintError and the CLI's --json mode carry.  Strict
+        # requests never skip resolution, so ``resolved`` holds the IR.
         if request.lint == "strict":
             rejection = await asyncio.to_thread(compile_lint_rejection, resolved)
             if rejection is not None:
@@ -322,64 +347,58 @@ class CompileServer(JsonLinesEndpoint):
                     diagnostics=rejection,
                 )
 
-        front = await self._cache_front("compile", request, resolved)
-        if front is not None:
-            cache_status, entry = front
-            answer = CompileAnswer(
-                result=dict(entry["result"]),
-                pass_seconds=dict(entry["pass_seconds"]),
-                cache_status=cache_status,
-                queue_ms=0.0,
-                compile_ms=0.0,
-            )
-            self._complete(arrived)
-            return answer.to_message(request_id)
-
-        coalesced = False
-        entry = self._inflight.get(resolved.coalesce_key)
-        if entry is not None:
-            # Identical in-flight work: attach, compile nothing.
-            coalesced = True
-        else:
-            if self._queue.qsize() >= self.max_queue:
-                self.metrics.rejected_overloaded += 1
-                self.metrics.errors += 1
-                return error_message(
-                    "overloaded",
-                    f"admission queue is full ({self.max_queue} entries); "
-                    "retry with backoff",
-                    request_id,
-                )
-            entry = _PendingEntry(
-                resolved=resolved,
-                future=asyncio.get_running_loop().create_future(),
-                enqueued_at=arrived,
-            )
-            self._inflight[resolved.coalesce_key] = entry
-            self._queue.put_nowait(entry)
-            self.metrics.observe_queue_depth(self._queue.qsize())
-
         try:
-            answer = await entry.future
+            answer, coalesced = await self._coalesce(
+                identity.coalesce_key,
+                lambda: self._produce_compile(request, identity, resolved, arrived),
+            )
+        except _QueueFull as exc:
+            self.metrics.rejected_overloaded += 1
+            self.metrics.errors += 1
+            return error_message("overloaded", str(exc), request_id)
         except Exception as exc:
             self.metrics.errors += 1
             return error_message("internal", f"compile failed: {exc}", request_id)
         if coalesced:
-            answer = CompileAnswer(
-                result=answer.result,
-                pass_seconds=answer.pass_seconds,
-                cache_status=answer.cache_status,
-                coalesced=True,
-                batch_size=answer.batch_size,
-                queue_ms=answer.queue_ms,
-                compile_ms=answer.compile_ms,
-            )
+            answer = replace(answer, coalesced=True)
             self.metrics.coalesced += 1
         self._complete(arrived)
         return answer.to_message(request_id)
 
-    async def _answer_lint(self, request, resolved, arrived: float) -> Dict[str, Any]:
-        """Cache/peer front, coalesce, then analyse inline (off the loop).
+    async def _produce_compile(
+        self, request, identity: CompileIdentity, resolved, arrived: float
+    ) -> CompileAnswer:
+        """The answer to one unique compile: the cache front, else the queue."""
+
+        front = await self._cache_front("compile", request, identity)
+        if front is not None:
+            cache_status, entry = front
+            return CompileAnswer(
+                result=entry["result"],
+                pass_seconds=dict(entry["pass_seconds"]),
+                cache_status=cache_status,
+            )
+        if resolved is None:
+            # A memo hit the cache no longer holds: build the IR after all.
+            resolved = await asyncio.to_thread(resolve_compile_request, request)
+        if self._queue.qsize() >= self.max_queue:
+            raise _QueueFull(
+                f"admission queue is full ({self.max_queue} entries); "
+                "retry with backoff"
+            )
+        entry = _PendingEntry(
+            resolved=resolved,
+            future=asyncio.get_running_loop().create_future(),
+            enqueued_at=arrived,
+        )
+        self._queue.put_nowait(entry)
+        self.metrics.observe_queue_depth(self._queue.qsize())
+        return await entry.future
+
+    async def _answer_lint(
+        self, request, identity: CompileIdentity, resolved, arrived: float
+    ) -> Dict[str, Any]:
+        """One in-flight answer per key: the cache front, else analyse off the loop.
 
         Lint reports are pure functions of the resolved inputs, so the
         request reuses the compile machinery's guarantees — shared cache
@@ -387,91 +406,108 @@ class CompileServer(JsonLinesEndpoint):
         fleet tier — without ever entering the compile batch queue.
         """
 
-        request_id = request.id
-        front = await self._cache_front("lint", request, resolved)
-        if front is not None:
-            cache_status, entry = front
-            self._complete(arrived)
-            return lint_result_message(
-                request_id, entry["result"], cache_status=cache_status
-            )
-
-        use_cache = request.cache == "use"
-        coalesced = False
-        future = self._lint_inflight.get(resolved.coalesce_key)
-        if future is not None:
-            coalesced = True
-        else:
-            future = asyncio.get_running_loop().create_future()
-            self._lint_inflight[resolved.coalesce_key] = future
-            try:
-                payload = await asyncio.to_thread(run_lint_request, resolved)
-            except Exception as exc:
-                self._lint_inflight.pop(resolved.coalesce_key, None)
-                if not future.done():
-                    future.set_exception(
-                        RuntimeError(f"lint failed: {type(exc).__name__}: {exc}")
-                    )
-                    # Awaited below with the waiters; consume the
-                    # exception there.
-            else:
-                if use_cache and self.cache is not None:
-                    await asyncio.to_thread(self.cache.put, resolved.cache_key, payload)
-                # Publish to the fleet tier before resolving waiters,
-                # same ordering discipline as compile dispatch.
-                if use_cache and self.peer is not None:
-                    self.metrics.peer_puts += 1
-                    await self.peer.put(
-                        resolved.cache_key, {"result": payload, "pass_seconds": {}}
-                    )
-                self._lint_inflight.pop(resolved.coalesce_key, None)
-                if not future.done():
-                    future.set_result(payload)
-
         try:
-            payload = await future
+            (payload, cache_status), coalesced = await self._coalesce(
+                identity.coalesce_key,
+                lambda: self._produce_lint(request, identity, resolved),
+            )
         except Exception as exc:
             self.metrics.errors += 1
-            return error_message("internal", str(exc), request_id)
+            return error_message("internal", str(exc), request.id)
         if coalesced:
             self.metrics.coalesced += 1
         self._complete(arrived)
         return lint_result_message(
-            request_id,
-            payload,
-            cache_status="miss" if use_cache else "bypass",
-            coalesced=coalesced,
+            request.id, payload, cache_status=cache_status, coalesced=coalesced
         )
 
+    async def _produce_lint(
+        self, request, identity: CompileIdentity, resolved
+    ) -> Tuple[Dict[str, Any], str]:
+        """``(report payload, cache status)`` of one unique lint."""
+
+        front = await self._cache_front("lint", request, identity)
+        if front is not None:
+            cache_status, entry = front
+            return entry["result"], cache_status
+        if resolved is None:
+            resolved = await asyncio.to_thread(resolve_lint_request, request)
+        try:
+            payload = await asyncio.to_thread(run_lint_request, resolved)
+        except Exception as exc:
+            raise RuntimeError(f"lint failed: {type(exc).__name__}: {exc}") from None
+        if request.cache != "use":
+            return payload, "bypass"
+        if self.cache is not None:
+            await asyncio.to_thread(self.cache.put, identity.cache_key, payload)
+        # Publish to the fleet tier before answering anyone, same ordering
+        # discipline as compile dispatch.
+        if self.peer is not None:
+            self.metrics.peer_puts += 1
+            await self.peer.put(
+                identity.cache_key, {"result": payload, "pass_seconds": {}}
+            )
+        return payload, "miss"
+
+    async def _coalesce(
+        self, key: str, produce: Callable[[], Awaitable[Any]]
+    ) -> Tuple[Any, bool]:
+        """``(answer, coalesced)`` with one ``produce()`` per key in flight.
+
+        The first request for a key runs ``produce`` (the cache front, then
+        a compile or a lint); every identical request arriving before it
+        finishes awaits the same answer, or the same exception, instead of
+        looking the cache up or compiling again.  That is what makes each
+        cache miss exactly one compile.
+        """
+
+        future = self._inflight.get(key)
+        if future is not None:
+            return await future, True
+        future = asyncio.get_running_loop().create_future()
+        self._inflight[key] = future
+        try:
+            future.set_result(await produce())
+        except Exception as exc:
+            future.set_exception(exc)
+        finally:
+            self._inflight.pop(key, None)
+            if not future.done():
+                future.cancel()
+        return await future, False
+
     async def _cache_front(
-        self, kind: str, request, resolved
+        self, kind: str, request, identity: CompileIdentity
     ) -> Optional[Tuple[str, Dict[str, Any]]]:
-        """Answer admitted work from the local cache, then the fleet tier.
+        """Answer unique work from the local cache, then the fleet tier.
 
         Returns ``(cache_status, {"result": ..., "pass_seconds": ...})``
-        for a ``hit`` or ``peer`` answer, else None.  The local lookup (a
-        pickle read on a miss-from-memory) runs off the loop; the store
-        is thread-safe.  A peer failure is just a miss (the client never
-        raises), so the tier adds no correctness dependency.
+        for a ``hit`` or ``peer`` answer, else None.  A memory-tier hit is
+        answered on the event loop; only a disk read (a pickle load) goes
+        to a thread, and the store is thread-safe.  A peer failure is just
+        a miss (the client never raises), so the tier adds no correctness
+        dependency.
         """
 
         if request.cache != "use":
             return None
         if self.cache is not None:
-            cached = await asyncio.to_thread(self.cache.get, resolved.cache_key)
+            cached = self.cache.get_from_memory(identity.cache_key)
+            if cached is None:
+                cached = await asyncio.to_thread(self.cache.get, identity.cache_key)
             entry = None
             if kind == "lint" and isinstance(cached, dict):
                 entry = {"result": cached, "pass_seconds": {}}
             elif kind == "compile" and isinstance(cached, CompileRecord):
                 entry = {
-                    "result": result_payload(resolved, cached),
+                    "result": result_payload(identity, cached),
                     "pass_seconds": dict(cached.pass_seconds),
                 }
             if entry is not None:
                 self.metrics.cache_hits += 1
                 return "hit", entry
         if self.peer is not None:
-            entry = await self.peer.get(resolved.cache_key)
+            entry = await self.peer.get(identity.cache_key)
             if entry is not None:
                 self.metrics.peer_hits += 1
                 return "peer", entry
@@ -572,8 +608,8 @@ class CompileServer(JsonLinesEndpoint):
             # answer, the tier already holds the entry, so a duplicate
             # arriving after we leave the in-flight table can never slip
             # between "no longer coalescible" and "not yet in the tier" and
-            # recompile.  Entries stay in ``_inflight`` meanwhile, so
-            # duplicates arriving *during* the put still coalesce.
+            # recompile.  Keys stay in ``_inflight`` until their futures
+            # resolve, so duplicates arriving *during* the put still coalesce.
             if self.peer is not None:
                 puts = [
                     self.peer.put(
@@ -591,7 +627,6 @@ class CompileServer(JsonLinesEndpoint):
                     await asyncio.gather(*puts)
 
             for entry, exc, answer in completions:
-                self._inflight.pop(entry.resolved.coalesce_key, None)
                 if entry.future.done():  # pragma: no cover - defensive
                     continue
                 if exc is not None:
@@ -603,7 +638,6 @@ class CompileServer(JsonLinesEndpoint):
             # Never let a dispatch bug strand the batch (or, worse, kill
             # the batcher): fail every unresolved future.
             for entry in batch:
-                self._inflight.pop(entry.resolved.coalesce_key, None)
                 if not entry.future.done():
                     entry.future.set_exception(
                         RuntimeError(f"batch dispatch failed: {exc}")
@@ -625,6 +659,10 @@ class CompileServer(JsonLinesEndpoint):
             procedures = [
                 (entry.resolved.function, entry.resolved.profile) for entry in entries
             ]
+            # Every ``use`` entry reached the queue through a cache-front
+            # miss, so its key is passed on rather than computed and looked
+            # up a second time.
+            cached = policy == "use"
             try:
                 records = compile_many(
                     procedures,
@@ -634,7 +672,12 @@ class CompileServer(JsonLinesEndpoint):
                     verify=True,
                     maximal_regions=True,
                     workers=self.workers,
-                    cache=self.cache if policy == "use" else None,
+                    cache=self.cache if cached else None,
+                    miss_keys=(
+                        [entry.resolved.cache_key for entry in entries]
+                        if cached
+                        else None
+                    ),
                 )
             except Exception as exc:
                 outcomes.append(("error", f"{type(exc).__name__}: {exc}"))

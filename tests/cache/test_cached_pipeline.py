@@ -204,6 +204,35 @@ class TestCacheAndWorkersCompose:
         warm = compile_many(procedures, workers=2, cache=cache)
         assert [_record_view(c) for c in cold] == [_record_view(w) for w in warm]
 
+    def test_known_misses_are_neither_keyed_nor_looked_up_again(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.ir.fingerprint import compile_options_token, procedure_cache_key
+        from repro.spill.cost_models import make_cost_model
+        from repro.target.registry import resolve_target
+        import repro.pipeline.compiler as compiler_module
+
+        procedures = build_suite(names=["mcf"], scale=0.2)[0].procedures[:3]
+        machine = resolve_target(None)
+        token = compile_options_token(
+            machine, make_cost_model("jump_edge", machine), TECHNIQUES, True, True
+        )
+        keys = [procedure_cache_key(p.function, p.profile, token) for p in procedures]
+        cache = CompileCache(tmp_path)
+        assert all(cache.get(key) is None for key in keys)
+
+        def no_keying(*_args, **_kwargs):
+            raise AssertionError("compile_many re-keyed a known miss")
+
+        monkeypatch.setattr(compiler_module, "procedure_cache_key", no_keying)
+        records = compile_many(procedures, cache=cache, miss_keys=keys)
+        assert cache.stats.misses == len(procedures)
+        assert cache.stats.hits == 0
+        assert cache.stats.stores == len(procedures)
+        assert [cache.get(key) for key in keys] == records
+        with pytest.raises(ValueError):
+            compile_many(procedures, cache=cache, miss_keys=keys[:1])
+
 
 class TestCacheBypass:
     def test_identity_less_cost_model_bypasses_cache(self, tmp_path):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.ir.fingerprint import fingerprint_function
+from repro.ir.fingerprint import fingerprint_function, fingerprint_profile
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     CompileRequest,
@@ -217,6 +217,69 @@ class TestResolution:
             parse_compile_request(compile_message(techniques=["baseline"]))
         )
         assert len({base.cache_key, other_model.cache_key, fewer.cache_key}) == 3
+
+    def test_each_fingerprint_is_computed_once_per_resolution(self, monkeypatch):
+        import repro.service.protocol as protocol_module
+        from repro.ir.fingerprint import compile_options_token, procedure_cache_key
+        from repro.lint import lint_cache_key
+        from repro.pipeline.compiler import TECHNIQUES
+        from repro.spill.cost_models import make_cost_model
+
+        calls = []
+        for name in ("fingerprint_function", "fingerprint_profile"):
+            real = getattr(protocol_module, name)
+            monkeypatch.setattr(
+                protocol_module,
+                name,
+                lambda value, _real=real, _name=name: calls.append(_name) or _real(value),
+            )
+        compiled = resolve_compile_request(parse_compile_request(compile_message()))
+        assert sorted(calls) == ["fingerprint_function", "fingerprint_profile"]
+        calls.clear()
+        linted = protocol_module.resolve_lint_request(
+            protocol_module.parse_lint_request(
+                {"type": "lint", "id": "l", "program": {"scenario": "call_web:0:0"}}
+            )
+        )
+        assert sorted(calls) == ["fingerprint_function", "fingerprint_profile"]
+
+        # The keys derived from those fingerprints are the pinned ones.
+        machine = compiled.machine
+        token = compile_options_token(
+            machine, make_cost_model("jump_edge", machine), TECHNIQUES, True, True
+        )
+        assert compiled.cache_key == procedure_cache_key(
+            compiled.function, compiled.profile, token
+        )
+        assert linted.cache_key == lint_cache_key(
+            linted.function, linted.profile, linted.machine
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 100])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_scenario_refs_build_what_their_family_builds(self, seed, index):
+        """``scenario:`` refs resolve through the catalog's aliases; every
+        family still builds exactly what its registry builder builds."""
+
+        from repro.target.registry import resolve_target
+        from repro.workloads.scenarios import get_scenario, scenario_names
+
+        machine = resolve_target(None)
+        for family in scenario_names():
+            resolved = resolve_compile_request(
+                parse_compile_request(
+                    compile_message(program={"scenario": f"{family}:{seed}:{index}"})
+                )
+            )
+            built = get_scenario(family).builder(seed, index, machine)
+            assert resolved.function_fingerprint == fingerprint_function(built.function)
+            assert resolved.profile_fingerprint == fingerprint_profile(built.profile)
+            via_alias = resolve_compile_request(
+                parse_compile_request(
+                    compile_message(program={"catalog": f"{family}:{seed}:{index}"})
+                )
+            )
+            assert via_alias.cache_key == resolved.cache_key
 
 
 class TestWireRoundTrip:
