@@ -30,7 +30,6 @@ from repro.analysis.dataflow import (
     DataflowProblem,
     DataflowResult,
     solve_dataflow,
-    solve_dataflow_reference,
 )
 from repro.analysis.liveness import LivenessInfo, compute_liveness
 from repro.analysis.loops import (
@@ -69,5 +68,4 @@ __all__ = [
     "find_maximal_regions",
     "solve_bit_dataflow",
     "solve_dataflow",
-    "solve_dataflow_reference",
 ]

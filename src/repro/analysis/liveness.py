@@ -86,9 +86,9 @@ def liveness_dataflow_problem(function: Function) -> DataflowProblem:
     """The set-level gen/kill formulation of the liveness problem.
 
     :func:`compute_liveness` builds the equivalent bitmask problem directly;
-    this formulation exists for the generic solvers — differential tests and
-    the dataflow micro-benchmark pose it to both :func:`solve_dataflow` and
-    :func:`solve_dataflow_reference`.
+    this formulation exists for the generic solvers — the differential tests
+    pose it to both :func:`solve_dataflow` and the set-based reference solver
+    in ``tests/oracles/dataflow.py``.
     """
 
     uses: Dict[str, Set[Register]] = {}

@@ -40,9 +40,9 @@ def reaching_dataflow_problem(
 ) -> Tuple[DataflowProblem, Dict[Register, Set[Definition]]]:
     """The gen/kill formulation of reaching definitions, plus all def sites.
 
-    Shared by :func:`compute_reaching_definitions` and the dataflow
-    micro-benchmarks (which pose the same problem to both the bitset solver
-    and the set-based reference).
+    Shared by :func:`compute_reaching_definitions` and the differential tests
+    (which pose the same problem to both the bitset solver and the set-based
+    reference).
     """
 
     all_defs: Dict[Register, Set[Definition]] = {}

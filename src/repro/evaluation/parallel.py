@@ -66,7 +66,7 @@ def resolve_workers(workers: Optional[int]) -> int:
 
     ``None`` means "auto": every *available* core — but on a single-core
     machine auto mode resolves to ``1`` and the engine stays serial, because
-    a process pool there is pure overhead (``BENCH_parallel.json`` records a
+    a process pool there is pure overhead (``docs/performance.md`` records a
     0.89x slowdown from pool startup and pickling on one core).  Explicit
     values must be positive and are honoured as given.
     """

@@ -446,18 +446,22 @@ class ResolvedCompile:
 
     @property
     def cache_key(self) -> str:
+        """The content address of the work (``identity.cache_key``)."""
         return self.identity.cache_key
 
     @property
     def coalesce_key(self) -> str:
+        """The in-flight dedup key (``identity.coalesce_key``)."""
         return self.identity.coalesce_key
 
     @property
     def function_fingerprint(self) -> str:
+        """Fingerprint of the resolved function's IR."""
         return self.identity.function_fingerprint
 
     @property
     def profile_fingerprint(self) -> str:
+        """Fingerprint of the resolved edge profile."""
         return self.identity.profile_fingerprint
 
 
@@ -758,10 +762,12 @@ class ResolvedLint:
 
     @property
     def cache_key(self) -> str:
+        """The content address of the work (``identity.cache_key``)."""
         return self.identity.cache_key
 
     @property
     def coalesce_key(self) -> str:
+        """The in-flight dedup key (``identity.coalesce_key``)."""
         return self.identity.coalesce_key
 
 

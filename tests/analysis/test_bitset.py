@@ -3,9 +3,9 @@
 The bitset solver (:mod:`repro.analysis.bitset`) must be observationally
 identical to the original set-based implementations it replaced.  These tests
 compare it with reference liveness and interference construction written
-directly over ``set`` objects (the seed's algorithms; interference lives in
-``tests/oracles/regalloc.py``) and assert set-equality on randomly generated
-CFGs.
+directly over ``set`` objects (the seed's algorithms; the generic solver lives
+in ``tests/oracles/dataflow.py``, interference in ``tests/oracles/regalloc.py``)
+and assert set-equality on randomly generated CFGs.
 """
 
 from hypothesis import given
@@ -16,7 +16,6 @@ from repro.analysis.dataflow import (
     Direction,
     Meet,
     solve_dataflow,
-    solve_dataflow_reference,
 )
 from repro.analysis.liveness import (
     LivenessInfo,
@@ -25,11 +24,13 @@ from repro.analysis.liveness import (
     live_at_each_instruction,
     liveness_dataflow_problem,
 )
+from repro.analysis.reaching import reaching_dataflow_problem
 from repro.ir.values import vreg
 from repro.regalloc.interference import build_interference_graph
 from repro.workloads.programs import diamond_function, loop_function
 
 from tests.conftest import generated_procedures
+from tests.oracles.dataflow import solve_dataflow_reference
 from tests.oracles.regalloc import reference_interference, reference_live_after
 
 
@@ -155,6 +156,9 @@ class TestSolverEquivalence:
             direction=Direction.BACKWARD, meet=Meet.UNION, gen=uses, kill=defs
         )
         _assert_same_solution(function, problem)
+        # Reaching definitions on the same CFG: a forward union problem with
+        # one fact per definition site, far more facts than registers.
+        _assert_same_solution(function, reaching_dataflow_problem(function)[0])
 
     @given(generated_procedures(max_segments=4))
     def test_forward_intersection_on_random_cfgs(self, procedure):

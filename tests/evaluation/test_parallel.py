@@ -57,7 +57,7 @@ class TestResolveWorkers:
 
     def test_auto_mode_falls_back_to_serial_on_single_core(self, monkeypatch):
         """Regression: a pool on one core is pure overhead (0.89x in
-        BENCH_parallel.json), so ``workers=None`` must resolve to serial."""
+        docs/performance.md), so ``workers=None`` must resolve to serial."""
 
         import os
 

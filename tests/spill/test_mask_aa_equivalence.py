@@ -2,7 +2,8 @@
 
 ``save_restore_edges`` solves the two boolean data-flow problems as whole-CFG
 Jacobi sweeps over integer masks (:func:`repro.spill.shrink_wrap._solve_aa_masks`);
-``compute_anticipation_availability`` is the dict-based Gauss-Seidel reference.
+``compute_anticipation_availability`` (``tests/oracles/spill.py``) is the
+dict-based Gauss-Seidel reference.
 Both iterate monotone equations on a finite lattice from the same initial
 assignment, so they must converge to the same unique least fixed point — these
 tests assert bit-for-bit agreement on every block, and that the placements
@@ -18,7 +19,6 @@ from repro.spill.hierarchical import place_hierarchical
 from repro.spill.overhead import placement_dynamic_overhead
 from repro.spill.shrink_wrap import (
     _solve_aa_masks,
-    compute_anticipation_availability,
     place_shrink_wrap,
     save_restore_edges,
 )
@@ -28,6 +28,7 @@ from repro.target.registry import get_target
 from repro.workloads.scenarios import build_scenario_suite, scenario_names
 
 from tests.conftest import generated_procedures
+from tests.oracles.spill import compute_anticipation_availability
 
 
 def _allocate(procedure, machine):

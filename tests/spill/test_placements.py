@@ -9,13 +9,14 @@ from repro.spill.model import CalleeSavedUsage, SaveRestoreSet, SpillKind, Spill
 from repro.spill.overhead import placement_dynamic_overhead
 from repro.spill.sets import build_save_restore_sets
 from repro.spill.shrink_wrap import (
-    compute_anticipation_availability,
     place_shrink_wrap,
     save_restore_edges,
     shrink_wrap_edges,
 )
 from repro.spill.verifier import collect_placement_errors, verify_placement
 from repro.workloads.programs import diamond_function, figure1_function, loop_function, paper_example
+
+from tests.oracles.spill import compute_anticipation_availability
 
 
 @pytest.fixture(scope="module")
