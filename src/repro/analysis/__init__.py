@@ -15,6 +15,8 @@ The package contains:
 * :mod:`repro.analysis.sese` — single-entry/single-exit regions.
 * :mod:`repro.analysis.pst` — the program structure tree of maximal SESE
   regions used by the hierarchical spill-placement algorithm.
+* :mod:`repro.analysis.session` — :class:`CompilationSession`, the
+  per-function owner of all of the above, each computed at most once.
 """
 
 from repro.analysis.bitset import (
@@ -40,12 +42,14 @@ from repro.analysis.loops import (
     is_reducible,
 )
 from repro.analysis.pst import ProgramStructureTree, Region, build_pst
+from repro.analysis.session import CompilationSession
 from repro.analysis.sese import SESERegion, find_canonical_regions, find_maximal_regions
 
 __all__ = [
     "BitDataflowProblem",
     "BitDataflowResult",
     "BitLiveness",
+    "CompilationSession",
     "DataflowProblem",
     "DataflowResult",
     "DominatorTree",

@@ -3,14 +3,17 @@
 Implementation of the iterative algorithm of Cooper, Harvey and Kennedy
 ("A Simple, Fast Dominance Algorithm").  The algorithm works on any
 :class:`~repro.analysis.graph.DiGraph`; convenience wrappers operate directly
-on IR functions and on the edge-split graph used for edge dominance.
+on IR functions.  Edge dominance is read off the two block trees in one
+linear pass, with no second solve (see :class:`EdgeDominance`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.analysis.graph import DiGraph, edge_split_graph, function_cfg
+from repro.analysis.graph import DiGraph, cfg_digraph
+from repro.analysis.session import CompilationSession, session_for
+from repro.ir.cfg import ENTRY_SENTINEL, EXIT_SENTINEL
 
 Node = Hashable
 
@@ -25,10 +28,9 @@ class DominatorTree:
     :meth:`descendants` is a slice of the pre-order list.
     """
 
-    def __init__(self, root: Node, idom: Dict[Node, Optional[Node]], rpo_index: Dict[Node, int]):
+    def __init__(self, root: Node, idom: Dict[Node, Optional[Node]]):
         self.root = root
         self._idom = idom
-        self._rpo_index = rpo_index
         self._children: Dict[Node, List[Node]] = {}
         for node, parent in idom.items():
             if parent is not None and node != root:
@@ -153,40 +155,81 @@ def compute_dominators_of_graph(graph: DiGraph, entry: Node) -> DominatorTree:
                 changed = True
 
     idom[entry] = None
-    return DominatorTree(entry, idom, rpo_index)
+    return DominatorTree(entry, idom)
 
 
-def compute_dominators(function) -> DominatorTree:
+def compute_dominators(function, session: Optional[CompilationSession] = None) -> DominatorTree:
     """Dominator tree of a function's CFG, keyed by block label."""
 
-    graph, entry, _exit = function_cfg(function)
-    return compute_dominators_of_graph(graph, entry)
+    cfg = session_for(function, session).cfg
+    return compute_dominators_of_graph(cfg_digraph(cfg), cfg.entry_label)
 
 
-def compute_postdominators(function) -> DominatorTree:
+def compute_postdominators(
+    function, session: Optional[CompilationSession] = None
+) -> DominatorTree:
     """Post-dominator tree of a function's CFG (dominators of the reverse CFG)."""
 
-    graph, _entry, exit_label = function_cfg(function)
-    return compute_dominators_of_graph(graph.reversed(), exit_label)
+    cfg = session_for(function, session).cfg
+    return compute_dominators_of_graph(cfg_digraph(cfg).reversed(), cfg.exit_label)
+
+
+def _split_idoms(tree: DominatorTree, neighbours, root_edge: Node, edge_node) -> Dict:
+    """Immediate dominators on the edge-split graph, read off a block tree.
+
+    ``neighbours`` are the predecessor lists (successor lists, with the
+    post-dominator tree, for the mirror image).  Edge ``(n, v)`` has idom
+    block ``n``.  Block ``v`` has idom edge ``(n, v)`` when ``n`` is its only
+    neighbour that ``v`` does not dominate — every path first enters ``v``
+    there, so a loop header's entry edge is its idom — and otherwise keeps
+    its block idom, which no single edge dominates.
+    """
+
+    idom: Dict[Node, Optional[Node]] = {root_edge: None, ("block", tree.root): root_edge}
+    for v in tree.nodes:
+        entering = []
+        for n in neighbours[v]:
+            if n in tree:
+                idom[edge_node(n, v)] = ("block", n)
+                if not tree.dominates(v, n):
+                    entering.append(n)
+        if v != tree.root:
+            parent = edge_node(entering[0], v) if len(entering) == 1 else ("block", tree.idom(v))
+            idom[("block", v)] = parent
+    return idom
 
 
 class EdgeDominance:
     """Dominance and post-dominance between CFG *edges*.
 
-    Edge dominance is computed on the edge-split graph: every CFG edge
-    becomes a node spliced between its endpoints, and ordinary node dominance
-    on that graph gives the edge relation.  The virtual procedure entry and
+    Edge dominance is node dominance on the edge-split graph, where every
+    CFG edge ``(u, v)`` is a node ``("edge", u, v)`` spliced between
+    ``("block", u)`` and ``("block", v)``.  The virtual procedure entry and
     exit edges participate, so "procedure entry dominates every edge" and
-    "procedure exit post-dominates every edge" hold as expected.
+    "procedure exit post-dominates every edge" hold.  Both split-graph trees
+    are read off the session's block trees in linear time; nothing is solved.
     """
 
-    def __init__(self, function):
-        graph, entry_node, exit_node, edge_nodes = edge_split_graph(function)
-        self._edge_nodes: Dict[Tuple[str, str], Node] = dict(edge_nodes)
-        self._edge_nodes[("__entry__", function.entry.label)] = entry_node
-        self._edge_nodes[(function.exit.label, "__exit__")] = exit_node
-        self._dom = compute_dominators_of_graph(graph, entry_node)
-        self._postdom = compute_dominators_of_graph(graph.reversed(), exit_node)
+    def __init__(self, function, session: Optional[CompilationSession] = None):
+        session = session_for(function, session)
+        cfg = session.cfg
+        entry, exit_label = cfg.entry_label, cfg.exit_label
+        entry_node = ("edge", ENTRY_SENTINEL, entry)
+        exit_node = ("edge", exit_label, EXIT_SENTINEL)
+        self._edge_nodes: Dict[Tuple[str, str], Node] = {
+            e.key: ("edge",) + e.key for e in cfg.edges
+        }
+        self._edge_nodes[entry_node[1:]] = entry_node
+        self._edge_nodes[exit_node[1:]] = exit_node
+        dom, postdom = session.dom, session.postdom
+        idom = _split_idoms(dom, cfg.graph_preds, entry_node, lambda n, v: ("edge", n, v))
+        ipdom = _split_idoms(postdom, cfg.graph_succs, exit_node, lambda n, v: ("edge", v, n))
+        if exit_label in dom:
+            idom[exit_node] = ("block", exit_label)
+        if entry in postdom:
+            ipdom[entry_node] = ("block", entry)
+        self._dom = DominatorTree(entry_node, idom)
+        self._postdom = DominatorTree(exit_node, ipdom)
 
     def node_for(self, edge_key: Tuple[str, str]) -> Node:
         return self._edge_nodes[edge_key]

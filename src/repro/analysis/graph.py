@@ -1,9 +1,9 @@
 """A tiny directed-graph abstraction shared by the analyses.
 
 Analyses operate either on a :class:`~repro.ir.function.Function`'s CFG or on
-derived graphs (for example the edge-split graph used to compute edge
-dominance).  :class:`DiGraph` is the common denominator: ordered nodes,
-adjacency in both directions, and a handful of traversal helpers.
+derived graphs (for example its reverse, for post-dominance).
+:class:`DiGraph` is the common denominator: ordered nodes, adjacency in both
+directions, and a handful of traversal helpers.
 """
 
 from __future__ import annotations
@@ -104,17 +104,6 @@ class DiGraph:
                 order.append(node)
         return order
 
-    def reachable_from(self, entry: Node) -> Set[Node]:
-        seen: Set[Node] = set()
-        stack = [entry]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(s for s in self._succs[node] if s not in seen)
-        return seen
-
     def reversed(self) -> "DiGraph":
         """A new graph with every edge direction flipped."""
 
@@ -125,48 +114,8 @@ class DiGraph:
         return DiGraph.from_adjacency(rev_succs, self._succs)
 
 
-def function_cfg(function) -> Tuple[DiGraph, Node, Node]:
-    """Build the CFG :class:`DiGraph` of a function.
+def cfg_digraph(cfg) -> DiGraph:
+    """The :class:`DiGraph` of one :class:`~repro.ir.cfg.FunctionCFG` snapshot."""
 
-    Returns ``(graph, entry, exit)`` where ``exit`` is the unique exit block
-    label (the function must be in single-exit form).
-    """
+    return DiGraph.from_adjacency(cfg.graph_succs, cfg.graph_preds)
 
-    cfg = function.cfg()
-    graph = DiGraph.from_adjacency(cfg.graph_succs, cfg.graph_preds)
-    return graph, function.entry.label, cfg.exit_label
-
-
-def edge_split_graph(function) -> Tuple[DiGraph, Node, Node, Dict[Tuple[str, str], Node]]:
-    """Build a graph where every CFG edge is represented by a synthetic node.
-
-    Each CFG edge ``(u, v)`` becomes a node ``("edge", u, v)`` spliced between
-    ``u`` and ``v``.  Dominance relations between these synthetic nodes give
-    *edge dominance*, which SESE-region computation needs.  The virtual
-    procedure entry and exit edges are included so they can delimit the root
-    region.
-
-    Returns ``(graph, entry_edge_node, exit_edge_node, edge_node_map)`` where
-    ``edge_node_map`` maps each real CFG edge key to its synthetic node.
-    """
-
-    graph = DiGraph()
-    entry_node = ("edge", "__entry__", function.entry.label)
-    exit_node = ("edge", function.exit.label, "__exit__")
-    edge_nodes: Dict[Tuple[str, str], Node] = {}
-
-    for label in function.block_labels:
-        graph.add_node(("block", label))
-
-    graph.add_node(entry_node)
-    graph.add_edge(entry_node, ("block", function.entry.label))
-    graph.add_node(exit_node)
-    graph.add_edge(("block", function.exit.label), exit_node)
-
-    for edge in function.edges():
-        node = ("edge", edge.src, edge.dst)
-        edge_nodes[edge.key] = node
-        graph.add_edge(("block", edge.src), node)
-        graph.add_edge(node, ("block", edge.dst))
-
-    return graph, entry_node, exit_node, edge_nodes

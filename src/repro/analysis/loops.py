@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.analysis.dominance import DominatorTree, compute_dominators
+from repro.analysis.session import CompilationSession, session_for
 from repro.ir.function import Function
 
 
@@ -43,9 +43,6 @@ class Loop:
             depth += 1
             node = node.parent
         return depth
-
-    def contains_block(self, label: str) -> bool:
-        return label in self.body
 
     def contains_loop(self, other: "Loop") -> bool:
         return other.body <= self.body and other is not self
@@ -78,12 +75,6 @@ class LoopForest:
         loop = self.innermost_loop_of(label)
         return loop.depth if loop is not None else 0
 
-    def blocks_in_loops(self) -> Set[str]:
-        blocks: Set[str] = set()
-        for loop in self.loops:
-            blocks |= loop.body
-        return blocks
-
     def max_depth(self) -> int:
         return max((loop.depth for loop in self.loops), default=0)
 
@@ -108,18 +99,21 @@ def _natural_loop_body(preds: Mapping[str, Sequence[str]], header: str, latch: s
     return body
 
 
-def back_edges_of(function: Function, dom: Optional[DominatorTree] = None) -> List[Tuple[str, str]]:
+def back_edges_of(
+    function: Function, session: Optional[CompilationSession] = None
+) -> List[Tuple[str, str]]:
     """The natural-loop back edges ``(latch, header)``: header dominates latch."""
 
-    dom = dom or compute_dominators(function)
+    session = session_for(function, session)
+    dom = session.dom
     return [
         (edge.src, edge.dst)
-        for edge in function.edges()
+        for edge in session.cfg.edges
         if edge.src in dom and edge.dst in dom and dom.dominates(edge.dst, edge.src)
     ]
 
 
-def is_reducible(function: Function, dom: Optional[DominatorTree] = None) -> bool:
+def is_reducible(function: Function, session: Optional[CompilationSession] = None) -> bool:
     """Is the function's CFG reducible?
 
     A flowgraph is reducible iff removing every back edge (``latch ->
@@ -130,12 +124,13 @@ def is_reducible(function: Function, dom: Optional[DominatorTree] = None) -> boo
     rejects unreachable blocks anyway).
     """
 
-    dom = dom or compute_dominators(function)
-    back = set(back_edges_of(function, dom))
+    session = session_for(function, session)
+    dom = session.dom
+    back = set(back_edges_of(function, session))
     reachable = {label for label in function.block_labels if label in dom}
     forward_succs: Dict[str, List[str]] = {label: [] for label in reachable}
     in_degree: Dict[str, int] = {label: 0 for label in reachable}
-    for edge in function.edges():
+    for edge in session.cfg.edges:
         if (edge.src, edge.dst) in back:
             continue
         if edge.src in reachable and edge.dst in reachable:
@@ -154,13 +149,15 @@ def is_reducible(function: Function, dom: Optional[DominatorTree] = None) -> boo
     return drained == len(reachable)
 
 
-def compute_loop_forest(function: Function, dom: Optional[DominatorTree] = None) -> LoopForest:
+def compute_loop_forest(
+    function: Function, session: Optional[CompilationSession] = None
+) -> LoopForest:
     """Find all natural loops (one per header, merging shared-header back edges)."""
 
-    dom = dom or compute_dominators(function)
-    back_edges = back_edges_of(function, dom)
+    session = session_for(function, session)
+    back_edges = back_edges_of(function, session)
 
-    preds = function.cfg().preds
+    preds = session.cfg.preds
     loops_by_header: Dict[str, Loop] = {}
     for latch, header in back_edges:
         loop = loops_by_header.setdefault(header, Loop(header=header))

@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
+from repro.analysis.session import CompilationSession, session_for
 from repro.analysis.sese import SESERegion, find_canonical_regions, find_maximal_regions
 from repro.ir.function import ENTRY_SENTINEL, EXIT_SENTINEL, Function
 
@@ -34,9 +35,6 @@ class Region:
     is_root: bool = False
     parent: Optional["Region"] = None
     children: List["Region"] = field(default_factory=list)
-
-    def contains_block(self, label: str) -> bool:
-        return label in self.blocks
 
     def contains_region(self, other: "Region") -> bool:
         return other is not self and other.blocks <= self.blocks
@@ -123,7 +121,9 @@ class ProgramStructureTree:
         return len(self._regions)
 
 
-def build_pst(function: Function, maximal: bool = True) -> ProgramStructureTree:
+def build_pst(
+    function: Function, maximal: bool = True, session: Optional[CompilationSession] = None
+) -> ProgramStructureTree:
     """Build the program structure tree of ``function``.
 
     Parameters
@@ -131,16 +131,22 @@ def build_pst(function: Function, maximal: bool = True) -> ProgramStructureTree:
     maximal:
         Use maximal SESE regions (the paper's choice).  When false, canonical
         regions are used instead; this exists for the ablation benchmark.
+    session:
+        The function's :class:`~repro.analysis.session.CompilationSession`;
+        its CFG snapshot and edge dominance are reused.
     """
 
-    sese_regions = find_maximal_regions(function) if maximal else find_canonical_regions(function)
+    session = session_for(function, session)
+    find_regions = find_maximal_regions if maximal else find_canonical_regions
+    sese_regions = find_regions(function, session)
     ids = itertools.count(1)
 
+    cfg = session.cfg
     root = Region(
         identifier=0,
-        entry_edge=(ENTRY_SENTINEL, function.entry.label),
-        exit_edge=(function.exit.label, EXIT_SENTINEL),
-        blocks=frozenset(function.block_labels),
+        entry_edge=(ENTRY_SENTINEL, cfg.entry_label),
+        exit_edge=(cfg.exit_label, EXIT_SENTINEL),
+        blocks=frozenset(cfg.labels),
         is_root=True,
     )
 

@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.cycle_equiv import UndirectedMultigraph, cycle_equivalence_classes
 from repro.analysis.dominance import EdgeDominance
-from repro.ir.cfg import EdgeKind
+from repro.analysis.session import CompilationSession, session_for
 from repro.ir.function import Function
 
 EdgeKey = Tuple[str, str]
@@ -43,14 +43,6 @@ class SESERegion:
     exit_edge: EdgeKey
     blocks: FrozenSet[str]
 
-    def contains_block(self, label: str) -> bool:
-        return label in self.blocks
-
-    def contains_edge(self, edge: EdgeKey) -> bool:
-        """True when both endpoints of ``edge`` lie inside the region."""
-
-        return edge[0] in self.blocks and edge[1] in self.blocks
-
     def describe(self) -> str:
         entry = "->".join(self.entry_edge)
         exit_ = "->".join(self.exit_edge)
@@ -60,26 +52,32 @@ class SESERegion:
         return self.describe()
 
 
-def build_augmented_graph(function: Function) -> UndirectedMultigraph:
+def build_augmented_graph(
+    function: Function, session: Optional[CompilationSession] = None
+) -> UndirectedMultigraph:
     """Undirected view of the CFG plus the exit-to-entry return edge."""
 
+    cfg = session_for(function, session).cfg
     graph = UndirectedMultigraph()
-    for label in function.block_labels:
+    for label in cfg.labels:
         graph.add_node(label)
-    for edge in function.edges():
+    for edge in cfg.edges:
         graph.add_edge(edge.src, edge.dst, edge.key)
-    entry = function.entry.label
-    exit_label = function.exit.label
-    if entry != exit_label or function.edges():
+    entry = cfg.entry_label
+    exit_label = cfg.exit_label
+    if entry != exit_label or cfg.edges:
         graph.add_edge(exit_label, entry, VIRTUAL_RETURN_EDGE)
     return graph
 
 
-def compute_edge_classes(function: Function) -> Dict[EdgeKey, int]:
+def compute_edge_classes(
+    function: Function, session: Optional[CompilationSession] = None
+) -> Dict[EdgeKey, int]:
     """Cycle-equivalence class of every real CFG edge."""
 
-    graph = build_augmented_graph(function)
-    classes = cycle_equivalence_classes(graph, root=function.entry.label)
+    session = session_for(function, session)
+    graph = build_augmented_graph(function, session)
+    classes = cycle_equivalence_classes(graph, root=session.cfg.entry_label)
     return {key: cls for key, cls in classes.items() if key != VIRTUAL_RETURN_EDGE}
 
 
@@ -132,11 +130,14 @@ def _chain_runs(edges: List[EdgeKey], dominance: EdgeDominance) -> List[List[Edg
     return [run for run in runs if len(run) >= 2]
 
 
-def _collect_regions(function: Function, pair_selector) -> List[SESERegion]:
+def _collect_regions(
+    function: Function, pair_selector, session: Optional[CompilationSession]
+) -> List[SESERegion]:
     if len(function) < 2:
         return []
-    dominance = EdgeDominance(function)
-    classes = compute_edge_classes(function)
+    session = session_for(function, session)
+    dominance = session.edge_dominance
+    classes = compute_edge_classes(function, session)
     by_class: Dict[int, List[EdgeKey]] = {}
     for edge_key, class_id in classes.items():
         by_class.setdefault(class_id, []).append(edge_key)
@@ -160,19 +161,23 @@ def _collect_regions(function: Function, pair_selector) -> List[SESERegion]:
     return regions
 
 
-def find_canonical_regions(function: Function) -> List[SESERegion]:
+def find_canonical_regions(
+    function: Function, session: Optional[CompilationSession] = None
+) -> List[SESERegion]:
     """The canonical (smallest) SESE regions: consecutive class edges."""
 
     def pairs(run: List[EdgeKey]):
         return [(run[i], run[i + 1]) for i in range(len(run) - 1)]
 
-    return _collect_regions(function, pairs)
+    return _collect_regions(function, pairs, session)
 
 
-def find_maximal_regions(function: Function) -> List[SESERegion]:
+def find_maximal_regions(
+    function: Function, session: Optional[CompilationSession] = None
+) -> List[SESERegion]:
     """The maximal SESE regions used by the hierarchical placement algorithm."""
 
     def pairs(run: List[EdgeKey]):
         return [(run[0], run[-1])]
 
-    return _collect_regions(function, pairs)
+    return _collect_regions(function, pairs, session)

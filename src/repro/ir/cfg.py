@@ -245,8 +245,8 @@ class FunctionCFG:
     def _build_graph(self) -> None:
         """Deduplicated adjacency in both directions (DiGraph-compatible).
 
-        Node order and neighbour order replicate
-        :func:`repro.analysis.graph.function_cfg`: labels first in layout
+        Node order and neighbour order replicate adding the edges one by one
+        to a :class:`repro.analysis.graph.DiGraph`: labels first in layout
         order, then any edge endpoint not yet present, with parallel edges
         collapsed on first occurrence.
         """

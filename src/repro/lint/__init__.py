@@ -4,8 +4,8 @@ The lint subsystem turns the analyses the paper already needs — CFG,
 dominators, liveness, reaching definitions, loops — into *diagnostics*:
 ordered, deterministic :class:`Diagnostic` records with stable codes
 (``R001``..), severities, and block/instruction locations, produced by a
-pluggable :class:`Rule` registry running over a shared, memoized
-:class:`AnalysisContext`.
+pluggable :class:`Rule` registry running over one shared, compute-once
+:class:`~repro.analysis.session.CompilationSession`.
 
 Entry points:
 
@@ -18,7 +18,6 @@ Entry points:
   (IR, profile, machine, rules), hence cacheable and fleet-routable.
 """
 
-from repro.lint.context import AnalysisContext
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.engine import (
     BASELINE_SCHEMA,
@@ -38,7 +37,6 @@ from repro.lint.engine import (
 from repro.lint.rules import RULES, Rule, all_rules, register_rule
 
 __all__ = [
-    "AnalysisContext",
     "BASELINE_SCHEMA",
     "Diagnostic",
     "LINT_SCHEMA",

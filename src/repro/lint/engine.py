@@ -20,9 +20,9 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.session import CompilationSession
 from repro.ir.fingerprint import compile_options_token, procedure_cache_key
 from repro.ir.function import Function
-from repro.lint.context import AnalysisContext
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.rules import RULES, Rule, all_rules
 from repro.profiling.profile_data import EdgeProfile
@@ -163,7 +163,7 @@ def lint_function(
     """
 
     rules = resolve_rule_codes(select, ignore)
-    ctx = AnalysisContext(function, profile=profile, machine=machine)
+    ctx = CompilationSession(function, profile=profile, machine=machine)
     diagnostics: List[Diagnostic] = []
     rules_run: List[str] = []
     for rule in rules:

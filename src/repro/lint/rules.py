@@ -2,7 +2,7 @@
 
 Each rule is a named check with a stable code (``R001``..), a fixed
 severity, and a checker that walks one function through the shared
-:class:`~repro.lint.context.AnalysisContext` and yields
+:class:`~repro.analysis.session.CompilationSession` and yields
 :class:`~repro.lint.diagnostics.Diagnostic` records.  Rules never mutate
 the IR and never depend on iteration order of hash-based containers —
 every yielded sequence is derived from layout order or explicitly sorted,
@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Set
 
+from repro.analysis.session import CompilationSession
 from repro.ir.instructions import Opcode
 from repro.ir.values import Register, VirtualRegister
-from repro.lint.context import AnalysisContext
 from repro.lint.diagnostics import Diagnostic, Severity
 
-Checker = Callable[[AnalysisContext], Iterator[Diagnostic]]
+Checker = Callable[[CompilationSession], Iterator[Diagnostic]]
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class Rule:
     needs_profile: bool = False
     needs_machine: bool = False
 
-    def applies(self, ctx: AnalysisContext) -> bool:
+    def applies(self, ctx: CompilationSession) -> bool:
         """Whether this rule's optional inputs are present on ``ctx``."""
 
         if self.needs_profile and ctx.profile is None:
@@ -48,7 +48,7 @@ class Rule:
             return False
         return True
 
-    def run(self, ctx: AnalysisContext) -> List[Diagnostic]:
+    def run(self, ctx: CompilationSession) -> List[Diagnostic]:
         """Run the checker and return its findings as a list."""
 
         return list(self.checker(ctx))
@@ -91,7 +91,7 @@ def all_rules() -> List[Rule]:
     return [RULES[code] for code in sorted(RULES)]
 
 
-def _diag(rule_code: str, ctx: AnalysisContext, message: str, block=None, instruction=None, note=None) -> Diagnostic:
+def _diag(rule_code: str, ctx: CompilationSession, message: str, block=None, instruction=None, note=None) -> Diagnostic:
     rule = RULES[rule_code]
     return Diagnostic(
         code=rule.code,
@@ -121,7 +121,7 @@ def _sorted_registers(registers: Iterable[Register]) -> List[Register]:
     Severity.ERROR,
     "a register is read with no reaching definition on any path",
 )
-def check_uninitialized_read(ctx: AnalysisContext) -> Iterator[Diagnostic]:
+def check_uninitialized_read(ctx: CompilationSession) -> Iterator[Diagnostic]:
     """Flag reads of registers that no definition (or parameter) reaches."""
 
     params = set(ctx.function.params)
@@ -157,7 +157,7 @@ def check_uninitialized_read(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     Severity.WARN,
     "a register definition is never used before being overwritten or dropped",
 )
-def check_dead_definition(ctx: AnalysisContext) -> Iterator[Diagnostic]:
+def check_dead_definition(ctx: CompilationSession) -> Iterator[Diagnostic]:
     """Flag definitions whose value is dead immediately after the write.
 
     Calls are exempt: their defs model return values and the call runs for
@@ -199,7 +199,7 @@ def check_dead_definition(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     Severity.ERROR,
     "a block is unreachable from the entry block",
 )
-def check_unreachable_block(ctx: AnalysisContext) -> Iterator[Diagnostic]:
+def check_unreachable_block(ctx: CompilationSession) -> Iterator[Diagnostic]:
     """Flag blocks no path from the entry reaches."""
 
     for block in ctx.function.blocks:
@@ -223,7 +223,7 @@ def check_unreachable_block(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     Severity.WARN,
     "the CFG is irreducible (a back edge targets a non-dominating header)",
 )
-def check_irreducible_cfg(ctx: AnalysisContext) -> Iterator[Diagnostic]:
+def check_irreducible_cfg(ctx: CompilationSession) -> Iterator[Diagnostic]:
     """Warn when the CFG is irreducible.
 
     Irreducible flow is legal IR — the pipeline has a verified fallback —
@@ -252,7 +252,7 @@ def check_irreducible_cfg(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     Severity.INFO,
     "a switch edge targets a block with other predecessors (critical edge)",
 )
-def check_critical_switch_edge(ctx: AnalysisContext) -> Iterator[Diagnostic]:
+def check_critical_switch_edge(ctx: CompilationSession) -> Iterator[Diagnostic]:
     """Point out switch edges whose target has more than one predecessor.
 
     These are exactly the critical multiway jump edges where region-based
@@ -295,7 +295,7 @@ def check_critical_switch_edge(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     Severity.WARN,
     "a switch dispatches to a single distinct target",
 )
-def check_degenerate_switch(ctx: AnalysisContext) -> Iterator[Diagnostic]:
+def check_degenerate_switch(ctx: CompilationSession) -> Iterator[Diagnostic]:
     """Flag switches that always transfer to the same block (should be jmp)."""
 
     for block in ctx.function.blocks:
@@ -325,7 +325,7 @@ def check_degenerate_switch(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     Severity.WARN,
     "reachable blocks cannot reach any exit and perform no side effects",
 )
-def check_infinite_loop(ctx: AnalysisContext) -> Iterator[Diagnostic]:
+def check_infinite_loop(ctx: CompilationSession) -> Iterator[Diagnostic]:
     """Flag reachable regions that spin forever without observable effects.
 
     A block that is reachable but cannot reach any exit is stuck; when no
@@ -366,7 +366,7 @@ def check_infinite_loop(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     "profile edge counts violate flow conservation at some block",
     needs_profile=True,
 )
-def check_profile_flow(ctx: AnalysisContext) -> Iterator[Diagnostic]:
+def check_profile_flow(ctx: CompilationSession) -> Iterator[Diagnostic]:
     """Run Kirchhoff's law over the profile: flow in equals flow out."""
 
     for problem in ctx.profile.check_flow_conservation(ctx.function):
@@ -390,7 +390,7 @@ def check_profile_flow(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     "the profile names a different function or counts edges the CFG lacks",
     needs_profile=True,
 )
-def check_profile_shape(ctx: AnalysisContext) -> Iterator[Diagnostic]:
+def check_profile_shape(ctx: CompilationSession) -> Iterator[Diagnostic]:
     """Flag stale profiles: wrong function name, or counts on missing edges."""
 
     profile = ctx.profile
@@ -425,7 +425,7 @@ def check_profile_shape(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     "more virtual registers live across a call than callee-saved registers",
     needs_machine=True,
 )
-def check_callee_saved_pressure(ctx: AnalysisContext) -> Iterator[Diagnostic]:
+def check_callee_saved_pressure(ctx: CompilationSession) -> Iterator[Diagnostic]:
     """Estimate callee-saved pressure at call sites.
 
     A virtual register live across a call must end up in a callee-saved

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.analysis.session import CompilationSession
 from repro.cache.store import CacheSpec, resolve_cache
 from repro.ir.fingerprint import compile_options_token, procedure_cache_key
 from repro.ir.function import Function
@@ -211,7 +212,10 @@ def compile_procedure(
         Cost model for the hierarchical technique (paper: jump edge).  Given
         by name, it is weighted with ``machine``'s instruction costs.
     verify:
-        Check every produced placement against the callee-saved convention.
+        Check every produced placement against the callee-saved convention,
+        raising :class:`~repro.spill.verifier.PlacementError`.  Each
+        register's sets are checked once per compile: the verdicts the
+        techniques' soundness nets already recorded are reused.
     maximal_regions:
         Passed to the hierarchical algorithm (``False`` only for ablations).
     lint:
@@ -237,26 +241,26 @@ def compile_procedure(
         allocation = allocate_registers(function, machine, profile)
     allocated = allocation.function
     usage = allocation.usage
-    # One validated CFG snapshot for the whole placement phase: every
-    # technique, the verifier and the overhead accounting share it instead of
-    # re-deriving (and re-validating) the flowgraph per query.
-    cfg = allocated.cfg()
+    # One session for the whole placement phase: every technique, the
+    # verification and the overhead accounting share its CFG snapshot, its
+    # analyses and its per-register memos, each computed on first use.
+    session = CompilationSession(allocated, profile, machine)
 
     result = CompiledProcedure(
         name=function.name,
         allocation=allocation,
         profile=profile,
         usage=usage,
-        allocator_overhead=allocator_spill_overhead(allocated, profile, machine),
+        allocator_overhead=allocator_spill_overhead(allocated, profile, machine, session),
     )
 
     for technique in techniques:
         with stopwatch.measure(technique):
             if technique == "baseline":
-                placement = place_entry_exit(allocated, usage)
+                placement = place_entry_exit(allocated, usage, session=session)
             elif technique == "shrinkwrap":
                 placement = place_shrink_wrap(
-                    allocated, usage, allow_jump_edges=False, avoid_loops=True, cfg=cfg
+                    allocated, usage, allow_jump_edges=False, avoid_loops=True, session=session
                 )
             elif technique == "optimized":
                 placement = place_hierarchical(
@@ -265,14 +269,16 @@ def compile_procedure(
                     profile,
                     cost_model=cost_model,
                     maximal_regions=maximal_regions,
-                    cfg=cfg,
+                    session=session,
                 ).placement
             else:
                 raise ValueError(f"unknown technique {technique!r}")
         if verify:
-            verify_placement(allocated, usage, placement, cfg=cfg)
+            # Reads the per-register verdicts the soundness nets recorded;
+            # only sets no net checked (e.g. the baseline's) are walked here.
+            verify_placement(allocated, usage, placement, session=session)
         overhead = placement_dynamic_overhead(
-            allocated, profile, placement, machine, cfg=cfg
+            allocated, profile, placement, machine, cfg=session.cfg
         )
         result.outcomes[technique] = PlacementOutcome(
             technique=technique, placement=placement, overhead=overhead

@@ -1,4 +1,4 @@
-"""Profiling support: edge profiles, an IR interpreter, and overhead accounting.
+"""Profiling support: edge profiles and an IR interpreter.
 
 The spill-placement algorithms are profile guided: every candidate
 save/restore location is weighted by the dynamic execution count of the CFG
@@ -13,14 +13,12 @@ edge it sits on.  This package provides three ways to obtain those counts:
   executes functions on concrete inputs while counting every edge traversal
   and every executed instruction.
 
-:mod:`repro.profiling.overhead` turns a profile plus a spill placement (or a
-fully rewritten function) into the dynamic spill-overhead numbers reported in
-the paper's Figure 5 and Table 1.
+:mod:`repro.spill.overhead` turns a profile plus a spill placement into the
+dynamic spill-overhead numbers reported in the paper's Figure 5 and Table 1.
 """
 
 from repro.profiling.profile_data import EdgeProfile, ProfileError
 from repro.profiling.interpreter import ExecutionResult, Interpreter, InterpreterError
-from repro.profiling.overhead import OverheadBreakdown, measure_dynamic_overhead
 from repro.profiling.synthetic import profile_from_branch_probabilities, uniform_profile
 
 __all__ = [
@@ -28,9 +26,7 @@ __all__ = [
     "ExecutionResult",
     "Interpreter",
     "InterpreterError",
-    "OverheadBreakdown",
     "ProfileError",
-    "measure_dynamic_overhead",
     "profile_from_branch_probabilities",
     "uniform_profile",
 ]

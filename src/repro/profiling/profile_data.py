@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.ir.cfg import FunctionCFG
 from repro.ir.function import ENTRY_SENTINEL, EXIT_SENTINEL, Function
 
 EdgeKey = Tuple[str, str]
@@ -50,18 +51,23 @@ class EdgeProfile:
                 total += self.edge_count(edge.key)
         return total
 
-    def block_counts(self, function: Function) -> Dict[str, float]:
+    def block_counts(
+        self, function: Function, cfg: Optional[FunctionCFG] = None
+    ) -> Dict[str, float]:
         """Execution counts of every block, in one pass over the edges.
 
         Equivalent to ``block_count`` per label — the per-label addition
         order (invocations first at the entry, then incoming edges in
         ``function.edges()`` order) is identical, so the floats are bit-equal
-        — but O(B + E) instead of O(B * E).
+        — but O(B + E) instead of O(B * E).  ``cfg`` is the function's
+        snapshot, when the caller holds one.
         """
 
-        counts = {label: 0.0 for label in function.block_labels}
-        counts[function.entry.label] += self.invocations
-        for edge in function.edges():
+        if cfg is None:
+            cfg = function.cfg()
+        counts = {label: 0.0 for label in cfg.labels}
+        counts[cfg.entry_label] += self.invocations
+        for edge in cfg.edges:
             if edge.dst in counts:
                 counts[edge.dst] += self.edge_count(edge.key)
         return counts

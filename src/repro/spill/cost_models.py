@@ -159,8 +159,13 @@ class CostModel(abc.ABC):
         profile: EdgeProfile,
         srset: SaveRestoreSet,
         jump_sharing: Optional[Mapping[EdgeKey, int]] = None,
+        cfg: Optional[FunctionCFG] = None,
     ) -> float:
-        """Total cost of a save/restore set."""
+        """Total cost of a save/restore set.
+
+        A model that consults the CFG may use ``cfg`` instead of re-fetching
+        the snapshot.
+        """
 
         sharing = jump_sharing if srset.initial else None
         return sum(
@@ -252,10 +257,12 @@ class JumpEdgeCostModel(CostModel):
         profile: EdgeProfile,
         srset: SaveRestoreSet,
         jump_sharing: Optional[Mapping[EdgeKey, int]] = None,
+        cfg: Optional[FunctionCFG] = None,
     ) -> float:
         if type(self) is not JumpEdgeCostModel:
-            return super().set_cost(function, profile, srset, jump_sharing)
-        cfg = function.cfg()
+            return super().set_cost(function, profile, srset, jump_sharing, cfg=cfg)
+        if cfg is None:
+            cfg = function.cfg()
         sharing = jump_sharing if srset.initial else None
         return sum(
             self._location_cost(function, profile, location, sharing, cfg)

@@ -9,6 +9,9 @@ invocation.
 
 from __future__ import annotations
 
+from typing import Optional
+
+from repro.analysis.session import CompilationSession, session_for
 from repro.ir.function import ENTRY_SENTINEL, EXIT_SENTINEL, Function
 from repro.spill.model import (
     CalleeSavedUsage,
@@ -19,7 +22,9 @@ from repro.spill.model import (
 )
 
 
-def entry_exit_set(function: Function, register) -> SaveRestoreSet:
+def entry_exit_set(
+    function: Function, register, session: Optional[CompilationSession] = None
+) -> SaveRestoreSet:
     """The always-valid save/restore set: save at entry, restore at exit.
 
     This is both the baseline placement's building block and the documented
@@ -27,17 +32,21 @@ def entry_exit_set(function: Function, register) -> SaveRestoreSet:
     locations fail the soundness check (arbitrary, e.g. irreducible, CFGs).
     """
 
-    save = SpillLocation(register, SpillKind.SAVE, (ENTRY_SENTINEL, function.entry.label))
-    restore = SpillLocation(
-        register, SpillKind.RESTORE, (function.exit.label, EXIT_SENTINEL)
-    )
+    cfg = session_for(function, session).cfg
+    save = SpillLocation(register, SpillKind.SAVE, (ENTRY_SENTINEL, cfg.entry_label))
+    restore = SpillLocation(register, SpillKind.RESTORE, (cfg.exit_label, EXIT_SENTINEL))
     return SaveRestoreSet.from_locations(register, [save, restore], initial=True)
 
 
-def place_entry_exit(function: Function, usage: CalleeSavedUsage) -> SpillPlacement:
+def place_entry_exit(
+    function: Function,
+    usage: CalleeSavedUsage,
+    session: Optional[CompilationSession] = None,
+) -> SpillPlacement:
     """Save at procedure entry and restore at procedure exit."""
 
+    session = session_for(function, session)
     placement = SpillPlacement(function.name, "entry_exit")
     for register in usage.used_registers():
-        placement.add_set(entry_exit_set(function, register))
+        placement.add_set(entry_exit_set(function, register, session))
     return placement

@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.analysis.pst import ProgramStructureTree, Region, build_pst
+from repro.analysis.pst import ProgramStructureTree, Region
+from repro.analysis.session import CompilationSession, session_for
 from repro.ir.cfg import FunctionCFG
 from repro.ir.function import Function
 from repro.ir.values import PhysicalRegister
@@ -37,7 +38,6 @@ from repro.spill.cost_models import (
     make_cost_model,
     requires_jump_block,
 )
-from repro.spill.entry_exit import entry_exit_set
 from repro.spill.model import (
     CalleeSavedUsage,
     EdgeKey,
@@ -47,7 +47,7 @@ from repro.spill.model import (
     SpillPlacement,
 )
 from repro.spill.shrink_wrap import place_shrink_wrap
-from repro.spill.verifier import register_sets_are_sound
+from repro.spill.verifier import register_errors
 from repro.target.machine import MachineDescription
 
 
@@ -125,9 +125,7 @@ def _set_endpoint_labels(srset: SaveRestoreSet, cache: Dict[int, Tuple]) -> set:
 
 
 def _contained_sets(
-    region: Region,
-    sets: List[SaveRestoreSet],
-    endpoint_cache: Optional[Dict[int, Tuple]] = None,
+    region: Region, sets: List[SaveRestoreSet], endpoint_cache: Dict[int, Tuple]
 ) -> List[SaveRestoreSet]:
     """The save/restore sets fully contained in ``region``.
 
@@ -138,8 +136,6 @@ def _contained_sets(
 
     if region.is_root:
         return list(sets)
-    if endpoint_cache is None:
-        return [s for s in sets if s.is_contained_in_blocks(region.blocks)]
     blocks = region.blocks
     return [s for s in sets if _set_endpoint_labels(s, endpoint_cache) <= blocks]
 
@@ -150,9 +146,9 @@ def place_hierarchical(
     profile: EdgeProfile,
     cost_model: Union[CostModel, str] = "jump_edge",
     maximal_regions: bool = True,
-    pst: Optional[ProgramStructureTree] = None,
     machine: Optional["MachineDescription"] = None,
     cfg: Optional[FunctionCFG] = None,
+    session: Optional[CompilationSession] = None,
 ) -> HierarchicalResult:
     """Run the hierarchical spill code placement algorithm.
 
@@ -165,37 +161,37 @@ def place_hierarchical(
     maximal_regions:
         Build the PST from maximal SESE regions (the paper's formulation).
         ``False`` uses canonical regions and exists for the ablation study.
-    pst:
-        A pre-computed PST, to avoid recomputation when several placements of
-        the same function are produced.
     machine:
         Target machine supplying the save/restore/jump cost weights when
         ``cost_model`` is given by name (ignored for instances, which carry
         their own machine).  Omitted, every instruction costs one unit.
+    session:
+        The function's :class:`~repro.analysis.session.CompilationSession`
+        (or else a snapshot ``cfg`` to seed one): the PST, the CFG and the
+        per-register memos are shared with the compile's other techniques.
 
     The result is checked per register against the callee-saved convention;
     a register whose hoisted sets fail the check (possible only outside the
     paper's structural assumptions, e.g. on irreducible flowgraphs) reverts
-    to its initial shrink-wrapping sets — or, failing those too, to the
-    entry/exit pair — and is recorded in
+    to its initial sets — the modified shrink-wrapping sets, which passed
+    the same check, or their entry/exit fallback — and is recorded in
     :attr:`~repro.spill.model.SpillPlacement.fallback_registers`.
     """
 
     if isinstance(cost_model, str):
         cost_model = make_cost_model(cost_model, machine)
 
-    if cfg is None:
-        cfg = function.cfg()
+    session = session_for(function, session, cfg)
+    cfg = session.cfg
     # Steps 1-3: PST, modified shrink-wrapping locations, initial sets.
-    if pst is None:
-        pst = build_pst(function, maximal=maximal_regions)
+    pst = session.pst(maximal_regions)
     initial = place_shrink_wrap(
         function,
         usage,
         allow_jump_edges=True,
         avoid_loops=False,
         technique_name="modified_shrink_wrap",
-        cfg=cfg,
+        session=session,
     )
     jump_sharing = compute_jump_sharing(function, initial, cfg=cfg)
 
@@ -209,10 +205,10 @@ def place_hierarchical(
 
     def contained_set_cost(srset: SaveRestoreSet) -> float:
         if not memoize_costs:
-            return cost_model.set_cost(function, profile, srset, jump_sharing)
+            return cost_model.set_cost(function, profile, srset, jump_sharing, cfg=cfg)
         entry = cost_cache.get(id(srset))
         if entry is None:
-            entry = (srset, cost_model.set_cost(function, profile, srset, jump_sharing))
+            entry = (srset, cost_model.set_cost(function, profile, srset, jump_sharing, cfg=cfg))
             cost_cache[id(srset)] = entry
         return entry[1]
 
@@ -266,15 +262,13 @@ def place_hierarchical(
     # machinery guarantees on well-formed flowgraphs.  On shapes outside
     # those assumptions (degenerate or irreducible graphs) a hoisted set
     # could still violate the convention — such a register reverts to its
-    # initial (already validated) sets, or to entry/exit as a last resort.
+    # initial sets, which place_shrink_wrap already checked (or replaced by
+    # the entry/exit pair).
     placement = SpillPlacement(function.name, f"hierarchical[{cost_model.name}]")
     placement.fallback_registers = list(initial.fallback_registers)
     for register, sets in current.items():
-        used_blocks = usage.blocks_for(register)
-        if not register_sets_are_sound(function, register, used_blocks, sets, cfg=cfg):
+        if register_errors(session, register, usage.blocks_for(register), sets):
             sets = initial.sets_for(register)
-            if not register_sets_are_sound(function, register, used_blocks, sets, cfg=cfg):
-                sets = [entry_exit_set(function, register)]
             if register not in placement.fallback_registers:
                 placement.fallback_registers.append(register)
         for srset in sets:

@@ -7,9 +7,9 @@ instruction and every jump instruction needed to materialize spill code in a
 jump block.
 
 This module computes the callee-saved part of that overhead directly from a
-placement and an edge profile, without rewriting the function; the
-interpreter-based measurement in :mod:`repro.profiling.overhead` provides the
-end-to-end cross-check used by the tests.
+placement and an edge profile, without rewriting the function; the tests
+cross-check it end to end against an interpreter-based measurement of the
+rewritten function (``tests/oracles/overhead.py``).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.analysis.session import CompilationSession
 from repro.ir.cfg import FunctionCFG
 from repro.ir.function import Function
 from repro.ir.instructions import Opcode
@@ -93,6 +94,7 @@ def allocator_spill_overhead(
     function: Function,
     profile: EdgeProfile,
     machine: Optional[MachineDescription] = None,
+    session: Optional[CompilationSession] = None,
 ) -> float:
     """Profile-weighted count of allocator-inserted spill loads/stores.
 
@@ -100,12 +102,16 @@ def allocator_spill_overhead(
     register allocation is fixed before placement runs); it is included in
     Figure 5's totals.  With ``machine``, spill stores are weighted by the
     target's save (store) cost and spill loads by its restore (load) cost.
+    ``session`` (over the same function and ``profile``) supplies the block
+    counts.
     """
 
     store_weight, load_weight, _ = cost_weights(machine)
 
     total = 0.0
-    block_counts = profile.block_counts(function)
+    if session is None:
+        session = CompilationSession(function, profile)
+    block_counts = session.block_counts
     for block in function.blocks:
         count = block_counts[block.label]
         for inst in block.instructions:

@@ -36,10 +36,11 @@ algorithm (paper, Section 4) applies neither restriction.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
-from repro.analysis.loops import LoopForest, compute_loop_forest
-from repro.ir.cfg import EdgeKind, FunctionCFG
+from repro.analysis.loops import LoopForest
+from repro.analysis.session import CompilationSession, session_for
+from repro.ir.cfg import FunctionCFG
 from repro.ir.function import ENTRY_SENTINEL, EXIT_SENTINEL, Function
 from repro.ir.values import PhysicalRegister
 from repro.spill.model import (
@@ -52,7 +53,7 @@ from repro.spill.model import (
 )
 from repro.spill.entry_exit import entry_exit_set
 from repro.spill.sets import build_save_restore_sets
-from repro.spill.verifier import register_sets_are_sound
+from repro.spill.verifier import register_errors
 
 
 def _solve_aa_masks(cfg: FunctionCFG, used_mask: int) -> Tuple[int, int, int, int]:
@@ -180,32 +181,38 @@ def shrink_wrap_edges(
     allow_jump_edges: bool = True,
     avoid_loops: bool = False,
     max_iterations: Optional[int] = None,
-    cfg: Optional[FunctionCFG] = None,
-    loops: Optional[LoopForest] = None,
+    session: Optional[CompilationSession] = None,
 ) -> Tuple[Set[EdgeKey], Set[EdgeKey]]:
     """Shrink-wrapping save/restore edges for one register.
 
     ``allow_jump_edges=True, avoid_loops=False`` gives the modified variant
     used as the hierarchical algorithm's starting point;
     ``allow_jump_edges=False, avoid_loops=True`` gives Chow's original
-    technique.  ``cfg`` and ``loops`` (only read when ``avoid_loops``) let
-    callers placing many registers share the per-function derivations.
+    technique.  ``session`` lets callers placing many registers share the
+    CFG snapshot, the loop forest (only read when ``avoid_loops``) and the
+    data-flow solutions, which depend only on the occupied blocks — and
+    registers and the two variants often agree on those.
     """
 
     if not used_blocks:
         return set(), set()
-    if cfg is None:
-        cfg = function.cfg()
+    session = session_for(function, session)
+    cfg = session.cfg
+    solutions = session.edge_solutions
+
+    def solve(occupied: FrozenSet[str]) -> Tuple[Set[EdgeKey], Set[EdgeKey]]:
+        if occupied not in solutions:
+            solutions[occupied] = save_restore_edges(function, occupied, cfg=cfg)
+        saves, restores = solutions[occupied]
+        return set(saves), set(restores)
 
     occupied = frozenset(used_blocks)
     if avoid_loops:
-        if loops is None:
-            loops = compute_loop_forest(function)
-        occupied = _expand_through_loops(function, occupied, loops)
+        occupied = _expand_through_loops(function, occupied, session.loop_forest)
 
     limit = max_iterations if max_iterations is not None else len(function) + 2
     for _ in range(limit):
-        saves, restores = save_restore_edges(function, occupied, cfg=cfg)
+        saves, restores = solve(occupied)
         if allow_jump_edges:
             return saves, restores
         # Chow forbids *inserting new blocks* on jump edges; a location on a
@@ -226,10 +233,37 @@ def shrink_wrap_edges(
         # the source block for saves, the destination block for restores.
         occupied = frozenset(occupied | offenders_src | offenders_dst)
         if avoid_loops:
-            occupied = _expand_through_loops(function, occupied, loops)
+            occupied = _expand_through_loops(function, occupied, session.loop_forest)
     # The expansion is monotone and bounded by the number of blocks, so the
     # loop above always terminates; this return is the final fixed point.
-    return save_restore_edges(function, occupied, cfg=cfg)
+    return solve(occupied)
+
+
+def _grouped_sets(
+    session: CompilationSession,
+    register: PhysicalRegister,
+    saves: Set[EdgeKey],
+    restores: Set[EdgeKey],
+) -> List[SaveRestoreSet]:
+    """One register's initial save/restore sets, grouped once per edge content.
+
+    Chow's technique and the modified variant agree on most registers'
+    edges; the session memo hands the second the first's sets (the same
+    immutable objects), so their grouping and soundness check are shared.
+    """
+
+    key = (register, frozenset(saves), frozenset(restores))
+    sets = session.set_groups.get(key)
+    if sets is None:
+        locations = [SpillLocation(register, SpillKind.SAVE, edge) for edge in sorted(saves)]
+        locations += [
+            SpillLocation(register, SpillKind.RESTORE, edge) for edge in sorted(restores)
+        ]
+        sets = build_save_restore_sets(
+            session.function, register, locations, initial=True, cfg=session.cfg
+        )
+        session.set_groups[key] = sets
+    return list(sets)
 
 
 def place_shrink_wrap(
@@ -239,11 +273,14 @@ def place_shrink_wrap(
     avoid_loops: bool = True,
     technique_name: Optional[str] = None,
     cfg: Optional[FunctionCFG] = None,
+    session: Optional[CompilationSession] = None,
 ) -> SpillPlacement:
     """Shrink-wrapping placement for every used callee-saved register.
 
     The defaults reproduce Chow's original technique; pass
     ``allow_jump_edges=True, avoid_loops=False`` for the modified variant.
+    ``session`` (or else ``cfg``) shares the function's analyses and
+    per-register memos with the other techniques of the same compile.
 
     The dataflow-derived locations are checked per register against the
     callee-saved convention; a register whose candidate sets fail the check
@@ -255,26 +292,20 @@ def place_shrink_wrap(
 
     if technique_name is None:
         technique_name = "shrink_wrap" if not allow_jump_edges else "modified_shrink_wrap"
-    if cfg is None:
-        cfg = function.cfg()
-    loops = compute_loop_forest(function) if avoid_loops else None
+    session = session_for(function, session, cfg)
     placement = SpillPlacement(function.name, technique_name)
     for register in usage.used_registers():
+        occupied = usage.blocks_for(register)
         saves, restores = shrink_wrap_edges(
             function,
-            usage.blocks_for(register),
+            occupied,
             allow_jump_edges=allow_jump_edges,
             avoid_loops=avoid_loops,
-            cfg=cfg,
-            loops=loops,
+            session=session,
         )
-        locations = [SpillLocation(register, SpillKind.SAVE, key) for key in sorted(saves)]
-        locations += [SpillLocation(register, SpillKind.RESTORE, key) for key in sorted(restores)]
-        sets = build_save_restore_sets(function, register, locations, initial=True, cfg=cfg)
-        if not register_sets_are_sound(
-            function, register, usage.blocks_for(register), sets, cfg=cfg
-        ):
-            sets = [entry_exit_set(function, register)]
+        sets = _grouped_sets(session, register, saves, restores)
+        if register_errors(session, register, occupied, sets):
+            sets = [entry_exit_set(function, register, session)]
             placement.fallback_registers.append(register)
         for srset in sets:
             placement.add_set(srset)

@@ -19,12 +19,19 @@ point for straight-line save/restore code to be correct).
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
+from repro.analysis.session import CompilationSession, session_for
 from repro.ir.cfg import FunctionCFG
 from repro.ir.function import ENTRY_SENTINEL, EXIT_SENTINEL, Function
 from repro.ir.values import PhysicalRegister
-from repro.spill.model import CalleeSavedUsage, EdgeKey, SpillKind, SpillLocation, SpillPlacement
+from repro.spill.model import (
+    CalleeSavedUsage,
+    EdgeKey,
+    SaveRestoreSet,
+    SpillLocation,
+    SpillPlacement,
+)
 
 
 class PlacementError(ValueError):
@@ -38,15 +45,6 @@ class PlacementError(ValueError):
 class _State(enum.Enum):
     ORIGINAL = "original"   # the callee-saved value is (still) in the register
     SAVED = "saved"         # the value is in the save slot; the register is free
-
-
-def _edge_locations(
-    placement: SpillPlacement, register: PhysicalRegister
-) -> Dict[EdgeKey, List[SpillLocation]]:
-    by_edge: Dict[EdgeKey, List[SpillLocation]] = {}
-    for location in placement.locations_for(register):
-        by_edge.setdefault(location.edge, []).append(location)
-    return by_edge
 
 
 def _apply_edge(
@@ -80,90 +78,125 @@ def _apply_edge(
     return state
 
 
+def walk_register_convention(
+    cfg: FunctionCFG,
+    register: PhysicalRegister,
+    occupied: FrozenSet[str],
+    sets: Sequence[SaveRestoreSet],
+) -> List[str]:
+    """Every convention violation of one register's save/restore ``sets``.
+
+    One abstract-interpretation walk over the CFG; ``occupied`` are the
+    blocks the register is occupied in.
+    """
+
+    errors: List[str] = []
+    locations = [location for srset in sets for location in srset.locations]
+    by_edge: Dict[EdgeKey, List[SpillLocation]] = {}
+    for location in locations:
+        by_edge.setdefault(location.edge, []).append(location)
+    entry = cfg.entry_label
+    exit_label = cfg.exit_label
+    block_out_edges = cfg.out_edges
+
+    # State at block entry, propagated to a fixed point; absent = unknown.
+    state_at: Dict[str, _State] = {}
+    entry_key = (ENTRY_SENTINEL, entry)
+    entry_locations = by_edge.get(entry_key)
+    if entry_locations is None:
+        entry_state = _State.ORIGINAL
+    else:
+        entry_state = _apply_edge(_State.ORIGINAL, entry_key, entry_locations, errors, register)
+    state_at[entry] = entry_state
+
+    worklist = [entry]
+    while worklist:
+        label = worklist.pop()
+        state = state_at[label]
+        if label in occupied and state is not _State.SAVED:
+            errors.append(
+                f"{register.name}: block {label!r} is occupied but the original "
+                "value was never saved on some path"
+            )
+        for edge in block_out_edges[label]:
+            key = edge.key
+            edge_locations = by_edge.get(key)
+            if edge_locations is None:
+                # No spill code on this edge: the state passes through.
+                next_state = state
+            else:
+                next_state = _apply_edge(state, key, edge_locations, errors, register)
+            previous = state_at.get(edge.dst)
+            if previous is None:
+                state_at[edge.dst] = next_state
+                worklist.append(edge.dst)
+            elif previous is not next_state:
+                errors.append(
+                    f"{register.name}: conflicting saved/unsaved state at block "
+                    f"{edge.dst!r} (paths disagree)"
+                )
+
+    exit_state = state_at.get(exit_label)
+    if exit_state is not None:
+        exit_key = (exit_label, EXIT_SENTINEL)
+        exit_locations = by_edge.get(exit_key)
+        if exit_locations is None:
+            final = exit_state
+        else:
+            final = _apply_edge(exit_state, exit_key, exit_locations, errors, register)
+        if final is not _State.ORIGINAL:
+            errors.append(
+                f"{register.name}: procedure exit reached with the original value "
+                "still in the save slot (missing restore)"
+            )
+
+    # Every location must sit on an edge that actually exists.
+    valid_edges = cfg.placement_edge_keys()
+    for location in locations:
+        if location.edge not in valid_edges:
+            errors.append(f"{register.name}: location {location} does not lie on a CFG edge")
+    return errors
+
+
+def register_errors(
+    session: CompilationSession,
+    register: PhysicalRegister,
+    occupied: FrozenSet[str],
+    sets: Sequence[SaveRestoreSet],
+) -> List[str]:
+    """One register's convention errors, walked once per content per session.
+
+    This is the placement techniques' safety net: dataflow-derived locations
+    are provably correct on the CFG shapes the paper analyses, but arbitrary
+    (e.g. irreducible) flowgraphs may break a technique's assumptions, and a
+    register whose sets fail falls back to entry/exit placement.  The memo
+    key — register, occupied blocks, the sets' locations — is all the verdict
+    depends on, so verification reuses the nets' verdicts.  Read-only result.
+    """
+
+    occupied = frozenset(occupied)
+    key = (register, occupied, tuple(srset.locations for srset in sets))
+    errors = session.set_errors.get(key)
+    if errors is None:
+        errors = walk_register_convention(session.cfg, register, occupied, sets)
+        session.set_errors[key] = errors
+    return errors
+
+
 def collect_placement_errors(
     function: Function,
     usage: CalleeSavedUsage,
     placement: SpillPlacement,
     cfg: Optional[FunctionCFG] = None,
+    session: Optional[CompilationSession] = None,
 ) -> List[str]:
-    """Return every convention violation of ``placement`` (empty when valid)."""
+    """Every convention violation of ``placement``, register by register."""
 
+    session = session_for(function, session, cfg)
     errors: List[str] = []
-    if cfg is None:
-        cfg = function.cfg()
-    entry = function.entry.label
-    exit_label = cfg.exit_label
-    block_out_edges = cfg.out_edges
-
-    # Every location must sit on an edge that actually exists; the valid-edge
-    # table is shared by all registers (and all calls on this snapshot).
-    valid_edges = cfg.placement_edge_keys()
-
     for register in usage.used_registers():
-        by_edge = _edge_locations(placement, register)
-        occupied = usage.blocks_for(register)
-
-        # State at block entry, propagated to a fixed point; absent = unknown.
-        state_at: Dict[str, _State] = {}
-        entry_key = (ENTRY_SENTINEL, entry)
-        entry_locations = by_edge.get(entry_key)
-        if entry_locations is None:
-            entry_state = _State.ORIGINAL
-        else:
-            entry_state = _apply_edge(
-                _State.ORIGINAL, entry_key, entry_locations, errors, register
-            )
-        state_at[entry] = entry_state
-
-        worklist = [entry]
-        while worklist:
-            label = worklist.pop()
-            state = state_at[label]
-            if label in occupied and state is not _State.SAVED:
-                errors.append(
-                    f"{register.name}: block {label!r} is occupied but the original "
-                    "value was never saved on some path"
-                )
-            for edge in block_out_edges[label]:
-                key = edge.key
-                locations = by_edge.get(key)
-                if locations is None:
-                    # No spill code on this edge: the state passes through.
-                    next_state = state
-                else:
-                    next_state = _apply_edge(state, key, locations, errors, register)
-                previous = state_at.get(edge.dst)
-                if previous is None:
-                    state_at[edge.dst] = next_state
-                    worklist.append(edge.dst)
-                elif previous is not next_state:
-                    errors.append(
-                        f"{register.name}: conflicting saved/unsaved state at block "
-                        f"{edge.dst!r} (paths disagree)"
-                    )
-
-        exit_state = state_at.get(exit_label)
-        if exit_state is not None:
-            exit_key = (exit_label, EXIT_SENTINEL)
-            exit_locations = by_edge.get(exit_key)
-            if exit_locations is None:
-                final = exit_state
-            else:
-                final = _apply_edge(
-                    exit_state, exit_key, exit_locations, errors, register
-                )
-            if final is not _State.ORIGINAL:
-                errors.append(
-                    f"{register.name}: procedure exit reached with the original value "
-                    "still in the save slot (missing restore)"
-                )
-
-        for location in placement.locations_for(register):
-            if location.edge not in valid_edges:
-                errors.append(
-                    f"{register.name}: location {location} does not lie on a CFG edge"
-                )
-
+        sets = placement.sets.get(register, ())
+        errors.extend(register_errors(session, register, usage.blocks_for(register), sets))
     return errors
 
 
@@ -172,28 +205,16 @@ def verify_placement(
     usage: CalleeSavedUsage,
     placement: SpillPlacement,
     cfg: Optional[FunctionCFG] = None,
+    session: Optional[CompilationSession] = None,
 ) -> None:
     """Raise :class:`PlacementError` when ``placement`` is invalid."""
 
-    errors = collect_placement_errors(function, usage, placement, cfg=cfg)
+    errors = collect_placement_errors(function, usage, placement, cfg=cfg, session=session)
     if errors:
         raise PlacementError(errors)
 
 
 def register_sets_are_sound(function, register, used_blocks, sets, cfg=None) -> bool:
-    """Check one register's save/restore sets against the convention.
+    """Whether one register's save/restore sets meet the convention."""
 
-    The placement algorithms use this as their safety net: dataflow-derived
-    locations are provably correct on the CFG shapes the paper analyses, but
-    the scenario space includes arbitrary (e.g. irreducible) flowgraphs where
-    the structural assumptions behind a technique may not hold — a register
-    whose candidate sets fail this check falls back to entry/exit placement
-    (see :func:`repro.spill.shrink_wrap.place_shrink_wrap` and
-    :func:`repro.spill.hierarchical.place_hierarchical`).
-    """
-
-    usage = CalleeSavedUsage.from_blocks({register: used_blocks})
-    probe = SpillPlacement(function.name, "soundness-probe")
-    for srset in sets:
-        probe.add_set(srset)
-    return not collect_placement_errors(function, usage, probe, cfg=cfg)
+    return not register_errors(session_for(function, cfg=cfg), register, used_blocks, sets)

@@ -8,7 +8,7 @@ from repro.analysis.dominance import (
     compute_dominators_of_graph,
     compute_postdominators,
 )
-from repro.analysis.graph import DiGraph, function_cfg
+from repro.analysis.graph import DiGraph
 from repro.workloads.programs import diamond_function, loop_function, paper_example
 
 from tests.conftest import generated_procedures

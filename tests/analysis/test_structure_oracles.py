@@ -1,10 +1,13 @@
 """The size-linear dominance, region and PST queries agree with their oracles.
 
 ``tests/oracles/structure.py`` keeps the original formulations (idom-chain
-dominance, the every-block region scan, the strict-superset PST nesting);
-these properties check the shipped versions against them on generated
-procedures, seeded ``chaos_cfg`` flowgraphs (irreducible ones included),
-edge-split graphs and a graph with an unreachable node.
+dominance, two iterative solves on the edge-split graph, the every-block
+region scan, the strict-superset PST nesting); these properties check the
+shipped versions against them on generated procedures, seeded ``chaos_cfg``
+flowgraphs (irreducible ones included), edge-split graphs, the Table 1 suite,
+``irreducible_loop`` before and after allocation, and a graph with an
+unreachable node.  The edge-split trees :class:`EdgeDominance` derives from
+the block trees must equal the solved ones node for node.
 """
 
 from __future__ import annotations
@@ -18,18 +21,23 @@ from repro.analysis.dominance import (
     compute_dominators_of_graph,
     compute_postdominators,
 )
-from repro.analysis.graph import DiGraph, edge_split_graph
+from repro.analysis.graph import DiGraph
 from repro.analysis.pst import Region, _nest_regions, build_pst
 from repro.analysis.sese import find_canonical_regions, find_maximal_regions
-from repro.workloads.scenarios import build_chaos_cfg
+from repro.regalloc import allocate_registers
+from repro.workloads.scenarios import build_chaos_cfg, build_scenario
+from repro.workloads.spec_like import build_suite
 
 from tests.conftest import generated_procedures
 from tests.oracles.structure import (
     chain_depth,
     chain_descendants,
     chain_dominates,
+    edge_split_graph,
+    idom_map,
     scan_regions,
     scan_smallest_region_containing,
+    solved_edge_trees,
     superset_scan_children,
     superset_scan_parents,
 )
@@ -58,6 +66,15 @@ def assert_tree_matches_oracle(tree) -> None:
             assert tree.dominates(a, b) == chain_dominates(tree, a, b)
 
 
+def assert_derived_edge_trees_match_the_solves(function) -> None:
+    """The derived edge-split trees equal the two iterative solves, idom for idom."""
+
+    derived = EdgeDominance(function)
+    dom, postdom = solved_edge_trees(function)
+    assert idom_map(derived._dom) == idom_map(dom)
+    assert idom_map(derived._postdom) == idom_map(postdom)
+
+
 class TestDominatorTree:
     @given(functions)
     def test_block_dominators_and_postdominators(self, function):
@@ -69,6 +86,20 @@ class TestDominatorTree:
         graph, entry_node, exit_node, _edges = edge_split_graph(function)
         assert_tree_matches_oracle(compute_dominators_of_graph(graph, entry_node))
         assert_tree_matches_oracle(compute_dominators_of_graph(graph.reversed(), exit_node))
+        derived = EdgeDominance(function)
+        assert_tree_matches_oracle(derived._dom)
+        assert_tree_matches_oracle(derived._postdom)
+        assert_derived_edge_trees_match_the_solves(function)
+
+    def test_derived_edge_trees_on_table1_and_irreducible_loops(self, parisc):
+        functions = [p.function for b in build_suite() for p in b.procedures]
+        assert len(functions) == 172
+        for seed in range(4):
+            for procedure in build_scenario("irreducible_loop", seed=seed, count=4, machine=parisc):
+                allocation = allocate_registers(procedure.function, parisc, procedure.profile)
+                functions += [procedure.function, allocation.function]
+        for function in functions:
+            assert_derived_edge_trees_match_the_solves(function)
 
     def test_unreachable_node_semantics(self):
         graph = DiGraph()

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, List, Set, TypeVar
 
 from repro.analysis.dataflow import DataflowProblem, DataflowResult, Direction, Meet
-from repro.analysis.graph import function_cfg
+from repro.analysis.graph import cfg_digraph
 from repro.ir.function import Function
 
 T = TypeVar("T")
@@ -67,8 +67,7 @@ def solve_dataflow_reference(
         block_in[label] = set(initial)
         block_out[label] = set(initial)
 
-    graph, entry, _ = function_cfg(function)
-    order = graph.reverse_postorder(entry)
+    order = cfg_digraph(function.cfg()).reverse_postorder(function.entry.label)
     # Include blocks unreachable from the entry at the end so their facts are
     # still defined (they simply keep pessimistic values).
     order += [label for label in labels if label not in set(order)]

@@ -1,4 +1,4 @@
-"""Dynamic spill overhead accounting on rewritten functions.
+"""Dynamic spill overhead accounting on rewritten functions (test oracle).
 
 The paper's Figure 5 reports, per benchmark, the total dynamic spill code
 overhead: every load/store generated by the register allocator plus every
@@ -12,7 +12,8 @@ for a function that has already been rewritten by the allocator and
 :func:`measure_dynamic_overhead_by_execution` measures the same quantity by
 actually running the function in the interpreter; the two agree whenever the
 profile describes the executed path, which is what the integration tests
-check.
+check.  Both are set-based cross-checks of the shipped placement-level
+accounting in :mod:`repro.spill.overhead`, so they live with the oracles.
 """
 
 from __future__ import annotations

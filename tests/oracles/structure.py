@@ -2,16 +2,18 @@
 
 These are the original, obviously-correct formulations that
 :mod:`repro.analysis` replaced with size-linear ones: an idom-chain walk for
-dominance, a scan of every block against every region for region block sets,
-and a strict-superset scan over all regions for PST nesting.  They stay here
-as test oracles; the property tests compare the shipped analyses with them.
+dominance, two iterative solves on the edge-split graph for edge dominance,
+a scan of every block against every region for region block sets, and a
+strict-superset scan over all regions for PST nesting.  They stay here as
+test oracles; the property tests compare the shipped analyses with them.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Hashable, List, Sequence, Set, Tuple
 
-from repro.analysis.dominance import DominatorTree, EdgeDominance
+from repro.analysis.dominance import DominatorTree, EdgeDominance, compute_dominators_of_graph
+from repro.analysis.graph import DiGraph
 from repro.analysis.sese import SESERegion, _chain_runs, compute_edge_classes
 from repro.ir.function import Function
 
@@ -40,6 +42,56 @@ def chain_depth(tree: DominatorTree, node: Hashable) -> int:
 
 def chain_descendants(tree: DominatorTree, node: Hashable) -> Set[Hashable]:
     return {other for other in tree.nodes if chain_dominates(tree, node, other)}
+
+
+def edge_split_graph(function) -> Tuple[DiGraph, Hashable, Hashable, Dict[EdgeKey, Hashable]]:
+    """A graph where every CFG edge is represented by a synthetic node.
+
+    Each CFG edge ``(u, v)`` becomes a node ``("edge", u, v)`` spliced between
+    ``("block", u)`` and ``("block", v)``; node dominance on this graph is
+    edge dominance.  The virtual procedure entry and exit edges are included
+    so they can delimit the root region.
+
+    Returns ``(graph, entry_edge_node, exit_edge_node, edge_node_map)`` where
+    ``edge_node_map`` maps each real CFG edge key to its synthetic node.
+    """
+
+    graph = DiGraph()
+    entry_node = ("edge", "__entry__", function.entry.label)
+    exit_node = ("edge", function.exit.label, "__exit__")
+    edge_nodes: Dict[EdgeKey, Hashable] = {}
+
+    for label in function.block_labels:
+        graph.add_node(("block", label))
+
+    graph.add_node(entry_node)
+    graph.add_edge(entry_node, ("block", function.entry.label))
+    graph.add_node(exit_node)
+    graph.add_edge(("block", function.exit.label), exit_node)
+
+    for edge in function.edges():
+        node = ("edge", edge.src, edge.dst)
+        edge_nodes[edge.key] = node
+        graph.add_edge(("block", edge.src), node)
+        graph.add_edge(node, ("block", edge.dst))
+
+    return graph, entry_node, exit_node, edge_nodes
+
+
+def solved_edge_trees(function) -> Tuple[DominatorTree, DominatorTree]:
+    """Edge-split dominator and post-dominator trees by two iterative solves."""
+
+    graph, entry_node, exit_node, _edges = edge_split_graph(function)
+    return (
+        compute_dominators_of_graph(graph, entry_node),
+        compute_dominators_of_graph(graph.reversed(), exit_node),
+    )
+
+
+def idom_map(tree: DominatorTree) -> Dict[Hashable, Hashable]:
+    """``node -> immediate dominator`` for every node of ``tree``."""
+
+    return {node: tree.idom(node) for node in tree.nodes}
 
 
 # -- SESE regions ----------------------------------------------------------------

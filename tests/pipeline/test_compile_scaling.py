@@ -4,16 +4,21 @@ Every ``Function.cfg()`` call re-validates the cached snapshot against the
 terminators of every block.  A per-region or per-edge ``cfg()`` re-fetch in
 a hot loop makes that count grow with procedure size squared, so counting
 the re-validated blocks per compiled instruction catches it
-deterministically, long before a timing benchmark would.
+deterministically, long before a timing benchmark would.  The same goes for
+the callee-saved convention walks: each compile's session checks each
+register's candidate sets once, which is counted here too.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis import dominance
 from repro.ir.function import Function
 from repro.pipeline.compiler import compile_procedure
+from repro.spill import verifier
 from repro.workloads.generator import GeneratorConfig, generate_procedure
+from repro.workloads.spec_like import build_suite
 
 
 def revalidated_blocks_per_instruction(monkeypatch, num_segments: int) -> float:
@@ -40,3 +45,52 @@ def test_cfg_revalidation_scales_linearly(monkeypatch):
         f"({small:.1f} -> {large:.1f}); some pass re-fetches function.cfg() "
         "per region or per edge"
     )
+
+
+def test_a_compile_revalidates_its_cfg_a_bounded_number_of_times(monkeypatch):
+    # The allocator's block counts and the session's one fetch; 2.95 blocks
+    # per instruction when every placement query re-fetched the snapshot.
+    assert revalidated_blocks_per_instruction(monkeypatch, 24) <= 0.5
+
+
+def test_each_register_set_list_is_walked_once_per_compile(monkeypatch):
+    procedures = [p for benchmark in build_suite() for p in benchmark.procedures]
+    original = verifier.walk_register_convention
+    walked = []
+
+    def counting(cfg, register, occupied, sets):
+        walked.append((register, occupied, tuple(s.locations for s in sets)))
+        return original(cfg, register, occupied, sets)
+
+    monkeypatch.setattr(verifier, "walk_register_convention", counting)
+    total = 0
+    for procedure in procedures:
+        walked.clear()
+        compile_procedure(procedure)
+        assert len(set(walked)) == len(walked), procedure.name
+        total += len(walked)
+    # One walk per (register, placement) was 20.0 per compile.
+    assert total / len(procedures) <= 8
+
+
+@pytest.mark.parametrize(
+    "techniques, solves",
+    [(("baseline",), 0), (("baseline", "shrinkwrap"), 1), (("baseline", "optimized"), 2),
+     (("baseline", "shrinkwrap", "optimized"), 2)],
+)
+def test_a_compile_solves_dominance_only_for_the_techniques_that_read_it(
+    monkeypatch, techniques, solves
+):
+    # Chow's loop avoidance needs the dominator tree; the PST needs both
+    # block trees, and its edge-split trees are derived from them unsolved.
+    procedure = generate_procedure(GeneratorConfig(seed=1, num_segments=24))
+    original = dominance.compute_dominators_of_graph
+    count = [0]
+
+    def counting(graph, entry):
+        count[0] += 1
+        return original(graph, entry)
+
+    monkeypatch.setattr(dominance, "compute_dominators_of_graph", counting)
+    compile_procedure(procedure, techniques=techniques)
+    assert count[0] == solves

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 
 from repro.ir.builder import FunctionBuilder
 from repro.profiling.interpreter import Interpreter, InterpreterError, run_with_convention_check
-from repro.profiling.overhead import measure_dynamic_overhead, measure_dynamic_overhead_by_execution
 from repro.profiling.profile_data import EdgeProfile, ProfileError
 from repro.profiling.synthetic import (
     profile_from_block_frequencies,
@@ -20,6 +19,10 @@ from repro.target.parisc import parisc_target
 from repro.workloads.programs import call_chain_function, diamond_function, loop_function, paper_example
 
 from tests.conftest import generated_procedures
+from tests.oracles.overhead import (
+    measure_dynamic_overhead,
+    measure_dynamic_overhead_by_execution,
+)
 
 
 class TestEdgeProfile:

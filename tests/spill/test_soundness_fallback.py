@@ -5,7 +5,9 @@ shapes the paper analyses; the scenario space also contains arbitrary
 (e.g. irreducible) flowgraphs.  Every placement therefore passes a
 per-register convention check, and a register whose derived locations fail
 it falls back to the always-valid entry/exit pair — these tests pin both
-the check and the fallback wiring down.
+the check and the fallback wiring down, and that the pipeline's
+``verify=True``, which reuses the nets' per-register verdicts, still raises
+exactly the verifier's errors.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ from __future__ import annotations
 import pytest
 
 from repro.ir.function import ENTRY_SENTINEL, EXIT_SENTINEL
+from repro.pipeline.compiler import compile_procedure
 from repro.regalloc import allocate_registers
 from repro.spill.entry_exit import entry_exit_set, place_entry_exit
 from repro.spill.hierarchical import place_hierarchical
 from repro.spill.model import SaveRestoreSet, SpillKind, SpillLocation
 from repro.spill.shrink_wrap import place_shrink_wrap
-from repro.spill.verifier import register_sets_are_sound, verify_placement
+from repro.spill.verifier import PlacementError, register_sets_are_sound, verify_placement
 from repro.workloads.scenarios import build_scenario
 
 
@@ -95,7 +98,7 @@ class TestFallbackWiring:
     def test_hierarchical_reverts_unsound_hoists_to_initial_sets(
         self, occupied_diamond, monkeypatch
     ):
-        import repro.spill.hierarchical as hierarchical_module
+        from repro.analysis.session import CompilationSession
 
         allocation, profile = occupied_diamond
         function, usage = allocation.function, allocation.usage
@@ -109,10 +112,10 @@ class TestFallbackWiring:
             exit_edge = (function.entry.label, function.successors(function.entry.label)[0])
             blocks = frozenset(function.block_labels)
 
-        real_build_pst = hierarchical_module.build_pst
+        real_pst = CompilationSession.pst
 
-        def broken_pst(func, maximal=True):
-            pst = real_build_pst(func, maximal=maximal)
+        def broken_pst(session, maximal=True):
+            pst = real_pst(session, maximal=maximal)
             original = pst.topological_order
 
             def order():
@@ -121,7 +124,8 @@ class TestFallbackWiring:
             pst.topological_order = order
             return pst
 
-        monkeypatch.setattr(hierarchical_module, "build_pst", broken_pst)
+        # The hierarchical pass reads its PST from the compile's session.
+        monkeypatch.setattr(CompilationSession, "pst", broken_pst)
         result = place_hierarchical(function, usage, profile)
         # Whatever the broken traversal produced, the result must verify;
         # any register it broke reverts and is recorded.
@@ -142,3 +146,38 @@ class TestFallbackWiring:
                 ):
                     assert placement.fallback_registers == []
                     verify_placement(function, usage, placement)
+
+
+class TestVerifyOnce:
+    """The pipeline verifies from the per-register verdicts, never less strictly."""
+
+    def test_planted_unsound_set_raises_the_verifier_errors(self, parisc, monkeypatch):
+        import repro.pipeline.compiler as compiler_module
+
+        procedure = build_scenario("irreducible_loop", seed=0, count=1, machine=parisc)[0]
+        real_place_shrink_wrap = compiler_module.place_shrink_wrap
+        planted = []
+
+        def without_a_restore(function, usage, **kwargs):
+            placement = real_place_shrink_wrap(function, usage, **kwargs)
+            register = usage.used_registers()[0]
+            first, *rest = placement.sets_for(register)
+            restore = next(l for l in first.locations if l.is_restore())
+            kept = SaveRestoreSet.from_locations(
+                register, [l for l in first.locations if l != restore]
+            )
+            placement.replace_sets(register, [kept] + rest)
+            planted.append((function, usage, placement))
+            return placement
+
+        monkeypatch.setattr(compiler_module, "place_shrink_wrap", without_a_restore)
+        with pytest.raises(PlacementError) as from_pipeline:
+            compile_procedure(procedure, machine=parisc)
+        function, usage, placement = planted[-1]
+        with pytest.raises(PlacementError) as from_verifier:
+            verify_placement(function, usage, placement)
+        assert from_pipeline.value.errors == from_verifier.value.errors
+        assert any("missing restore" in error for error in from_pipeline.value.errors)
+
+        compiled = compile_procedure(procedure, machine=parisc, verify=False)
+        assert compiled.outcomes["shrinkwrap"].placement is planted[-1][2]

@@ -45,6 +45,14 @@ class TestRules:
         )
         assert check_hotpath.check_source(nested, "src/repro/service/x.py") == []
 
+    def test_h004_catches_per_compile_analyses_outside_the_session(self):
+        for call in ("build_pst(fn)", "loops.compute_loop_forest(fn)", "EdgeDominance(fn)",
+                     "compute_dominators(fn)", "compute_postdominators(fn)"):
+            source = f"def f(fn):\n    return {call}\n"
+            for path in ("src/repro/spill/x.py", "src/repro/pipeline/x.py"):
+                assert [v.code for v in check_hotpath.check_source(source, path)] == ["H004"]
+            assert check_hotpath.check_source(source, "src/repro/analysis/session.py") == []
+
     def test_out_of_scope_paths_are_ignored(self):
         source = "def f(fn, l):\n    return fn.block_out_edges(l)\n"
         assert check_hotpath.check_source(source, "src/repro/evaluation/x.py") == []

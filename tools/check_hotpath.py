@@ -5,7 +5,7 @@ The placement and allocation hot paths went through several optimization PRs
 (bitset liveness, one validated CFG snapshot per compile, mask-based
 anticipation/availability).  Those wins regress silently when new code calls
 the convenient-but-slow per-query APIs, so this tool walks the AST of the
-source tree and enforces three rules:
+source tree and enforces four rules:
 
 ``H001``
     ``.block_out_edges(...)`` inside ``repro/spill`` or ``repro/regalloc``.
@@ -27,6 +27,14 @@ source tree and enforces three rules:
     The serving layer is a single event loop; blocking it stalls every
     connection.  Blocking work belongs behind ``asyncio.to_thread`` or the
     loop's executor.
+
+``H004``
+    A direct ``build_pst(...)``, ``compute_loop_forest(...)``,
+    ``compute_dominators(...)``, ``compute_postdominators(...)`` or
+    ``EdgeDominance(...)`` call inside ``repro/spill`` or ``repro/pipeline``.
+    A compile builds each of these once, in its
+    :class:`~repro.analysis.session.CompilationSession`; placement and
+    pipeline code reads them from the session instead of recomputing them.
 
 A finding can be suppressed for one line with a trailing ``# hotpath: ok``
 comment — the suppression is the audit trail for sanctioned exceptions.
@@ -54,6 +62,15 @@ H001_ATTRIBUTES = ("block_out_edges",)
 #: Attribute calls that materialize register masks into sets (rule H002).
 H002_ATTRIBUTES = ("set_of",)
 
+#: Analyses a compile builds once, in its session (rule H004).
+H004_ANALYSES = (
+    "build_pst",
+    "compute_loop_forest",
+    "compute_dominators",
+    "compute_postdominators",
+    "EdgeDominance",
+)
+
 #: Dotted names whose direct call blocks the event loop (rule H003).
 H003_BLOCKING_CALLS = (
     "time.sleep",
@@ -73,6 +90,7 @@ RULE_SCOPES = {
     "H001": ("repro/spill/", "repro/regalloc/"),
     "H002": ("repro/spill/", "repro/regalloc/"),
     "H003": ("repro/service/",),
+    "H004": ("repro/spill/", "repro/pipeline/"),
 }
 
 
@@ -151,6 +169,14 @@ class _HotPathVisitor(ast.NodeVisitor):
                     "allocation and spill placement must stay on masks (only "
                     "public accessors may materialize, marked # hotpath: ok)",
                 )
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if "H004" in self.rules and name in H004_ANALYSES:
+            self._record(
+                node,
+                "H004",
+                f"{name}() recomputes a per-compile analysis; read it from the "
+                "compile's CompilationSession",
+            )
         if "H003" in self.rules and self._async_stack and self._async_stack[-1]:
             dotted = _dotted_name(func)
             if dotted in H003_BLOCKING_CALLS:
@@ -238,6 +264,16 @@ _SELF_TEST_CASES = (
         "src/repro/service/example.py",
         "import time\nasync def f():\n    time.sleep(1)\n",
     ),
+    (
+        "H004",
+        "src/repro/spill/example.py",
+        "def f(function):\n    return build_pst(function, maximal=True)\n",
+    ),
+    (
+        "H004",
+        "src/repro/pipeline/example.py",
+        "def f(function):\n    return dominance.EdgeDominance(function)\n",
+    ),
 )
 
 _SELF_TEST_CLEAN = (
@@ -253,6 +289,9 @@ _SELF_TEST_CLEAN = (
     # Blocking call in a *sync* helper of the service layer is fine.
     ("src/repro/service/example.py",
      "import time\ndef f():\n    time.sleep(1)\n"),
+    # The session itself, in repro/analysis, builds the analyses.
+    ("src/repro/analysis/example.py",
+     "def f(function):\n    return compute_loop_forest(function)\n"),
 )
 
 
