@@ -101,11 +101,12 @@ def spread(samples):
 
 
 def latency_spread(histogram):
-    """The same summary for a loadgen latency histogram (milliseconds)."""
+    """The same summary for a loadgen latency histogram (milliseconds, at
+    the histogram's bucket resolution)."""
 
     return {
-        "median": histogram.percentile(50),
-        "iqr": histogram.percentile(75) - histogram.percentile(25),
+        "median": histogram.quantile(50),
+        "iqr": histogram.quantile(75) - histogram.quantile(25),
         "n": histogram.count,
     }
 

@@ -6,17 +6,11 @@ contains one also contains the other.  Cycle-equivalent edges of the
 procedure exit back to the entry, delimit the single-entry/single-exit (SESE)
 regions from which the program structure tree is built.
 
-Two implementations are provided:
+:func:`cycle_equivalence_classes` is the linear-time bracket-set algorithm
+from the paper; a brute-force transcription of the definition checks it in
+``tests/oracles/structure.py``.
 
-* :func:`cycle_equivalence_classes` — the linear-time bracket-set algorithm
-  from the paper.  This is the implementation used by the spill placement
-  pass.
-* :func:`brute_force_cycle_equivalence` — a direct, obviously-correct
-  transcription of the definition ("``e1`` lies on no cycle once ``e2`` is
-  removed, and vice versa"), quadratic per edge pair.  It exists purely as a
-  test oracle for the bracket algorithm.
-
-Both operate on an :class:`UndirectedMultigraph` so that parallel edges (for
+It operates on an :class:`UndirectedMultigraph` so that parallel edges (for
 example a CFG edge ``u -> v`` together with the augmenting ``exit -> entry``
 edge when ``u`` is the exit and ``v`` the entry) are handled correctly.
 """
@@ -25,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 NodeId = Hashable
 EdgeId = Hashable
@@ -74,83 +68,6 @@ class UndirectedMultigraph:
     def is_self_loop(self, edge_id: EdgeId) -> bool:
         u, v = self._edges[edge_id]
         return u == v
-
-    # -- connectivity helpers (used by the brute-force oracle) --------------------
-
-    def connected_without(self, excluded: Set[EdgeId], start: NodeId, goal: NodeId) -> bool:
-        """True when ``goal`` is reachable from ``start`` avoiding ``excluded`` edges."""
-
-        if start == goal:
-            return True
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for neighbour, edge_id in self._adjacency[node]:
-                if edge_id in excluded or neighbour in seen:
-                    continue
-                if neighbour == goal:
-                    return True
-                seen.add(neighbour)
-                stack.append(neighbour)
-        return False
-
-    def edge_on_some_cycle(self, edge_id: EdgeId, excluded: Set[EdgeId]) -> bool:
-        """True when ``edge_id`` lies on a cycle of the graph minus ``excluded``."""
-
-        if edge_id in excluded:
-            return False
-        u, v = self._edges[edge_id]
-        if u == v:
-            return True  # a self loop is itself a cycle
-        return self.connected_without(excluded | {edge_id}, u, v)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle.
-# ---------------------------------------------------------------------------
-
-
-def brute_force_cycle_equivalent(
-    graph: UndirectedMultigraph, e1: EdgeId, e2: EdgeId
-) -> bool:
-    """Decide cycle equivalence of two edges directly from the definition.
-
-    One deliberate deviation from the vacuous reading of the definition:
-    *bridges* (edges on no cycle at all) are treated as singleton classes
-    instead of all being mutually equivalent.  CFGs augmented with the
-    exit-to-entry edge never contain bridges, so the choice does not affect
-    SESE regions; it only keeps this oracle aligned with the bracket
-    algorithm on arbitrary test graphs.
-    """
-
-    if e1 == e2:
-        return True
-    # Bridges lie on no cycle; give each its own class (see docstring).
-    if not graph.edge_on_some_cycle(e1, set()) or not graph.edge_on_some_cycle(e2, set()):
-        return False
-    # Every cycle containing e1 contains e2  <=>  e1 lies on no cycle of G - e2.
-    first = not graph.edge_on_some_cycle(e1, {e2})
-    second = not graph.edge_on_some_cycle(e2, {e1})
-    return first and second
-
-
-def brute_force_cycle_equivalence(graph: UndirectedMultigraph) -> Dict[EdgeId, int]:
-    """Assign equivalence-class ids to every edge using the brute-force test."""
-
-    classes: Dict[EdgeId, int] = {}
-    representatives: List[EdgeId] = []
-    for edge_id in graph.edge_ids:
-        assigned = False
-        for class_id, representative in enumerate(representatives):
-            if brute_force_cycle_equivalent(graph, edge_id, representative):
-                classes[edge_id] = class_id
-                assigned = True
-                break
-        if not assigned:
-            classes[edge_id] = len(representatives)
-            representatives.append(edge_id)
-    return classes
 
 
 # ---------------------------------------------------------------------------

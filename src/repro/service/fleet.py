@@ -60,7 +60,7 @@ from repro.service.endpoint import (
     PipelinedConnection,
 )
 from repro.service.health import HealthMonitor
-from repro.service.metrics import LatencyHistogram
+from repro.service.metrics import CounterSet, LatencyHistogram, counter
 from repro.service.peering import (
     DEFAULT_TIER_ENTRIES,
     SharedCacheTier,
@@ -95,48 +95,32 @@ class ShardDied(Exception):
 
 
 @dataclass
-class RouterMetrics:
+class RouterMetrics(CounterSet):
     """Counters the fleet router maintains (loop-owned, lock-free)."""
 
     #: Compile requests that arrived at the router.
-    received: int = 0
+    received: int = counter()
     #: Compile requests answered with a ``result``.
-    completed: int = 0
+    completed: int = counter()
     #: Compile requests answered with an ``error`` (all codes).
-    errors: int = 0
+    errors: int = counter()
     #: Messages that failed protocol validation (subset of ``errors``).
-    protocol_errors: int = 0
+    protocol_errors: int = counter()
     #: Compile requests rejected because the fleet was draining.
-    rejected_shutting_down: int = 0
+    rejected_shutting_down: int = counter()
     #: Requests answered straight from the shared tier (no forward).
-    tier_hits: int = 0
+    tier_hits: int = counter()
     #: Requests forwarded to a shard (re-routes count again).
-    forwarded: int = 0
+    forwarded: int = counter()
     #: Forwards retried on another shard after a death/drain/wedge.
-    rerouted: int = 0
+    rerouted: int = counter()
     #: Shards removed from the ring because their link died.
-    shard_deaths: int = 0
+    shard_deaths: int = counter()
     #: Shards isolated by the stall watchdog.
-    wedged: int = 0
+    wedged: int = counter()
 
     latency_ms: LatencyHistogram = field(default_factory=LatencyHistogram)
     started_at: float = field(default_factory=time.monotonic)
-
-    def counter_values(self) -> Dict[str, int]:
-        """The cumulative counters as a plain dict (health-monitor feed)."""
-
-        return {
-            "received": self.received,
-            "completed": self.completed,
-            "errors": self.errors,
-            "protocol_errors": self.protocol_errors,
-            "rejected_shutting_down": self.rejected_shutting_down,
-            "tier_hits": self.tier_hits,
-            "forwarded": self.forwarded,
-            "rerouted": self.rerouted,
-            "shard_deaths": self.shard_deaths,
-            "wedged": self.wedged,
-        }
 
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-serializable view of the router's counters."""
@@ -144,16 +128,7 @@ class RouterMetrics:
         uptime = time.monotonic() - self.started_at
         return {
             "uptime_seconds": round(uptime, 3),
-            "received": self.received,
-            "completed": self.completed,
-            "errors": self.errors,
-            "protocol_errors": self.protocol_errors,
-            "rejected_shutting_down": self.rejected_shutting_down,
-            "tier_hits": self.tier_hits,
-            "forwarded": self.forwarded,
-            "rerouted": self.rerouted,
-            "shard_deaths": self.shard_deaths,
-            "wedged": self.wedged,
+            **self.counter_values(),
             "qps": round(self.completed / uptime, 3) if uptime > 0 else 0.0,
             "latency_ms": self.latency_ms.summary(),
         }

@@ -27,13 +27,11 @@ happened since the server started"; operations needs "what is happening
   snapshot always renders to the same bytes, which the ops CI job and
   the test suite pin.
 
-Latency quantiles on the windowed path use *fixed* bucket bounds
-(:data:`LATENCY_BUCKET_BOUNDS_MS`) rather than the bounded reservoir of
-:class:`~repro.service.metrics.LatencyHistogram`: the reservoir's
-decimation silently skews tail percentiles under sustained load (see the
-``LatencyHistogram`` docstring), while a fixed-bucket estimate is exact
-up to bucket resolution forever.  Both behaviours are pinned by
-``tests/service/test_reservoir_bias.py``.
+Every latency series here is a
+:class:`~repro.service.metrics.LatencyHistogram` — the same fixed-bucket
+histogram behind the lifetime ``stats`` numbers — so a window covering a
+whole stream reports exactly the lifetime quantiles, and a windowed
+quantile is exact up to bucket resolution at any volume.
 """
 
 from __future__ import annotations
@@ -45,6 +43,12 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.service.metrics import (
+    LATENCY_BUCKET_BOUNDS_MS,
+    REPORTED_PERCENTILES,
+    LatencyHistogram,
+)
+
 #: Schema tag of one :meth:`HealthMonitor.sample` payload.
 HEALTH_SCHEMA = "health-sample/v1"
 
@@ -55,66 +59,12 @@ METRICS_TEXT_SCHEMA = "metrics-text/v1"
 #: :func:`write_metric_trace` / :func:`load_metric_trace`).
 METRIC_TRACE_SCHEMA = "metrics-trace/v1"
 
-#: Upper bounds (milliseconds, inclusive) of the fixed latency buckets.
-#: Geometric 1-2-5 spacing: resolution is always within a factor of ~2.5
-#: of the value, and a quantile estimate is exact up to its bucket bound.
-LATENCY_BUCKET_BOUNDS_MS = (
-    1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0,
-    500.0, 1000.0, 2000.0, 5000.0, 10000.0,
-)
-
-#: The bound reported for samples beyond the last bucket (the overflow
-#: bucket's conventional cap — twice the largest finite bound).
-LATENCY_OVERFLOW_BOUND_MS = LATENCY_BUCKET_BOUNDS_MS[-1] * 2.0
-
 #: Default named windows: (label, seconds).  ``fast`` reacts within
 #: seconds (shedding, paging), ``slow`` confirms that a burn is sustained.
 DEFAULT_WINDOWS = (("fast", 10.0), ("slow", 60.0))
 
 #: Default width of one rolling-window bucket, in seconds.
 DEFAULT_BUCKET_SECONDS = 1.0
-
-#: The quantiles every windowed latency payload reports.
-WINDOW_PERCENTILES = (50.0, 95.0, 99.0)
-
-
-def latency_bucket_index(value_ms: float) -> int:
-    """The fixed-bucket index holding one latency sample (last = overflow)."""
-
-    for index, bound in enumerate(LATENCY_BUCKET_BOUNDS_MS):
-        if value_ms <= bound:
-            return index
-    return len(LATENCY_BUCKET_BOUNDS_MS)
-
-
-def latency_bucket_bound(index: int) -> float:
-    """The upper bound (ms) reported for bucket ``index``."""
-
-    if index >= len(LATENCY_BUCKET_BOUNDS_MS):
-        return LATENCY_OVERFLOW_BOUND_MS
-    return LATENCY_BUCKET_BOUNDS_MS[index]
-
-
-def bucketed_quantile(counts: Sequence[int], percent: float) -> float:
-    """Nearest-rank quantile over fixed-bucket counts (bucket upper bound).
-
-    Returns 0.0 for an empty histogram.  The estimate equals the bucket
-    bound of the true nearest-rank sample — the invariant the property
-    tests (``tests/service/test_health_properties.py``) verify against a
-    brute-force recomputation from raw events.
-    """
-
-    total = sum(counts)
-    if total == 0:
-        return 0.0
-    rank = max(1, math.ceil(percent * total / 100.0))
-    cumulative = 0
-    for index, count in enumerate(counts):
-        cumulative += count
-        if cumulative >= rank:
-            return latency_bucket_bound(index)
-    return LATENCY_OVERFLOW_BOUND_MS  # pragma: no cover - unreachable
-
 
 class _Bucket:
     """One fixed time slice: counter deltas, latency counts, gauge maxima."""
@@ -123,7 +73,7 @@ class _Bucket:
 
     def __init__(self) -> None:
         self.counts: Dict[str, float] = {}
-        self.latency: List[int] = [0] * (len(LATENCY_BUCKET_BOUNDS_MS) + 1)
+        self.latency = LatencyHistogram()
         self.gauges: Dict[str, float] = {}
 
 
@@ -135,21 +85,10 @@ class WindowAggregate:
     seconds: float
     #: Summed counter deltas over the window.
     counts: Dict[str, float]
-    #: Summed fixed-bucket latency counts over the window.
-    latency: List[int]
+    #: Every latency sample recorded inside the window.
+    latency: LatencyHistogram
     #: Per-gauge maxima over the window.
     gauges: Dict[str, float]
-
-    @property
-    def latency_count(self) -> int:
-        """Latency samples recorded inside the window."""
-
-        return sum(self.latency)
-
-    def quantile(self, percent: float) -> float:
-        """Windowed nearest-rank latency quantile (bucket upper bound, ms)."""
-
-        return bucketed_quantile(self.latency, percent)
 
     def rate(self, name: str) -> float:
         """Counter ``name`` per second over the window."""
@@ -205,7 +144,7 @@ class RollingWindow:
     def observe_latency(self, value_ms: float, now: Optional[float] = None) -> None:
         """Record one latency sample into the current bucket's histogram."""
 
-        self._bucket(self._now(now)).latency[latency_bucket_index(value_ms)] += 1
+        self._bucket(self._now(now)).latency.record(value_ms)
 
     def observe_gauge(self, name: str, value: float, now: Optional[float] = None) -> None:
         """Track the per-bucket maximum of gauge ``name``."""
@@ -220,7 +159,7 @@ class RollingWindow:
         span = max(1, round(window_seconds / self.bucket_seconds))
         current = math.floor(now / self.bucket_seconds)
         counts: Dict[str, float] = {}
-        latency = [0] * (len(LATENCY_BUCKET_BOUNDS_MS) + 1)
+        latency = LatencyHistogram()
         gauges: Dict[str, float] = {}
         for index in range(current - span + 1, current + 1):
             bucket = self._buckets.get(index)
@@ -228,8 +167,7 @@ class RollingWindow:
                 continue
             for name, value in bucket.counts.items():
                 counts[name] = counts.get(name, 0.0) + value
-            for position, count in enumerate(bucket.latency):
-                latency[position] += count
+            latency.merge(bucket.latency)
             for name, value in bucket.gauges.items():
                 gauges[name] = max(gauges.get(name, value), value)
         return WindowAggregate(
@@ -326,11 +264,11 @@ class HealthMonitor:
             name: int(aggregate.counts.get(name, 0.0)) for name in self.counter_names
         }
         latency = {
-            "count": aggregate.latency_count,
-            "buckets": list(aggregate.latency),
+            "count": aggregate.latency.count,
+            "buckets": list(aggregate.latency.buckets),
         }
-        for percent in WINDOW_PERCENTILES:
-            latency[f"p{percent:g}"] = aggregate.quantile(percent)
+        for percent in REPORTED_PERCENTILES:
+            latency[f"p{percent:g}"] = aggregate.latency.quantile(percent)
         received = counts.get("received", 0)
         completed = counts.get("completed", 0)
         errors = counts.get("errors", 0)
@@ -441,11 +379,9 @@ def slo_burn(slo: SLO, window_payload: Mapping[str, Any]) -> float:
         total = sum(buckets)
         if total == 0:
             return 0.0
-        good = sum(
-            count
-            for index, count in enumerate(buckets)
-            if latency_bucket_bound(index) <= slo.threshold
-        )
+        # Bounds ascend and the threshold is one of them, so the good
+        # buckets are a prefix of the list.
+        good = sum(buckets[: LATENCY_BUCKET_BOUNDS_MS.index(slo.threshold) + 1])
         bad_fraction = (total - good) / total
         return round(bad_fraction / (1.0 - slo.target), 6)
     received = counts.get("received", 0)

@@ -241,52 +241,6 @@ def oracle_results(plan: Sequence[Mapping[str, Any]]) -> Dict[str, bytes]:
 
 
 # ---------------------------------------------------------------------------
-# The pipelined connection (open-loop driver building block).
-# ---------------------------------------------------------------------------
-
-
-class _PipelinedClient:
-    """One connection with id-demultiplexed concurrent requests.
-
-    Unlike :class:`~repro.service.client.AsyncServiceClient` this allows
-    many requests in flight at once on a single connection
-    (:class:`~repro.service.endpoint.PipelinedConnection`); request ids
-    are the caller's.
-    """
-
-    def __init__(self, connection: PipelinedConnection):
-        self._connection = connection
-
-    @classmethod
-    async def connect(cls, host: str, port: int, timeout: float) -> "_PipelinedClient":
-        """Open, handshake and start the response demultiplexer."""
-
-        return cls(
-            await PipelinedConnection.open(
-                host, port, hello_message(), _check_hello, timeout, label="server"
-            )
-        )
-
-    @property
-    def protocol_errors(self) -> int:
-        """Responses that failed to parse or matched no pending request."""
-
-        return self._connection.stray_frames
-
-    async def request(
-        self, message: Mapping[str, Any], timeout: float
-    ) -> Dict[str, Any]:
-        """Send one message and await the response with the matching id."""
-
-        return await asyncio.wait_for(self._connection.request(message), timeout)
-
-    async def close(self) -> None:
-        """Stop the demultiplexer and close the connection."""
-
-        self._connection.close("client closed")
-
-
-# ---------------------------------------------------------------------------
 # The driver.
 # ---------------------------------------------------------------------------
 
@@ -431,23 +385,29 @@ async def _drive(
     """Replay the plan against the server in the requested mode."""
 
     connections = [
-        await _PipelinedClient.connect(host, port, timeout) for _ in range(clients)
+        await PipelinedConnection.open(
+            host, port, hello_message(), _check_hello, timeout, label="server"
+        )
+        for _ in range(clients)
     ]
     loop = asyncio.get_running_loop()
 
     sampler_task: Optional[asyncio.Task] = None
-    sampler: Optional[_PipelinedClient] = None
+    sampler: Optional[PipelinedConnection] = None
     if metric_trace is not None:
         # The sampler rides its own connection so stats polling never
         # contends with load traffic for a pipelined writer.
-        sampler = await _PipelinedClient.connect(host, port, timeout)
+        sampler = await PipelinedConnection.open(
+            host, port, hello_message(), _check_hello, timeout, label="server"
+        )
 
-        async def sample_loop(connection: _PipelinedClient) -> None:
+        async def sample_loop(connection: PipelinedConnection) -> None:
             sequence = 0
             while True:
                 try:
-                    response = await connection.request(
-                        {"type": "stats", "id": f"mrec{sequence}"}, timeout
+                    response = await asyncio.wait_for(
+                        connection.request({"type": "stats", "id": f"mrec{sequence}"}),
+                        timeout,
                     )
                 except (ConnectionError, asyncio.TimeoutError):
                     return
@@ -460,10 +420,10 @@ async def _drive(
 
         sampler_task = asyncio.ensure_future(sample_loop(sampler))
 
-    async def submit(connection: _PipelinedClient, message: Mapping[str, Any]) -> None:
+    async def submit(connection: PipelinedConnection, message: Mapping[str, Any]) -> None:
         started = loop.time()
         try:
-            response = await connection.request(message, timeout)
+            response = await asyncio.wait_for(connection.request(message), timeout)
             attempt = 0
             while (
                 response.get("type") == "error"
@@ -473,7 +433,7 @@ async def _drive(
                 report.retries += 1
                 await asyncio.sleep(backoff * (2**attempt))
                 attempt += 1
-                response = await connection.request(message, timeout)
+                response = await asyncio.wait_for(connection.request(message), timeout)
         except (ConnectionError, asyncio.TimeoutError):
             report.transport_errors += 1
             return
@@ -488,7 +448,7 @@ async def _drive(
         if mode == "closed":
             cursor = 0
 
-            async def worker(connection: _PipelinedClient) -> None:
+            async def worker(connection: PipelinedConnection) -> None:
                 nonlocal cursor
                 while cursor < len(plan):
                     message = plan[cursor]
@@ -516,14 +476,14 @@ async def _drive(
             except (asyncio.CancelledError, Exception):  # pragma: no cover
                 pass
         if sampler is not None:
-            await sampler.close()
+            sampler.close("client closed")
         for connection in connections:
-            report.protocol_errors += connection.protocol_errors
+            report.protocol_errors += connection.stray_frames
         # Fetch the server's own view before closing (stats ride the load
         # connections, so no extra connection skews the counters).
         report.server_stats = await _fetch_final_stats(connections, timeout)
         for connection in connections:
-            await connection.close()
+            connection.close("client closed")
 
 
 #: The end-of-run stats payload when the server was already draining (or
@@ -537,7 +497,7 @@ PARTIAL_STATS = {
 
 
 async def _fetch_final_stats(
-    connections: Sequence["_PipelinedClient"], timeout: float
+    connections: Sequence[PipelinedConnection], timeout: float
 ) -> Dict[str, Any]:
     """The server's end-of-run stats, racing a possible drain gracefully.
 
@@ -554,8 +514,9 @@ async def _fetch_final_stats(
     per_attempt = max(per_attempt, 1.0)
     for connection in connections:
         try:
-            response = await connection.request(
-                {"type": "stats", "id": "loadgen-stats"}, per_attempt
+            response = await asyncio.wait_for(
+                connection.request({"type": "stats", "id": "loadgen-stats"}),
+                per_attempt,
             )
         except Exception:
             continue
@@ -694,9 +655,9 @@ def render_load_report(report: LoadReport) -> str:
         f"loadgen: {report.completed}/{report.requests_planned} completed "
         f"({report.mode} loop), {report.wall_seconds:.3f}s wall, "
         f"{report.throughput_rps:.1f} req/s",
-        f"  latency ms      : p50={report.latency.percentile(50):.2f} "
-        f"p95={report.latency.percentile(95):.2f} "
-        f"p99={report.latency.percentile(99):.2f} "
+        f"  latency ms      : p50={report.latency.quantile(50):.2f} "
+        f"p95={report.latency.quantile(95):.2f} "
+        f"p99={report.latency.quantile(99):.2f} "
         f"max={report.latency.maximum or 0.0:.2f}",
         f"  coalesced       : {report.coalesced_responses}",
         f"  cache hits      : {report.cache_hit_responses}"

@@ -7,6 +7,11 @@ single-threaded by design — the server only touches metrics from its event
 loop, so no locking is needed there; the snapshot itself is a plain dict a
 reader can serialize safely at any point.
 
+Every latency the service records — lifetime, windowed
+(:mod:`repro.service.health`) and client-side (:mod:`repro.service.loadgen`)
+— goes through one :class:`LatencyHistogram` with fixed bucket bounds, so
+the lifetime and windowed quantiles of the same stream agree.
+
 The snapshot's ``cache`` sub-object deliberately matches the shape
 ``repro-spill cache stats --json`` prints for an on-disk store, so
 dashboards can consume either source with one parser.
@@ -14,79 +19,92 @@ dashboards can consume either source with one parser.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional
 
-#: Histogram sample cap: beyond this many recorded values the reservoir
-#: keeps every k-th sample instead, bounding memory on long-running servers
-#: while keeping percentiles representative.
-MAX_SAMPLES = 65536
+#: Upper bounds (milliseconds, inclusive) of the fixed latency buckets.
+#: Geometric 1-2-5 spacing: resolution is always within a factor of ~2.5
+#: of the value, and a quantile estimate is exact up to its bucket bound.
+LATENCY_BUCKET_BOUNDS_MS = (
+    1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0,
+    500.0, 1000.0, 2000.0, 5000.0, 10000.0,
+)
 
-#: The percentiles every snapshot reports.
+#: The bound reported for samples beyond the last bucket (the overflow
+#: bucket's conventional cap — twice the largest finite bound).
+LATENCY_OVERFLOW_BOUND_MS = LATENCY_BUCKET_BOUNDS_MS[-1] * 2.0
+
+#: The bound each bucket reports, overflow bucket last.
+_REPORTED_BOUNDS_MS = LATENCY_BUCKET_BOUNDS_MS + (LATENCY_OVERFLOW_BOUND_MS,)
+
+#: The percentiles every snapshot and every window payload reports.
 REPORTED_PERCENTILES = (50.0, 95.0, 99.0)
 
 
 class LatencyHistogram:
-    """A bounded reservoir of latency samples with percentile queries.
+    """Fixed-bucket latency counts plus exact count, total, min and max.
 
-    Samples are kept verbatim until :data:`MAX_SAMPLES`; past that the
-    histogram decimates (keeps every second sample and doubles its stride),
-    so memory stays bounded while min/max/count/sum remain exact.
-
-    .. note:: **Known tail bias after decimation.**  Decimation keeps every
-       k-th sample *in arrival order*, so once the reservoir has decimated,
-       percentile queries answer from a strided subsample of the stream.
-       For time-correlated latency (bursts, warmup, load waves) the stride
-       systematically thins whichever regime arrives while ``_skip`` is
-       counting down, skewing tail percentiles — p99 can land an entire
-       burst away from the true value under sustained load.  Cumulative
-       lifetime stats tolerate this; *windowed* health reporting must not,
-       which is why the rolling-window path in
-       :mod:`repro.service.health` uses fixed-bucket histograms whose
-       quantiles are exact up to bucket resolution regardless of volume.
-       Both behaviours are pinned by
-       ``tests/service/test_reservoir_bias.py``.
+    A sample lands in the first bucket whose bound is at least its value
+    (the last bucket catches overflow).  :meth:`quantile` is the
+    nearest-rank answer at bucket resolution: the bound of the bucket
+    holding the ``ceil(percent * count / 100)``-th smallest sample.  It is
+    exact up to that resolution at any volume and in any arrival order,
+    and memory is constant.
     """
 
+    __slots__ = ("buckets", "count", "total", "minimum", "maximum")
+
     def __init__(self) -> None:
+        self.buckets: List[int] = [0] * len(_REPORTED_BOUNDS_MS)
         self.count = 0
         self.total = 0.0
         self.minimum: Optional[float] = None
         self.maximum: Optional[float] = None
-        self._samples: List[float] = []
-        self._stride = 1
-        self._skip = 0
 
     def record(self, value: float) -> None:
         """Record one sample (milliseconds by convention)."""
 
         value = float(value)
+        self.buckets[bisect_left(LATENCY_BUCKET_BOUNDS_MS, value)] += 1
         self.count += 1
         self.total += value
-        self.minimum = value if self.minimum is None else min(self.minimum, value)
-        self.maximum = value if self.maximum is None else max(self.maximum, value)
-        if self._skip > 0:
-            self._skip -= 1
+        if self.minimum is None or value < self.minimum:
+            self.minimum = value
+        if self.maximum is None or value > self.maximum:
+            self.maximum = value
+
+    def merge(self, other: "LatencyHistogram") -> None:
+        """Add every sample ``other`` recorded to this histogram."""
+
+        if not other.count:
             return
-        self._samples.append(value)
-        self._skip = self._stride - 1
-        if len(self._samples) >= MAX_SAMPLES:
-            self._samples = self._samples[::2]
-            self._stride *= 2
+        self.buckets = [mine + theirs for mine, theirs in zip(self.buckets, other.buckets)]
+        self.count += other.count
+        self.total += other.total
+        if self.minimum is None or other.minimum < self.minimum:
+            self.minimum = other.minimum
+        if self.maximum is None or other.maximum > self.maximum:
+            self.maximum = other.maximum
 
-    def percentile(self, percent: float) -> float:
-        """The ``percent``-th percentile (nearest-rank) of the reservoir."""
+    def quantile(self, percent: float) -> float:
+        """Nearest-rank ``percent``-th quantile (bucket bound, ms); 0.0 if empty."""
 
-        if not self._samples:
+        if not self.count:
             return 0.0
-        ordered = sorted(self._samples)
-        rank = max(0, min(len(ordered) - 1, round(percent / 100.0 * len(ordered)) - 1))
-        return ordered[rank]
+        rank = max(1, math.ceil(percent * self.count / 100.0))
+        cumulative = 0
+        for bound, count in zip(_REPORTED_BOUNDS_MS, self.buckets):
+            cumulative += count
+            if cumulative >= rank:
+                return bound
+        return LATENCY_OVERFLOW_BOUND_MS  # pragma: no cover - unreachable
 
     @property
     def mean(self) -> float:
-        """Arithmetic mean of every recorded sample (exact, not reservoir)."""
+        """Arithmetic mean of every recorded sample."""
 
         return self.total / self.count if self.count else 0.0
 
@@ -100,42 +118,67 @@ class LatencyHistogram:
             "max": round(self.maximum or 0.0, 4),
         }
         for percent in REPORTED_PERCENTILES:
-            data[f"p{percent:g}"] = round(self.percentile(percent), 4)
+            data[f"p{percent:g}"] = self.quantile(percent)
         return data
 
 
+def counter() -> Any:
+    """Declare one cumulative counter field of a :class:`CounterSet`."""
+
+    return field(default=0, metadata={"counter": True})
+
+
+class CounterSet:
+    """A metrics dataclass whose counters are the fields declared by :func:`counter`."""
+
+    def counter_values(self) -> Dict[str, int]:
+        """The cumulative counters as a plain name → value dict, in declaration order.
+
+        The bridge into the windowed health layer: a
+        :class:`repro.service.health.HealthMonitor` delta-feeds these via
+        ``feed_counters`` each tick, turning lifetime totals into
+        per-window rates without double counting.
+        """
+
+        return {
+            spec.name: getattr(self, spec.name)
+            for spec in fields(self)
+            if spec.metadata.get("counter")
+        }
+
+
 @dataclass
-class ServiceMetrics:
+class ServiceMetrics(CounterSet):
     """Every counter and histogram the compile server maintains."""
 
     #: Compile requests that arrived (admitted or not).
-    received: int = 0
+    received: int = counter()
     #: Compile requests answered with a ``result``.
-    completed: int = 0
+    completed: int = counter()
     #: Compile requests answered with an ``error`` (all codes).
-    errors: int = 0
+    errors: int = counter()
     #: Messages that failed protocol validation (subset of ``errors``).
-    protocol_errors: int = 0
+    protocol_errors: int = counter()
     #: Compile requests rejected by admission control.
-    rejected_overloaded: int = 0
+    rejected_overloaded: int = counter()
     #: Requests rejected by policy-driven load shedding (subset of
     #: ``rejected_overloaded`` on the wire: shed rejections reuse the
     #: ``overloaded`` error code so clients retry transparently).
-    rejected_shed: int = 0
+    rejected_shed: int = counter()
     #: Compile requests rejected because the server was draining.
-    rejected_shutting_down: int = 0
+    rejected_shutting_down: int = counter()
     #: Requests that attached to an identical in-flight compile.
-    coalesced: int = 0
+    coalesced: int = counter()
     #: Requests answered from the cache at admission (no queue, no batch).
-    cache_hits: int = 0
+    cache_hits: int = counter()
     #: Requests answered from the fleet's shared cache tier (peer hits).
-    peer_hits: int = 0
+    peer_hits: int = counter()
     #: Fresh compile results published to the shared tier (best-effort).
-    peer_puts: int = 0
+    peer_puts: int = counter()
     #: Peer round trips that failed (transport/timeout; served as misses).
-    peer_errors: int = 0
+    peer_errors: int = counter()
     #: Requests that went through a compile batch.
-    compiled: int = 0
+    compiled: int = counter()
     #: Batches dispatched.
     batches: int = 0
     #: Sum of batch sizes (unique entries, coalesced waiters excluded).
@@ -187,31 +230,6 @@ class ServiceMetrics:
 
         return self.batched_entries / self.batches if self.batches else 0.0
 
-    def counter_values(self) -> Dict[str, int]:
-        """The cumulative counters as a plain name → value dict.
-
-        The bridge into the windowed health layer: a
-        :class:`repro.service.health.HealthMonitor` delta-feeds these via
-        ``feed_counters`` each tick, turning lifetime totals into
-        per-window rates without double counting.
-        """
-
-        return {
-            "received": self.received,
-            "completed": self.completed,
-            "errors": self.errors,
-            "protocol_errors": self.protocol_errors,
-            "rejected_overloaded": self.rejected_overloaded,
-            "rejected_shed": self.rejected_shed,
-            "rejected_shutting_down": self.rejected_shutting_down,
-            "coalesced": self.coalesced,
-            "cache_hits": self.cache_hits,
-            "peer_hits": self.peer_hits,
-            "peer_puts": self.peer_puts,
-            "peer_errors": self.peer_errors,
-            "compiled": self.compiled,
-        }
-
     def snapshot(
         self, queue_depth: int = 0, cache_stats: Optional[Dict[str, Any]] = None
     ) -> Dict[str, Any]:
@@ -227,21 +245,7 @@ class ServiceMetrics:
         snapshot: Dict[str, Any] = {
             "schema": "service-stats/v1",
             "uptime_seconds": round(uptime, 3),
-            "requests": {
-                "received": self.received,
-                "completed": self.completed,
-                "errors": self.errors,
-                "protocol_errors": self.protocol_errors,
-                "rejected_overloaded": self.rejected_overloaded,
-                "rejected_shed": self.rejected_shed,
-                "rejected_shutting_down": self.rejected_shutting_down,
-                "coalesced": self.coalesced,
-                "cache_hits": self.cache_hits,
-                "peer_hits": self.peer_hits,
-                "peer_puts": self.peer_puts,
-                "peer_errors": self.peer_errors,
-                "compiled": self.compiled,
-            },
+            "requests": self.counter_values(),
             "rates": {
                 "qps": round(self.completed / uptime, 3) if uptime > 0 else 0.0,
                 "coalesce_rate": round(self.coalesce_rate, 4),

@@ -2,16 +2,12 @@
 
 from hypothesis import given
 
-from repro.analysis.cycle_equiv import (
-    UndirectedMultigraph,
-    brute_force_cycle_equivalence,
-    brute_force_cycle_equivalent,
-    cycle_equivalence_classes,
-)
+from repro.analysis.cycle_equiv import UndirectedMultigraph, cycle_equivalence_classes
 from repro.analysis.sese import build_augmented_graph, compute_edge_classes
 from repro.workloads.programs import diamond_function, loop_function, paper_example
 
 from tests.conftest import generated_procedures, random_multigraphs
+from tests.oracles.structure import brute_force_cycle_equivalence, brute_force_cycle_equivalent
 
 
 def _as_partition(classes):

@@ -1,7 +1,9 @@
-"""Reference versions of the dominance, SESE-region and PST-nesting queries.
+"""Reference versions of the cycle-equivalence, dominance, SESE-region and
+PST-nesting queries.
 
 These are the original, obviously-correct formulations that
-:mod:`repro.analysis` replaced with size-linear ones: an idom-chain walk for
+:mod:`repro.analysis` replaced with size-linear ones: the definition of
+cycle equivalence checked edge pair by edge pair, an idom-chain walk for
 dominance, two iterative solves on the edge-split graph for edge dominance,
 a scan of every block against every region for region block sets, and a
 strict-superset scan over all regions for PST nesting.  They stay here as
@@ -12,12 +14,92 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Hashable, List, Sequence, Set, Tuple
 
+from repro.analysis.cycle_equiv import EdgeId, NodeId, UndirectedMultigraph
 from repro.analysis.dominance import DominatorTree, EdgeDominance, compute_dominators_of_graph
 from repro.analysis.graph import DiGraph
 from repro.analysis.sese import SESERegion, _chain_runs, compute_edge_classes
 from repro.ir.function import Function
 
 EdgeKey = Tuple[str, str]
+
+
+# -- cycle equivalence -------------------------------------------------------------
+
+
+def connected_without(
+    graph: UndirectedMultigraph, excluded: Set[EdgeId], start: NodeId, goal: NodeId
+) -> bool:
+    """True when ``goal`` is reachable from ``start`` avoiding ``excluded`` edges."""
+
+    if start == goal:
+        return True
+    seen = {start}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        for neighbour, edge_id in graph.adjacency(node):
+            if edge_id in excluded or neighbour in seen:
+                continue
+            if neighbour == goal:
+                return True
+            seen.add(neighbour)
+            stack.append(neighbour)
+    return False
+
+
+def edge_on_some_cycle(
+    graph: UndirectedMultigraph, edge_id: EdgeId, excluded: Set[EdgeId]
+) -> bool:
+    """True when ``edge_id`` lies on a cycle of the graph minus ``excluded``."""
+
+    if edge_id in excluded:
+        return False
+    u, v = graph.endpoints(edge_id)
+    if u == v:
+        return True  # a self loop is itself a cycle
+    return connected_without(graph, excluded | {edge_id}, u, v)
+
+
+def brute_force_cycle_equivalent(
+    graph: UndirectedMultigraph, e1: EdgeId, e2: EdgeId
+) -> bool:
+    """Decide cycle equivalence of two edges directly from the definition.
+
+    One deliberate deviation from the vacuous reading of the definition:
+    *bridges* (edges on no cycle at all) are treated as singleton classes
+    instead of all being mutually equivalent.  CFGs augmented with the
+    exit-to-entry edge never contain bridges, so the choice does not affect
+    SESE regions; it only keeps this oracle aligned with the bracket
+    algorithm on arbitrary test graphs.
+    """
+
+    if e1 == e2:
+        return True
+    # Bridges lie on no cycle; give each its own class (see docstring).
+    if not edge_on_some_cycle(graph, e1, set()) or not edge_on_some_cycle(graph, e2, set()):
+        return False
+    # Every cycle containing e1 contains e2  <=>  e1 lies on no cycle of G - e2.
+    first = not edge_on_some_cycle(graph, e1, {e2})
+    second = not edge_on_some_cycle(graph, e2, {e1})
+    return first and second
+
+
+def brute_force_cycle_equivalence(graph: UndirectedMultigraph) -> Dict[EdgeId, int]:
+    """Assign equivalence-class ids to every edge using the brute-force test."""
+
+    classes: Dict[EdgeId, int] = {}
+    representatives: List[EdgeId] = []
+    for edge_id in graph.edge_ids:
+        assigned = False
+        for class_id, representative in enumerate(representatives):
+            if brute_force_cycle_equivalent(graph, edge_id, representative):
+                classes[edge_id] = class_id
+                assigned = True
+                break
+        if not assigned:
+            classes[edge_id] = len(representatives)
+            representatives.append(edge_id)
+    return classes
 
 
 # -- dominance ------------------------------------------------------------------

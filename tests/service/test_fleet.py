@@ -25,6 +25,7 @@ from repro.service.protocol import (
     result_payload,
 )
 from repro.service.ring import HashRing
+from tests.service.test_metrics import ROUTER_STATS_KEYS, SERVICE_STATS_KEYS, flat_keys
 from tests.service.test_serving_properties import make_mix, serial_oracle, serve_mix
 
 
@@ -60,6 +61,25 @@ def test_fleet_stats_shape(fleet):
         assert shard["status"] == "ok"
         assert shard["stats"]["schema"] == "service-stats/v1"
     assert "tier" in stats and "router" in stats
+
+
+def test_fleet_stats_keys_and_order_are_pinned(fleet):
+    stats = fleet.stats()
+    assert list(stats) == [
+        "schema", "draining", "health", "router", "ring", "tier",
+        "resolve_memo", "shards", "lost_shards",
+    ]
+    assert flat_keys(stats["router"]) == ROUTER_STATS_KEYS
+    # Shard snapshots cross the wire with sorted keys.
+    shard = stats["shards"][0]["stats"]
+    assert list(shard) == [
+        "batches", "compile_ms", "draining", "health", "latency_ms", "peer",
+        "policy", "queue", "queue_ms", "rates", "requests", "resolve_memo",
+        "schema", "uptime_seconds",
+    ]
+    assert sorted(f"requests.{name}" for name in shard["requests"]) == sorted(
+        key for key in SERVICE_STATS_KEYS if key.startswith("requests.")
+    )
 
 
 def test_routing_follows_the_ring(fleet):

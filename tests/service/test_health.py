@@ -12,17 +12,17 @@ import pytest
 from repro.service.health import (
     DEFAULT_WINDOWS,
     HEALTH_SCHEMA,
-    LATENCY_BUCKET_BOUNDS_MS,
-    LATENCY_OVERFLOW_BOUND_MS,
     SLO,
     HealthMonitor,
     RollingWindow,
-    bucketed_quantile,
     default_slos,
     evaluate_slos,
-    latency_bucket_bound,
-    latency_bucket_index,
     slo_burn,
+)
+from repro.service.metrics import (
+    LATENCY_BUCKET_BOUNDS_MS,
+    LATENCY_OVERFLOW_BOUND_MS,
+    LatencyHistogram,
 )
 
 
@@ -40,31 +40,41 @@ class FakeClock:
         return self.t
 
 
+def bucket_of(value_ms: float) -> int:
+    """The index of the one bucket a single recorded sample lands in."""
+
+    histogram = LatencyHistogram()
+    histogram.record(value_ms)
+    return histogram.buckets.index(1)
+
+
 class TestLatencyBuckets:
     def test_bucket_index_uses_inclusive_upper_bounds(self):
-        assert latency_bucket_index(0.0) == 0
-        assert latency_bucket_index(1.0) == 0
-        assert latency_bucket_index(1.0001) == 1
-        assert latency_bucket_index(500.0) == 8
-        assert latency_bucket_index(10000.0) == len(LATENCY_BUCKET_BOUNDS_MS) - 1
+        assert bucket_of(0.0) == 0
+        assert bucket_of(1.0) == 0
+        assert bucket_of(1.0001) == 1
+        assert bucket_of(500.0) == 8
+        assert bucket_of(10000.0) == len(LATENCY_BUCKET_BOUNDS_MS) - 1
 
     def test_overflow_bucket_reports_the_conventional_cap(self):
-        overflow = latency_bucket_index(99999.0)
-        assert overflow == len(LATENCY_BUCKET_BOUNDS_MS)
-        assert latency_bucket_bound(overflow) == LATENCY_OVERFLOW_BOUND_MS
+        histogram = LatencyHistogram()
+        histogram.record(99999.0)
+        assert histogram.buckets.index(1) == len(LATENCY_BUCKET_BOUNDS_MS)
+        assert histogram.quantile(100.0) == LATENCY_OVERFLOW_BOUND_MS
 
     def test_quantile_empty_histogram_is_zero(self):
-        counts = [0] * (len(LATENCY_BUCKET_BOUNDS_MS) + 1)
-        assert bucketed_quantile(counts, 99.0) == 0.0
+        assert LatencyHistogram().quantile(99.0) == 0.0
 
     def test_quantile_nearest_rank_on_known_counts(self):
-        counts = [0] * (len(LATENCY_BUCKET_BOUNDS_MS) + 1)
-        counts[0] = 98  # <= 1ms
-        counts[8] = 2  # <= 500ms
-        assert bucketed_quantile(counts, 50.0) == 1.0
-        assert bucketed_quantile(counts, 98.0) == 1.0
-        assert bucketed_quantile(counts, 99.0) == 500.0
-        assert bucketed_quantile(counts, 100.0) == 500.0
+        histogram = LatencyHistogram()
+        for _ in range(98):
+            histogram.record(1.0)  # <= 1ms
+        for _ in range(2):
+            histogram.record(500.0)  # <= 500ms
+        assert histogram.quantile(50.0) == 1.0
+        assert histogram.quantile(98.0) == 1.0
+        assert histogram.quantile(99.0) == 500.0
+        assert histogram.quantile(100.0) == 500.0
 
 
 class TestRollingWindow:

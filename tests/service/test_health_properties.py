@@ -17,13 +17,11 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service.health import (
+from repro.service.health import HealthMonitor, RollingWindow
+from repro.service.metrics import (
     LATENCY_BUCKET_BOUNDS_MS,
-    HealthMonitor,
-    RollingWindow,
-    bucketed_quantile,
-    latency_bucket_bound,
-    latency_bucket_index,
+    LATENCY_OVERFLOW_BOUND_MS,
+    LatencyHistogram,
 )
 
 BUCKET_SECONDS = 1.0
@@ -52,12 +50,21 @@ def covered(event_time: float, now: float, window_seconds: float) -> bool:
     return current - span + 1 <= index <= current
 
 
+def bucket_bound(value: float) -> float:
+    """The bound of the first bucket holding ``value`` (overflow last)."""
+
+    return next(
+        (bound for bound in LATENCY_BUCKET_BOUNDS_MS if value <= bound),
+        LATENCY_OVERFLOW_BOUND_MS,
+    )
+
+
 def brute_force_quantile(values, percent: float) -> float:
     """Nearest-rank quantile over raw values, reported at bucket resolution."""
 
     if not values:
         return 0.0
-    ordered = sorted(latency_bucket_bound(latency_bucket_index(v)) for v in values)
+    ordered = sorted(bucket_bound(v) for v in values)
     rank = max(1, math.ceil(percent * len(ordered) / 100.0))
     return ordered[rank - 1]
 
@@ -85,9 +92,9 @@ def test_window_aggregate_matches_brute_force(events, window_seconds):
     gauges = [e[2] for e in in_window if e[1] == "gauge"]
 
     assert aggregate.counts.get("received", 0.0) == expected_counts
-    assert aggregate.latency_count == len(latencies)
+    assert aggregate.latency.count == len(latencies)
     for percent in (50.0, 90.0, 95.0, 99.0, 100.0):
-        assert aggregate.quantile(percent) == brute_force_quantile(latencies, percent)
+        assert aggregate.latency.quantile(percent) == brute_force_quantile(latencies, percent)
     if gauges:
         assert aggregate.gauges["queue_depth"] == max(gauges)
     else:
@@ -105,11 +112,11 @@ def test_window_aggregate_matches_brute_force(events, window_seconds):
     ),
     percent=st.floats(min_value=0.1, max_value=100.0, allow_nan=False),
 )
-def test_bucketed_quantile_equals_nearest_rank_at_bucket_resolution(values, percent):
-    counts = [0] * (len(LATENCY_BUCKET_BOUNDS_MS) + 1)
+def test_histogram_quantile_equals_nearest_rank_at_bucket_resolution(values, percent):
+    histogram = LatencyHistogram()
     for value in values:
-        counts[latency_bucket_index(value)] += 1
-    assert bucketed_quantile(counts, percent) == brute_force_quantile(values, percent)
+        histogram.record(value)
+    assert histogram.quantile(percent) == brute_force_quantile(values, percent)
 
 
 @settings(deadline=None, max_examples=40)

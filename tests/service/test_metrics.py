@@ -6,7 +6,6 @@ import json
 
 from repro.cache.store import CompileCache
 from repro.service.metrics import (
-    MAX_SAMPLES,
     LatencyHistogram,
     ServiceMetrics,
     cache_stats_payload,
@@ -17,7 +16,7 @@ class TestLatencyHistogram:
     def test_empty_histogram_reports_zeros(self):
         histogram = LatencyHistogram()
         assert histogram.count == 0
-        assert histogram.percentile(50) == 0.0
+        assert histogram.quantile(50) == 0.0
         summary = histogram.summary()
         assert summary["count"] == 0
         assert summary["p50"] == 0.0
@@ -26,24 +25,33 @@ class TestLatencyHistogram:
         histogram = LatencyHistogram()
         for value in range(1, 101):  # 1..100 ms
             histogram.record(float(value))
-        assert histogram.percentile(50) == 50.0
-        assert histogram.percentile(95) == 95.0
-        assert histogram.percentile(99) == 99.0
+        assert histogram.quantile(50) == 50.0
+        assert histogram.quantile(95) == 100.0
+        assert histogram.quantile(99) == 100.0
         assert histogram.minimum == 1.0
         assert histogram.maximum == 100.0
         assert histogram.mean == 50.5
 
-    def test_reservoir_decimation_bounds_memory_but_keeps_exact_count(self):
+        # Nearest rank is ceil(p * n / 100): the 3rd of 5 samples is the
+        # median.  Rounding 2.5 to even would pick the 2nd (0.5 ms, bucket
+        # 1.0) instead.
         histogram = LatencyHistogram()
-        total = MAX_SAMPLES * 3
-        for value in range(total):
-            histogram.record(float(value))
-        assert histogram.count == total
-        assert len(histogram._samples) <= MAX_SAMPLES
-        assert histogram.minimum == 0.0
-        assert histogram.maximum == float(total - 1)
-        # Percentiles stay representative after decimation (±2%).
-        assert abs(histogram.percentile(50) - total / 2) < total * 0.02
+        for value in (0.5, 0.5, 3.0, 3.0, 3.0):
+            histogram.record(value)
+        assert histogram.quantile(50) == 5.0
+
+    def test_merge_equals_recording_both_streams(self):
+        first, second, both = LatencyHistogram(), LatencyHistogram(), LatencyHistogram()
+        for value in (0.2, 7.0, 7.0, 450.0):
+            first.record(value)
+            both.record(value)
+        for value in (3.0, 25000.0):
+            second.record(value)
+            both.record(value)
+        first.merge(second)
+        first.merge(LatencyHistogram())
+        assert first.buckets == both.buckets
+        assert first.summary() == both.summary()
 
     def test_summary_keys(self):
         histogram = LatencyHistogram()
@@ -115,3 +123,101 @@ class TestCacheStatsPayload:
         assert payload["directory"] == str(tmp_path / "store")
         assert sorted(payload["cache"]) == sorted(cache_stats_payload(cache))
         assert payload["cache"]["entries"] == 1
+
+
+def flat_keys(payload, prefix=""):
+    """Every key path of a nested snapshot dict, in insertion order."""
+
+    keys = []
+    for key, value in payload.items():
+        keys.append(prefix + key)
+        if isinstance(value, dict):
+            keys.extend(flat_keys(value, f"{prefix}{key}."))
+    return keys
+
+
+def summary_keys(name):
+    return [name] + [
+        f"{name}.{stat}" for stat in ("count", "mean", "min", "max", "p50", "p95", "p99")
+    ]
+
+
+#: The ``service-stats/v1`` key paths ``ServiceMetrics.snapshot`` writes.
+SERVICE_STATS_KEYS = (
+    ["schema", "uptime_seconds", "requests"]
+    + [
+        f"requests.{name}"
+        for name in (
+            "received", "completed", "errors", "protocol_errors",
+            "rejected_overloaded", "rejected_shed", "rejected_shutting_down",
+            "coalesced", "cache_hits", "peer_hits", "peer_puts", "peer_errors",
+            "compiled",
+        )
+    ]
+    + ["rates", "rates.qps", "rates.coalesce_rate", "rates.cache_hit_rate"]
+    + ["batches", "batches.dispatched", "batches.mean_size", "batches.max_size"]
+    + ["queue", "queue.depth", "queue.peak_depth"]
+    + summary_keys("latency_ms")
+    + summary_keys("queue_ms")
+    + summary_keys("compile_ms")
+    + ["cache", "cache.hits"]
+)
+
+#: The ``router`` key paths of ``fleet-stats/v1`` (``RouterMetrics.snapshot``).
+ROUTER_STATS_KEYS = (
+    [
+        "uptime_seconds", "received", "completed", "errors", "protocol_errors",
+        "rejected_shutting_down", "tier_hits", "forwarded", "rerouted",
+        "shard_deaths", "wedged", "qps",
+    ]
+    + summary_keys("latency_ms")
+)
+
+
+class TestSnapshotKeys:
+    def test_service_stats_keys_and_order_are_pinned(self):
+        snapshot = ServiceMetrics().snapshot(cache_stats={"hits": 0})
+        assert flat_keys(snapshot) == SERVICE_STATS_KEYS
+
+    def test_router_stats_keys_and_order_are_pinned(self):
+        from repro.service.fleet import RouterMetrics
+
+        assert flat_keys(RouterMetrics().snapshot()) == ROUTER_STATS_KEYS
+
+
+class TestOneHistogram:
+    def test_lifetime_window_and_text_quantiles_agree(self):
+        """One latency stream recorded into the lifetime histogram and the
+        windowed monitor: the slow window covers the whole stream, so both
+        report the same nearest-rank bucket bounds, and the metrics-text
+        rendering carries those numbers unchanged."""
+
+        from repro.service.health import (
+            HealthMonitor,
+            parse_metrics_text,
+            render_metrics_text,
+        )
+        from tests.service.test_health_properties import brute_force_quantile
+
+        clock = [100.0]
+        metrics = ServiceMetrics()
+        monitor = HealthMonitor(
+            counters=tuple(metrics.counter_values()), clock=lambda: clock[0]
+        )
+        stream = [0.4, 1.0, 1.5, 3.0, 3.0, 7.5, 12.0, 45.0, 180.0, 900.0, 12500.0] * 7
+        for position, latency_ms in enumerate(stream):
+            clock[0] = 100.0 + position * 0.5  # 38.5 s in all: inside `slow`
+            metrics.latency_ms.record(latency_ms)
+            monitor.observe_latency(latency_ms)
+
+        snapshot = metrics.snapshot()
+        snapshot["health"] = monitor.sample()
+        slow = snapshot["health"]["windows"]["slow"]["latency"]
+        assert slow["count"] == metrics.latency_ms.count == len(stream)
+        series = parse_metrics_text(render_metrics_text(snapshot))
+        for percent in (50.0, 95.0, 99.0):
+            stat = f"p{percent:g}"
+            expected = brute_force_quantile(stream, percent)
+            assert snapshot["latency_ms"][stat] == slow[stat] == expected
+            assert series[f'repro_latency_ms{{stat="{stat}"}}'] == expected
+            assert series[f'repro_window_latency_ms{{stat="{stat}",window="slow"}}'] == expected

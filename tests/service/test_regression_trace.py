@@ -21,8 +21,14 @@ import asyncio
 import json
 import os
 
-from repro.service.loadgen import _PipelinedClient, build_request_plan
-from repro.service.protocol import parse_compile_request, response_result_bytes
+from repro.service.client import _check_hello
+from repro.service.endpoint import PipelinedConnection
+from repro.service.loadgen import build_request_plan
+from repro.service.protocol import (
+    hello_message,
+    parse_compile_request,
+    response_result_bytes,
+)
 from tests.service.conftest import oracle_result_bytes
 
 TRACE_PATH = os.path.join(os.path.dirname(__file__), "traces", "hot_coalesce.jsonl")
@@ -61,14 +67,18 @@ def test_trace_replay_coalesces_deterministically(embedded_server):
             # is on the wire before any response is awaited, so the whole
             # trace is admitted within the batch window.
             connections = [
-                await _PipelinedClient.connect(emb.host, emb.port, timeout=60.0)
+                await PipelinedConnection.open(
+                    emb.host, emb.port, hello_message(), _check_hello, 60.0,
+                    label="server",
+                )
                 for _ in range(2)
             ]
             try:
                 tasks = [
                     asyncio.ensure_future(
-                        connections[position % len(connections)].request(
-                            message, timeout=60.0
+                        asyncio.wait_for(
+                            connections[position % len(connections)].request(message),
+                            60.0,
                         )
                     )
                     for position, message in enumerate(trace)
@@ -76,7 +86,7 @@ def test_trace_replay_coalesces_deterministically(embedded_server):
                 return await asyncio.gather(*tasks)
             finally:
                 for connection in connections:
-                    await connection.close()
+                    connection.close("client closed")
 
         responses = asyncio.run(replay())
         stats = emb.stats()

@@ -1,40 +1,27 @@
-"""Regression pins for the reservoir-histogram tail bias (and its fix).
+"""Regression pins against the decimating reservoir's tail bias.
 
-``LatencyHistogram`` keeps samples verbatim until ``MAX_SAMPLES`` and then
-decimates to an arrival-order strided subsample.  For time-correlated
-latency that subsample is *not* representative: whether a burst survives
-decimation depends on which arrival phase it lands on, so two streams
-with the identical multiset of values can report p99s an entire burst
-apart.  The bias is documented and gated — cumulative lifetime stats
-tolerate it — and the windowed health path in :mod:`repro.service.health`
-uses fixed-bucket counts instead, whose quantiles are exact up to bucket
-resolution regardless of volume or arrival order.  These tests pin both
-behaviours deterministically (the histogram has no randomness).
+``LatencyHistogram`` was once a reservoir that kept samples verbatim up to
+65536 and then decimated to an arrival-order strided subsample.  For
+time-correlated latency that subsample is not representative: two streams
+with the identical multiset of values could report p99s an entire burst
+apart, depending on which arrival phase the burst landed on.  The
+histogram now counts every sample into fixed buckets, so its quantiles are
+exact up to bucket resolution regardless of volume or arrival order.
+These tests replay the streams that exposed the bias.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.service.health import (
-    LATENCY_BUCKET_BOUNDS_MS,
-    bucketed_quantile,
-    latency_bucket_bound,
-    latency_bucket_index,
-)
-from repro.service.metrics import MAX_SAMPLES, LatencyHistogram
+from repro.service.metrics import LatencyHistogram
+from tests.service.test_health_properties import bucket_bound
 
 FAST_MS = 1.0
 SLOW_MS = 800.0
 BURST = 1400  # slow samples: ~2% of the stream, so they own the true p99
-
-
-def exact_nearest_rank(values, percent):
-    """The percentile the reservoir *would* report with every sample kept."""
-
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1, round(percent / 100.0 * len(ordered)) - 1))
-    return ordered[rank]
+#: Warmup samples before the burst: the old reservoir's decimation point.
+WARMUP = 65536
 
 
 def record_all(stream):
@@ -45,73 +32,35 @@ def record_all(stream):
 
 
 def burst_stream(slow_phase):
-    """``MAX_SAMPLES`` of warmup, then a burst interleaved 1:1 with fast
+    """``WARMUP`` fast samples, then a burst interleaved 1:1 with fast
     traffic.  ``slow_phase`` picks which arrival offset the slow samples
     occupy — the multiset of values is identical either way."""
 
     pair = [FAST_MS, SLOW_MS] if slow_phase == "even" else [SLOW_MS, FAST_MS]
-    return [FAST_MS] * MAX_SAMPLES + pair * BURST
+    return [FAST_MS] * WARMUP + pair * BURST
 
 
-class TestReservoirBias:
-    def test_reservoir_is_verbatim_below_max_samples(self):
-        stream = [FAST_MS] * 5000 + [SLOW_MS] * 80
-        histogram = record_all(stream)
-        assert histogram._stride == 1
-        assert len(histogram._samples) == len(stream)
-        for percent in (50.0, 95.0, 99.0, 100.0):
-            assert histogram.percentile(percent) == exact_nearest_rank(
-                stream, percent
-            )
-
-    def test_decimated_p99_depends_on_arrival_phase(self):
-        """The documented bias: after decimation only every second arrival
-        is kept, so a burst landing on the dropped phase vanishes from the
-        reservoir entirely while the same burst on the kept phase survives
-        in full — p99 flips between the two regimes."""
-
-        dropped = record_all(burst_stream("even"))
-        kept = record_all(burst_stream("odd"))
-        assert dropped._stride == 2 and kept._stride == 2
-        assert exact_nearest_rank(burst_stream("even"), 99.0) == SLOW_MS
-
-        # Same multiset of values, two different answers — the dropped
-        # phase misses the burst by three orders of magnitude.
-        assert dropped.percentile(99.0) == FAST_MS
-        assert kept.percentile(99.0) == SLOW_MS
-        assert sum(1 for s in dropped._samples if s == SLOW_MS) == 0
-        assert sum(1 for s in kept._samples if s == SLOW_MS) == BURST
-
-    def test_decimation_keeps_count_sum_min_max_exact(self):
-        """The gate: only percentiles are approximate — the scalar stats
-        the service reports alongside them never degrade."""
-
+class TestNoReservoirBias:
+    def test_count_sum_min_max_are_exact(self):
         stream = burst_stream("even")
         histogram = record_all(stream)
         assert histogram.count == len(stream)
         assert histogram.minimum == FAST_MS
         assert histogram.maximum == SLOW_MS
         assert histogram.mean == sum(stream) / len(stream)
-        assert len(histogram._samples) < histogram.count
 
-    def test_windowed_fixed_buckets_are_phase_invariant(self):
-        """The fix: the health path counts into fixed buckets, so the same
-        multiset produces the same quantile no matter the arrival order,
-        and it equals the bucket bound of the true nearest-rank sample."""
+    def test_fixed_buckets_are_phase_invariant(self):
+        """The same multiset produces the same quantile no matter the
+        arrival order, and it equals the bucket bound of the true
+        nearest-rank sample."""
 
-        quantiles = []
-        for phase in ("even", "odd"):
-            stream = burst_stream(phase)
-            counts = [0] * (len(LATENCY_BUCKET_BOUNDS_MS) + 1)
-            for value in stream:
-                counts[latency_bucket_index(value)] += 1
-            quantiles.append(bucketed_quantile(counts, 99.0))
+        quantiles = [
+            record_all(burst_stream(phase)).quantile(99.0) for phase in ("even", "odd")
+        ]
         assert quantiles[0] == quantiles[1]
 
         stream = burst_stream("even")
-        ordered = sorted(
-            latency_bucket_bound(latency_bucket_index(v)) for v in stream
-        )
+        ordered = sorted(bucket_bound(v) for v in stream)
         rank = max(1, math.ceil(99.0 * len(ordered) / 100.0))
         assert quantiles[0] == ordered[rank - 1]
-        assert quantiles[0] == latency_bucket_bound(latency_bucket_index(SLOW_MS))
+        assert quantiles[0] == bucket_bound(SLOW_MS)

@@ -53,6 +53,17 @@ class TestRules:
                 assert [v.code for v in check_hotpath.check_source(source, path)] == ["H004"]
             assert check_hotpath.check_source(source, "src/repro/analysis/session.py") == []
 
+    def test_h005_catches_public_oracles_in_the_package(self):
+        for name in ("brute_force_cycle_equivalence", "solve_dataflow_reference"):
+            source = f"def {name}(graph):\n    return graph\n"
+            found = check_hotpath.check_source(source, "src/repro/analysis/x.py")
+            assert [(v.code, v.line) for v in found] == [("H005", 1)]
+            assert check_hotpath.check_source(source, "tests/oracles/structure.py") == []
+        private = "def _parse_program_reference(text):\n    return text\n"
+        assert check_hotpath.check_source(private, "src/repro/service/protocol.py") == []
+        method = "class C:\n    def brute_force_x(self):\n        pass\n"
+        assert check_hotpath.check_source(method, "src/repro/analysis/x.py") == []
+
     def test_out_of_scope_paths_are_ignored(self):
         source = "def f(fn, l):\n    return fn.block_out_edges(l)\n"
         assert check_hotpath.check_source(source, "src/repro/evaluation/x.py") == []

@@ -5,7 +5,7 @@ The placement and allocation hot paths went through several optimization PRs
 (bitset liveness, one validated CFG snapshot per compile, mask-based
 anticipation/availability).  Those wins regress silently when new code calls
 the convenient-but-slow per-query APIs, so this tool walks the AST of the
-source tree and enforces four rules:
+source tree and enforces five rules:
 
 ``H001``
     ``.block_out_edges(...)`` inside ``repro/spill`` or ``repro/regalloc``.
@@ -35,6 +35,12 @@ source tree and enforces four rules:
     A compile builds each of these once, in its
     :class:`~repro.analysis.session.CompilationSession`; placement and
     pipeline code reads them from the session instead of recomputing them.
+
+``H005``
+    A top-level public ``def brute_force_*`` or ``def *_reference`` anywhere
+    under ``repro/``.  Brute-force and set-based reference implementations
+    are test oracles; they live in ``tests/oracles/``, not in the shipped
+    package.  Private helpers (a leading underscore) are not flagged.
 
 A finding can be suppressed for one line with a trailing ``# hotpath: ok``
 comment — the suppression is the audit trail for sanctioned exceptions.
@@ -91,6 +97,7 @@ RULE_SCOPES = {
     "H002": ("repro/spill/", "repro/regalloc/"),
     "H003": ("repro/service/",),
     "H004": ("repro/spill/", "repro/pipeline/"),
+    "H005": ("repro/",),
 }
 
 
@@ -140,6 +147,22 @@ class _HotPathVisitor(ast.NodeVisitor):
     def _record(self, node: ast.AST, code: str, message: str) -> None:
         if not self._suppressed(node.lineno):
             self.violations.append(Violation(self.path, node.lineno, code, message))
+
+    def visit_Module(self, node: ast.Module) -> None:
+        if "H005" in self.rules:
+            for statement in node.body:
+                if not isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if statement.name.startswith("_"):
+                    continue
+                name = statement.name
+                if name.startswith("brute_force_") or name.endswith("_reference"):
+                    self._record(
+                        statement,
+                        "H005",
+                        f"{name}() is a test oracle; move it to tests/oracles/",
+                    )
+        self.generic_visit(node)
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._async_stack.append(False)
@@ -274,6 +297,16 @@ _SELF_TEST_CASES = (
         "src/repro/pipeline/example.py",
         "def f(function):\n    return dominance.EdgeDominance(function)\n",
     ),
+    (
+        "H005",
+        "src/repro/analysis/example.py",
+        "def brute_force_classes(graph):\n    return {}\n",
+    ),
+    (
+        "H005",
+        "src/repro/service/example.py",
+        "def solve_reference(problem):\n    return problem\n",
+    ),
 )
 
 _SELF_TEST_CLEAN = (
@@ -292,6 +325,9 @@ _SELF_TEST_CLEAN = (
     # The session itself, in repro/analysis, builds the analyses.
     ("src/repro/analysis/example.py",
      "def f(function):\n    return compute_loop_forest(function)\n"),
+    # Private and nested reference helpers are not oracles.
+    ("src/repro/service/example.py",
+     "def _parse_reference(text):\n    def brute_force_x():\n        pass\n"),
 )
 
 
