@@ -3,17 +3,16 @@
 Implementation of the iterative algorithm of Cooper, Harvey and Kennedy
 ("A Simple, Fast Dominance Algorithm").  The algorithm works on any
 :class:`~repro.analysis.graph.DiGraph`; convenience wrappers operate directly
-on IR functions.  Edge dominance is read off the two block trees in one
-linear pass, with no second solve (see :class:`EdgeDominance`).
+on IR functions.  SESE regions are read off the two block trees directly
+(see :mod:`repro.analysis.sese`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional
 
 from repro.analysis.graph import DiGraph, cfg_digraph
 from repro.analysis.session import CompilationSession, session_for
-from repro.ir.cfg import ENTRY_SENTINEL, EXIT_SENTINEL
 
 Node = Hashable
 
@@ -22,10 +21,10 @@ class DominatorTree:
     """The immediate-dominator relation for nodes reachable from the root.
 
     The tree is numbered once at construction: every node gets its pre-order
-    position, the end of its subtree's pre-order interval, and its depth.
-    ``a`` dominates ``b`` exactly when ``b``'s position falls inside ``a``'s
-    interval, so :meth:`dominates` and :meth:`depth` are O(1) and
-    :meth:`descendants` is a slice of the pre-order list.
+    position and the end of its subtree's pre-order interval.  ``a``
+    dominates ``b`` exactly when ``b``'s position falls inside ``a``'s
+    interval, so :meth:`dominates` is O(1) and :meth:`descendants` is a
+    slice of the pre-order list.
     """
 
     def __init__(self, root: Node, idom: Dict[Node, Optional[Node]]):
@@ -53,15 +52,11 @@ class DominatorTree:
         for i in range(len(preorder) - 1, 0, -1):
             if end[i] > end[parent_pos[i]]:
                 end[parent_pos[i]] = end[i]
-        depth = [0] * len(preorder)
-        for i in range(1, len(preorder)):
-            depth[i] = depth[parent_pos[i]] + 1
         self._preorder = preorder
         #: ``node -> pre-order position``; ``_end[i]`` is one past the last
-        #: position of that node's subtree, ``_depth[i]`` its depth.
+        #: position of that node's subtree.
         self._start = start
         self._end = end
-        self._depth = depth
 
     # -- queries ------------------------------------------------------------------
 
@@ -107,16 +102,25 @@ class DominatorTree:
             result.append(current)
         return result
 
-    def depth(self, node: Node) -> int:
-        """Number of strict dominators of ``node`` (the root has depth 0)."""
-
-        return self._depth[self._start[node]]
-
     def descendants(self, node: Node) -> List[Node]:
         """``node`` and every node it dominates, in pre-order."""
 
         start = self._start[node]
         return self._preorder[start : self._end[start]]
+
+    def dominated_among(self, node: Node, candidates) -> List[Node]:
+        """The ``candidates`` that ``node`` dominates, in their given order.
+
+        Candidates outside the tree are skipped; a ``node`` outside the tree
+        dominates none of the rest.
+        """
+
+        start = self._start.get(node)
+        if start is None:
+            return []
+        end = self._end[start]
+        position = self._start.get
+        return [c for c in candidates if start <= position(c, -1) < end]
 
     def __contains__(self, node: Node) -> bool:
         return node in self._idom
@@ -172,93 +176,3 @@ def compute_postdominators(
 
     cfg = session_for(function, session).cfg
     return compute_dominators_of_graph(cfg_digraph(cfg).reversed(), cfg.exit_label)
-
-
-def _split_idoms(tree: DominatorTree, neighbours, root_edge: Node, edge_node) -> Dict:
-    """Immediate dominators on the edge-split graph, read off a block tree.
-
-    ``neighbours`` are the predecessor lists (successor lists, with the
-    post-dominator tree, for the mirror image).  Edge ``(n, v)`` has idom
-    block ``n``.  Block ``v`` has idom edge ``(n, v)`` when ``n`` is its only
-    neighbour that ``v`` does not dominate — every path first enters ``v``
-    there, so a loop header's entry edge is its idom — and otherwise keeps
-    its block idom, which no single edge dominates.
-    """
-
-    idom: Dict[Node, Optional[Node]] = {root_edge: None, ("block", tree.root): root_edge}
-    for v in tree.nodes:
-        entering = []
-        for n in neighbours[v]:
-            if n in tree:
-                idom[edge_node(n, v)] = ("block", n)
-                if not tree.dominates(v, n):
-                    entering.append(n)
-        if v != tree.root:
-            parent = edge_node(entering[0], v) if len(entering) == 1 else ("block", tree.idom(v))
-            idom[("block", v)] = parent
-    return idom
-
-
-class EdgeDominance:
-    """Dominance and post-dominance between CFG *edges*.
-
-    Edge dominance is node dominance on the edge-split graph, where every
-    CFG edge ``(u, v)`` is a node ``("edge", u, v)`` spliced between
-    ``("block", u)`` and ``("block", v)``.  The virtual procedure entry and
-    exit edges participate, so "procedure entry dominates every edge" and
-    "procedure exit post-dominates every edge" hold.  Both split-graph trees
-    are read off the session's block trees in linear time; nothing is solved.
-    """
-
-    def __init__(self, function, session: Optional[CompilationSession] = None):
-        session = session_for(function, session)
-        cfg = session.cfg
-        entry, exit_label = cfg.entry_label, cfg.exit_label
-        entry_node = ("edge", ENTRY_SENTINEL, entry)
-        exit_node = ("edge", exit_label, EXIT_SENTINEL)
-        self._edge_nodes: Dict[Tuple[str, str], Node] = {
-            e.key: ("edge",) + e.key for e in cfg.edges
-        }
-        self._edge_nodes[entry_node[1:]] = entry_node
-        self._edge_nodes[exit_node[1:]] = exit_node
-        dom, postdom = session.dom, session.postdom
-        idom = _split_idoms(dom, cfg.graph_preds, entry_node, lambda n, v: ("edge", n, v))
-        ipdom = _split_idoms(postdom, cfg.graph_succs, exit_node, lambda n, v: ("edge", v, n))
-        if exit_label in dom:
-            idom[exit_node] = ("block", exit_label)
-        if entry in postdom:
-            ipdom[entry_node] = ("block", entry)
-        self._dom = DominatorTree(entry_node, idom)
-        self._postdom = DominatorTree(exit_node, ipdom)
-
-    def node_for(self, edge_key: Tuple[str, str]) -> Node:
-        return self._edge_nodes[edge_key]
-
-    def block_node(self, label: str) -> Node:
-        return ("block", label)
-
-    def edge_dominates_edge(self, a: Tuple[str, str], b: Tuple[str, str]) -> bool:
-        return self._dom.dominates(self.node_for(a), self.node_for(b))
-
-    def edge_postdominates_edge(self, a: Tuple[str, str], b: Tuple[str, str]) -> bool:
-        return self._postdom.dominates(self.node_for(a), self.node_for(b))
-
-    def edge_depth(self, edge_key: Tuple[str, str]) -> int:
-        """Depth of ``edge_key`` in the edge dominator tree."""
-
-        return self._dom.depth(self.node_for(edge_key))
-
-    def blocks_dominated_by_edge(self, edge_key: Tuple[str, str]) -> List[str]:
-        """Labels of the blocks ``edge_key`` dominates, read off its dominator subtree."""
-
-        return [
-            node[1]
-            for node in self._dom.descendants(self.node_for(edge_key))
-            if node[0] == "block"
-        ]
-
-    def edge_dominates_block(self, edge_key: Tuple[str, str], label: str) -> bool:
-        return self._dom.dominates(self.node_for(edge_key), self.block_node(label))
-
-    def edge_postdominates_block(self, edge_key: Tuple[str, str], label: str) -> bool:
-        return self._postdom.dominates(self.node_for(edge_key), self.block_node(label))

@@ -101,14 +101,19 @@ class ProgramStructureTree:
         regions nested inside it have already been analysed.
         """
 
+        # Iterative post-order (a deep nest would overflow recursion): each
+        # region is pushed twice, and popped the second time after its
+        # children, which are visited in (size, entry edge) order.
         order: List[Region] = []
-
-        def visit(region: Region) -> None:
-            for child in sorted(region.children, key=lambda r: (len(r.blocks), r.entry_edge)):
-                visit(child)
-            order.append(region)
-
-        visit(self.root)
+        stack: List[Tuple[Region, bool]] = [(self.root, False)]
+        while stack:
+            region, children_done = stack.pop()
+            if children_done:
+                order.append(region)
+                continue
+            stack.append((region, True))
+            children = sorted(region.children, key=lambda r: (len(r.blocks), r.entry_edge))
+            stack.extend((child, False) for child in reversed(children))
         return order
 
     def depth(self) -> int:
@@ -133,7 +138,7 @@ def build_pst(
         regions are used instead; this exists for the ablation benchmark.
     session:
         The function's :class:`~repro.analysis.session.CompilationSession`;
-        its CFG snapshot and edge dominance are reused.
+        its CFG snapshot and block dominator trees are reused.
     """
 
     session = session_for(function, session)

@@ -5,7 +5,12 @@ such that the entry edge dominates the exit edge, the exit edge
 post-dominates the entry edge, and the two edges are cycle equivalent
 (every cycle containing one contains the other).  The blocks of the region
 are exactly the blocks dominated by the entry edge and post-dominated by the
-exit edge.
+exit edge.  Both halves are read off the session's two block trees: for a
+class ordered along its chain, region ``(u, v) ... (x, y)`` holds the blocks
+that ``v`` dominates and ``x`` post-dominates.  One depth-first walk orders
+every class.  The definition keeps a loop tail reached only after the exit
+edge and looping back through the entry edge inside the region (see
+``docs/paper_mapping.md``).
 
 Two flavours are produced:
 
@@ -24,7 +29,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.cycle_equiv import UndirectedMultigraph, cycle_equivalence_classes
-from repro.analysis.dominance import EdgeDominance
 from repro.analysis.session import CompilationSession, session_for
 from repro.ir.function import Function
 
@@ -81,53 +85,31 @@ def compute_edge_classes(
     return {key: cls for key, cls in classes.items() if key != VIRTUAL_RETURN_EDGE}
 
 
-def _region_blocks(
-    dominance: EdgeDominance, entry_edge: EdgeKey, exit_edge: EdgeKey
-) -> FrozenSet[str]:
-    """Blocks dominated by ``entry_edge`` and post-dominated by ``exit_edge``.
+def _dfs_edge_numbers(cfg) -> Dict[EdgeKey, int]:
+    """Number every edge in the order one depth-first walk from the entry examines it.
 
-    Only the entry edge's dominator subtree can hold region blocks, so the
-    candidates are enumerated from it rather than from the whole function.
+    An edge that dominates another lies on the DFS tree path to the other's
+    source, so it is examined first: sorted by this number, a
+    cycle-equivalence class runs along its dominance chain (Johnson, Pearson
+    and Pingali order classes the same way).  Edges out of blocks the entry
+    cannot reach get no number.
     """
 
-    return frozenset(
-        label
-        for label in dominance.blocks_dominated_by_edge(entry_edge)
-        if dominance.edge_postdominates_block(exit_edge, label)
-    )
-
-
-def _ordered_class_edges(edges: List[EdgeKey], dominance: EdgeDominance) -> List[EdgeKey]:
-    """Order the edges of one cycle-equivalence class along the dominance chain."""
-
-    return sorted(edges, key=dominance.edge_depth)
-
-
-def _chain_runs(edges: List[EdgeKey], dominance: EdgeDominance) -> List[List[EdgeKey]]:
-    """Split an ordered class into maximal runs of valid consecutive pairs.
-
-    For a well-formed CFG every pair of consecutive class edges satisfies the
-    dominance conditions; the run splitting only guards against degenerate
-    graphs.
-    """
-
-    runs: List[List[EdgeKey]] = []
-    current: List[EdgeKey] = []
-    for edge in edges:
-        if not current:
-            current = [edge]
-            continue
-        previous = current[-1]
-        if dominance.edge_dominates_edge(previous, edge) and dominance.edge_postdominates_edge(
-            edge, previous
-        ):
-            current.append(edge)
+    out_edges = cfg.out_edges
+    entry = cfg.entry_label
+    numbers: Dict[EdgeKey, int] = {}
+    visited = {entry}
+    stack = [iter(out_edges[entry])]
+    while stack:
+        for edge in stack[-1]:
+            numbers.setdefault(edge.key, len(numbers))
+            if edge.dst not in visited:
+                visited.add(edge.dst)
+                stack.append(iter(out_edges[edge.dst]))
+                break
         else:
-            runs.append(current)
-            current = [edge]
-    if current:
-        runs.append(current)
-    return [run for run in runs if len(run) >= 2]
+            stack.pop()
+    return numbers
 
 
 def _collect_regions(
@@ -136,27 +118,27 @@ def _collect_regions(
     if len(function) < 2:
         return []
     session = session_for(function, session)
-    dominance = session.edge_dominance
-    classes = compute_edge_classes(function, session)
+    dom, postdom = session.dom, session.postdom
+    numbers = _dfs_edge_numbers(session.cfg)
     by_class: Dict[int, List[EdgeKey]] = {}
-    for edge_key, class_id in classes.items():
-        by_class.setdefault(class_id, []).append(edge_key)
+    for edge_key, class_id in compute_edge_classes(function, session).items():
+        if edge_key in numbers:
+            by_class.setdefault(class_id, []).append(edge_key)
 
     regions: List[SESERegion] = []
-    seen: set = set()
     for class_edges in by_class.values():
         if len(class_edges) < 2:
             continue
-        ordered = _ordered_class_edges(class_edges, dominance)
-        for run in _chain_runs(ordered, dominance):
-            for entry_edge, exit_edge in pair_selector(run):
-                key = (entry_edge, exit_edge)
-                if key in seen:
-                    continue
-                seen.add(key)
-                blocks = _region_blocks(dominance, entry_edge, exit_edge)
-                if blocks:
-                    regions.append(SESERegion(entry_edge, exit_edge, blocks))
+        class_edges.sort(key=numbers.__getitem__)
+        for entry_edge, exit_edge in pair_selector(class_edges):
+            # Dominated by the entry edge's target and post-dominated by the
+            # exit edge's source; a block that cannot reach the exit is in no
+            # region.
+            blocks = frozenset(
+                postdom.dominated_among(exit_edge[0], dom.descendants(entry_edge[1]))
+            )
+            if blocks:
+                regions.append(SESERegion(entry_edge, exit_edge, blocks))
     regions.sort(key=lambda r: (len(r.blocks), r.entry_edge, r.exit_edge))
     return regions
 
@@ -166,8 +148,8 @@ def find_canonical_regions(
 ) -> List[SESERegion]:
     """The canonical (smallest) SESE regions: consecutive class edges."""
 
-    def pairs(run: List[EdgeKey]):
-        return [(run[i], run[i + 1]) for i in range(len(run) - 1)]
+    def pairs(chain: List[EdgeKey]):
+        return [(chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
 
     return _collect_regions(function, pairs, session)
 
@@ -177,7 +159,7 @@ def find_maximal_regions(
 ) -> List[SESERegion]:
     """The maximal SESE regions used by the hierarchical placement algorithm."""
 
-    def pairs(run: List[EdgeKey]):
-        return [(run[0], run[-1])]
+    def pairs(chain: List[EdgeKey]):
+        return [(chain[0], chain[-1])]
 
     return _collect_regions(function, pairs, session)

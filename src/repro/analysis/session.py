@@ -2,15 +2,15 @@
 
 A :class:`CompilationSession` owns every structure the pipeline and the lint
 rules derive from one function: the CFG snapshot, the block dominator and
-post-dominator trees, the loop forest, liveness, reaching definitions, edge
-dominance and the program structure tree.  Each is computed on first access,
-so a compile builds each once and a ``techniques=`` subset builds only what
-it reads.  Three content-keyed memos are filled by :mod:`repro.spill`:
-``edge_solutions`` (``occupied blocks -> (save edges, restore edges)``),
-``set_groups`` (``(register, saves, restores) -> sets``) and ``set_errors``
-(``(register, occupied blocks, location sets) -> convention errors``), so
-each shrink-wrapping solve, grouping and convention check runs once per
-compile.
+post-dominator trees, the loop forest, liveness, reaching definitions and
+the program structure tree, whose SESE regions are read off the two block
+trees.  Each is computed on first access, so a compile builds each once and
+a ``techniques=`` subset builds only what it reads.  Three content-keyed
+memos are filled by :mod:`repro.spill`: ``edge_solutions`` (``occupied
+blocks -> (save edges, restore edges)``), ``set_groups`` (``(register,
+saves, restores) -> sets``) and ``set_errors`` (``(register, occupied
+blocks, location sets) -> convention errors``), so each shrink-wrapping
+solve, grouping and convention check runs once per compile.
 
 The CFG snapshot is fetched once and never re-validated: a pass that
 mutates the IR must start a new session afterwards.
@@ -70,14 +70,6 @@ class CompilationSession:
         from repro.analysis.dominance import compute_postdominators
 
         return compute_postdominators(self.function, session=self)
-
-    @cached_property
-    def edge_dominance(self):
-        """Edge (post-)dominance, derived from the two block trees."""
-
-        from repro.analysis.dominance import EdgeDominance
-
-        return EdgeDominance(self.function, session=self)
 
     @cached_property
     def loop_forest(self):

@@ -320,6 +320,7 @@ class Function:
 def reachable_blocks(function: Function) -> Set[str]:
     """Labels of blocks reachable from the entry block."""
 
+    succs = function.cfg().succs
     seen: Set[str] = set()
     stack = [function.entry.label]
     while stack:
@@ -329,7 +330,7 @@ def reachable_blocks(function: Function) -> Set[str]:
             # verifier; traversal simply stops at them.
             continue
         seen.add(label)
-        stack.extend(s for s in function.successors(label) if s not in seen)
+        stack.extend(s for s in succs[label] if s not in seen)
     return seen
 
 

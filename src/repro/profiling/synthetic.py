@@ -34,8 +34,9 @@ def _branch_probabilities(
     """Normalize per-edge probabilities, defaulting to a uniform split."""
 
     result: Dict[EdgeKey, float] = {}
+    cfg_out_edges = function.cfg().out_edges
     for block in function.blocks:
-        out_edges = function.block_out_edges(block.label)
+        out_edges = cfg_out_edges[block.label]
         if not out_edges:
             continue
         raw = []

@@ -1,9 +1,8 @@
-"""Tests for dominators, post-dominators and edge dominance."""
+"""Tests for dominators and post-dominators."""
 
 from hypothesis import given
 
 from repro.analysis.dominance import (
-    EdgeDominance,
     compute_dominators,
     compute_dominators_of_graph,
     compute_postdominators,
@@ -95,26 +94,3 @@ class TestDominators:
             parent = dom.idom(label)
             if parent is not None:
                 assert dom.strictly_dominates(parent, label)
-
-
-class TestEdgeDominance:
-    def test_paper_example_region_boundaries(self):
-        example = paper_example()
-        edges = EdgeDominance(example.function)
-        assert edges.edge_dominates_edge(("B", "C"), ("F", "H"))
-        assert edges.edge_postdominates_edge(("F", "H"), ("B", "C"))
-        assert edges.edge_dominates_edge(("A", "I"), ("O", "P"))
-        assert not edges.edge_dominates_edge(("C", "D"), ("F", "H"))
-
-    def test_edge_vs_block_dominance(self):
-        example = paper_example()
-        edges = EdgeDominance(example.function)
-        assert edges.edge_dominates_block(("B", "C"), "E")
-        assert edges.edge_postdominates_block(("F", "H"), "E")
-        assert not edges.edge_dominates_block(("C", "D"), "F")
-
-    def test_virtual_entry_edge_dominates_all_blocks(self):
-        example = paper_example()
-        edges = EdgeDominance(example.function)
-        for label in example.function.block_labels:
-            assert edges.edge_dominates_block(("__entry__", "A"), label)

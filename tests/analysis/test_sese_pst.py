@@ -2,12 +2,22 @@
 
 from hypothesis import given
 
-from repro.analysis.dominance import EdgeDominance
 from repro.analysis.pst import build_pst
 from repro.analysis.sese import find_canonical_regions, find_maximal_regions
+from repro.ir.builder import FunctionBuilder
+from repro.ir.verifier import verify_function
+from repro.pipeline.compiler import compile_procedure
+from repro.profiling.synthetic import uniform_profile
 from repro.workloads.programs import diamond_function, loop_function, paper_example
+from repro.workloads.scenarios import build_chaos_cfg
 
 from tests.conftest import generated_procedures
+from tests.oracles.structure import (
+    LOOP_TAIL_CHAOS_CASES,
+    chain_dominates,
+    forward_between,
+    solved_edge_trees,
+)
 
 
 class TestSESERegions:
@@ -60,13 +70,33 @@ class TestSESERegions:
     @given(generated_procedures(max_segments=4))
     def test_region_boundaries_satisfy_dominance_conditions(self, procedure):
         function = procedure.function
-        dominance = EdgeDominance(function)
+        dom, postdom = solved_edge_trees(function)
         for region in find_maximal_regions(function):
-            assert dominance.edge_dominates_edge(region.entry_edge, region.exit_edge)
-            assert dominance.edge_postdominates_edge(region.exit_edge, region.entry_edge)
+            entry, exit_ = ("edge",) + region.entry_edge, ("edge",) + region.exit_edge
+            assert chain_dominates(dom, entry, exit_)
+            assert chain_dominates(postdom, exit_, entry)
             for label in region.blocks:
-                assert dominance.edge_dominates_block(region.entry_edge, label)
-                assert dominance.edge_postdominates_block(region.exit_edge, label)
+                assert chain_dominates(dom, entry, ("block", label))
+                assert chain_dominates(postdom, exit_, ("block", label))
+
+    def test_loop_tail_stays_in_the_region(self):
+        # b7 runs only after the exit edge b2->b3 and loops back to b1, so it
+        # is not "between" the two edges; the entry edge still dominates it
+        # and the exit edge still post-dominates it, so the region keeps it.
+        function = build_chaos_cfg(6, 1).function
+        regions = {(r.entry_edge, r.exit_edge): r.blocks for r in find_maximal_regions(function)}
+        entry, exit_ = ("b1", "b2"), ("b2", "b3")
+        assert regions[(entry, exit_)] == frozenset({"b2", "b7"})
+        assert forward_between(function, entry, exit_) == {"b2"}
+
+    def test_every_loop_tail_case_keeps_its_tail(self):
+        for seed, index in LOOP_TAIL_CHAOS_CASES:
+            function = build_chaos_cfg(seed, index).function
+            tails = [
+                r.blocks - forward_between(function, r.entry_edge, r.exit_edge)
+                for r in find_maximal_regions(function)
+            ]
+            assert sum(1 for tail in tails if tail) == 1, (seed, index)
 
     @given(generated_procedures(max_segments=4))
     def test_regions_never_partially_overlap(self, procedure):
@@ -114,6 +144,37 @@ class TestProgramStructureTree:
     def test_canonical_pst_has_at_least_as_many_regions(self):
         function = paper_example().function
         assert build_pst(function, maximal=False).region_count() >= build_pst(function).region_count()
+
+    def test_deep_nest_builds_walks_and_compiles(self):
+        # 1,100 nested branch-around regions: deeper than the interpreter's
+        # default recursion limit of 1,000.
+        depth = 1100
+        builder = FunctionBuilder("deep_nest")
+        builder.block("entry")
+        value = builder.const(1)
+        for i in range(depth):
+            if i:
+                builder.block(f"g{i}")
+            builder.branch(builder.cmp_lt(value, i), f"j{i}")
+        builder.block("mid")
+        builder.call("callee", [value])
+        for i in reversed(range(depth)):
+            builder.block(f"j{i}")
+            builder.nop()
+        builder.block("exit")
+        builder.ret([value])
+        function = builder.build()
+        verify_function(function, require_single_exit=True)
+
+        pst = build_pst(function)
+        assert pst.depth() == depth
+        # The regions form one chain, so children-before-parents is
+        # innermost first and the root last.
+        order = pst.topological_order()
+        assert order == sorted(pst.regions(), key=lambda r: len(r.blocks))
+        assert all(inner.parent is outer for inner, outer in zip(order, order[1:]))
+        compiled = compile_procedure((function, uniform_profile(function)))
+        assert compiled.record.num_blocks >= 2 * depth
 
     @given(generated_procedures(max_segments=4))
     def test_every_region_nested_in_its_parent(self, procedure):

@@ -4,10 +4,12 @@
 dominance, two iterative solves on the edge-split graph, the every-block
 region scan, the strict-superset PST nesting); these properties check the
 shipped versions against them on generated procedures, seeded ``chaos_cfg``
-flowgraphs (irreducible ones included), edge-split graphs, the Table 1 suite,
-``irreducible_loop`` before and after allocation, and a graph with an
-unreachable node.  The edge-split trees :class:`EdgeDominance` derives from
-the block trees must equal the solved ones node for node.
+flowgraphs (irreducible ones included), edge-split graphs and a graph with an
+unreachable node.  SESE regions read off the block trees, their PST nesting,
+ids, child order and walk must equal the oracle built on the solved
+edge-split trees, on Table 1 and every scenario family before and after
+allocation, the loop-tail and overlapping ``chaos_cfg`` draws, and flowgraphs
+with an unreachable island or a loop that cannot reach the exit.
 """
 
 from __future__ import annotations
@@ -16,28 +18,28 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis.dominance import (
-    EdgeDominance,
     compute_dominators,
     compute_dominators_of_graph,
     compute_postdominators,
 )
 from repro.analysis.graph import DiGraph
 from repro.analysis.pst import Region, _nest_regions, build_pst
+from repro.analysis.session import CompilationSession
 from repro.analysis.sese import find_canonical_regions, find_maximal_regions
+from repro.ir.builder import FunctionBuilder
 from repro.regalloc import allocate_registers
-from repro.workloads.scenarios import build_chaos_cfg, build_scenario
+from repro.workloads.scenarios import build_chaos_cfg, build_scenario, scenario_names
 from repro.workloads.spec_like import build_suite
 
 from tests.conftest import generated_procedures
 from tests.oracles.structure import (
-    chain_depth,
+    LOOP_TAIL_CHAOS_CASES,
     chain_descendants,
     chain_dominates,
     edge_split_graph,
-    idom_map,
+    scan_pst_shape,
     scan_regions,
     scan_smallest_region_containing,
-    solved_edge_trees,
     superset_scan_children,
     superset_scan_parents,
 )
@@ -58,21 +60,12 @@ functions = st.one_of(
 def assert_tree_matches_oracle(tree) -> None:
     nodes = tree.nodes
     for a in nodes:
-        assert tree.depth(a) == chain_depth(tree, a)
         assert set(tree.descendants(a)) == chain_descendants(tree, a)
         assert len(tree.descendants(a)) == len(chain_descendants(tree, a))
         assert tree.descendants(a)[0] == a
         for b in nodes:
             assert tree.dominates(a, b) == chain_dominates(tree, a, b)
-
-
-def assert_derived_edge_trees_match_the_solves(function) -> None:
-    """The derived edge-split trees equal the two iterative solves, idom for idom."""
-
-    derived = EdgeDominance(function)
-    dom, postdom = solved_edge_trees(function)
-    assert idom_map(derived._dom) == idom_map(dom)
-    assert idom_map(derived._postdom) == idom_map(postdom)
+        assert tree.dominated_among(a, nodes) == [b for b in nodes if chain_dominates(tree, a, b)]
 
 
 class TestDominatorTree:
@@ -86,20 +79,6 @@ class TestDominatorTree:
         graph, entry_node, exit_node, _edges = edge_split_graph(function)
         assert_tree_matches_oracle(compute_dominators_of_graph(graph, entry_node))
         assert_tree_matches_oracle(compute_dominators_of_graph(graph.reversed(), exit_node))
-        derived = EdgeDominance(function)
-        assert_tree_matches_oracle(derived._dom)
-        assert_tree_matches_oracle(derived._postdom)
-        assert_derived_edge_trees_match_the_solves(function)
-
-    def test_derived_edge_trees_on_table1_and_irreducible_loops(self, parisc):
-        functions = [p.function for b in build_suite() for p in b.procedures]
-        assert len(functions) == 172
-        for seed in range(4):
-            for procedure in build_scenario("irreducible_loop", seed=seed, count=4, machine=parisc):
-                allocation = allocate_registers(procedure.function, parisc, procedure.profile)
-                functions += [procedure.function, allocation.function]
-        for function in functions:
-            assert_derived_edge_trees_match_the_solves(function)
 
     def test_unreachable_node_semantics(self):
         graph = DiGraph()
@@ -114,11 +93,10 @@ class TestDominatorTree:
             with pytest.raises(KeyError):
                 query("a", "island")
         with pytest.raises(KeyError):
-            dom.depth("island")
-        with pytest.raises(KeyError):
             dom.descendants("island")
         assert dom.descendants("a") == ["a", "b"]
-        assert (dom.depth("a"), dom.depth("b")) == (0, 1)
+        assert dom.dominated_among("a", ["b", "island", "a"]) == ["b", "a"]
+        assert dom.dominated_among("island", ["island", "a"]) == []
         assert_tree_matches_oracle(dom)
 
     def test_deep_chain_needs_no_recursion(self):
@@ -126,7 +104,6 @@ class TestDominatorTree:
         for i in range(5000):
             graph.add_edge(i, i + 1)
         dom = compute_dominators_of_graph(graph, 0)
-        assert dom.depth(5000) == 5000
         assert dom.dominates(0, 5000) and not dom.dominates(5000, 0)
         assert dom.descendants(4998) == [4998, 4999, 5000]
 
@@ -137,12 +114,104 @@ class TestRegions:
         assert find_maximal_regions(function) == scan_regions(function, maximal=True)
         assert find_canonical_regions(function) == scan_regions(function, maximal=False)
 
-    @given(functions)
-    def test_edge_depth_is_the_dominator_depth(self, function):
-        dominance = EdgeDominance(function)
-        for edge in function.edges():
-            node = dominance.node_for(edge.key)
-            assert dominance.edge_depth(edge.key) == chain_depth(dominance._dom, node)
+    @pytest.mark.parametrize("name", ["table1", "scenarios", "chaos_cfg", "degenerate"])
+    def test_regions_and_pst_match_the_oracle(self, name, parisc):
+        functions = fixed_sets(name, parisc)
+        for function in functions:
+            session = CompilationSession(function)
+            for maximal in (True, False):
+                expected = scan_regions(function, maximal)
+                find_regions = find_maximal_regions if maximal else find_canonical_regions
+                assert find_regions(function, session) == expected, (function.name, maximal)
+                assert pst_shape(session.pst(maximal)) == scan_pst_shape(function, expected), (
+                    function.name,
+                    maximal,
+                )
+
+
+def island_function():
+    """``isl`` and ``isl2`` are unreachable but branch into the live blocks."""
+
+    builder = FunctionBuilder("island")
+    builder.block("entry")
+    value = builder.const(1)
+    builder.branch(value, "b")
+    builder.block("a")
+    builder.jump("c")
+    builder.block("b")
+    builder.nop()
+    builder.block("c")
+    builder.jump("exit")
+    builder.block("isl")
+    builder.branch(builder.const(2), "b")
+    builder.block("isl2")
+    builder.jump("c")
+    builder.block("exit")
+    builder.ret()
+    return builder.build()
+
+
+def stuck_loop_function():
+    """The cycle ``spin -> spin3 -> spin2 -> spin`` never reaches the exit."""
+
+    builder = FunctionBuilder("stuck")
+    builder.block("entry")
+    builder.branch(builder.const(1), "spin")
+    builder.block("mid")
+    builder.jump("exit")
+    builder.block("spin")
+    builder.branch(builder.const(2), "spin3")
+    builder.block("spin2")
+    builder.jump("spin")
+    builder.block("spin3")
+    builder.jump("spin2")
+    builder.block("exit")
+    builder.ret()
+    return builder.build()
+
+
+def fixed_sets(name, machine):
+    """The deterministic function sets the region-identity test covers."""
+
+    def with_allocation(procedures):
+        result = []
+        for procedure in procedures:
+            allocation = allocate_registers(procedure.function, machine, procedure.profile)
+            result += [procedure.function, allocation.function]
+        return result
+
+    if name == "table1":
+        functions = with_allocation(p for b in build_suite() for p in b.procedures)
+        assert len(functions) == 2 * 172
+        return functions
+    if name == "scenarios":
+        procedures = [
+            p for family in scenario_names() for p in build_scenario(family, machine=machine)
+        ]
+        for seed in range(1, 4):
+            procedures += build_scenario("irreducible_loop", seed=seed, count=4, machine=machine)
+        return with_allocation(procedures)
+    if name == "chaos_cfg":
+        cases = [(244, 1)] + list(LOOP_TAIL_CHAOS_CASES)
+        return [build_chaos_cfg(seed, index).function for seed, index in cases]
+    return [island_function(), stuck_loop_function()]
+
+
+def pst_shape(pst):
+    """:func:`scan_pst_shape`'s rows, read off a built PST."""
+
+    rows = [
+        (
+            r.identifier,
+            r.entry_edge,
+            r.exit_edge,
+            r.blocks,
+            None if r.parent is None else r.parent.identifier,
+            [c.identifier for c in r.children],
+        )
+        for r in sorted(pst.regions(), key=lambda r: r.identifier)
+    ]
+    return rows + [tuple(r.identifier for r in pst.topological_order())]
 
 
 def assert_nesting_matches_oracle(root, regions, by_size) -> None:

@@ -4,10 +4,12 @@ PST-nesting queries.
 These are the original, obviously-correct formulations that
 :mod:`repro.analysis` replaced with size-linear ones: the definition of
 cycle equivalence checked edge pair by edge pair, an idom-chain walk for
-dominance, two iterative solves on the edge-split graph for edge dominance,
-a scan of every block against every region for region block sets, and a
-strict-superset scan over all regions for PST nesting.  They stay here as
-test oracles; the property tests compare the shipped analyses with them.
+dominance, two iterative solves on the edge-split graph for edge dominance
+(whose depth orders each cycle-equivalence class, split into runs of valid
+pairs), a scan of every block against every region for region block sets,
+and a strict-superset scan over all regions for PST nesting.  They stay
+here as test oracles; the property tests compare the shipped analyses with
+them.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Hashable, List, Sequence, Set, Tuple
 
 from repro.analysis.cycle_equiv import EdgeId, NodeId, UndirectedMultigraph
-from repro.analysis.dominance import DominatorTree, EdgeDominance, compute_dominators_of_graph
+from repro.analysis.dominance import DominatorTree, compute_dominators_of_graph
 from repro.analysis.graph import DiGraph
-from repro.analysis.sese import SESERegion, _chain_runs, compute_edge_classes
+from repro.analysis.pst import Region
+from repro.analysis.sese import SESERegion, compute_edge_classes
 from repro.ir.function import Function
 
 EdgeKey = Tuple[str, str]
@@ -170,59 +173,110 @@ def solved_edge_trees(function) -> Tuple[DominatorTree, DominatorTree]:
     )
 
 
-def idom_map(tree: DominatorTree) -> Dict[Hashable, Hashable]:
-    """``node -> immediate dominator`` for every node of ``tree``."""
-
-    return {node: tree.idom(node) for node in tree.nodes}
-
-
 # -- SESE regions ----------------------------------------------------------------
 
 
-def scan_region_blocks(
-    function: Function, dominance: EdgeDominance, entry_edge: EdgeKey, exit_edge: EdgeKey
-) -> FrozenSet[str]:
-    """Test every block of the function against the region's two edges."""
+#: ``(seed, index)`` of the ``chaos_cfg`` draws among seeds 0-199 whose
+#: maximal regions include a loop tail: a block reached only after the exit
+#: edge that loops back through the entry edge (see ``forward_between``).
+LOOP_TAIL_CHAOS_CASES: Tuple[Tuple[int, int], ...] = (
+    (6, 1), (14, 1), (36, 3), (59, 0), (153, 2), (155, 0), (155, 4),
+    (161, 1), (169, 2), (180, 5), (181, 2), (185, 4), (185, 5),
+)
 
-    dom, postdom = dominance._dom, dominance._postdom
-    entry_node = dominance.node_for(entry_edge)
-    exit_node = dominance.node_for(exit_edge)
+
+def forward_between(function: Function, entry_edge: EdgeKey, exit_edge: EdgeKey) -> Set[str]:
+    """Blocks reached from the entry edge without taking either boundary edge.
+
+    The "between the entry and exit edge" reading of a region: it leaves out
+    a loop tail, which the dominance definition keeps.
+    """
+
+    succs = function.cfg().succs
+    seen: Set[str] = set()
+    stack = [entry_edge[1]]
+    while stack:
+        label = stack.pop()
+        if label in seen:
+            continue
+        seen.add(label)
+        stack.extend(s for s in succs[label] if (label, s) not in (entry_edge, exit_edge))
+    return seen
+
+
+def _tree_dominates(tree: DominatorTree, a: Hashable, b: Hashable) -> bool:
+    """``chain_dominates``, false when ``b`` is outside the tree (unreachable)."""
+
+    return b in tree and chain_dominates(tree, a, b)
+
+
+def scan_region_blocks(
+    function: Function,
+    trees: Tuple[DominatorTree, DominatorTree],
+    entry_edge: EdgeKey,
+    exit_edge: EdgeKey,
+) -> FrozenSet[str]:
+    """Test every block against the region's two edges on the solved edge-split trees."""
+
+    dom, postdom = trees
+    entry_node, exit_node = ("edge",) + entry_edge, ("edge",) + exit_edge
     return frozenset(
         label
         for label in function.block_labels
-        if chain_dominates(dom, entry_node, ("block", label))
-        and chain_dominates(postdom, exit_node, ("block", label))
+        if _tree_dominates(dom, entry_node, ("block", label))
+        and _tree_dominates(postdom, exit_node, ("block", label))
     )
 
 
+def chain_runs(
+    edges: List[EdgeKey], trees: Tuple[DominatorTree, DominatorTree]
+) -> List[List[EdgeKey]]:
+    """Split a depth-ordered class into maximal runs of valid consecutive pairs.
+
+    A pair is valid when the first edge dominates the second and the second
+    post-dominates the first.  Runs shorter than two edges delimit nothing.
+    """
+
+    dom, postdom = trees
+    runs: List[List[EdgeKey]] = []
+    for edge in edges:
+        if runs:
+            previous = ("edge",) + runs[-1][-1]
+            node = ("edge",) + edge
+            if _tree_dominates(dom, previous, node) and _tree_dominates(postdom, node, previous):
+                runs[-1].append(edge)
+                continue
+        runs.append([edge])
+    return [run for run in runs if len(run) >= 2]
+
+
 def scan_regions(function: Function, maximal: bool) -> List[SESERegion]:
-    """Maximal or canonical SESE regions, built with the reference queries."""
+    """Maximal or canonical SESE regions, built with the reference queries.
+
+    Each cycle-equivalence class is ordered by depth in the solved edge
+    dominator tree and split into runs of valid pairs; edges the entry cannot
+    reach have no depth and are left out.
+    """
 
     if len(function) < 2:
         return []
-    dominance = EdgeDominance(function)
+    trees = solved_edge_trees(function)
+    dom = trees[0]
     by_class: Dict[int, List[EdgeKey]] = {}
     for edge_key, class_id in compute_edge_classes(function).items():
-        by_class.setdefault(class_id, []).append(edge_key)
-
-    def depth(edge: EdgeKey) -> int:
-        return chain_depth(dominance._dom, dominance.node_for(edge))
+        if ("edge",) + edge_key in dom:
+            by_class.setdefault(class_id, []).append(edge_key)
 
     regions: List[SESERegion] = []
-    seen: set = set()
     for class_edges in by_class.values():
-        if len(class_edges) < 2:
-            continue
-        for run in _chain_runs(sorted(class_edges, key=depth), dominance):
+        ordered = sorted(class_edges, key=lambda edge: chain_depth(dom, ("edge",) + edge))
+        for run in chain_runs(ordered, trees):
             if maximal:
                 pairs = [(run[0], run[-1])]
             else:
                 pairs = [(run[i], run[i + 1]) for i in range(len(run) - 1)]
             for pair in pairs:
-                if pair in seen:
-                    continue
-                seen.add(pair)
-                blocks = scan_region_blocks(function, dominance, *pair)
+                blocks = scan_region_blocks(function, trees, *pair)
                 if blocks:
                     regions.append(SESERegion(pair[0], pair[1], blocks))
     regions.sort(key=lambda r: (len(r.blocks), r.entry_edge, r.exit_edge))
@@ -254,6 +308,44 @@ def superset_scan_children(root, by_size: Sequence) -> Dict[int, List[int]]:
     for child, parent in superset_scan_parents(root, by_size).items():
         children[parent].append(child)
     return children
+
+
+def scan_pst_shape(function: Function, sese_regions: Sequence[SESERegion]) -> List[Tuple]:
+    """The PST that ``sese_regions`` (from :func:`scan_regions`) and the superset scan give.
+
+    One row per region, ``(id, entry edge, exit edge, blocks, parent id,
+    child ids)``, in id order (the root, id 0, first), then one row holding
+    the children-before-parents walk, children visited smallest first.
+    """
+
+    labels = frozenset(function.block_labels)
+    root = Region(0, ("__entry__", function.entry.label), (function.exit.label, "__exit__"), labels)
+    regions = [
+        Region(index, r.entry_edge, r.exit_edge, r.blocks)
+        for index, r in enumerate(sese_regions, start=1)
+        if r.blocks != labels
+    ]
+    by_size = sorted(regions, key=lambda r: len(r.blocks))
+    parents = superset_scan_parents(root, by_size)
+    children = superset_scan_children(root, by_size)
+    by_id = {r.identifier: r for r in [root] + regions}
+
+    def walk(identifier: int) -> List[int]:
+        order: List[int] = []
+        kids = sorted(
+            children[identifier],
+            key=lambda i: (len(by_id[i].blocks), by_id[i].entry_edge),
+        )
+        for child in kids:
+            order += walk(child)
+        return order + [identifier]
+
+    rows: List[Tuple] = [
+        (r.identifier, r.entry_edge, r.exit_edge, r.blocks, parents.get(r.identifier),
+         children[r.identifier])
+        for r in [root] + regions
+    ]
+    return rows + [tuple(walk(0))]
 
 
 def scan_smallest_region_containing(regions: Sequence, label: str):

@@ -46,7 +46,7 @@ class TestRules:
         assert check_hotpath.check_source(nested, "src/repro/service/x.py") == []
 
     def test_h004_catches_per_compile_analyses_outside_the_session(self):
-        for call in ("build_pst(fn)", "loops.compute_loop_forest(fn)", "EdgeDominance(fn)",
+        for call in ("build_pst(fn)", "loops.compute_loop_forest(fn)",
                      "compute_dominators(fn)", "compute_postdominators(fn)"):
             source = f"def f(fn):\n    return {call}\n"
             for path in ("src/repro/spill/x.py", "src/repro/pipeline/x.py"):

@@ -30,9 +30,9 @@ source tree and enforces five rules:
 
 ``H004``
     A direct ``build_pst(...)``, ``compute_loop_forest(...)``,
-    ``compute_dominators(...)``, ``compute_postdominators(...)`` or
-    ``EdgeDominance(...)`` call inside ``repro/spill`` or ``repro/pipeline``.
-    A compile builds each of these once, in its
+    ``compute_dominators(...)`` or ``compute_postdominators(...)`` call
+    inside ``repro/spill`` or ``repro/pipeline``.  A compile builds each of
+    these once, in its
     :class:`~repro.analysis.session.CompilationSession`; placement and
     pipeline code reads them from the session instead of recomputing them.
 
@@ -74,7 +74,6 @@ H004_ANALYSES = (
     "compute_loop_forest",
     "compute_dominators",
     "compute_postdominators",
-    "EdgeDominance",
 )
 
 #: Dotted names whose direct call blocks the event loop (rule H003).
@@ -295,7 +294,7 @@ _SELF_TEST_CASES = (
     (
         "H004",
         "src/repro/pipeline/example.py",
-        "def f(function):\n    return dominance.EdgeDominance(function)\n",
+        "def f(function):\n    return dominance.compute_postdominators(function)\n",
     ),
     (
         "H005",
