@@ -237,7 +237,7 @@ def service():
     finally:
         shutil.rmtree(directory, ignore_errors=True)
     hot = build_request_plan(mix="hot", requests=SERVICE_REQUESTS, seed=0)
-    skewed = leg("skewed", hot, check_oracle=True, batch_window_ms=30.0)
+    skewed = leg("skewed", hot, check_oracle=True)
     values["skewed_coalesced"] = skewed["coalesced"]
     return values
 
@@ -276,7 +276,7 @@ def fleet():
     values = {}
     for shards in FLEET_SHARDS:
         prefix = f"shards{shards}"
-        with Fleet(shards=shards, backend="process", batch_window_ms=10.0) as fleet:
+        with Fleet(shards=shards, backend="process") as fleet:
             cold = run_load(
                 fleet.host, fleet.port, plan, mode="closed", clients=FLEET_CLIENTS,
                 check_oracle=False, check_fleet=True,

@@ -35,15 +35,14 @@ Subcommands::
     repro-spill cache     {stats,clear} --cache-dir DIR [--json]
                                                  # inspect / empty a compile cache
     repro-spill serve     [--host H] [--port P] [--workers N] [--cache-dir DIR]
-                          [--max-queue N] [--batch-max N] [--batch-window-ms T]
-                          [--peer HOST:PORT] [--health-interval S] [--no-policy]
+                          [--max-queue N] [--batch-max N] [--peer HOST:PORT]
+                          [--health-interval S] [--no-policy]
                                                  # run the compile server (JSON lines
                                                  # over TCP; graceful drain on SIGTERM;
                                                  # --peer joins a fleet's cache tier)
     repro-spill fleet     [--host H] [--port P] [--peer-port P] [--shards N]
                           [--workers N] [--cache-root DIR] [--batch-max N]
-                          [--batch-window-ms T] [--max-queue N]
-                          [--stall-timeout S] [--remediate]
+                          [--max-queue N] [--stall-timeout S] [--remediate]
                                                  # multi-shard fleet: router + N
                                                  # shard processes + shared tier;
                                                  # --remediate lets the policy engine
@@ -337,11 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--batch-max", type=int, default=None, metavar="N",
-        help="micro-batch flush size (default 16)",
-    )
-    serve.add_argument(
-        "--batch-window-ms", type=float, default=None, metavar="T",
-        help="micro-batch flush window in milliseconds (default 10)",
+        help="most unique entries one batch takes from the queue (default 16)",
     )
     serve.add_argument(
         "--peer", default=None, metavar="HOST:PORT",
@@ -386,15 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
         "no disk cache, the shared tier still dedupes fleet-wide)",
     )
     fleet.add_argument(
-        "--batch-max", type=int, default=16, metavar="N",
-        help="per-shard micro-batch flush size (default 16)",
+        "--batch-max", type=int, default=None, metavar="N",
+        help="per-shard bound on the unique entries one batch takes (default 16)",
     )
     fleet.add_argument(
-        "--batch-window-ms", type=float, default=10.0, metavar="T",
-        help="per-shard micro-batch flush window in milliseconds (default 10)",
-    )
-    fleet.add_argument(
-        "--max-queue", type=int, default=256, metavar="N",
+        "--max-queue", type=int, default=None, metavar="N",
         help="per-shard admission-queue bound (default 256)",
     )
     fleet.add_argument(
@@ -1121,7 +1112,6 @@ def _command_serve(args) -> int:
 
     from repro.service.server import (
         DEFAULT_BATCH_MAX_REQUESTS,
-        DEFAULT_BATCH_WINDOW_MS,
         DEFAULT_HEALTH_INTERVAL,
         DEFAULT_MAX_QUEUE,
         run_server,
@@ -1135,7 +1125,6 @@ def _command_serve(args) -> int:
         print(
             f"  workers={server.workers if server.workers is not None else 'auto'} "
             f"max_queue={server.max_queue} batch_max={server.batch_max_requests} "
-            f"batch_window_ms={server.batch_window_ms:g} "
             f"cache={'on' if server.cache is not None else 'off'} "
             f"peer={args.peer or 'off'}",
             file=sys.stderr,
@@ -1152,11 +1141,6 @@ def _command_serve(args) -> int:
                 max_queue=args.max_queue if args.max_queue is not None else DEFAULT_MAX_QUEUE,
                 batch_max_requests=(
                     args.batch_max if args.batch_max is not None else DEFAULT_BATCH_MAX_REQUESTS
-                ),
-                batch_window_ms=(
-                    args.batch_window_ms
-                    if args.batch_window_ms is not None
-                    else DEFAULT_BATCH_WINDOW_MS
                 ),
                 peer=args.peer,
                 health_interval=(
@@ -1178,6 +1162,7 @@ def _command_fleet(args) -> int:
     import threading
 
     from repro.service.fleet import DEFAULT_STALL_TIMEOUT_SECONDS, Fleet
+    from repro.service.server import DEFAULT_BATCH_MAX_REQUESTS, DEFAULT_MAX_QUEUE
 
     stopping = threading.Event()
 
@@ -1197,9 +1182,10 @@ def _command_fleet(args) -> int:
         peer_port=args.peer_port,
         workers=args.workers,
         cache_root=args.cache_root,
-        batch_max_requests=args.batch_max,
-        batch_window_ms=args.batch_window_ms,
-        max_queue=args.max_queue,
+        batch_max_requests=(
+            args.batch_max if args.batch_max is not None else DEFAULT_BATCH_MAX_REQUESTS
+        ),
+        max_queue=args.max_queue if args.max_queue is not None else DEFAULT_MAX_QUEUE,
         stall_timeout=(
             args.stall_timeout
             if args.stall_timeout is not None

@@ -11,9 +11,9 @@ requests:
 
 * :mod:`repro.service.protocol` — the versioned JSON-lines wire protocol
   with strict validation and the bit-identity ``result`` payload contract;
-* :mod:`repro.service.server` — admission control, micro-batching,
+* :mod:`repro.service.server` — admission control, work-conserving batching,
   in-flight request coalescing, the shared cache front and graceful drain;
-* :mod:`repro.service.client` — sync and async clients with timeouts and
+* :mod:`repro.service.client` — the blocking client with timeouts and
   retry-on-``overloaded``;
 * :mod:`repro.service.metrics` — counters, latency histograms and the
   ``stats`` snapshot;
@@ -31,7 +31,7 @@ requests:
 See ``docs/service.md`` for the wire protocol and deployment notes.
 """
 
-from repro.service.client import AsyncServiceClient, OverloadedError, ServiceClient, ServiceError
+from repro.service.client import OverloadedError, ServiceClient, ServiceError
 from repro.service.embedded import EmbeddedServer
 from repro.service.fleet import Fleet, FleetRouter
 from repro.service.loadgen import LoadReport, build_request_plan, render_load_report, run_load
@@ -48,7 +48,6 @@ from repro.service.ring import HashRing
 from repro.service.server import CompileServer, run_server
 
 __all__ = [
-    "AsyncServiceClient",
     "CompileRequest",
     "CompileServer",
     "EmbeddedServer",

@@ -1,21 +1,18 @@
-"""Clients for the compile service: synchronous sockets and asyncio streams.
+"""The blocking compile-service client.
 
-Both clients speak the JSON-lines protocol of :mod:`repro.service.protocol`,
-perform the version handshake on connect, enforce per-request timeouts and
-retry ``overloaded`` rejections with exponential backoff (the polite
-reaction to admission control: back off, do not hammer).  Any other error
-response raises :class:`ServiceError` with the server's code and message.
-
-The synchronous :class:`ServiceClient` is what tests, the CLI and simple
-scripts use — one blocking request at a time per connection.  The
-:class:`AsyncServiceClient` is the load generator's building block: many
-instances (or one per simulated client) inside one event loop, with
-pipelining left to the caller.
+:class:`ServiceClient` speaks the JSON-lines protocol of
+:mod:`repro.service.protocol`, performs the version handshake on connect,
+enforces per-request timeouts and retries ``overloaded`` rejections with
+exponential backoff (the polite reaction to admission control: back off,
+do not hammer).  Any other error response raises :class:`ServiceError`
+with the server's code and message.  It is what tests, the CLI and simple
+scripts use — one blocking request at a time per connection.  Code that
+needs many requests in flight on one event loop (the load generator, the
+fleet router) uses :class:`repro.service.endpoint.PipelinedConnection`.
 """
 
 from __future__ import annotations
 
-import asyncio
 import socket
 import time
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
@@ -356,180 +353,3 @@ class ServiceClient:
         """Ask the server to drain gracefully."""
 
         _raise_for_error(self._roundtrip({"type": "shutdown", "id": self._next_id()}))
-
-
-class AsyncServiceClient:
-    """The asyncio twin of :class:`ServiceClient` (one stream connection).
-
-    Create with :meth:`connect`.  One in-flight request per instance keeps
-    request/response matching trivial; the load generator runs many
-    instances concurrently instead of pipelining one.
-    """
-
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        timeout: float = 60.0,
-        retries: int = DEFAULT_RETRIES,
-        backoff: float = DEFAULT_BACKOFF,
-    ):
-        self._reader = reader
-        self._writer = writer
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self._counter = 0
-
-    @classmethod
-    async def connect(
-        cls,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        timeout: float = 60.0,
-        retries: int = DEFAULT_RETRIES,
-        backoff: float = DEFAULT_BACKOFF,
-    ) -> "AsyncServiceClient":
-        """Open a connection and perform the protocol handshake."""
-
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port, limit=MAX_FRAME_BYTES + 1024),
-            timeout=timeout,
-        )
-        client = cls(reader, writer, timeout=timeout, retries=retries, backoff=backoff)
-        await client._send(hello_message())
-        _check_hello(await client._receive())
-        return client
-
-    async def close(self) -> None:
-        """Close the connection (idempotent)."""
-
-        try:
-            self._writer.close()
-            await self._writer.wait_closed()
-        except (OSError, ConnectionResetError):  # pragma: no cover
-            pass
-
-    def _next_id(self) -> str:
-        self._counter += 1
-        return f"r{self._counter}"
-
-    async def _send(self, message: Mapping[str, Any]) -> None:
-        self._writer.write(encode_message(message))
-        await asyncio.wait_for(self._writer.drain(), timeout=self.timeout)
-
-    async def _receive(self) -> Dict[str, Any]:
-        try:
-            line = await asyncio.wait_for(self._reader.readline(), timeout=self.timeout)
-        except asyncio.TimeoutError:
-            raise ServiceError("transport", "receive timed out") from None
-        except ValueError as exc:
-            # ``readline`` reports an over-limit line as ValueError.
-            raise ServiceError("protocol", f"oversized response frame: {exc}") from None
-        if not line:
-            raise ServiceError("transport", "server closed the connection")
-        try:
-            return decode_message(line)
-        except ProtocolError as exc:
-            raise ServiceError("protocol", str(exc)) from None
-
-    async def _roundtrip(self, message: Mapping[str, Any]) -> Dict[str, Any]:
-        await self._send(message)
-        return await self._receive()
-
-    async def compile(
-        self,
-        ir: Optional[str] = None,
-        scenario: Optional[str] = None,
-        target: str = "parisc",
-        cost_model: str = "jump_edge",
-        techniques: Optional[Sequence[str]] = None,
-        profile: Optional[Mapping[str, Any]] = None,
-        cache: str = "use",
-        lint: str = "off",
-        request_id: Optional[str] = None,
-        catalog: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        """Compile one program (same semantics as the sync client)."""
-
-        message = _compile_message(
-            request_id or self._next_id(),
-            ir,
-            scenario,
-            target,
-            cost_model,
-            techniques,
-            profile,
-            cache,
-            lint,
-            catalog,
-        )
-        return await self.send_compile_message(message)
-
-    async def lint(
-        self,
-        ir: Optional[str] = None,
-        scenario: Optional[str] = None,
-        target: str = "parisc",
-        profile: Optional[Mapping[str, Any]] = None,
-        select: Optional[Sequence[str]] = None,
-        ignore: Optional[Sequence[str]] = None,
-        cache: str = "use",
-        request_id: Optional[str] = None,
-        catalog: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        """Lint one program (same semantics as the sync client)."""
-
-        message = _lint_message(
-            request_id or self._next_id(),
-            ir,
-            scenario,
-            target,
-            profile,
-            select,
-            ignore,
-            cache,
-            catalog,
-        )
-        return await self.send_compile_message(message)
-
-    async def send_compile_message(self, message: Mapping[str, Any]) -> Dict[str, Any]:
-        """Send a prebuilt compile message with the retry-on-overloaded loop."""
-
-        last: Optional[Mapping[str, Any]] = None
-        for attempt in range(self.retries + 1):
-            response = await self._roundtrip(message)
-            if response.get("type") == "error" and response.get("code") == "overloaded":
-                last = response
-                if attempt < self.retries:
-                    await asyncio.sleep(self.backoff * (2**attempt))
-                continue
-            return dict(_raise_for_error(response))
-        raise OverloadedError("overloaded", str(last.get("message", "")))
-
-    async def stats(self) -> Dict[str, Any]:
-        """Fetch the server's metrics snapshot."""
-
-        response = _raise_for_error(
-            await self._roundtrip({"type": "stats", "id": self._next_id()})
-        )
-        return dict(response["stats"])
-
-    async def metrics_text(self) -> str:
-        """Fetch the ``metrics-text/v1`` plaintext rendering of the stats."""
-
-        response = _raise_for_error(
-            await self._roundtrip({"type": "metrics", "id": self._next_id()})
-        )
-        if response.get("type") != "metrics" or not isinstance(
-            response.get("text"), str
-        ):
-            raise ServiceError(
-                "protocol", f"expected a metrics response, got {response.get('type')!r}"
-            )
-        return response["text"]
-
-    async def shutdown(self) -> None:
-        """Ask the server to drain gracefully."""
-
-        _raise_for_error(await self._roundtrip({"type": "shutdown", "id": self._next_id()}))

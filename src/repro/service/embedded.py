@@ -22,7 +22,6 @@ from typing import Any, Dict, Optional
 from repro.cache.store import CacheSpec
 from repro.service.server import (
     DEFAULT_BATCH_MAX_REQUESTS,
-    DEFAULT_BATCH_WINDOW_MS,
     DEFAULT_MAX_QUEUE,
     CompileServer,
 )
@@ -42,7 +41,6 @@ class EmbeddedServer:
         cache: CacheSpec = None,
         max_queue: int = DEFAULT_MAX_QUEUE,
         batch_max_requests: int = DEFAULT_BATCH_MAX_REQUESTS,
-        batch_window_ms: float = DEFAULT_BATCH_WINDOW_MS,
         host: str = "127.0.0.1",
         startup_timeout: float = 30.0,
         peer: Optional[str] = None,
@@ -57,7 +55,6 @@ class EmbeddedServer:
             cache=cache,
             max_queue=max_queue,
             batch_max_requests=batch_max_requests,
-            batch_window_ms=batch_window_ms,
             peer=peer,
         )
         self._startup_timeout = startup_timeout

@@ -76,7 +76,11 @@ from repro.service.protocol import (
 )
 from repro.service.policy import Decision, PolicyEngine, default_engine
 from repro.service.ring import HashRing
-from repro.service.server import DEFAULT_HEALTH_INTERVAL
+from repro.service.server import (
+    DEFAULT_BATCH_MAX_REQUESTS,
+    DEFAULT_HEALTH_INTERVAL,
+    DEFAULT_MAX_QUEUE,
+)
 
 #: Seconds of "pending work but no response" after which the stall
 #: watchdog declares a shard wedged and isolates it (tests shrink this).
@@ -625,9 +629,8 @@ class ProcessShard:
         host: str = "127.0.0.1",
         workers: int = 1,
         cache_dir: Optional[str] = None,
-        batch_max_requests: int = 16,
-        batch_window_ms: float = 10.0,
-        max_queue: int = 256,
+        batch_max_requests: int = DEFAULT_BATCH_MAX_REQUESTS,
+        max_queue: int = DEFAULT_MAX_QUEUE,
         startup_timeout: float = 60.0,
     ):
         self.shard_id = shard_id
@@ -637,7 +640,6 @@ class ProcessShard:
         self.workers = workers
         self.cache_dir = cache_dir
         self.batch_max_requests = batch_max_requests
-        self.batch_window_ms = batch_window_ms
         self.max_queue = max_queue
         self.startup_timeout = startup_timeout
         self.process: Optional[subprocess.Popen] = None
@@ -660,7 +662,6 @@ class ProcessShard:
             "--workers", str(self.workers),
             "--peer", self.peer,
             "--batch-max", str(self.batch_max_requests),
-            "--batch-window-ms", str(self.batch_window_ms),
             "--max-queue", str(self.max_queue),
         ]
         if self.cache_dir:
@@ -757,9 +758,8 @@ class ThreadShard:
         host: str = "127.0.0.1",
         workers: int = 1,
         cache_dir: Optional[str] = None,
-        batch_max_requests: int = 16,
-        batch_window_ms: float = 10.0,
-        max_queue: int = 256,
+        batch_max_requests: int = DEFAULT_BATCH_MAX_REQUESTS,
+        max_queue: int = DEFAULT_MAX_QUEUE,
         startup_timeout: float = 60.0,
     ):
         from repro.service.embedded import EmbeddedServer
@@ -774,7 +774,6 @@ class ThreadShard:
             cache=cache_dir,
             max_queue=max_queue,
             batch_max_requests=batch_max_requests,
-            batch_window_ms=batch_window_ms,
             host=host,
             startup_timeout=startup_timeout,
             peer=peer,
@@ -819,9 +818,8 @@ class Fleet:
         peer_port: int = 0,
         workers: int = 1,
         cache_root: Optional[str] = None,
-        batch_max_requests: int = 16,
-        batch_window_ms: float = 10.0,
-        max_queue: int = 256,
+        batch_max_requests: int = DEFAULT_BATCH_MAX_REQUESTS,
+        max_queue: int = DEFAULT_MAX_QUEUE,
         stall_timeout: float = DEFAULT_STALL_TIMEOUT_SECONDS,
         tier_entries: int = DEFAULT_TIER_ENTRIES,
         startup_timeout: float = 60.0,
@@ -847,7 +845,6 @@ class Fleet:
         self._workers = workers
         self._cache_root = cache_root
         self._batch_max_requests = batch_max_requests
-        self._batch_window_ms = batch_window_ms
         self._max_queue = max_queue
         self._stall_timeout = stall_timeout
         self._tier_entries = tier_entries
@@ -951,7 +948,6 @@ class Fleet:
             workers=self._workers,
             cache_dir=cache_dir,
             batch_max_requests=self._batch_max_requests,
-            batch_window_ms=self._batch_window_ms,
             max_queue=self._max_queue,
             startup_timeout=self._startup_timeout,
         )

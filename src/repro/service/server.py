@@ -1,4 +1,4 @@
-"""The asyncio compile server: admission control, micro-batching, coalescing.
+"""The asyncio compile server: admission control, batching, coalescing.
 
 One resident :class:`CompileServer` process amortizes everything the batch
 pipeline already built — the parallel sharding engine, the content-addressed
@@ -9,12 +9,13 @@ concurrent JSON-lines connections (:mod:`repro.service.protocol`):
   full, new work is rejected *immediately* with an ``overloaded`` error;
   the server never buffers unbounded request state.  Clients retry with
   backoff (:mod:`repro.service.client`).
-* **Micro-batching** — a single dispatcher collects admitted entries until
-  ``batch_max_requests`` are waiting or ``batch_window_ms`` has passed
-  since the first one, then compiles the whole batch through
+* **Work-conserving batching** — a single dispatcher sends every admitted
+  entry to the compiler as soon as the compiler is free: a batch is
+  whatever queued while the previous one compiled (at most
+  ``batch_max_requests``), compiled through
   :func:`repro.pipeline.compiler.compile_many` (``workers=`` shards big
-  batches over the process pool) off the event loop.  Batches execute one
-  at a time; the queue absorbs arrivals in the meantime.
+  batches over the process pool) off the event loop.  No timer holds a
+  miss back while the compiler is idle.
 * **In-flight coalescing** — work is keyed by its
   :func:`~repro.ir.fingerprint.procedure_cache_key`.  A request identical
   to one already in flight (same program, profile, target, techniques and
@@ -71,12 +72,8 @@ from repro.service.protocol import (
 #: Default bound on admitted-but-undispatched entries.
 DEFAULT_MAX_QUEUE = 256
 
-#: Default micro-batch flush bounds: dispatch when this many unique entries
-#: are waiting ...
+#: Default bound on the unique entries one batch takes from the queue.
 DEFAULT_BATCH_MAX_REQUESTS = 16
-
-#: ... or when this much time has passed since the first waiting entry.
-DEFAULT_BATCH_WINDOW_MS = 10.0
 
 #: Default seconds between health ticks (rolling-window feed + policy step).
 DEFAULT_HEALTH_INTERVAL = 1.0
@@ -126,7 +123,6 @@ class CompileServer(JsonLinesEndpoint):
         cache: CacheSpec = None,
         max_queue: int = DEFAULT_MAX_QUEUE,
         batch_max_requests: int = DEFAULT_BATCH_MAX_REQUESTS,
-        batch_window_ms: float = DEFAULT_BATCH_WINDOW_MS,
         peer: Optional[str] = None,
         health_interval: float = DEFAULT_HEALTH_INTERVAL,
         enable_policy: bool = True,
@@ -139,13 +135,10 @@ class CompileServer(JsonLinesEndpoint):
             raise ValueError(
                 f"batch_max_requests must be >= 1, got {batch_max_requests!r}"
             )
-        if batch_window_ms < 0:
-            raise ValueError(f"batch_window_ms must be >= 0, got {batch_window_ms!r}")
         self.workers = workers
         self.cache = resolve_cache(cache)
         self.max_queue = max_queue
         self.batch_max_requests = batch_max_requests
-        self.batch_window_ms = batch_window_ms
         # Fleet peering: the shared cache tier this shard consults after a
         # local miss and publishes fresh compiles to.  Parsed eagerly (so a
         # bad --peer fails fast) but connected lazily on the event loop.
@@ -222,7 +215,6 @@ class CompileServer(JsonLinesEndpoint):
         return {
             "max_queue": self.max_queue,
             "batch_max_requests": self.batch_max_requests,
-            "batch_window_ms": self.batch_window_ms,
             "workers": self.workers if self.workers is not None else 0,
             "cache": self.cache is not None,
             "peer": self._peer_address is not None,
@@ -516,13 +508,15 @@ class CompileServer(JsonLinesEndpoint):
     # -- the batch dispatcher -----------------------------------------------------
 
     async def _batcher(self) -> None:
-        """Collect entries into micro-batches and dispatch them, forever.
+        """Dispatch queued entries whenever the compiler is free, forever.
 
-        One batch at a time: while a batch compiles (off the event loop, in
-        a worker thread; ``compile_many`` may shard it further over the
-        process pool), new arrivals accumulate in the queue for the next
-        one.  Exits on the ``None`` sentinel :meth:`drain` enqueues after
-        the last admitted entry.
+        Work-conserving: block for the first entry, take whatever else is
+        already queued (up to ``batch_max_requests``) without waiting, and
+        dispatch.  While a batch compiles (off the event loop, in a worker
+        thread; ``compile_many`` may shard it further over the process
+        pool), arrivals accumulate in the queue and become the next batch.
+        Exits on the ``None`` sentinel :meth:`drain` enqueues after the
+        last admitted entry.
         """
 
         while True:
@@ -530,16 +524,9 @@ class CompileServer(JsonLinesEndpoint):
             if first is None:
                 return
             batch = [first]
-            deadline = time.monotonic() + self.batch_window_ms / 1000.0
             sentinel_seen = False
-            while len(batch) < self.batch_max_requests:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    entry = await asyncio.wait_for(self._queue.get(), timeout=remaining)
-                except asyncio.TimeoutError:
-                    break
+            while len(batch) < self.batch_max_requests and not self._queue.empty():
+                entry = self._queue.get_nowait()
                 if entry is None:
                     sentinel_seen = True
                     break
@@ -693,7 +680,6 @@ async def run_server(
     cache: CacheSpec = None,
     max_queue: int = DEFAULT_MAX_QUEUE,
     batch_max_requests: int = DEFAULT_BATCH_MAX_REQUESTS,
-    batch_window_ms: float = DEFAULT_BATCH_WINDOW_MS,
     peer: Optional[str] = None,
     health_interval: float = DEFAULT_HEALTH_INTERVAL,
     enable_policy: bool = True,
@@ -713,7 +699,6 @@ async def run_server(
         cache=cache,
         max_queue=max_queue,
         batch_max_requests=batch_max_requests,
-        batch_window_ms=batch_window_ms,
         peer=peer,
         health_interval=health_interval,
         enable_policy=enable_policy,

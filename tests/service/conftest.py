@@ -10,17 +10,23 @@ what production connections see.
 from __future__ import annotations
 
 import json
+import threading
+import time
 from contextlib import contextmanager
 
 import pytest
 
 from repro.pipeline.compiler import compile_many
+from repro.service.client import _check_hello
 from repro.service.embedded import EmbeddedServer
+from repro.service.endpoint import PipelinedConnection
 from repro.service.protocol import (
+    hello_message,
     parse_compile_request,
     resolve_compile_request,
     result_payload,
 )
+from repro.service.server import CompileServer
 
 #: A small but non-trivial IR program used by inline-IR tests (one guarded
 #: call-crossing region, so every technique places something).
@@ -55,11 +61,91 @@ def embedded_server():
     return factory
 
 
+class CompileHold:
+    """Keeps the server's compiler busy until the test releases it.
+
+    Every batch that reaches the compiler sets :attr:`entered` and then
+    waits for :attr:`release`.  While it waits, later misses stay queued
+    and duplicates of an in-flight key wait on it, so a test can line up
+    exactly the arrivals it wants before anything compiles.
+    :attr:`admitted` counts the requests that have reached the in-flight
+    table, each either queued (or compiling), rejected, or waiting on an
+    in-flight duplicate.
+    """
+
+    def __init__(self, timeout: float = 60.0):
+        self.timeout = timeout
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.admitted = 0
+
+    def wait_entered(self) -> None:
+        """Block until a batch is held in the compiler."""
+
+        assert self.entered.wait(self.timeout), "no batch reached the compiler"
+
+    def wait_admitted(self, count: int) -> None:
+        """Block until ``count`` requests have reached the in-flight table."""
+
+        deadline = time.monotonic() + self.timeout
+        while self.admitted < count:
+            assert time.monotonic() < deadline, (
+                f"{self.admitted} of {count} requests admitted"
+            )
+            time.sleep(0.002)
+
+
+@pytest.fixture
+def compile_hold(monkeypatch):
+    """A :class:`CompileHold` over every :class:`CompileServer` in the test.
+
+    The hold is released on teardown, so a failing test cannot leave a
+    server unable to drain.
+    """
+
+    hold = CompileHold()
+    compile_groups = CompileServer._compile_groups
+    coalesce = CompileServer._coalesce
+
+    def held_compile_groups(server, grouped):
+        hold.entered.set()
+        hold.release.wait(hold.timeout)
+        return compile_groups(server, grouped)
+
+    async def counted_coalesce(server, key, produce):
+        hold.admitted += 1
+        return await coalesce(server, key, produce)
+
+    monkeypatch.setattr(CompileServer, "_compile_groups", held_compile_groups)
+    monkeypatch.setattr(CompileServer, "_coalesce", counted_coalesce)
+    yield hold
+    hold.release.set()
+
+
+async def open_pipelined(port: int) -> PipelinedConnection:
+    """A handshaken, id-demultiplexed connection to a local server or router."""
+
+    return await PipelinedConnection.open(
+        "127.0.0.1", port, hello_message(), _check_hello, 60.0, label="server"
+    )
+
+
 @pytest.fixture
 def sample_ir():
     """The inline-IR sample program."""
 
     return SAMPLE_IR
+
+
+def scenario_message(request_id: str, spec: str, target: str = "parisc"):
+    """One scenario-registry compile message."""
+
+    return {
+        "type": "compile",
+        "id": request_id,
+        "program": {"scenario": spec},
+        "target": target,
+    }
 
 
 def oracle_result_bytes(message) -> bytes:

@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro.pipeline.compiler import compile_many
-from repro.service.client import AsyncServiceClient, ServiceClient
+from repro.service.client import ServiceClient
 from repro.service.fleet import Fleet
 from repro.service.peering import SharedCacheTier, serve_peering_connection
 from repro.service.protocol import (
@@ -25,26 +25,16 @@ from repro.service.protocol import (
     result_payload,
 )
 from repro.service.ring import HashRing
+from tests.service.conftest import scenario_message
 from tests.service.test_metrics import ROUTER_STATS_KEYS, SERVICE_STATS_KEYS, flat_keys
 from tests.service.test_serving_properties import make_mix, serial_oracle, serve_mix
-
-
-def scenario_message(request_id: str, spec: str, target: str = "parisc"):
-    """One scenario-registry compile message."""
-
-    return {
-        "type": "compile",
-        "id": request_id,
-        "program": {"scenario": spec},
-        "target": target,
-    }
 
 
 @pytest.fixture(scope="module")
 def fleet():
     """A 3-shard thread-backend fleet shared by the tests in this module."""
 
-    with Fleet(shards=3, backend="thread", batch_window_ms=5.0) as running:
+    with Fleet(shards=3, backend="thread") as running:
         yield running
 
 
@@ -130,7 +120,7 @@ def test_fleet_matches_serial_oracle_with_single_compile(fleet):
     compiled_before = sum(
         shard["stats"]["requests"]["compiled"] for shard in fleet.stats()["shards"]
     )
-    served = asyncio.run(serve_mix(fleet.port, messages, clients=4))
+    served = serve_mix(fleet.port, messages, clients=4)
     assert len(served) == len(messages)
     for message, response in served:
         signature = parse_compile_request(message).signature()
@@ -168,7 +158,7 @@ def test_bad_request_is_answered_not_fatal(fleet):
 
 
 def test_single_shard_fleet_round_trips():
-    with Fleet(shards=1, backend="thread", batch_window_ms=5.0) as fleet:
+    with Fleet(shards=1, backend="thread") as fleet:
         message = scenario_message("solo", "scenario:switch_dispatch:9:0")
         with ServiceClient(port=fleet.port, timeout=120.0) as client:
             response = client.send_compile_message(message)
@@ -179,7 +169,7 @@ def test_single_shard_fleet_round_trips():
 
 
 def test_drain_is_graceful_and_idempotent():
-    with Fleet(shards=2, backend="thread", batch_window_ms=5.0) as fleet:
+    with Fleet(shards=2, backend="thread") as fleet:
         with ServiceClient(port=fleet.port, timeout=120.0) as client:
             response = client.send_compile_message(
                 scenario_message("d0", "scenario:switch_dispatch:13:0")

@@ -48,9 +48,7 @@ def test_sigkill_mid_batch_reroutes_without_loss():
     shrinks to the survivors."""
 
     plan = build_request_plan(mix="uniform", requests=30, seed=5)
-    with Fleet(
-        shards=3, backend="process", batch_window_ms=25.0, stall_timeout=10.0
-    ) as fleet:
+    with Fleet(shards=3, backend="process", stall_timeout=10.0) as fleet:
         state = {"victim": None}
         done = threading.Event()
 
@@ -105,9 +103,7 @@ def test_sigstop_wedged_shard_is_isolated_by_the_watchdog():
     victim = max(counts, key=lambda member: counts[member])
     assert counts[victim] > 0
 
-    with Fleet(
-        shards=3, backend="process", batch_window_ms=10.0, stall_timeout=2.0
-    ) as fleet:
+    with Fleet(shards=3, backend="process", stall_timeout=2.0) as fleet:
         fleet.suspend_shard(victim)
         started = time.monotonic()
         report = run_load(
@@ -150,7 +146,6 @@ def test_policy_engine_quarantines_restarts_and_readmits_a_wedged_shard():
     with Fleet(
         shards=3,
         backend="process",
-        batch_window_ms=10.0,
         # The watchdog would win the race at its default bound; park it so
         # any isolation observed here is attributable to the policy engine.
         stall_timeout=300.0,
@@ -208,7 +203,7 @@ def test_killed_shard_does_not_lose_the_tier():
     outlives its contributors."""
 
     plan = build_request_plan(mix="uniform", requests=6, seed=23)
-    with Fleet(shards=2, backend="process", batch_window_ms=10.0) as fleet:
+    with Fleet(shards=2, backend="process") as fleet:
         first = run_load(fleet.host, fleet.port, plan, clients=2, check_oracle=True)
         assert first.ok and first.completed == len(plan)
         stored = fleet.stats()["tier"]["stored"]

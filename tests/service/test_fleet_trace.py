@@ -86,7 +86,6 @@ def test_trace_replay_pins_fleet_scheduling(tmp_path):
     with Fleet(
         shards=3,
         backend="thread",
-        batch_window_ms=5.0,
         cache_root=str(tmp_path),
     ) as fleet:
         with ServiceClient(port=fleet.port, timeout=120.0) as client:

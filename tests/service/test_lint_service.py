@@ -181,7 +181,7 @@ class TestStrictCompileRejection:
 
 class TestFleetRouting:
     def test_lint_routes_through_the_fleet(self):
-        with Fleet(shards=2, backend="thread", batch_window_ms=5.0) as fleet:
+        with Fleet(shards=2, backend="thread") as fleet:
             with ServiceClient(port=fleet.port) as client:
                 first = client.lint(scenario=WARN_SCENARIO)
                 # The shard published the answer to the shared tier; the
@@ -193,7 +193,7 @@ class TestFleetRouting:
         assert canonical(second["result"]) == canonical(first["result"])
 
     def test_fleet_strict_compile_rejection(self):
-        with Fleet(shards=2, backend="thread", batch_window_ms=5.0) as fleet:
+        with Fleet(shards=2, backend="thread") as fleet:
             with ServiceClient(port=fleet.port) as client:
                 with pytest.raises(ServiceError) as excinfo:
                     client.compile(scenario=ERROR_SCENARIO, lint="strict")

@@ -143,7 +143,7 @@ class TestDriving:
         register at least one coalesced response (the CI smoke invariant)."""
 
         plan = build_request_plan(mix="hot", requests=12, seed=9)
-        with embedded_server(batch_window_ms=60.0) as emb:
+        with embedded_server() as emb:
             report = run_load(emb.host, emb.port, plan, mode="closed", clients=4)
         assert report.ok
         server_coalesced = report.server_stats["requests"]["coalesced"]

@@ -112,7 +112,7 @@ class TestServerScrape:
 
 class TestFleetScrape:
     def test_fleet_metrics_request_round_trip(self):
-        with Fleet(shards=2, backend="thread", batch_window_ms=5.0) as fleet:
+        with Fleet(shards=2, backend="thread") as fleet:
             with ServiceClient(port=fleet.port) as client:
                 client.compile(scenario="scenario:call_web:8:0")
                 text = client.metrics_text()
@@ -126,7 +126,7 @@ class TestFleetScrape:
         assert any(key.startswith("repro_router_window_total") for key in series)
 
     def test_fleet_snapshot_renders_deterministically(self):
-        with Fleet(shards=2, backend="thread", batch_window_ms=5.0) as fleet:
+        with Fleet(shards=2, backend="thread") as fleet:
             snapshot = fleet.stats()
         assert render_metrics_text(snapshot) == render_metrics_text(
             json.loads(json.dumps(snapshot))

@@ -14,7 +14,7 @@ import asyncio
 
 import pytest
 
-from repro.service.client import AsyncServiceClient, OverloadedError
+from repro.service.client import OverloadedError, ServiceClient
 from repro.service.health import LATENCY_BUCKET_BOUNDS_MS, SLO
 from repro.service.policy import (
     ACTIONS,
@@ -223,12 +223,14 @@ class TestServerShedding:
                 assert [d.action for d in decisions] == ["shed_on"]
                 assert server.shedding
 
-                client = await AsyncServiceClient.connect(
-                    port=server.port, retries=0
+                # A blocking client on a worker thread: the server runs on
+                # this event loop.
+                client = await asyncio.to_thread(
+                    ServiceClient, port=server.port, retries=0
                 )
                 try:
                     with pytest.raises(OverloadedError):
-                        await client.send_compile_message(message)
+                        await asyncio.to_thread(client.send_compile_message, message)
                     snapshot = await server.stats_snapshot_async()
                     assert snapshot["requests"]["rejected_shed"] == 1
                     assert snapshot["requests"]["rejected_overloaded"] == 1
@@ -246,14 +248,14 @@ class TestServerShedding:
                     # the load-shedding transition is what matters here.
                     assert "shed_off" in [d.action for d in decisions]
                     assert not server.shedding
-                    response = await client.send_compile_message(
-                        dict(message, id="r2")
+                    response = await asyncio.to_thread(
+                        client.send_compile_message, dict(message, id="r2")
                     )
                     assert response_result_bytes(response) == oracle_result_bytes(
                         message
                     )
                 finally:
-                    await client.close()
+                    client.close()
             finally:
                 await server.drain()
 

@@ -8,15 +8,11 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.service.client import (
-    AsyncServiceClient,
-    OverloadedError,
-    ServiceClient,
-    ServiceError,
-)
+from repro.service.client import OverloadedError, ServiceClient, ServiceError
 from repro.service.fleet import Fleet
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -24,7 +20,7 @@ from repro.service.protocol import (
     encode_message,
     response_result_bytes,
 )
-from tests.service.conftest import oracle_result_bytes
+from tests.service.conftest import open_pipelined, oracle_result_bytes, scenario_message
 
 
 @pytest.fixture(params=["server", "router"])
@@ -160,26 +156,49 @@ class TestCacheFront:
         assert response_result_bytes(first) == response_result_bytes(second)
 
 
+def compile_concurrently(port, messages, **client_options):
+    """Send each message on its own blocking client, all at once.
+
+    Returns each message's response, or the exception its client raised.
+    """
+
+    def send(message):
+        try:
+            with ServiceClient(port=port, **client_options) as client:
+                return client.send_compile_message(message)
+        except ServiceError as exc:
+            return exc
+
+    with ThreadPoolExecutor(max_workers=len(messages)) as pool:
+        return list(pool.map(send, messages))
+
+
 class TestCoalescing:
-    def test_concurrent_identical_requests_compile_once(self, embedded_server):
+    def test_concurrent_identical_requests_compile_once(
+        self, embedded_server, compile_hold
+    ):
         fanout = 5
-        with embedded_server(batch_window_ms=150.0, batch_max_requests=8) as emb:
+        with embedded_server(batch_max_requests=8) as emb:
 
             async def burst():
-                clients = [
-                    await AsyncServiceClient.connect(port=emb.port)
-                    for _ in range(fanout)
-                ]
+                connections = [await open_pipelined(emb.port) for _ in range(fanout)]
                 try:
-                    return await asyncio.gather(
-                        *(
-                            c.compile(scenario="scenario:irreducible_loop:9:0")
-                            for c in clients
+                    tasks = [
+                        asyncio.ensure_future(
+                            c.request(
+                                scenario_message(f"r{i}", "scenario:irreducible_loop:9:0")
+                            )
                         )
-                    )
+                        for i, c in enumerate(connections)
+                    ]
+                    # The first compile is held until every duplicate waits on it.
+                    await asyncio.to_thread(compile_hold.wait_admitted, fanout)
+                    compile_hold.release.set()
+                    return await asyncio.gather(*tasks)
                 finally:
-                    for c in clients:
-                        await c.close()
+                    compile_hold.release.set()
+                    for c in connections:
+                        c.close("client closed")
 
             responses = asyncio.run(burst())
             stats = emb.stats()
@@ -197,88 +216,55 @@ class TestCoalescing:
             "program": {"scenario": "scenario:chaos_cfg:3:2"},
             "target": "micro",
         }
-        with embedded_server(batch_window_ms=150.0) as emb:
-
-            async def burst():
-                clients = [
-                    await AsyncServiceClient.connect(port=emb.port) for _ in range(3)
-                ]
-                try:
-                    return await asyncio.gather(
-                        *(
-                            c.send_compile_message(dict(message, id=f"r{i}"))
-                            for i, c in enumerate(clients)
-                        )
-                    )
-                finally:
-                    for c in clients:
-                        await c.close()
-
-            responses = asyncio.run(burst())
+        with embedded_server() as emb:
+            responses = compile_concurrently(
+                emb.port, [dict(message, id=f"r{i}") for i in range(3)]
+            )
         truth = oracle_result_bytes(message)
         assert all(response_result_bytes(r) == truth for r in responses)
 
 
 class TestAdmissionControl:
-    def test_overload_rejected_with_retryable_error(self, embedded_server):
-        # queue bound 1 and a single-entry batch with a long window: the
-        # first request occupies the batcher, the second the queue, and
-        # every further unique request must be rejected.
-        with embedded_server(
-            max_queue=1, batch_max_requests=1, batch_window_ms=300.0
-        ) as emb:
-
-            async def flood():
-                clients = [
-                    await AsyncServiceClient.connect(port=emb.port, retries=0)
-                    for _ in range(5)
-                ]
+    def test_overload_rejected_with_retryable_error(
+        self, embedded_server, compile_hold
+    ):
+        # Queue bound 1 and single-entry batches, with the compiler held:
+        # the first request occupies the compiler, the next one the queue,
+        # and every further unique request must be rejected.
+        messages = [
+            scenario_message(f"r{i}", f"scenario:pressure_sweep:7:{i}")
+            for i in range(5)
+        ]
+        with embedded_server(max_queue=1, batch_max_requests=1) as emb:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                first = pool.submit(compile_concurrently, emb.port, messages[:1], retries=0)
                 try:
-                    return await asyncio.gather(
-                        *(
-                            c.compile(scenario=f"scenario:pressure_sweep:7:{i}")
-                            for i, c in enumerate(clients)
-                        ),
-                        return_exceptions=True,
+                    compile_hold.wait_admitted(1)
+                    rest = pool.submit(
+                        compile_concurrently, emb.port, messages[1:], retries=0
                     )
+                    compile_hold.wait_admitted(len(messages))
                 finally:
-                    for c in clients:
-                        await c.close()
-
-            outcomes = asyncio.run(flood())
+                    compile_hold.release.set()
+                outcomes = first.result() + rest.result()
             stats = emb.stats()
         rejected = [o for o in outcomes if isinstance(o, OverloadedError)]
         served = [o for o in outcomes if isinstance(o, dict)]
-        assert rejected and served
+        assert len(rejected) == 3 and len(served) == 2
+        assert isinstance(outcomes[0], dict)
         assert stats["requests"]["rejected_overloaded"] == len(rejected)
-        # Nothing hung: every request was either served or rejected.
-        assert len(rejected) + len(served) == 5
 
     def test_client_retry_eventually_succeeds(self, embedded_server):
-        with embedded_server(
-            max_queue=1, batch_max_requests=1, batch_window_ms=20.0
-        ) as emb:
-
-            async def flood():
-                clients = [
-                    await AsyncServiceClient.connect(
-                        port=emb.port, retries=8, backoff=0.05
-                    )
-                    for _ in range(5)
-                ]
-                try:
-                    return await asyncio.gather(
-                        *(
-                            c.compile(scenario=f"scenario:pressure_sweep:8:{i}")
-                            for i, c in enumerate(clients)
-                        ),
-                        return_exceptions=True,
-                    )
-                finally:
-                    for c in clients:
-                        await c.close()
-
-            outcomes = asyncio.run(flood())
+        with embedded_server(max_queue=1, batch_max_requests=1) as emb:
+            outcomes = compile_concurrently(
+                emb.port,
+                [
+                    scenario_message(f"r{i}", f"scenario:pressure_sweep:8:{i}")
+                    for i in range(5)
+                ],
+                retries=8,
+                backoff=0.05,
+            )
         # With retries and a fast-draining queue every request succeeds.
         assert all(isinstance(o, dict) for o in outcomes)
 
@@ -311,6 +297,9 @@ class TestHandshake:
         assert reply["type"] == "hello"
         assert reply["protocol"] == PROTOCOL_VERSION
         assert reply["server"]["max_queue"] == 7
+        assert sorted(reply["server"]) == [
+            "batch_max_requests", "cache", "max_queue", "peer", "policy", "workers",
+        ]
 
     def test_unknown_message_type_is_bad_request(self, endpoint):
         with endpoint() as emb:

@@ -13,12 +13,14 @@ from __future__ import annotations
 import asyncio
 import json
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.pipeline.compiler import compile_many
-from repro.service.client import AsyncServiceClient
+from repro.service.client import ServiceClient
 from repro.service.protocol import (
     parse_compile_request,
     resolve_compile_request,
@@ -26,6 +28,7 @@ from repro.service.protocol import (
     result_payload,
 )
 from repro.workloads.scenarios import scenario_names
+from tests.service.conftest import open_pipelined
 
 #: The request space the property draws from (kept small enough that one
 #: hypothesis example stays fast, varied enough to cross scenario families,
@@ -103,29 +106,29 @@ def serial_oracle(messages):
     return truth
 
 
-async def serve_mix(port: int, messages, clients: int):
-    """Submit the mix from ``clients`` concurrent connections; gather responses."""
+def serve_mix(port: int, messages, clients: int):
+    """Submit the mix from ``clients`` concurrent connections; gather responses.
 
-    connections = [
-        await AsyncServiceClient.connect(port=port) for _ in range(clients)
-    ]
-    try:
-        cursor = 0
+    Each client is a blocking :class:`ServiceClient` on its own thread,
+    taking the next message from the shared plan until it runs out.
+    """
 
-        async def worker(connection):
-            nonlocal cursor
-            mine = []
-            while cursor < len(messages):
-                message = messages[cursor]
-                cursor += 1
-                mine.append((message, await connection.send_compile_message(message)))
-            return mine
+    pending = iter(messages)
+    lock = threading.Lock()
 
-        nested = await asyncio.gather(*(worker(c) for c in connections))
-        return [pair for chunk in nested for pair in chunk]
-    finally:
-        for connection in connections:
-            await connection.close()
+    def worker():
+        mine = []
+        with ServiceClient(port=port) as client:
+            while True:
+                with lock:
+                    message = next(pending, None)
+                if message is None:
+                    return mine
+                mine.append((message, client.send_compile_message(message)))
+
+    with ThreadPoolExecutor(max_workers=clients) as pool:
+        chunks = [pool.submit(worker) for _ in range(clients)]
+        return [pair for chunk in chunks for pair in chunk.result()]
 
 
 @settings(max_examples=4, deadline=None)
@@ -141,12 +144,12 @@ def test_concurrent_serving_matches_serial_compile_many(seed, tmp_path_factory):
     cache_dir = str(tmp_path_factory.mktemp("serving-cache"))
 
     with EmbeddedServer(
-        cache=cache_dir, batch_window_ms=40.0, batch_max_requests=8
+        cache=cache_dir, batch_max_requests=8
     ) as emb:
-        served = asyncio.run(serve_mix(emb.port, messages, clients=4))
+        served = serve_mix(emb.port, messages, clients=4)
         # Warm replay: the same mix again — now largely cache hits — must
         # still answer identically.
-        replayed = asyncio.run(serve_mix(emb.port, messages, clients=2))
+        replayed = serve_mix(emb.port, messages, clients=2)
         stats = emb.stats()
 
     assert len(served) == len(messages)
@@ -161,9 +164,9 @@ def test_concurrent_serving_matches_serial_compile_many(seed, tmp_path_factory):
     assert stats["requests"]["protocol_errors"] == 0
 
 
-def test_forced_duplicate_burst_coalesces_and_matches(embedded_server):
-    """Duplicates submitted before the window closes coalesce to one
-    compile, and every fan-out copy matches the oracle bytes."""
+def test_forced_duplicate_burst_coalesces_and_matches(embedded_server, compile_hold):
+    """Duplicates submitted while the first compile is in flight coalesce
+    to one compile, and every fan-out copy matches the oracle bytes."""
 
     message = {
         "type": "compile",
@@ -174,23 +177,23 @@ def test_forced_duplicate_burst_coalesces_and_matches(embedded_server):
     duplicates = 6
     truth = serial_oracle([message])[parse_compile_request(message).signature()]
 
-    with embedded_server(batch_window_ms=200.0, batch_max_requests=4) as emb:
+    with embedded_server(batch_max_requests=4) as emb:
 
         async def burst():
-            connections = [
-                await AsyncServiceClient.connect(port=emb.port)
-                for _ in range(duplicates)
-            ]
+            connections = [await open_pipelined(emb.port) for _ in range(duplicates)]
             try:
-                return await asyncio.gather(
-                    *(
-                        c.send_compile_message(dict(message, id=f"b{i}"))
-                        for i, c in enumerate(connections)
-                    )
-                )
+                tasks = [
+                    asyncio.ensure_future(c.request(dict(message, id=f"b{i}")))
+                    for i, c in enumerate(connections)
+                ]
+                # The first compile is held until every duplicate waits on it.
+                await asyncio.to_thread(compile_hold.wait_admitted, duplicates)
+                compile_hold.release.set()
+                return await asyncio.gather(*tasks)
             finally:
+                compile_hold.release.set()
                 for c in connections:
-                    await c.close()
+                    c.close("client closed")
 
         responses = asyncio.run(burst())
         stats = emb.stats()
@@ -245,8 +248,8 @@ def test_fleet_serving_matches_serial_compile_many(seed, shards):
     messages = make_mix(seed, size=6, duplicates=4)
     truth = serial_oracle(messages)
 
-    with Fleet(shards=shards, backend="thread", batch_window_ms=5.0) as fleet:
-        served = asyncio.run(serve_mix(fleet.port, messages, clients=3))
+    with Fleet(shards=shards, backend="thread") as fleet:
+        served = serve_mix(fleet.port, messages, clients=3)
         stats = fleet.stats()
 
     assert len(served) == len(messages)

@@ -92,7 +92,7 @@ def record_latency_burn(trace_path: str) -> None:
     from repro.service.loadgen import build_request_plan, run_load
 
     plan = build_request_plan(mix="uniform", requests=900, seed=3)
-    with EmbeddedServer(workers=1, max_queue=2, batch_window_ms=1.0) as server:
+    with EmbeddedServer(workers=1, max_queue=2) as server:
         report = run_load(
             server.host,
             server.port,
@@ -135,7 +135,6 @@ def record_wedged_shard(trace_path: str) -> None:
     with Fleet(
         shards=3,
         backend="process",
-        batch_window_ms=10.0,
         stall_timeout=300.0,  # park the watchdog: the trace must show the stall
     ) as fleet:
         fleet.suspend_shard(victim)
