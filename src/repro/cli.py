@@ -39,12 +39,14 @@ Subcommands::
                           [--health-interval S] [--no-policy]
                                                  # run the compile server (JSON lines
                                                  # over TCP; graceful drain on SIGTERM;
-                                                 # --peer joins a fleet's cache tier)
-    repro-spill fleet     [--host H] [--port P] [--peer-port P] [--shards N]
+                                                 # --peer joins a fleet's cache tier
+                                                 # at the fleet router's address)
+    repro-spill fleet     [--host H] [--port P] [--shards N]
                           [--workers N] [--cache-root DIR] [--batch-max N]
                           [--max-queue N] [--stall-timeout S] [--remediate]
                                                  # multi-shard fleet: router + N
-                                                 # shard processes + shared tier;
+                                                 # shard processes + shared tier,
+                                                 # all on the router's one port;
                                                  # --remediate lets the policy engine
                                                  # quarantine + restart wedged shards
     repro-spill loadgen   [--host H] [--port P | --self-serve | --fleet N]
@@ -340,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--peer", default=None, metavar="HOST:PORT",
-        help="fleet peering address: consult this shared cache tier after "
+        help="a fleet router's address: consult its shared cache tier after "
         "a local miss and publish fresh compiles to it",
     )
     serve.add_argument(
@@ -362,10 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--port", type=int, default=7814,
         help="router TCP port (default 7814; 0 = ephemeral, printed on startup)",
-    )
-    fleet.add_argument(
-        "--peer-port", type=int, default=0, metavar="P",
-        help="peering-tier TCP port (default 0 = ephemeral, printed on startup)",
     )
     fleet.add_argument(
         "--shards", type=int, default=3, metavar="N",
@@ -1179,7 +1177,6 @@ def _command_fleet(args) -> int:
         backend="process",
         host=args.host,
         port=args.port,
-        peer_port=args.peer_port,
         workers=args.workers,
         cache_root=args.cache_root,
         batch_max_requests=(
@@ -1195,10 +1192,6 @@ def _command_fleet(args) -> int:
     ) as fleet:
         # Scripts (the CI fleet job among them) wait for this line.
         print(f"repro-spill fleet: listening on {fleet.host}:{fleet.port}", flush=True)
-        print(
-            f"repro-spill fleet: peering tier on {fleet.host}:{fleet.peer_port}",
-            flush=True,
-        )
         for shard in fleet.shards:
             print(
                 f"repro-spill fleet: shard {shard.shard_id} pid {shard.pid} "

@@ -23,8 +23,8 @@ requests:
   for tests, benchmarks and ``loadgen --self-serve``;
 * :mod:`repro.service.ring` — deterministic consistent hashing over the
   fleet's shards;
-* :mod:`repro.service.peering` — the versioned ``cache-get``/``cache-put``
-  peering protocol and the shared cache tier;
+* :mod:`repro.service.peering` — the shared cache tier, its
+  ``cache-get``/``cache-put`` requests and the shard-side tier client;
 * :mod:`repro.service.fleet` — the multi-shard fleet: consistent-hash
   router, shard health/drain/rebalance, and the :class:`Fleet` supervisor.
 
@@ -36,7 +36,7 @@ from repro.service.embedded import EmbeddedServer
 from repro.service.fleet import Fleet, FleetRouter
 from repro.service.loadgen import LoadReport, build_request_plan, render_load_report, run_load
 from repro.service.metrics import ServiceMetrics, cache_stats_payload
-from repro.service.peering import PEERING_VERSION, SharedCacheTier
+from repro.service.peering import SharedCacheTier
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     CompileRequest,
@@ -56,7 +56,6 @@ __all__ = [
     "HashRing",
     "LoadReport",
     "OverloadedError",
-    "PEERING_VERSION",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "ServiceClient",

@@ -58,8 +58,12 @@ class OverloadedError(ServiceError):
     """The server's admission queue was full even after every retry."""
 
 
-def _check_hello(message: Mapping[str, Any]) -> None:
-    """Validate the server's handshake reply (raises :class:`ServiceError`)."""
+def check_hello_reply(message: Mapping[str, Any]) -> None:
+    """Validate an endpoint's handshake reply (raises :class:`ServiceError`).
+
+    The one check every connecting side makes: this blocking client and
+    every :class:`~repro.service.endpoint.PipelinedConnection`.
+    """
 
     if message.get("type") == "error":
         raise ServiceError(str(message.get("code")), str(message.get("message")))
@@ -189,7 +193,7 @@ class ServiceClient:
         self._socket = socket.create_connection((host, port), timeout=timeout)
         self._file = self._socket.makefile("rb")
         self._send(hello_message())
-        _check_hello(self._receive())
+        check_hello_reply(self._receive())
 
     # -- plumbing -----------------------------------------------------------------
 

@@ -11,12 +11,14 @@ Two halves of one wire discipline (:mod:`repro.service.protocol`):
   skeleton.
   :class:`~repro.service.server.CompileServer` and
   :class:`~repro.service.fleet.FleetRouter` subclass it and keep only what
-  is theirs: ``describe()``, ``stats_snapshot_async()``, a drain hook and
-  ``_handle_request``.
+  is theirs: ``describe()``, ``stats_snapshot_async()``, a drain hook,
+  ``_handle_request`` and any request types of their own answered inline
+  (the router's shared-tier ``cache-get``/``cache-put``).
 * :class:`PipelinedConnection` — the connecting side.  One socket carrying
   many requests in flight, each reply routed to its request's future by
-  ``id``.  The router's shard links, a shard's shared-tier client and the
-  load generator's connections are all one of these.
+  ``id``, opened with the same ``hello`` the blocking client sends.  The
+  router's shard links, a shard's shared-tier client and the load
+  generator's connections are all one of these.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
+from repro.service.client import check_hello_reply
 from repro.service.health import METRICS_TEXT_SCHEMA, render_metrics_text
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
@@ -225,6 +228,9 @@ class JsonLinesEndpoint:
     role: str
     #: The ``shutting_down`` error text for work arriving during a drain.
     draining_text: str
+    #: Request types of this endpoint's own, answered inline (in arrival
+    #: order, not counted as requests) by :meth:`_answer_inline`.
+    inline_types: Tuple[str, ...] = ()
 
     def __init__(self, host: str, port: int, health_interval: float):
         if health_interval <= 0:
@@ -267,6 +273,11 @@ class JsonLinesEndpoint:
         self, connection: Connection, message: Dict[str, Any], kind: str
     ) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def _answer_inline(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        """The reply to one request whose type is in :attr:`inline_types`."""
+
+        raise NotImplementedError  # pragma: no cover - abstract
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -469,6 +480,8 @@ class JsonLinesEndpoint:
                     task.add_done_callback(tasks.discard)
                 elif kind in ADMIN_TYPES:
                     await self._handle_admin(connection, message, kind)
+                elif kind in self.inline_types:
+                    await connection.send(self._answer_inline(message))
                 else:
                     self._protocol_error()
                     await connection.send(
@@ -576,26 +589,25 @@ class PipelinedConnection:
         cls,
         host: str,
         port: int,
-        hello: Dict[str, Any],
-        check_reply: Callable[[Dict[str, Any]], None],
         timeout: float,
         label: str,
         on_close: Optional[Callable[[str], None]] = None,
     ) -> "PipelinedConnection":
         """Connect, send ``hello``, validate the reply, start demultiplexing.
 
-        ``check_reply`` raises to reject the handshake; the socket is then
-        closed and the exception propagates.  ``label`` names the remote
-        side in close reasons ("shard connection closed").
+        A rejected handshake (:func:`~repro.service.client.check_hello_reply`
+        raises :class:`~repro.service.client.ServiceError`) closes the
+        socket and propagates.  ``label`` names the remote side in close
+        reasons ("shard connection closed").
         """
 
         reader, writer = await asyncio.wait_for(
             asyncio.open_connection(host, port, limit=STREAM_LIMIT), timeout=timeout
         )
         try:
-            writer.write(encode_message(hello))
+            writer.write(encode_message(hello_message()))
             await asyncio.wait_for(writer.drain(), timeout=timeout)
-            check_reply(
+            check_hello_reply(
                 decode_message(await asyncio.wait_for(reader.readline(), timeout=timeout))
             )
         except BaseException:

@@ -15,10 +15,11 @@ The router does four things:
   ring sends identical requests to the same shard, the shard's in-flight
   coalescing collapses them to one compile.
 * **The shared cache tier** — the router hosts a
-  :class:`~repro.service.peering.SharedCacheTier` on a second listening
-  port.  Shards publish every fresh compile to it (``cache-put``) and
-  consult it after a local miss (``cache-get``), so one shard's compile is
-  every shard's hit; the router itself answers straight from the tier
+  :class:`~repro.service.peering.SharedCacheTier` and answers its
+  ``cache-get``/``cache-put`` requests on its one client endpoint.  Shards
+  publish every fresh compile to it (``cache-put``) and consult it after a
+  local miss (``cache-get``), so one shard's compile is every shard's hit;
+  the router itself answers straight from the tier
   (``service.cache == "tier"``) without forwarding when it can.
 * **Health** — a shard that dies (connection EOF) is removed from the
   ring immediately and its in-flight requests are re-routed to the next
@@ -31,7 +32,7 @@ The router does four things:
   re-routed around.
 * **Drain** — a ``shutdown`` request (or SIGTERM via the CLI) stops
   admission, finishes every in-flight request, asks each shard to drain
-  gracefully, then closes both listeners.
+  gracefully, then closes every connection, the shards' tier links last.
 
 :class:`Fleet` is the synchronous supervisor the CLI, the benchmarks and
 the test-suite use: it runs the router on a background thread and spawns
@@ -53,23 +54,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.service.endpoint import (
-    STREAM_LIMIT,
-    Connection,
-    JsonLinesEndpoint,
-    PipelinedConnection,
-)
+from repro.service.endpoint import Connection, JsonLinesEndpoint, PipelinedConnection
 from repro.service.health import HealthMonitor
 from repro.service.metrics import CounterSet, LatencyHistogram, counter
 from repro.service.peering import (
-    DEFAULT_TIER_ENTRIES,
+    TIER_REQUEST_TYPES,
     SharedCacheTier,
-    serve_peering_connection,
+    answer_tier_request,
 )
 from repro.service.protocol import (
     CompileAnswer,
     error_message,
-    hello_message,
     lint_result_message,
     resolve_compile_request,
     resolve_lint_request,
@@ -192,17 +187,9 @@ class _ShardLink:
     async def connect(self, timeout: float = 30.0) -> None:
         """Open the connection and complete the protocol handshake."""
 
-        def check_reply(reply: Dict[str, Any]) -> None:
-            if reply.get("type") != "hello":
-                raise ConnectionError(
-                    f"shard {self.shard_id} rejected the handshake: {reply!r}"
-                )
-
         self._connection = await PipelinedConnection.open(
             self.host,
             self.port,
-            hello_message(),
-            check_reply,
             timeout,
             label="shard",
             on_close=lambda reason: self._on_death(self.shard_id, reason),
@@ -240,68 +227,48 @@ class _ShardLink:
 class FleetRouter(JsonLinesEndpoint):
     """The fleet frontend: protocol endpoint, hash ring, shared tier.
 
-    Construct, ``await start()`` (both listeners bind; ephemeral ports
-    resolve), attach shards with :meth:`attach_shard`, then
-    ``await serve_forever()``.  The synchronous wrapper most callers want
+    Construct, ``await start()`` (the listener binds; an ephemeral port
+    resolves), attach shards with :meth:`attach_shard`, then
+    ``await serve_forever()``.  Shards reach the tier on the same
+    ``host:port`` clients do.  The synchronous wrapper most callers want
     is :class:`Fleet`.
     """
 
     role = "router"
     draining_text = "fleet is draining; try again later"
+    inline_types = TIER_REQUEST_TYPES
 
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        peer_port: int = 0,
         stall_timeout: float = DEFAULT_STALL_TIMEOUT_SECONDS,
-        tier_entries: int = DEFAULT_TIER_ENTRIES,
         health_interval: float = DEFAULT_HEALTH_INTERVAL,
     ):
         if stall_timeout <= 0:
             raise ValueError(f"stall_timeout must be > 0, got {stall_timeout!r}")
         super().__init__(host, port, health_interval)
-        self.peer_port = peer_port
         self.stall_timeout = stall_timeout
         self.ring = HashRing()
-        self.tier = SharedCacheTier(max_entries=tier_entries)
+        self.tier = SharedCacheTier()
         self.metrics = RouterMetrics()
         self.health = HealthMonitor(counters=tuple(self.metrics.counter_values()))
 
         self._links: Dict[str, _ShardLink] = {}
         self._lost: Dict[str, str] = {}
-        self._peer_server: Optional[asyncio.base_events.Server] = None
 
     # -- lifecycle ----------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the client and peering listeners and start the watchdog."""
+        """Bind the listener and start the watchdog."""
 
         await self._listen()
-        self._peer_server = await asyncio.start_server(
-            self._handle_peering, self.host, self.peer_port, limit=STREAM_LIMIT
-        )
-        self.peer_port = self._peer_server.sockets[0].getsockname()[1]
         self._background.append(asyncio.ensure_future(self._watchdog()))
 
-    async def _handle_peering(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One shard's peering connection: serve the shared tier."""
+    def _answer_inline(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        """Answer one shard's ``cache-get``/``cache-put`` from the tier."""
 
-        try:
-            await serve_peering_connection(self.tier, reader, writer)
-        except asyncio.CancelledError:
-            # Drain closes the peering listener while shard connections are
-            # still parked in readline(); swallowing the cancellation keeps
-            # the event loop's task-exception callback quiet.
-            pass
-
-    @property
-    def peer_address(self) -> str:
-        """The ``host:port`` shards pass to ``serve --peer``."""
-
-        return f"{self.host}:{self.peer_port}"
+        return answer_tier_request(self.tier, message)
 
     async def attach_shard(self, shard_id: str, host: str, port: int) -> None:
         """Connect a shard, add it to the ring, start routing to it."""
@@ -397,7 +364,11 @@ class FleetRouter(JsonLinesEndpoint):
         return True
 
     async def _drain_hook(self) -> None:
-        """Ask every shard to drain, drop the links, stop the peering port."""
+        """Ask every shard to drain, then drop the links.
+
+        The shards' tier connections stay open through this: the endpoint
+        core closes client connections only after the hook returns.
+        """
 
         # A shard that cannot answer (dead, wedged) is simply closed.
         for link in list(self._links.values()):
@@ -410,8 +381,6 @@ class FleetRouter(JsonLinesEndpoint):
                 pass
         for link in list(self._links.values()):
             link.close("fleet drained")
-        if self._peer_server is not None:
-            self._peer_server.close()
 
     def describe(self) -> Dict[str, Any]:
         """The server-info dict sent in the router's handshake ``hello``."""
@@ -803,9 +772,9 @@ class Fleet:
 
     ``with Fleet(shards=3) as fleet:`` starts the router (on a dedicated
     thread with its own event loop), spawns the shards pointed at the
-    router's peering port, attaches them to the ring, and yields an
-    object exposing ``host``/``port`` (the router's client endpoint),
-    ``peer_port``, the live ``shards`` list and fault-injection helpers.
+    router's endpoint for the shared tier, attaches them to the ring, and
+    yields an object exposing ``host``/``port`` (the router's endpoint),
+    the live ``shards`` list and fault-injection helpers.
     Exit drains the whole fleet gracefully.
     """
 
@@ -815,13 +784,11 @@ class Fleet:
         backend: str = "process",
         host: str = "127.0.0.1",
         port: int = 0,
-        peer_port: int = 0,
         workers: int = 1,
         cache_root: Optional[str] = None,
         batch_max_requests: int = DEFAULT_BATCH_MAX_REQUESTS,
         max_queue: int = DEFAULT_MAX_QUEUE,
         stall_timeout: float = DEFAULT_STALL_TIMEOUT_SECONDS,
-        tier_entries: int = DEFAULT_TIER_ENTRIES,
         startup_timeout: float = 60.0,
         remediate: bool = False,
         policy: Optional[PolicyEngine] = None,
@@ -837,17 +804,14 @@ class Fleet:
         self.backend = backend
         self.host = host
         self.port: Optional[int] = None
-        self.peer_port: Optional[int] = None
         self.router: Optional[FleetRouter] = None
         self.shards: List[Any] = []
         self._requested_port = port
-        self._requested_peer_port = peer_port
         self._workers = workers
         self._cache_root = cache_root
         self._batch_max_requests = batch_max_requests
         self._max_queue = max_queue
         self._stall_timeout = stall_timeout
-        self._tier_entries = tier_entries
         self._startup_timeout = startup_timeout
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -905,9 +869,7 @@ class Fleet:
             router = FleetRouter(
                 host=self.host,
                 port=self._requested_port,
-                peer_port=self._requested_peer_port,
                 stall_timeout=self._stall_timeout,
-                tier_entries=self._tier_entries,
             )
             await router.start()
         except BaseException as exc:
@@ -916,7 +878,6 @@ class Fleet:
             return
         self.router = router
         self.port = router.port
-        self.peer_port = router.peer_port
         self._loop = asyncio.get_running_loop()
         self._ready.set()
         await router.serve_forever()
@@ -943,7 +904,7 @@ class Fleet:
         shard_cls = ProcessShard if self.backend == "process" else ThreadShard
         return shard_cls(
             shard_id,
-            peer=f"{self.host}:{self.peer_port}",
+            peer=f"{self.host}:{self.port}",
             host=self.host,
             workers=self._workers,
             cache_dir=cache_dir,

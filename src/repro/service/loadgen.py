@@ -74,13 +74,11 @@ import random
 from repro.service.endpoint import PipelinedConnection
 from repro.service.metrics import LatencyHistogram
 from repro.service.protocol import (
-    hello_message,
     parse_compile_request,
     resolve_compile_request,
     response_result_bytes,
     result_payload,
 )
-from repro.service.client import _check_hello  # shared handshake validation
 from repro.workloads.catalog import get_catalog
 from repro.workloads.scenarios import scenario_names
 
@@ -385,9 +383,7 @@ async def _drive(
     """Replay the plan against the server in the requested mode."""
 
     connections = [
-        await PipelinedConnection.open(
-            host, port, hello_message(), _check_hello, timeout, label="server"
-        )
+        await PipelinedConnection.open(host, port, timeout, label="server")
         for _ in range(clients)
     ]
     loop = asyncio.get_running_loop()
@@ -397,9 +393,7 @@ async def _drive(
     if metric_trace is not None:
         # The sampler rides its own connection so stats polling never
         # contends with load traffic for a pipelined writer.
-        sampler = await PipelinedConnection.open(
-            host, port, hello_message(), _check_hello, timeout, label="server"
-        )
+        sampler = await PipelinedConnection.open(host, port, timeout, label="server")
 
         async def sample_loop(connection: PipelinedConnection) -> None:
             sequence = 0

@@ -1,19 +1,19 @@
-"""The cache-peering protocol: a versioned ``cache-get``/``cache-put`` tier.
+"""The shared cache tier: ``cache-get``/``cache-put`` requests on the router.
 
 This is the fleet's shared cache plane (:mod:`repro.service.fleet`): every
 backend shard that finishes a compile **puts** the deterministic answer
 into one shared tier, and every shard (and the router itself) can **get**
 it back — one shard's compile becomes every shard's cache hit.
 
-The protocol is a peer-to-peer extension of the JSON-lines wire format of
-:mod:`repro.service.protocol`, versioned independently
-(:data:`PEERING_VERSION`): a connection opens with a ``peer-hello``
-handshake, then carries ``cache-get`` / ``cache-put`` frames answered by
-``cache-hit`` / ``cache-miss`` / ``cache-ok``.  Entries are keyed by the
-full :func:`~repro.ir.fingerprint.procedure_cache_key` — a content
-address, so a put can never poison a different request's answer — and the
-stored value is the *deterministic* part of a compile response (the
-``result`` payload plus the cold ``pass_seconds``), exactly what
+The tier speaks the JSON-lines protocol of :mod:`repro.service.protocol`
+on the router's one client endpoint, covered by its
+:data:`~repro.service.protocol.PROTOCOL_VERSION`: after the ordinary
+``hello``, a connection carries ``cache-get`` / ``cache-put`` requests
+answered by ``cache-hit`` / ``cache-miss`` / ``cache-ok``.  Entries are
+keyed by the full :func:`~repro.ir.fingerprint.procedure_cache_key` — a
+content address, so a put can never poison a different request's answer —
+and the stored value is the *deterministic* part of a compile response
+(the ``result`` payload plus the cold ``pass_seconds``), exactly what
 :class:`~repro.service.protocol.CompileAnswer` needs to answer a request
 without compiling.
 
@@ -32,15 +32,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.service.endpoint import Connection, FrameOverflow, PipelinedConnection
-from repro.service.protocol import ProtocolError
+from repro.service.endpoint import PipelinedConnection
+from repro.service.protocol import ProtocolError, error_message
 
-#: Bump on any incompatible change to the peering frames; the ``peer-hello``
-#: handshake rejects mismatched peers instead of misreading their frames.
-PEERING_VERSION = 1
-
-#: Frame types a peering connection may carry after the handshake.
-PEERING_FRAME_TYPES = ("cache-get", "cache-put", "cache-hit", "cache-miss", "cache-ok")
+#: Request types the tier answers (on the router's endpoint).
+TIER_REQUEST_TYPES = ("cache-get", "cache-put")
 
 #: Default bound on tier entries held in memory (LRU beyond it).  Entries
 #: are small JSON payloads (a few KB), so the default bounds the tier to
@@ -69,30 +65,6 @@ def parse_peer_address(spec: str) -> Tuple[str, int]:
     if not 0 < port < 65536:
         raise ValueError(f"peer address port out of range: {spec!r}")
     return host, port
-
-
-def peer_hello_message() -> Dict[str, Any]:
-    """Build the ``peer-hello`` handshake frame (both directions)."""
-
-    return {"type": "peer-hello", "peering": PEERING_VERSION}
-
-
-def parse_peer_hello(message: Mapping[str, Any]) -> int:
-    """Validate a ``peer-hello``; returns the peer's peering version."""
-
-    if message.get("type") != "peer-hello":
-        raise ProtocolError(
-            "first peering frame must be a 'peer-hello' handshake", code="protocol"
-        )
-    unknown = sorted(set(message) - {"type", "peering", "peer"})
-    if unknown:
-        raise ProtocolError(
-            f"peer-hello has unknown field(s): {', '.join(unknown)}", code="protocol"
-        )
-    version = message.get("peering")
-    if not isinstance(version, int) or isinstance(version, bool):
-        raise ProtocolError("peer-hello 'peering' must be an integer", code="protocol")
-    return version
 
 
 def cache_get_message(request_id: str, key: str) -> Dict[str, Any]:
@@ -132,33 +104,54 @@ def validate_entry(entry: Any) -> Dict[str, Any]:
 
 
 def parse_peering_frame(message: Mapping[str, Any]) -> Tuple[str, str, str, Any]:
-    """Validate one post-handshake peering frame.
+    """Validate one ``cache-get``/``cache-put`` request.
 
     Returns ``(type, id, key, entry)`` where ``entry`` is only non-None
-    for ``cache-put``/``cache-hit`` frames.
+    for ``cache-put``.
     """
 
     kind = message.get("type")
-    if kind not in PEERING_FRAME_TYPES:
+    if kind not in TIER_REQUEST_TYPES:
         raise ProtocolError(f"unknown peering frame type {kind!r}")
     allowed = {"type", "id", "key"}
-    if kind in ("cache-put", "cache-hit"):
+    if kind == "cache-put":
         allowed.add("entry")
-    if kind == "cache-ok":
-        allowed.add("stored")
     unknown = sorted(set(message) - allowed)
     if unknown:
         raise ProtocolError(f"{kind} frame has unknown field(s): {', '.join(unknown)}")
     request_id = message.get("id")
     if not isinstance(request_id, str) or not request_id:
         raise ProtocolError(f"{kind} frame 'id' must be a non-empty string")
-    key = message.get("key", "")
-    if kind != "cache-ok" and (not isinstance(key, str) or not key):
+    key = message.get("key")
+    if not isinstance(key, str) or not key:
         raise ProtocolError(f"{kind} frame 'key' must be a non-empty string")
-    entry = None
-    if kind in ("cache-put", "cache-hit"):
-        entry = validate_entry(message.get("entry"))
-    return kind, request_id, str(key), entry
+    entry = validate_entry(message.get("entry")) if kind == "cache-put" else None
+    return kind, request_id, key, entry
+
+
+def answer_tier_request(
+    tier: "SharedCacheTier", message: Mapping[str, Any]
+) -> Dict[str, Any]:
+    """The reply to one ``cache-get``/``cache-put`` request against ``tier``.
+
+    A malformed request counts in the tier's ``protocol_errors`` and is
+    answered with a ``bad_request`` error; the connection stays up.
+    """
+
+    try:
+        kind, request_id, key, entry = parse_peering_frame(message)
+    except ProtocolError as exc:
+        tier.stats.protocol_errors += 1
+        request_id = message.get("id")
+        return error_message(
+            exc.code, str(exc), request_id if isinstance(request_id, str) else None
+        )
+    if kind == "cache-put":
+        return {"type": "cache-ok", "id": request_id, "stored": tier.put(key, entry)}
+    found = tier.get(key)
+    if found is None:
+        return {"type": "cache-miss", "id": request_id, "key": key}
+    return {"type": "cache-hit", "id": request_id, "key": key, "entry": found}
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +183,9 @@ class SharedCacheTier:
     """The in-memory shared cache tier the router hosts for its shards.
 
     A bounded LRU mapping of cache key → entry.  Single-threaded by
-    design: the router only touches it from its event loop (the peering
-    server below and the router's own admission-time lookups run on the
-    same loop), so no locking is needed.  Entries are treated as
+    design: the router only touches it from its event loop (tier requests
+    and the router's own admission-time lookups run on the same loop), so
+    no locking is needed.  Entries are treated as
     immutable; duplicate puts of a key are idempotent by determinism
     (same key ⇒ same bytes) and only counted.
     """
@@ -252,89 +245,9 @@ class SharedCacheTier:
         }
 
 
-async def serve_peering_connection(
-    tier: SharedCacheTier,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-) -> None:
-    """Serve one peering connection against ``tier`` until EOF.
-
-    The handler the router mounts on its peering port: ``peer-hello``
-    handshake (version-checked), then ``cache-get``/``cache-put`` frames.
-    Protocol violations are answered with an ``error`` frame and, for
-    handshake violations, the connection is dropped — exactly the posture
-    of the main protocol.  Framing and the bounded write are the endpoint
-    core's (:class:`~repro.service.endpoint.Connection`).
-    """
-
-    connection = Connection(reader=reader, writer=writer)
-    try:
-        while True:
-            try:
-                message = await connection.read_message()
-                if message is None:
-                    break
-                if not connection.greeted:
-                    version = parse_peer_hello(message)
-                    if version != PEERING_VERSION:
-                        raise ProtocolError(
-                            f"peering version mismatch: peer speaks {version}, "
-                            f"tier speaks {PEERING_VERSION}",
-                            code="protocol",
-                        )
-                    connection.greeted = True
-                    await connection.send(peer_hello_message())
-                    continue
-                kind, request_id, key, entry = parse_peering_frame(message)
-            except FrameOverflow:
-                break
-            except ProtocolError as exc:
-                tier.stats.protocol_errors += 1
-                await connection.send(
-                    {"type": "error", "code": exc.code, "message": str(exc)}
-                )
-                if exc.code == "protocol":
-                    break
-                continue
-            if kind == "cache-get":
-                found = tier.get(key)
-                if found is None:
-                    response: Dict[str, Any] = {
-                        "type": "cache-miss",
-                        "id": request_id,
-                        "key": key,
-                    }
-                else:
-                    response = {
-                        "type": "cache-hit",
-                        "id": request_id,
-                        "key": key,
-                        "entry": found,
-                    }
-            elif kind == "cache-put":
-                stored = tier.put(key, entry)
-                response = {"type": "cache-ok", "id": request_id, "stored": stored}
-            else:
-                # A client-side frame type sent to the tier.
-                tier.stats.protocol_errors += 1
-                response = {
-                    "type": "error",
-                    "code": "bad_request",
-                    "message": f"tier does not accept {kind!r} frames",
-                }
-            await connection.send(response)
-    finally:
-        connection.close()
-
-
 # ---------------------------------------------------------------------------
 # The shard-side client.
 # ---------------------------------------------------------------------------
-
-
-def _check_peer_hello(reply: Dict[str, Any]) -> None:
-    if parse_peer_hello(reply) != PEERING_VERSION:
-        raise ProtocolError("peering version mismatch", code="protocol")
 
 
 class PeerCacheClient:
@@ -385,8 +298,6 @@ class PeerCacheClient:
                     self._connection = await PipelinedConnection.open(
                         self.host,
                         self.port,
-                        peer_hello_message(),
-                        _check_peer_hello,
                         self.timeout,
                         label="peer",
                         on_close=self._lost,

@@ -244,15 +244,15 @@ class CompileRequest:
         return json.dumps(payload, sort_keys=True)
 
 
-def parse_compile_request(message: Mapping[str, Any]) -> CompileRequest:
-    """Strictly validate a ``compile`` message into a :class:`CompileRequest`."""
+def _parse_program_fields(
+    message: Mapping[str, Any]
+) -> Tuple[Mapping[str, Any], str, str, Optional[Mapping[str, Any]]]:
+    """Validate the ``program``/``target``/``cache``/``profile`` fields.
 
-    _check_fields(
-        message,
-        ("id", "program", "target", "cost_model", "techniques", "profile", "cache", "lint"),
-        "compile",
-    )
-    request_id = _require_str(message, "id")
+    The vocabulary compile and lint requests share; returns them as
+    ``(program, target, cache, profile)`` with the defaults filled in.
+    """
+
     program = message.get("program")
     if not isinstance(program, Mapping):
         raise ProtocolError("field 'program' must be an object")
@@ -270,37 +270,11 @@ def parse_compile_request(message: Mapping[str, Any]) -> CompileRequest:
         raise ProtocolError(
             f"unknown target {target!r}; expected one of {', '.join(available_targets())}"
         )
-    cost_model = _require_str(message, "cost_model", "jump_edge")
-    if cost_model not in COST_MODELS:
-        raise ProtocolError(
-            f"unknown cost model {cost_model!r}; expected one of {', '.join(COST_MODELS)}"
-        )
-    techniques = message.get("techniques", list(TECHNIQUES))
-    if (
-        not isinstance(techniques, (list, tuple))
-        or not techniques
-        or not all(isinstance(t, str) for t in techniques)
-    ):
-        raise ProtocolError("field 'techniques' must be a non-empty list of strings")
-    unknown = [t for t in techniques if t not in TECHNIQUES]
-    if unknown:
-        raise ProtocolError(
-            f"unknown technique(s) {', '.join(unknown)}; expected a subset of "
-            + ", ".join(TECHNIQUES)
-        )
-    if len(set(techniques)) != len(techniques):
-        raise ProtocolError("field 'techniques' must not repeat entries")
 
     cache = _require_str(message, "cache", "use")
     if cache not in CACHE_POLICIES:
         raise ProtocolError(
             f"unknown cache policy {cache!r}; expected one of {', '.join(CACHE_POLICIES)}"
-        )
-
-    lint = _require_str(message, "lint", "off")
-    if lint not in LINT_WIRE_POLICIES:
-        raise ProtocolError(
-            f"unknown lint policy {lint!r}; expected one of {', '.join(LINT_WIRE_POLICIES)}"
         )
 
     profile = message.get("profile")
@@ -333,6 +307,45 @@ def parse_compile_request(message: Mapping[str, Any]) -> CompileRequest:
                 raise ProtocolError(
                     f"profile probability for {key!r} must be a number in [0, 1]"
                 )
+    return program, target, cache, profile
+
+
+def parse_compile_request(message: Mapping[str, Any]) -> CompileRequest:
+    """Strictly validate a ``compile`` message into a :class:`CompileRequest`."""
+
+    _check_fields(
+        message,
+        ("id", "program", "target", "cost_model", "techniques", "profile", "cache", "lint"),
+        "compile",
+    )
+    request_id = _require_str(message, "id")
+    program, target, cache, profile = _parse_program_fields(message)
+    cost_model = _require_str(message, "cost_model", "jump_edge")
+    if cost_model not in COST_MODELS:
+        raise ProtocolError(
+            f"unknown cost model {cost_model!r}; expected one of {', '.join(COST_MODELS)}"
+        )
+    techniques = message.get("techniques", list(TECHNIQUES))
+    if (
+        not isinstance(techniques, (list, tuple))
+        or not techniques
+        or not all(isinstance(t, str) for t in techniques)
+    ):
+        raise ProtocolError("field 'techniques' must be a non-empty list of strings")
+    unknown = [t for t in techniques if t not in TECHNIQUES]
+    if unknown:
+        raise ProtocolError(
+            f"unknown technique(s) {', '.join(unknown)}; expected a subset of "
+            + ", ".join(TECHNIQUES)
+        )
+    if len(set(techniques)) != len(techniques):
+        raise ProtocolError("field 'techniques' must not repeat entries")
+
+    lint = _require_str(message, "lint", "off")
+    if lint not in LINT_WIRE_POLICIES:
+        raise ProtocolError(
+            f"unknown lint policy {lint!r}; expected one of {', '.join(LINT_WIRE_POLICIES)}"
+        )
 
     return CompileRequest(
         id=request_id,
@@ -713,30 +726,7 @@ def parse_lint_request(message: Mapping[str, Any]) -> LintRequest:
         message, ("id", "program", "target", "profile", "select", "ignore", "cache"), "lint"
     )
     request_id = _require_str(message, "id")
-    program = message.get("program")
-    if not isinstance(program, Mapping):
-        raise ProtocolError("field 'program' must be an object")
-    keys = sorted(program)
-    if keys not in (["ir"], ["scenario"], ["catalog"]):
-        raise ProtocolError(
-            "field 'program' must have exactly one of the keys "
-            "'ir', 'scenario' or 'catalog'"
-        )
-    if not isinstance(program[keys[0]], str) or not program[keys[0]]:
-        raise ProtocolError(f"program {keys[0]!r} must be a non-empty string")
-    target = _require_str(message, "target", DEFAULT_TARGET)
-    if target not in available_targets():
-        raise ProtocolError(
-            f"unknown target {target!r}; expected one of {', '.join(available_targets())}"
-        )
-    cache = _require_str(message, "cache", "use")
-    if cache not in CACHE_POLICIES:
-        raise ProtocolError(
-            f"unknown cache policy {cache!r}; expected one of {', '.join(CACHE_POLICIES)}"
-        )
-    profile = message.get("profile")
-    if profile is not None and not isinstance(profile, Mapping):
-        raise ProtocolError("field 'profile' must be an object")
+    program, target, cache, profile = _parse_program_fields(message)
     select = _parse_rule_codes(message, "select")
     ignore = _parse_rule_codes(message, "ignore")
     return LintRequest(

@@ -139,8 +139,8 @@ class CompileServer(JsonLinesEndpoint):
         self.cache = resolve_cache(cache)
         self.max_queue = max_queue
         self.batch_max_requests = batch_max_requests
-        # Fleet peering: the shared cache tier this shard consults after a
-        # local miss and publishes fresh compiles to.  Parsed eagerly (so a
+        # Fleet peering: the router whose shared cache tier this shard
+        # consults after a local miss and publishes fresh compiles to.  Parsed eagerly (so a
         # bad --peer fails fast) but connected lazily on the event loop.
         self._peer_address = parse_peer_address(peer) if peer else None
         self.peer: Optional[PeerCacheClient] = None

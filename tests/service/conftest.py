@@ -17,11 +17,9 @@ from contextlib import contextmanager
 import pytest
 
 from repro.pipeline.compiler import compile_many
-from repro.service.client import _check_hello
 from repro.service.embedded import EmbeddedServer
 from repro.service.endpoint import PipelinedConnection
 from repro.service.protocol import (
-    hello_message,
     parse_compile_request,
     resolve_compile_request,
     result_payload,
@@ -125,9 +123,7 @@ def compile_hold(monkeypatch):
 async def open_pipelined(port: int) -> PipelinedConnection:
     """A handshaken, id-demultiplexed connection to a local server or router."""
 
-    return await PipelinedConnection.open(
-        "127.0.0.1", port, hello_message(), _check_hello, 60.0, label="server"
-    )
+    return await PipelinedConnection.open("127.0.0.1", port, 60.0, label="server")
 
 
 @pytest.fixture

@@ -16,8 +16,7 @@ import pytest
 
 from repro.pipeline.compiler import compile_many
 from repro.service.client import ServiceClient
-from repro.service.fleet import Fleet
-from repro.service.peering import SharedCacheTier, serve_peering_connection
+from repro.service.fleet import Fleet, FleetRouter
 from repro.service.protocol import (
     parse_compile_request,
     resolve_compile_request,
@@ -185,8 +184,8 @@ def test_drain_is_graceful_and_idempotent():
 
 def test_shard_peer_path_answers_from_a_prepopulated_tier(tmp_path):
     """The shard-side peer client, deterministically: an embedded server
-    pointed at a tier that already holds the key answers with
-    ``cache_status == "peer"`` and the exact oracle bytes — no compile."""
+    pointed at a shard-less router whose tier already holds the key answers
+    with ``cache_status == "peer"`` and the exact oracle bytes — no compile."""
 
     from repro.service.embedded import EmbeddedServer
 
@@ -209,19 +208,16 @@ def test_shard_peer_path_answers_from_a_prepopulated_tier(tmp_path):
 
     def tier_thread():
         async def main():
-            tier = SharedCacheTier()
-            tier.put(resolved.cache_key, {"result": payload, "pass_seconds": {}})
-            server = await asyncio.start_server(
-                lambda r, w: serve_peering_connection(tier, r, w), "127.0.0.1", 0
-            )
-            state["tier"] = tier
-            state["port"] = server.sockets[0].getsockname()[1]
+            router = FleetRouter()
+            await router.start()
+            router.tier.put(resolved.cache_key, {"result": payload, "pass_seconds": {}})
+            state["tier"] = router.tier
+            state["port"] = router.port
             state["loop"] = asyncio.get_running_loop()
             state["stop"] = asyncio.Event()
             ready.set()
             await state["stop"].wait()
-            server.close()
-            await server.wait_closed()
+            await router.drain()
 
         asyncio.run(main())
 

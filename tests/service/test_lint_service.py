@@ -19,9 +19,12 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.fleet import Fleet
 from repro.service.protocol import (
     LintRequest,
+    ProtocolError,
+    parse_compile_request,
     parse_lint_request,
     resolve_lint_request,
 )
+from tests.service.conftest import SAMPLE_IR
 from repro.target.registry import get_target
 from repro.workloads.scenarios import build_scenario
 
@@ -92,6 +95,15 @@ class TestServedLint:
         assert canonical(response["result"]) == canonical(
             local_payload(ERROR_SCENARIO, select=["R001", "R002"], ignore=["R002"])
         )
+
+    def test_malformed_profile_is_a_counted_bad_request(self, embedded_server):
+        with embedded_server(workers=1) as emb:
+            with ServiceClient(port=emb.port) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.lint(ir=SAMPLE_IR, profile={"probabilities": 5})
+                stats = client.stats()
+        assert excinfo.value.code == "bad_request"
+        assert stats["requests"]["protocol_errors"] == 1
 
     def test_unknown_rule_code_is_bad_request(self, embedded_server):
         with embedded_server(workers=1) as emb:
@@ -224,3 +236,32 @@ class TestLintRequestProtocol:
         lint = LintRequest(id="x", program={"scenario": WARN_SCENARIO})
         compile_ = CompileRequest(id="x", program={"scenario": WARN_SCENARIO})
         assert lint.signature() != compile_.signature()
+
+    @pytest.mark.parametrize(
+        "parse", [parse_compile_request, parse_lint_request], ids=["compile", "lint"]
+    )
+    @pytest.mark.parametrize(
+        "program, profile",
+        [
+            ({"ir": SAMPLE_IR}, {"probabilities": 5}),
+            ({"ir": SAMPLE_IR}, {"probabilities": {"a->b": "x"}}),
+            ({"ir": SAMPLE_IR}, {"invocations": "many"}),
+            ({"ir": SAMPLE_IR}, {"bogus": 1}),
+            ({"scenario": WARN_SCENARIO}, {"invocations": 10}),
+            ({"catalog": "catalog:gcd1_MD_RED"}, {"invocations": 10}),
+        ],
+        ids=[
+            "probabilities-not-object",
+            "probability-not-number",
+            "invocations-not-number",
+            "unknown-profile-field",
+            "profile-on-scenario",
+            "profile-on-catalog",
+        ],
+    )
+    def test_bad_profiles_are_bad_requests_for_both_kinds(self, parse, program, profile):
+        kind = "compile" if parse is parse_compile_request else "lint"
+        message = {"type": kind, "id": "r1", "program": program, "profile": profile}
+        with pytest.raises(ProtocolError) as excinfo:
+            parse(message)
+        assert excinfo.value.code == "bad_request"

@@ -1,35 +1,40 @@
-"""The cache-peering protocol: frames, the shared tier, and the client.
+"""The shared cache tier: frames, the tier, and the client.
 
 Covers the three layers separately:
 
 * frame builders/validators (pure functions, strict unknown-field posture
   mirroring the main protocol's);
 * :class:`SharedCacheTier` — bounded LRU semantics and counters;
-* :class:`PeerCacheClient` against a real ``serve_peering_connection``
-  listener — including the failure-tolerance contract: a dead or
-  mismatched tier is always a *miss*, never an exception.
+* :class:`PeerCacheClient` against a live shard-less
+  :class:`~repro.service.fleet.FleetRouter`, whose one endpoint answers the
+  tier's requests — including the failure-tolerance contract: a dead tier
+  is always a *miss*, never an exception.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
+import socket
 
 import pytest
 
+from repro.service.fleet import FleetRouter
 from repro.service.peering import (
-    PEERING_VERSION,
     PeerCacheClient,
     SharedCacheTier,
     cache_get_message,
     cache_put_message,
     parse_peer_address,
-    parse_peer_hello,
     parse_peering_frame,
-    peer_hello_message,
-    serve_peering_connection,
     validate_entry,
 )
-from repro.service.protocol import ProtocolError
+from repro.service.protocol import (
+    ProtocolError,
+    decode_message,
+    encode_message,
+    hello_message,
+)
 
 ENTRY = {"result": {"name": "f", "answer": 1}, "pass_seconds": {"spill": 0.5}}
 
@@ -47,16 +52,6 @@ def test_parse_peer_address():
             parse_peer_address(bad)
 
 
-def test_peer_hello_roundtrip_and_validation():
-    assert parse_peer_hello(peer_hello_message()) == PEERING_VERSION
-    with pytest.raises(ProtocolError):
-        parse_peer_hello({"type": "cache-get", "id": "x", "key": "k"})
-    with pytest.raises(ProtocolError):
-        parse_peer_hello({"type": "peer-hello", "peering": "1"})
-    with pytest.raises(ProtocolError):
-        parse_peer_hello({"type": "peer-hello", "peering": 1, "extra": True})
-
-
 def test_parse_peering_frame_roundtrips():
     kind, rid, key, entry = parse_peering_frame(cache_get_message("p1", "k"))
     assert (kind, rid, key, entry) == ("cache-get", "p1", "k", None)
@@ -68,6 +63,7 @@ def test_parse_peering_frame_roundtrips():
 def test_parse_peering_frame_rejects_malformed():
     for bad in (
         {"type": "bogus", "id": "p1", "key": "k"},
+        {"type": "cache-hit", "id": "p1", "key": "k", "entry": ENTRY},
         {"type": "cache-get", "id": "", "key": "k"},
         {"type": "cache-get", "id": "p1", "key": ""},
         {"type": "cache-get", "id": "p1", "key": "k", "extra": 1},
@@ -132,7 +128,7 @@ def test_tier_rejects_invalid_bound():
 
 
 # ---------------------------------------------------------------------------
-# Client against a live tier listener.
+# Client against a live router.
 # ---------------------------------------------------------------------------
 
 
@@ -142,18 +138,18 @@ def run(coroutine):
     return asyncio.run(coroutine)
 
 
-async def start_tier(tier):
-    server = await asyncio.start_server(
-        lambda r, w: serve_peering_connection(tier, r, w), "127.0.0.1", 0
-    )
-    return server, server.sockets[0].getsockname()[1]
+async def start_router():
+    """A shard-less router: its endpoint answers only admin and tier requests."""
+
+    router = FleetRouter()
+    await router.start()
+    return router
 
 
 def test_client_roundtrip_against_live_tier():
     async def body():
-        tier = SharedCacheTier()
-        server, port = await start_tier(tier)
-        client = PeerCacheClient("127.0.0.1", port, timeout=10.0)
+        router = await start_router()
+        client = PeerCacheClient("127.0.0.1", router.port, timeout=10.0)
         try:
             assert await client.get("k") is None  # miss
             await client.put("k", ENTRY)
@@ -164,18 +160,16 @@ def test_client_roundtrip_against_live_tier():
             assert snap["errors"] == 0
         finally:
             await client.close()
-            server.close()
-            await server.wait_closed()
-        assert tier.snapshot()["stored"] == 1
+            await router.drain()
+        assert router.tier.snapshot()["stored"] == 1
 
     run(body())
 
 
 def test_client_concurrent_requests_share_one_connection():
     async def body():
-        tier = SharedCacheTier()
-        server, port = await start_tier(tier)
-        client = PeerCacheClient("127.0.0.1", port, timeout=10.0)
+        router = await start_router()
+        client = PeerCacheClient("127.0.0.1", router.port, timeout=10.0)
         try:
             await asyncio.gather(
                 *(client.put(f"k{i}", ENTRY) for i in range(8))
@@ -186,8 +180,7 @@ def test_client_concurrent_requests_share_one_connection():
             assert all(entry == ENTRY for entry in results)
         finally:
             await client.close()
-            server.close()
-            await server.wait_closed()
+            await router.drain()
 
     run(body())
 
@@ -197,10 +190,11 @@ def test_client_treats_dead_peer_as_miss_with_cooldown():
     and the cooldown suppresses reconnect storms."""
 
     async def body():
-        server, port = await start_tier(SharedCacheTier())
-        server.close()
-        await server.wait_closed()  # port is now dead
-        client = PeerCacheClient("127.0.0.1", port, timeout=0.5, retry_seconds=60.0)
+        router = await start_router()
+        await router.drain()  # port is now dead
+        client = PeerCacheClient(
+            "127.0.0.1", router.port, timeout=0.5, retry_seconds=60.0
+        )
         try:
             assert await client.get("k") is None
             await client.put("k", ENTRY)  # must not raise
@@ -217,9 +211,10 @@ def test_client_treats_dead_peer_as_miss_with_cooldown():
 
 def test_client_recovers_after_connection_drop():
     async def body():
-        tier = SharedCacheTier()
-        server, port = await start_tier(tier)
-        client = PeerCacheClient("127.0.0.1", port, timeout=5.0, retry_seconds=0.0)
+        router = await start_router()
+        client = PeerCacheClient(
+            "127.0.0.1", router.port, timeout=5.0, retry_seconds=0.0
+        )
         try:
             await client.put("k", ENTRY)
             # Sever the established connection out from under the client.
@@ -230,44 +225,17 @@ def test_client_recovers_after_connection_drop():
             assert await client.get("k") == ENTRY
         finally:
             await client.close()
-            server.close()
-            await server.wait_closed()
+            await router.drain()
 
     run(body())
 
 
-def test_tier_listener_rejects_version_mismatch():
+def test_router_answers_errors_for_bad_tier_frames_but_stays_up():
     async def body():
-        tier = SharedCacheTier()
-        server, port = await start_tier(tier)
+        router = await start_router()
         try:
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            writer.write(b'{"type": "peer-hello", "peering": 999}\n')
-            await writer.drain()
-            line = await asyncio.wait_for(reader.readline(), timeout=5.0)
-            import json
-
-            reply = json.loads(line)
-            assert reply["type"] == "error"
-            assert reply["code"] == "protocol"
-            # The tier hangs up after a handshake violation.
-            assert await asyncio.wait_for(reader.readline(), timeout=5.0) == b""
-            writer.close()
-        finally:
-            server.close()
-            await server.wait_closed()
-        assert tier.snapshot()["protocol_errors"] == 1
-
-    run(body())
-
-
-def test_tier_listener_answers_errors_for_bad_frames_but_stays_up():
-    async def body():
-        tier = SharedCacheTier()
-        server, port = await start_tier(tier)
-        try:
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            writer.write(b'{"type": "peer-hello", "peering": 1}\n')
+            reader, writer = await asyncio.open_connection("127.0.0.1", router.port)
+            writer.write(encode_message(hello_message()))
             await writer.drain()
             await asyncio.wait_for(reader.readline(), timeout=5.0)  # hello back
             # A well-formed frame of a client-side type: error, stays up.
@@ -277,18 +245,38 @@ def test_tier_listener_answers_errors_for_bad_frames_but_stays_up():
             # A valid get still works afterwards.
             writer.write(b'{"type": "cache-get", "id": "p3", "key": "k"}\n')
             await writer.drain()
-            import json
-
             replies = [
                 json.loads(await asyncio.wait_for(reader.readline(), timeout=5.0))
                 for _ in range(3)
             ]
             assert replies[0]["type"] == "error"
+            assert replies[0]["code"] == "bad_request"
             assert replies[1]["type"] == "error"
+            assert replies[1]["id"] == "p2"
             assert replies[2] == {"type": "cache-miss", "id": "p3", "key": "k"}
             writer.close()
         finally:
-            server.close()
-            await server.wait_closed()
+            await router.drain()
+        # The malformed tier frame counts against the tier; the unknown
+        # type against the router.
+        assert router.tier.snapshot()["protocol_errors"] == 1
+        assert router.metrics.protocol_errors == 1
 
     run(body())
+
+
+def test_plain_server_rejects_tier_requests_and_stays_up(embedded_server):
+    with embedded_server() as emb:
+        with socket.create_connection(("127.0.0.1", emb.port), timeout=10) as raw:
+            with raw.makefile("rb") as stream:
+                raw.sendall(encode_message(hello_message()))
+                assert decode_message(stream.readline())["type"] == "hello"
+                raw.sendall(encode_message(cache_get_message("p1", "k")))
+                reply = decode_message(stream.readline())
+                assert reply["type"] == "error"
+                assert reply["code"] == "bad_request"
+                assert reply["id"] == "p1"
+                assert "unknown message type" in reply["message"]
+                # The connection is still served.
+                raw.sendall(encode_message({"type": "stats", "id": "s1"}))
+                assert decode_message(stream.readline())["type"] == "stats"
