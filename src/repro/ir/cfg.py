@@ -12,8 +12,8 @@ a single walk over the terminators.  Before this snapshot existed every pass
 re-derived edges from terminators on each query (``block_out_edges`` alone was
 ~45k calls per cold compile leg); now
 :meth:`repro.ir.function.Function.cfg` hands out a cached snapshot that is
-revalidated against the terminators' signature, so in-place CFG mutation
-(e.g. retargeting a branch) is still observed safely.
+revalidated against the terminators' signature, so a CFG change (e.g. a
+branch replaced by a retargeted copy) is still observed safely.
 """
 
 from __future__ import annotations

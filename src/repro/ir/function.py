@@ -136,8 +136,8 @@ class Function:
         """The cached :class:`~repro.ir.cfg.FunctionCFG` snapshot.
 
         The snapshot is revalidated against the current terminator signature
-        on every call, so callers always observe the live CFG even after
-        in-place terminator mutation (which the function cannot otherwise
+        on every call, so callers always observe the live CFG even after a
+        block's terminator is replaced (which the function cannot otherwise
         detect).  Passes that query the CFG many times between mutations
         should fetch the snapshot once and use its tables directly.
         """
@@ -294,13 +294,14 @@ class Function:
     # -- cloning -----------------------------------------------------------------
 
     def clone(self, name: Optional[str] = None) -> "Function":
-        """Deep-copy the function (instructions are copied, values shared)."""
+        """Copy the function: new blocks and instruction lists, shared
+        (immutable) instructions and values."""
 
         copy = Function(name or self.name, self.params)
         copy.next_stack_slot = self.next_stack_slot
         copy._label_counter = self._label_counter
         for block in self.blocks:
-            copy.add_block(BasicBlock(block.label, [inst.copy() for inst in block.instructions]))
+            copy.add_block(BasicBlock(block.label, block.instructions))
         return copy
 
     # -- statistics ---------------------------------------------------------------

@@ -156,6 +156,15 @@ class Instruction:
     included the unique ``uid``, so two distinct instructions never compared
     equal anyway.
 
+    Instructions are values: no field is assigned after construction, so
+    any number of blocks and functions may share one instance
+    (:meth:`Function.clone <repro.ir.function.Function.clone>` does).  A
+    rewrite builds a new instruction — :meth:`replace_registers`,
+    :meth:`retarget` — and puts it in the block's list in place of the old
+    one.  ``tools/check_hotpath.py`` rule ``H006`` flags field assignments
+    outside this module; the rule is static because a raising
+    ``__setattr__`` would tax every construction.
+
     Parameters
     ----------
     opcode:
@@ -268,28 +277,48 @@ class Instruction:
         return [op for op in self.uses if isinstance(op, StackSlot)]
 
     def replace_registers(self, mapping: Dict[Register, Register]) -> "Instruction":
-        """Return a copy with registers substituted according to ``mapping``."""
+        """Return a copy with registers substituted according to ``mapping``.
 
-        new_defs = tuple(mapping.get(r, r) for r in self.defs)
-        new_uses = tuple(
-            mapping.get(op, op) if isinstance(op, Register) else op for op in self.uses
-        )
-        return Instruction(
-            opcode=self.opcode,
-            defs=new_defs,
-            uses=new_uses,
-            target=self.target,
-            targets=self.targets,
-            purpose=self.purpose,
+        The copy skips ``__init__``'s checks: its opcode, purpose and
+        targets are this instruction's, which already passed them.
+        """
+
+        get = mapping.get
+        return self._rebuild(
+            tuple([get(r, r) for r in self.defs]),
+            tuple([get(op, op) if isinstance(op, Register) else op for op in self.uses]),
         )
 
     def copy(self) -> "Instruction":
+        """An identical instruction with a fresh ``uid``."""
+
+        return self._rebuild(self.defs, self.uses)
+
+    def _rebuild(self, defs: Tuple[Register, ...], uses: Tuple[Operand, ...]) -> "Instruction":
+        """The unchecked constructor behind :meth:`replace_registers` and
+        :meth:`copy`: this instruction with new operand tuples."""
+
+        new = object.__new__(Instruction)
+        new.opcode = self.opcode
+        new.defs = defs
+        new.uses = uses
+        new.target = self.target
+        new.targets = self.targets
+        new.purpose = self.purpose
+        new.uid = next(_instruction_ids)
+        return new
+
+    def retarget(self, old: str, new: Label) -> "Instruction":
+        """Return a copy of this ``br``/``jmp``/``switch`` whose jump
+        target(s) named ``old`` point at ``new``."""
+
+        target = self.target
         return Instruction(
-            opcode=self.opcode,
-            defs=self.defs,
-            uses=self.uses,
-            target=self.target,
-            targets=self.targets,
+            self.opcode,
+            self.defs,
+            self.uses,
+            target=new if target is not None and target.name == old else target,
+            targets=tuple(new if t.name == old else t for t in self.targets),
             purpose=self.purpose,
         )
 

@@ -99,18 +99,14 @@ def split_edge(function: Function, edge: Edge, label: Optional[str] = None) -> B
         if term.opcode is Opcode.SWITCH:
             if all(t.name != dst_label for t in term.targets):
                 raise ValueError(f"switch of {edge.src} does not target {dst_label}")
-            new_block = BasicBlock(new_label, [ins.jump(Label(dst_label))])
-            function.add_block(new_block)
-            term.targets = tuple(
-                Label(new_label) if t.name == dst_label else t for t in term.targets
-            )
-            return new_block
-        if term.target.name != dst_label:
+        elif term.target.name != dst_label:
             raise ValueError(f"terminator of {edge.src} does not target {dst_label}")
-        # Retarget the jump/branch at the new block; the new block jumps on.
+        # Retarget the terminator at the new block; the new block jumps on.
+        # Instructions are shared between clones, so the block gets a
+        # retargeted copy rather than an edited terminator.
         new_block = BasicBlock(new_label, [ins.jump(Label(dst_label))])
         function.add_block(new_block)
-        term.target = Label(new_label)
+        src_block.instructions[-1] = term.retarget(dst_label, Label(new_label))
         return new_block
 
     if edge.kind is EdgeKind.FALLTHROUGH:

@@ -45,6 +45,8 @@ class ExecutionResult:
     #: (``program``, ``spill``, ``callee_save``, ``callee_restore``).
     purpose_counts: Dict[str, int] = field(default_factory=dict)
     calls_made: int = 0
+    #: The executed function's register file when it returned.
+    registers: Dict[Register, int] = field(default_factory=dict)
 
     def executed_overhead(self) -> int:
         """Executed compiler-inserted loads/stores (all purposes except program)."""
@@ -99,6 +101,7 @@ class Interpreter:
         returned = self._run_frame(function, frame, result)
         result.return_values = returned
         result.steps = self._steps
+        result.registers = registers
         return result
 
     # -- execution ------------------------------------------------------------------
@@ -317,20 +320,8 @@ def run_with_convention_check(
     interpreter = Interpreter(module=module, machine=machine, check_callee_saved=True)
     result = interpreter.run(function, args=args, initial_registers=sentinels)
     # The caller's view after return: callee-saved registers must be unchanged.
-    # Re-run with an inspection frame to read final register state.
-    inspect = Interpreter(module=module, machine=machine)
-    frame_registers: Dict[Register, int] = dict(sentinels)
-    frame = _Frame(registers=frame_registers, stack={})
-    for param, value in zip(function.params, args):
-        if isinstance(param, StackSlot):
-            frame.stack[param.index] = int(value)
-        else:
-            frame_registers[param] = int(value)
-    inspect._steps = 0
-    inspect_result = ExecutionResult(return_values=(), steps=0)
-    inspect._run_frame(function, frame, inspect_result)
     for reg, expected in sentinels.items():
-        actual = frame.registers.get(reg, expected)
+        actual = result.registers.get(reg, expected)
         if actual != expected:
             raise InterpreterError(
                 f"callee-saved register {reg.name} not preserved by {function.name!r}: "

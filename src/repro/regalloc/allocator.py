@@ -73,9 +73,11 @@ def allocate_registers(
     machine: MachineDescription,
     profile: Optional[EdgeProfile] = None,
     max_rounds: int = 12,
-    in_place: bool = False,
 ) -> AllocationResult:
     """Allocate physical registers for every virtual register of ``function``.
+
+    ``function`` is left unchanged: the allocator rewrites a clone, which
+    shares the instructions the rewrite does not touch.
 
     Parameters
     ----------
@@ -84,11 +86,9 @@ def allocate_registers(
         (otherwise loop depth is used).
     max_rounds:
         Upper bound on build/colour/spill iterations.
-    in_place:
-        Rewrite ``function`` itself instead of a clone.
     """
 
-    work = function if in_place else function.clone()
+    work = function.clone()
     isolate_parameters(work)
     demote_overflow_parameters(work, machine)
     all_spilled: List[Register] = []

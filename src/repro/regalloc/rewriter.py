@@ -35,7 +35,12 @@ def isolate_parameters(function: Function) -> Dict[Register, Register]:
         return mapping
 
     for block in function.blocks:
-        block.instructions = [inst.replace_registers(mapping) for inst in block.instructions]
+        block.instructions = [
+            inst.replace_registers(mapping)
+            if any(r in mapping for r in inst.registers())
+            else inst
+            for inst in block.instructions
+        ]
     entry = function.entry
     for offset, (param, clone) in enumerate(mapping.items()):
         entry.instructions.insert(offset, move(clone, param))

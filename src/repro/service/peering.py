@@ -10,12 +10,13 @@ on the router's one client endpoint, covered by its
 :data:`~repro.service.protocol.PROTOCOL_VERSION`: after the ordinary
 ``hello``, a connection carries ``cache-get`` / ``cache-put`` requests
 answered by ``cache-hit`` / ``cache-miss`` / ``cache-ok``.  Entries are
-keyed by the full :func:`~repro.ir.fingerprint.procedure_cache_key` — a
-content address, so a put can never poison a different request's answer —
-and the stored value is the *deterministic* part of a compile response
-(the ``result`` payload plus the cold ``pass_seconds``), exactly what
+keyed by the full :func:`~repro.ir.fingerprint.procedure_cache_key`, and
+the stored value is the *deterministic* part of a compile response (the
+``result`` payload plus the cold ``pass_seconds``), exactly what
 :class:`~repro.service.protocol.CompileAnswer` needs to answer a request
-without compiling.
+without compiling.  The tier trusts every client of the router port: it
+stores any well-formed put under the key the frame names, without
+checking the entry against it, and keeps the first write to a key.
 
 Peering is an optimization, never a correctness dependency: every client
 here treats a dead, slow or protocol-mismatched peer as a cache **miss**

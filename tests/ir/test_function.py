@@ -104,11 +104,17 @@ class TestFunctionCfg:
         function = diamond_function()
         assert reachable_blocks(function) == set(function.block_labels)
 
-    def test_clone_is_deep_for_instructions(self):
+    def test_clone_copies_lists_and_shares_instructions(self):
         function = diamond_function()
+        text = str(function)
         clone = function.clone()
+        for original, copied in zip(function.blocks, clone.blocks):
+            assert copied is not original
+            assert copied.instructions is not original.instructions
+            assert all(a is b for a, b in zip(original.instructions, copied.instructions))
         clone.block("entry").instructions.pop()
         assert len(function.block("entry")) != len(clone.block("entry"))
+        assert str(function) == text
 
     def test_instruction_count(self):
         function = diamond_function()

@@ -91,6 +91,29 @@ class TestRegisterRewriting:
         rewritten = inst.replace_registers({vreg(0): vreg(5)})
         assert rewritten.stack_slots() == [StackSlot(4)]
 
+    def test_replace_registers_keeps_opcode_purpose_and_targets(self):
+        spill = ins.restore_spill(vreg(0), StackSlot(2))
+        rewritten = spill.replace_registers({vreg(0): vreg(7)})
+        assert type(rewritten) is Instruction
+        assert (rewritten.opcode, rewritten.purpose) == (Opcode.LOAD, "spill")
+        assert rewritten.uid != spill.uid
+        assert str(rewritten) == str(spill).replace("v0", "v7")
+        dispatch = ins.switch(vreg(1), [Label("a"), Label("b")])
+        rewritten = dispatch.replace_registers({vreg(1): vreg(3)})
+        assert rewritten.targets == dispatch.targets
+        assert rewritten.uses == (vreg(3),)
+
+    def test_retarget_replaces_only_the_named_target(self):
+        branch = ins.branch(vreg(0), Label("a"))
+        moved = branch.retarget("a", Label("split1"))
+        assert moved is not branch
+        assert (moved.opcode, moved.uses, moved.target) == (Opcode.BR, branch.uses, Label("split1"))
+        assert branch.target == Label("a")
+        dispatch = ins.switch(vreg(1), [Label("a"), Label("b"), Label("c")])
+        moved = dispatch.retarget("b", Label("split2"))
+        assert [t.name for t in moved.targets] == ["a", "split2", "c"]
+        assert [t.name for t in dispatch.targets] == ["a", "b", "c"]
+
     def test_copy_is_independent(self):
         inst = ins.move(vreg(1), vreg(0))
         clone = inst.copy()

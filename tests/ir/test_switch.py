@@ -174,8 +174,10 @@ class TestSwitchEdgeSplitting:
         function = builder.build()
         # Note: `other` is unreachable here; split_edge only needs the edge.
         edge = function.edge("entry", "a")
+        original = function.block("entry").terminator
         new_block = split_edge(function, edge)
         term = function.block("entry").terminator
+        assert [t.name for t in original.targets] == ["a", "b"]
         assert new_block.label in [t.name for t in term.targets]
         assert "a" not in [t.name for t in term.targets]
         assert new_block.terminator.opcode is Opcode.JMP

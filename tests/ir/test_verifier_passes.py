@@ -141,6 +141,20 @@ class TestPasses:
         assert function.has_edge("entry", new_block.label)
         assert function.has_edge(new_block.label, "else_")
 
+    def test_split_edge_leaves_the_shared_terminator_alone(self):
+        """A clone shares its terminators with the original; splitting an
+        edge of the clone must replace, not edit, the terminator."""
+
+        function = diamond_function()
+        text = str(function)
+        clone = function.clone()
+        term = clone.block("entry").terminator
+        new_block = split_edge(clone, clone.edge("entry", "then"))
+        assert clone.block("entry").terminator is not term
+        assert clone.block("entry").terminator.target.name == new_block.label
+        assert term.target.name == "then"
+        assert str(function) == text
+
     def test_split_edge_preserves_execution_result(self):
         reference = Interpreter().run(loop_function())
         function = loop_function()

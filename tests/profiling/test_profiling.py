@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 
 from repro.ir.builder import FunctionBuilder
-from repro.profiling.interpreter import Interpreter, InterpreterError, run_with_convention_check
+from repro.profiling.interpreter import (
+    POISON,
+    Interpreter,
+    InterpreterError,
+    run_with_convention_check,
+)
 from repro.profiling.profile_data import EdgeProfile, ProfileError
 from repro.profiling.synthetic import (
     profile_from_block_frequencies,
@@ -176,6 +181,34 @@ class TestInterpreter:
         machine = parisc_target()
         result = run_with_convention_check(loop_function(), machine)
         assert result.steps > 0
+
+    def test_convention_check_runs_the_function_once(self, monkeypatch):
+        machine = parisc_target()
+        frames = []
+        run_frame = Interpreter._run_frame
+
+        def counting(self, function, frame, result):
+            frames.append(function.name)
+            return run_frame(self, function, frame, result)
+
+        monkeypatch.setattr(Interpreter, "_run_frame", counting)
+        result = run_with_convention_check(loop_function(), machine)
+        assert frames == [loop_function().name]
+        assert result.registers[machine.callee_saved[0]] == POISON
+
+    def test_convention_check_reports_a_clobbered_callee_saved_register(self):
+        machine = parisc_target()
+        clobbered = machine.callee_saved[1]
+        builder = FunctionBuilder("clobber")
+        builder.block("entry")
+        builder.const(7, dst=clobbered)
+        builder.ret()
+        with pytest.raises(InterpreterError) as excinfo:
+            run_with_convention_check(builder.build(), machine)
+        assert str(excinfo.value) == (
+            f"callee-saved register {clobbered.name} not preserved by 'clobber': "
+            f"expected {POISON - 1}, found 7"
+        )
 
 
 class TestOverheadAccounting:

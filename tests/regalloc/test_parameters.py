@@ -82,6 +82,27 @@ class TestParameterInterference:
             assert got == (weighted(args),), f"{args} on {target}"
 
 
+class TestIsolateParameters:
+    def test_only_instructions_naming_a_parameter_are_rebuilt(self):
+        function = n_param_function(2)
+        before = {
+            label: list(function.block(label).instructions) for label in function.block_labels
+        }
+        mapping = isolate_parameters(function)
+        params = set(mapping)
+        for label, originals in before.items():
+            after = function.block(label).instructions
+            if label == function.entry.label:
+                # The parameter copies come first.
+                assert [i.opcode for i in after[: len(params)]] == [Opcode.MOV] * len(params)
+                after = after[len(params):]
+            assert len(after) == len(originals)
+            for old, new in zip(originals, after):
+                names_param = any(r in params for r in old.registers())
+                assert (new is old) is not names_param
+                assert not any(r in params for r in new.registers())
+
+
 class TestOverflowParameters:
     def test_overflow_goes_to_stack_slots(self):
         """tiny has two caller-saved registers; the third and fourth

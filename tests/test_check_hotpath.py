@@ -64,6 +64,28 @@ class TestRules:
         method = "class C:\n    def brute_force_x(self):\n        pass\n"
         assert check_hotpath.check_source(method, "src/repro/analysis/x.py") == []
 
+    def test_h006_catches_instruction_field_assignments(self):
+        source = (
+            "def f(term, block, label, new):\n"
+            "    term.target = label\n"
+            "    block.instructions[-1].targets = (label,)\n"
+            "    a, term.uses = new\n"
+            "    term.uid += 1\n"
+            "    term.purpose: str = 'spill'\n"
+        )
+        for path in ("src/repro/ir/passes.py", "src/repro/spill/x.py", "src/repro/cli.py"):
+            found = check_hotpath.check_source(source, path)
+            assert [(v.code, v.line) for v in found] == [
+                ("H006", 2), ("H006", 3), ("H006", 4), ("H006", 5), ("H006", 6)
+            ]
+        # The instruction module builds instructions; other objects may set
+        # their own same-named fields; reads and other attributes are fine.
+        assert check_hotpath.check_source(source, "src/repro/ir/instructions.py") == []
+        own = "class C:\n    def __init__(self, t):\n        self.target = t\n"
+        assert check_hotpath.check_source(own, "src/repro/service/x.py") == []
+        reads = "def f(term, block):\n    x = term.target\n    block.label = x.name\n"
+        assert check_hotpath.check_source(reads, "src/repro/ir/passes.py") == []
+
     def test_out_of_scope_paths_are_ignored(self):
         source = "def f(fn, l):\n    return fn.block_out_edges(l)\n"
         assert check_hotpath.check_source(source, "src/repro/evaluation/x.py") == []

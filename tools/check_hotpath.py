@@ -5,7 +5,7 @@ The placement and allocation hot paths went through several optimization PRs
 (bitset liveness, one validated CFG snapshot per compile, mask-based
 anticipation/availability).  Those wins regress silently when new code calls
 the convenient-but-slow per-query APIs, so this tool walks the AST of the
-source tree and enforces five rules:
+source tree and enforces six rules:
 
 ``H001``
     ``.block_out_edges(...)`` inside ``repro/spill`` or ``repro/regalloc``.
@@ -42,6 +42,14 @@ source tree and enforces five rules:
     are test oracles; they live in ``tests/oracles/``, not in the shipped
     package.  Private helpers (a leading underscore) are not flagged.
 
+``H006``
+    An assignment to an instruction field (``.opcode``, ``.defs``,
+    ``.uses``, ``.target``, ``.targets``, ``.purpose``, ``.uid``) on anything
+    but ``self``, anywhere under ``repro/`` outside ``repro/ir/instructions.py``.
+    Instructions are values shared between function clones; a rewrite puts
+    a new instruction in the block's list (``replace_registers``,
+    ``retarget``) instead of editing the shared one.
+
 A finding can be suppressed for one line with a trailing ``# hotpath: ok``
 comment — the suppression is the audit trail for sanctioned exceptions.
 
@@ -76,6 +84,9 @@ H004_ANALYSES = (
     "compute_postdominators",
 )
 
+#: Instruction fields no code outside the instruction module assigns (rule H006).
+H006_FIELDS = ("opcode", "defs", "uses", "target", "targets", "purpose", "uid")
+
 #: Dotted names whose direct call blocks the event loop (rule H003).
 H003_BLOCKING_CALLS = (
     "time.sleep",
@@ -97,6 +108,12 @@ RULE_SCOPES = {
     "H003": ("repro/service/",),
     "H004": ("repro/spill/", "repro/pipeline/"),
     "H005": ("repro/",),
+    "H006": ("repro/",),
+}
+
+#: Path fragments a rule skips inside its scope.
+RULE_EXEMPTIONS = {
+    "H006": ("repro/ir/instructions.py",),
 }
 
 
@@ -173,6 +190,33 @@ class _HotPathVisitor(ast.NodeVisitor):
         self.generic_visit(node)
         self._async_stack.pop()
 
+    def _check_field_targets(self, targets: List[ast.expr]) -> None:
+        """Rule H006 over the targets of one assignment statement."""
+
+        for target in targets:
+            if isinstance(target, (ast.Tuple, ast.List)):
+                self._check_field_targets(target.elts)
+            elif (
+                isinstance(target, ast.Attribute)
+                and target.attr in H006_FIELDS
+                and not (isinstance(target.value, ast.Name) and target.value.id == "self")
+            ):
+                self._record(
+                    target,
+                    "H006",
+                    f"assigns instruction field .{target.attr}; instructions are "
+                    "shared values, so put a rebuilt instruction in the block instead",
+                )
+
+    def visit_Assign(self, node: ast.stmt) -> None:
+        if "H006" in self.rules:
+            self._check_field_targets(
+                node.targets if isinstance(node, ast.Assign) else [node.target]
+            )
+        self.generic_visit(node)
+
+    visit_AugAssign = visit_AnnAssign = visit_Assign
+
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if isinstance(func, ast.Attribute):
@@ -219,6 +263,7 @@ def rules_for(path: str) -> Tuple[str, ...]:
         code
         for code, scopes in sorted(RULE_SCOPES.items())
         if any(scope in normalized for scope in scopes)
+        and not any(skip in normalized for skip in RULE_EXEMPTIONS.get(code, ()))
     )
 
 
@@ -306,6 +351,16 @@ _SELF_TEST_CASES = (
         "src/repro/service/example.py",
         "def solve_reference(problem):\n    return problem\n",
     ),
+    (
+        "H006",
+        "src/repro/ir/passes.py",
+        "def f(term, label):\n    term.target = label\n",
+    ),
+    (
+        "H006",
+        "src/repro/spill/example.py",
+        "def f(block, targets):\n    block.instructions[-1].targets = targets\n",
+    ),
 )
 
 _SELF_TEST_CLEAN = (
@@ -327,6 +382,12 @@ _SELF_TEST_CLEAN = (
     # Private and nested reference helpers are not oracles.
     ("src/repro/service/example.py",
      "def _parse_reference(text):\n    def brute_force_x():\n        pass\n"),
+    # An object setting its own same-named fields, and the instruction
+    # module building instructions.
+    ("src/repro/service/example.py",
+     "class C:\n    def __init__(self, t):\n        self.target = t\n"),
+    ("src/repro/ir/instructions.py",
+     "def f(new, opcode):\n    new.opcode = opcode\n"),
 )
 
 
