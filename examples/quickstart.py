@@ -125,8 +125,8 @@ def main() -> None:
     # of hand-picking generator configs — each family is deterministic by
     # seed and parameterized to the target's register file — then batch
     # compile with the parallel engine.  `workers=` shards the batch over a
-    # process pool at procedure granularity; `workers=1` (or an unpicklable
-    # cost model) runs the same path in-process, with identical results.
+    # process pool at procedure granularity; `workers=1` runs the same path
+    # in-process, with identical results.
     import os
 
     from repro.pipeline.compiler import compile_many

@@ -9,7 +9,6 @@ The package contains:
 * :mod:`repro.analysis.liveness` — live-variable analysis.
 * :mod:`repro.analysis.reaching` — reaching definitions.
 * :mod:`repro.analysis.loops` — natural loops and the loop nesting forest.
-* :mod:`repro.analysis.webs` — du-chain webs.
 * :mod:`repro.analysis.cycle_equiv` — Johnson–Pearson–Pingali cycle
   equivalence (bracket algorithm) plus a brute-force reference.
 * :mod:`repro.analysis.sese` — single-entry/single-exit regions.

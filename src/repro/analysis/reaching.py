@@ -1,9 +1,9 @@
 """Reaching-definitions analysis.
 
 Definitions are identified by ``(block_label, instruction_index, register)``.
-The analysis feeds du-web construction (:mod:`repro.analysis.webs`), which the
-paper reuses — with saves treated as web beginnings and restores as web
-terminations — to group save/restore locations into save/restore sets.
+The paper groups save/restore locations into save/restore sets the way du-webs
+are built (saves begin a web, restores end one); that grouping works on spill
+locations directly and lives in :mod:`repro.spill.sets`.
 """
 
 from __future__ import annotations

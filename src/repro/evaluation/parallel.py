@@ -12,12 +12,11 @@ submission order, so parallel and serial runs aggregate the same
 floating-point sums in the same order and produce bit-identical
 measurements.
 
-Serial fallback: ``workers=1`` (or a single procedure, or a cost model /
-machine that cannot be pickled, e.g. a closure-based custom model) runs the
-same worker body in-process — no executor, no pickling — so the engine is
-safe to leave enabled everywhere.  ``workers=None`` ("auto") resolves to
-the *available* cores and stays serial on a single-core machine, where a
-pool is pure overhead.
+Serial fallback: ``workers=1`` (or a single procedure) runs the same worker
+body in-process — no executor, no pickling — so the engine is safe to leave
+enabled everywhere.  ``workers=None`` ("auto") resolves to the *available*
+cores and stays serial on a single-core machine, where a pool is pure
+overhead.
 
 Teardown: the process pool never outlives its batch.  On any failure — a
 procedure that raises in a worker, a ``KeyboardInterrupt`` in the parent —
@@ -33,7 +32,6 @@ fully warm batch never starts one.
 from __future__ import annotations
 
 import os
-import pickle
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
@@ -79,15 +77,12 @@ def resolve_workers(workers: Optional[int]) -> int:
     return int(workers)
 
 
-def effective_workers(
-    workers: Optional[int], total: int, machine=None, cost_model="jump_edge"
-) -> int:
+def effective_workers(workers: Optional[int], total: int) -> int:
     """The worker count a batch of ``total`` procedures would actually use.
 
-    ``1`` whenever the serial fallback applies (one worker requested, a
-    batch too small to shard, or an unpicklable machine/cost model) — the
-    number honest reporting should quote, as opposed to the *requested*
-    count.  A batch smaller than the requested pool caps the answer at
+    ``1`` whenever the serial fallback applies (one worker requested or a
+    batch too small to shard) — the number honest reporting should quote,
+    as opposed to the *requested* count.  A batch smaller than the requested pool caps the answer at
     ``total``, matching the executor cap in the sharding path.  A compile
     cache can still shrink the batch below ``total`` at run time (a fully
     warm run skips the pool entirely), which this pre-run answer cannot
@@ -95,21 +90,11 @@ def effective_workers(
     """
 
     resolved = resolve_workers(workers)
-    if not _can_shard(resolved, total, machine, cost_model):
+    if not _can_shard(resolved, total):
         return 1
     # The pool is never larger than the chunk plan, and the plan never has
     # more workers' worth of chunks than procedures.
     return min(resolved, total)
-
-
-def _picklable(value: object) -> bool:
-    """Can ``value`` cross a process boundary?"""
-
-    try:
-        pickle.dumps(value)
-    except Exception:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +148,10 @@ def _chunk_plan(total: int, workers: int) -> List[Tuple[int, int]]:
     return [(start, min(start + chunk_size, total)) for start in range(0, total, chunk_size)]
 
 
-def _can_shard(workers: int, total: int, machine, cost_model) -> bool:
+def _can_shard(workers: int, total: int) -> bool:
     """Should this batch cross process boundaries at all?"""
 
-    if workers <= 1 or total <= 1:
-        return False
-    if not _picklable(machine) or not _picklable(cost_model):
-        return False
-    return True
+    return workers > 1 and total > 1
 
 
 def compile_records(
@@ -190,7 +171,7 @@ def compile_records(
 
     workers = resolve_workers(workers)
     options = (tuple(techniques), verify, maximal_regions)
-    if not _can_shard(workers, len(procedures), machine, cost_model):
+    if not _can_shard(workers, len(procedures)):
         return _compile_chunk((procedures, machine, cost_model) + options)
 
     plan = _chunk_plan(len(procedures), workers)

@@ -124,8 +124,8 @@ class SuiteMeasurement:
     #: Elapsed wall-clock of the whole suite run, measured in the parent.
     wall_seconds: float = 0.0
     #: The worker count the run actually used (1 = serial, including every
-    #: serial-fallback case: one requested, unpicklable cost model, batch
-    #: too small).  A fully cache-warm run skips the pool regardless.
+    #: serial-fallback case: one requested or a batch too small).  A fully
+    #: cache-warm run skips the pool regardless.
     workers_used: int = 1
 
     def cpu_seconds_total(self) -> float:
@@ -264,7 +264,7 @@ def run_suite(
     total_procedures = sum(len(benchmark.procedures) for benchmark in suite)
     measurement = SuiteMeasurement(
         cost_model=model_name,
-        workers_used=effective_workers(workers, total_procedures, machine, cost_model),
+        workers_used=effective_workers(workers, total_procedures),
     )
     # One batch for the whole suite (one shared pool — small benchmarks
     # ride along with large ones), split back by benchmark afterwards.

@@ -26,9 +26,7 @@ function+profile fingerprint with an *options token*
 (:func:`compile_options_token`) covering the target identity, the cost-model
 identity, the technique list and the pipeline options (``verify``,
 ``maximal_regions``).  Cost models announce their identity through
-``CostModel.cache_identity()``; custom models without a stable identity
-return ``None``, which makes the options token ``None`` and bypasses caching
-entirely — an unknown cost model must never alias a known one.
+``CostModel.cache_identity()``.
 
 This module deliberately avoids importing the profiling/target/spill layers
 (it duck-types their objects) so it sits at the bottom of the layer stack
@@ -38,7 +36,7 @@ next to the printer it is defined by.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.ir.printer import print_function, print_module
 
@@ -134,21 +132,17 @@ def machine_identity(machine) -> str:
     return _digest(_tag("machine"), "\n".join(parts))
 
 
-def cost_model_identity(cost_model) -> Optional[str]:
-    """Stable identity of a cost model, or ``None`` when it has none.
+def cost_model_identity(cost_model) -> str:
+    """Stable identity of a cost model.
 
     Strings (registered model names) are their own identity; model
     *instances* are asked via ``cache_identity()`` (see
-    :class:`repro.spill.cost_models.CostModel`).  ``None`` means the model
-    cannot be keyed and the caller must bypass the cache.
+    :class:`repro.spill.cost_models.CostModel`).
     """
 
     if isinstance(cost_model, str):
         return f"name:{cost_model}"
-    identity = getattr(cost_model, "cache_identity", None)
-    if callable(identity):
-        return identity()
-    return None
+    return cost_model.cache_identity()
 
 
 def compile_options_token(
@@ -157,20 +151,13 @@ def compile_options_token(
     techniques: Sequence[str],
     verify: bool,
     maximal_regions: bool,
-) -> Optional[str]:
-    """One digest covering everything about a compile *except* the procedure.
+) -> str:
+    """One digest covering everything about a compile *except* the procedure."""
 
-    Returns ``None`` when the cost model has no stable identity — the
-    signal for callers to skip caching for the whole batch.
-    """
-
-    model = cost_model_identity(cost_model)
-    if model is None:
-        return None
     return _digest(
         _tag("options"),
         machine_identity(machine),
-        model,
+        cost_model_identity(cost_model),
         "techniques:" + ",".join(techniques),
         f"verify={bool(verify)}",
         f"maximal_regions={bool(maximal_regions)}",

@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.values import Immediate, Label, Operand, Register, StackSlot
 
@@ -459,11 +459,3 @@ def callee_restore(dst: Register, slot: StackSlot) -> Instruction:
     """Build a callee-saved *restore* (load) instruction."""
 
     return load(dst, slot, purpose="callee_restore")
-
-
-def iter_instruction_registers(instructions: Iterable[Instruction]) -> Iterable[Register]:
-    """Yield every register mentioned by ``instructions`` (with duplicates)."""
-
-    for inst in instructions:
-        for reg in inst.registers():
-            yield reg

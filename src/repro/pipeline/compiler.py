@@ -311,8 +311,7 @@ def compile_many(
     answers already-compiled procedures *before* the batch is sharded, so
     only misses are compiled; their records are written back afterwards.
     The pipeline is deterministic, so a cached record equals a fresh one;
-    its ``pass_seconds`` are those of the original (cold) compile.  Custom
-    cost models without a stable ``cache_identity()`` bypass the cache.
+    its ``pass_seconds`` are those of the original (cold) compile.
     ``miss_keys`` (one cache key per procedure) says the caller has already
     computed the keys and looked every one of them up in ``cache`` without
     a hit: nothing is fingerprinted or looked up again, every procedure
@@ -320,8 +319,8 @@ def compile_many(
 
     ``workers`` shards the misses over a process pool at procedure
     granularity (``None`` = every available core); records come back in
-    input order regardless of worker scheduling.  ``workers=1``, a single
-    miss, or a non-picklable cost model / machine compile in-process.
+    input order regardless of worker scheduling.  ``workers=1`` or a single
+    miss compiles in-process.
 
     ``lint="strict"`` gates the whole batch before any compile starts:
     every procedure is linted, and a single :class:`repro.lint.LintError`
@@ -344,20 +343,18 @@ def compile_many(
         _lint_gate(procedures, machine, lint)
 
     store = resolve_cache(cache)
-    token = None
-    if store is not None:
-        token = compile_options_token(
-            machine, cost_model, techniques, verify, maximal_regions
-        )
     keys: List[Optional[str]] = [None] * len(procedures)
     records: List[Optional[CompileRecord]] = [None] * len(procedures)
-    if token is not None and miss_keys is not None:
+    if store is not None and miss_keys is not None:
         if len(miss_keys) != len(procedures):
             raise ValueError(
                 f"miss_keys has {len(miss_keys)} keys for {len(procedures)} procedures"
             )
         keys = list(miss_keys)
-    elif token is not None:
+    elif store is not None:
+        token = compile_options_token(
+            machine, cost_model, techniques, verify, maximal_regions
+        )
         for index, procedure in enumerate(procedures):
             keys[index] = procedure_cache_key(
                 *procedure_parts(procedure), token, kind="compile"
@@ -380,6 +377,6 @@ def compile_many(
     )
     for index, record in zip(misses, fresh):
         records[index] = record
-        if keys[index] is not None:
+        if store is not None:
             store.put(keys[index], record)
     return records

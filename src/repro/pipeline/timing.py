@@ -3,10 +3,11 @@
 Two distinct quantities flow through the evaluation and must never be
 conflated:
 
-* A :class:`Stopwatch` measures durations *in the process doing the work*.
-  When per-procedure stopwatches are summed across a worker pool the result
-  is **CPU time** — concurrent work adds up, so under ``workers=N`` the sum
-  can exceed elapsed time by up to a factor of N.
+* A :class:`Stopwatch` measures the **CPU time** of the thread doing the
+  work (``time.thread_time``), so time the thread spends preempted by
+  another process or asleep is not counted.  Summed across a worker pool,
+  concurrent work adds up, so under ``workers=N`` the sum can exceed
+  elapsed time by up to a factor of N.
 * **Wall-clock elapsed** time is measured once, in the parent, around the
   whole run.
 
@@ -34,19 +35,19 @@ def describe_timing(cpu_seconds: float, wall_seconds: float, workers: int = 1) -
 
 @dataclass
 class Stopwatch:
-    """Accumulates named durations, as seen by the measuring process."""
+    """Accumulates named durations of the measuring thread's CPU time."""
 
     durations: Dict[str, float] = field(default_factory=dict)
 
     @contextmanager
     def measure(self, name: str) -> Iterator[None]:
-        """Context manager adding the elapsed time to ``name``."""
+        """Context manager adding the thread CPU time spent inside to ``name``."""
 
-        start = time.perf_counter()
+        start = time.thread_time()
         try:
             yield
         finally:
-            elapsed = time.perf_counter() - start
+            elapsed = time.thread_time() - start
             self.durations[name] = self.durations.get(name, 0.0) + elapsed
 
     def get(self, name: str) -> float:

@@ -645,8 +645,6 @@ def resolve_compile_request(request: CompileRequest) -> ResolvedCompile:
     token = compile_options_token(
         machine, cost_model, request.techniques, True, True
     )
-    # Named cost models always have an identity, so the token never misses.
-    assert token is not None
     return ResolvedCompile(
         request=request,
         function=function,

@@ -17,8 +17,7 @@ The paper defines two cost models:
 
 from __future__ import annotations
 
-import abc
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from repro.ir.cfg import EdgeKind, FunctionCFG
 from repro.ir.function import ENTRY_SENTINEL, EXIT_SENTINEL, Function
@@ -87,16 +86,31 @@ def _boundary_locations(
     )
 
 
-class CostModel(abc.ABC):
-    """Common interface of the two cost models.
+class CostModel:
+    """The paper's cost models, priced by one code path.
 
     When constructed with a :class:`~repro.target.machine.MachineDescription`
     the per-location costs are weighted by the target's save/restore/jump
     instruction costs; without one, every instruction costs one unit (the
     paper's instruction-count accounting).
+
+    The two models differ only in :attr:`charges_jumps`.  They are the only
+    models: a subclass defined outside this module is rejected, because its
+    :meth:`cache_identity` could not see whatever state it adds and the
+    compile cache would alias it with a stock model.
     """
 
     name: str = "abstract"
+    #: Does a location that needs a jump block also pay the jump instruction?
+    charges_jumps: bool = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.__module__ != __name__:
+            raise TypeError(
+                f"{cls.__module__}.{cls.__qualname__}: the cost models are closed; "
+                "use ExecutionCountCostModel or JumpEdgeCostModel"
+            )
 
     def __init__(self, machine: Optional[MachineDescription] = None):
         self.machine = machine
@@ -107,24 +121,10 @@ class CostModel(abc.ABC):
 
         return self._save_weight if location.is_save() else self._restore_weight
 
-    def cache_identity(self) -> Optional[str]:
-        """Stable identity for compile-cache keys, or ``None`` for "unknown".
-
-        The default is ``None``: a custom subclass may close over arbitrary
-        state the cache cannot see, so it must *bypass* caching rather than
-        risk aliasing a different model.  Subclasses whose behaviour is fully
-        determined by their class and cost weights should return
-        :meth:`_weighted_identity`.
-        """
-
-        return None
-
-    def _weighted_identity(self) -> str:
+    def cache_identity(self) -> str:
         """``class|name|save|restore|jump`` with bit-exact (hex) weights.
 
-        The concrete class is part of the identity: a subclass that tweaks
-        ``location_cost`` but inherits ``cache_identity`` must never alias
-        its parent's cache entries, even with identical name and weights.
+        The stable identity compile-cache keys are built from.
         """
 
         cls = type(self)
@@ -138,20 +138,29 @@ class CostModel(abc.ABC):
             )
         )
 
-    @abc.abstractmethod
     def location_cost(
         self,
         function: Function,
         profile: EdgeProfile,
         location: SpillLocation,
         jump_sharing: Optional[Mapping[EdgeKey, int]] = None,
+        cfg: Optional[FunctionCFG] = None,
     ) -> float:
         """Dynamic cost of one save/restore location.
 
         ``jump_sharing`` maps edges to the number of callee-saved registers
         sharing a jump block there; it only applies to locations of *initial*
-        save/restore sets.
+        save/restore sets.  Pass ``cfg`` to skip re-fetching the snapshot.
         """
+
+        count = profile.edge_count(location.edge)
+        cost = count * self.location_weight(location)
+        if not self.charges_jumps or not requires_jump_block(function, location.edge, cfg=cfg):
+            return cost
+        sharing = 1
+        if jump_sharing is not None:
+            sharing = max(1, jump_sharing.get(location.edge, 1))
+        return cost + count * self._jump_weight / sharing
 
     def set_cost(
         self,
@@ -163,14 +172,16 @@ class CostModel(abc.ABC):
     ) -> float:
         """Total cost of a save/restore set.
 
-        A model that consults the CFG may use ``cfg`` instead of re-fetching
-        the snapshot.
+        Summed in the set's canonical location order, so the float result
+        does not depend on how string hashes order the frozenset.
         """
 
+        if cfg is None:
+            cfg = function.cfg()
         sharing = jump_sharing if srset.initial else None
         return sum(
-            self.location_cost(function, profile, location, sharing)
-            for location in srset.locations
+            self.location_cost(function, profile, location, sharing, cfg)
+            for location in srset.ordered_locations()
         )
 
     def boundary_cost(
@@ -183,14 +194,14 @@ class CostModel(abc.ABC):
     ) -> float:
         """Cost of saving at ``entry_edge`` and restoring at ``exit_edge``.
 
-        New sets always pay the full jump cost, hence no sharing map.  A
-        model that consults the CFG may use ``cfg`` instead of re-fetching
-        the snapshot.
+        New sets always pay the full jump cost, hence no sharing map.
         """
 
+        if cfg is None:
+            cfg = function.cfg()
         save, restore = _boundary_locations(entry_edge, exit_edge)
-        return self.location_cost(function, profile, save) + self.location_cost(
-            function, profile, restore
+        return self.location_cost(function, profile, save, None, cfg) + self.location_cost(
+            function, profile, restore, None, cfg
         )
 
 
@@ -199,92 +210,12 @@ class ExecutionCountCostModel(CostModel):
 
     name = "execution_count"
 
-    def cache_identity(self) -> Optional[str]:
-        return self._weighted_identity()
-
-    def location_cost(
-        self,
-        function: Function,
-        profile: EdgeProfile,
-        location: SpillLocation,
-        jump_sharing: Optional[Mapping[EdgeKey, int]] = None,
-    ) -> float:
-        return profile.edge_count(location.edge) * self.location_weight(location)
-
 
 class JumpEdgeCostModel(CostModel):
     """Execution-count cost plus the cost of jump instructions in jump blocks."""
 
     name = "jump_edge"
-
-    def cache_identity(self) -> Optional[str]:
-        return self._weighted_identity()
-
-    def location_cost(
-        self,
-        function: Function,
-        profile: EdgeProfile,
-        location: SpillLocation,
-        jump_sharing: Optional[Mapping[EdgeKey, int]] = None,
-    ) -> float:
-        return self._location_cost(function, profile, location, jump_sharing, None)
-
-    def _location_cost(
-        self,
-        function: Function,
-        profile: EdgeProfile,
-        location: SpillLocation,
-        jump_sharing: Optional[Mapping[EdgeKey, int]],
-        cfg: Optional[FunctionCFG],
-    ) -> float:
-        count = profile.edge_count(location.edge)
-        cost = count * self.location_weight(location)
-        if not requires_jump_block(function, location.edge, cfg=cfg):
-            return cost
-        sharing = 1
-        if jump_sharing is not None:
-            sharing = max(1, jump_sharing.get(location.edge, 1))
-        return cost + count * self._jump_weight / sharing
-
-    # ``set_cost`` and ``boundary_cost`` fetch the CFG snapshot once instead
-    # of once per location inside ``requires_jump_block``.  Only safe for this
-    # exact class: a subclass overriding ``location_cost`` must still be
-    # consulted per location, so it takes the generic path.
-
-    def set_cost(
-        self,
-        function: Function,
-        profile: EdgeProfile,
-        srset: SaveRestoreSet,
-        jump_sharing: Optional[Mapping[EdgeKey, int]] = None,
-        cfg: Optional[FunctionCFG] = None,
-    ) -> float:
-        if type(self) is not JumpEdgeCostModel:
-            return super().set_cost(function, profile, srset, jump_sharing, cfg=cfg)
-        if cfg is None:
-            cfg = function.cfg()
-        sharing = jump_sharing if srset.initial else None
-        return sum(
-            self._location_cost(function, profile, location, sharing, cfg)
-            for location in srset.locations
-        )
-
-    def boundary_cost(
-        self,
-        function: Function,
-        profile: EdgeProfile,
-        entry_edge: EdgeKey,
-        exit_edge: EdgeKey,
-        cfg: Optional[FunctionCFG] = None,
-    ) -> float:
-        if type(self) is not JumpEdgeCostModel:
-            return super().boundary_cost(function, profile, entry_edge, exit_edge, cfg=cfg)
-        if cfg is None:
-            cfg = function.cfg()
-        save, restore = _boundary_locations(entry_edge, exit_edge)
-        return self._location_cost(function, profile, save, None, cfg) + self._location_cost(
-            function, profile, restore, None, cfg
-        )
+    charges_jumps = True
 
 
 def make_cost_model(

@@ -23,7 +23,7 @@ jump edges and is the model evaluated in the paper's experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple, Union
 
 from repro.analysis.pst import ProgramStructureTree, Region
 from repro.analysis.session import CompilationSession, session_for
@@ -31,13 +31,7 @@ from repro.ir.cfg import FunctionCFG
 from repro.ir.function import Function
 from repro.ir.values import PhysicalRegister
 from repro.profiling.profile_data import EdgeProfile
-from repro.spill.cost_models import (
-    CostModel,
-    ExecutionCountCostModel,
-    JumpEdgeCostModel,
-    make_cost_model,
-    requires_jump_block,
-)
+from repro.spill.cost_models import CostModel, make_cost_model, requires_jump_block
 from repro.spill.model import (
     CalleeSavedUsage,
     EdgeKey,
@@ -106,28 +100,19 @@ def compute_jump_sharing(
     return sharing
 
 
-def _set_endpoint_labels(srset: SaveRestoreSet, cache: Dict[int, Tuple]) -> set:
-    """Endpoint labels of a set's locations, memoized per set object.
+class _Entry(NamedTuple):
+    """One set in a register's working list, priced once when it enters."""
 
-    Keyed by ``id`` with the set object kept alive in the cache entry, so a
-    recycled id can never alias a dead set.
-    """
-
-    entry = cache.get(id(srset))
-    if entry is None:
-        labels = set()
-        for location in srset.locations:
-            labels.add(location.edge[0])
-            labels.add(location.edge[1])
-        entry = (srset, labels)
-        cache[id(srset)] = entry
-    return entry[1]
+    srset: SaveRestoreSet
+    cost: float
+    #: The block labels at both ends of the set's location edges.
+    labels: FrozenSet[str]
 
 
-def _contained_sets(
-    region: Region, sets: List[SaveRestoreSet], endpoint_cache: Dict[int, Tuple]
-) -> List[SaveRestoreSet]:
-    """The save/restore sets fully contained in ``region``.
+def _partition(
+    region: Region, entries: List[_Entry]
+) -> Tuple[List[_Entry], List[_Entry]]:
+    """Split ``entries`` into the sets fully contained in ``region`` and the rest.
 
     The PST root contains every set, including sets with locations already at
     the procedure entry/exit (the final comparison of the algorithm considers
@@ -135,9 +120,13 @@ def _contained_sets(
     """
 
     if region.is_root:
-        return list(sets)
+        return list(entries), []
     blocks = region.blocks
-    return [s for s in sets if _set_endpoint_labels(s, endpoint_cache) <= blocks]
+    contained: List[_Entry] = []
+    remaining: List[_Entry] = []
+    for entry in entries:
+        (contained if entry.labels <= blocks else remaining).append(entry)
+    return contained, remaining
 
 
 def place_hierarchical(
@@ -195,26 +184,16 @@ def place_hierarchical(
     )
     jump_sharing = compute_jump_sharing(function, initial, cfg=cfg)
 
-    # Per-object memos for the traversal: a set's endpoint labels (containment
-    # tests against every region) and its cost under the fixed sharing map.
-    # Memoized costs are only safe for the built-in (stateless, deterministic)
-    # models; a user-supplied subclass is called afresh each time.
-    endpoint_cache: Dict[int, Tuple] = {}
-    memoize_costs = type(cost_model) in (ExecutionCountCostModel, JumpEdgeCostModel)
-    cost_cache: Dict[int, Tuple] = {}
+    def initial_entry(srset: SaveRestoreSet) -> _Entry:
+        cost = cost_model.set_cost(function, profile, srset, jump_sharing, cfg=cfg)
+        labels = frozenset(label for location in srset.locations for label in location.edge)
+        return _Entry(srset, cost, labels)
 
-    def contained_set_cost(srset: SaveRestoreSet) -> float:
-        if not memoize_costs:
-            return cost_model.set_cost(function, profile, srset, jump_sharing, cfg=cfg)
-        entry = cost_cache.get(id(srset))
-        if entry is None:
-            entry = (srset, cost_model.set_cost(function, profile, srset, jump_sharing, cfg=cfg))
-            cost_cache[id(srset)] = entry
-        return entry[1]
-
-    current: Dict[PhysicalRegister, List[SaveRestoreSet]] = {
-        register: list(initial.sets_for(register)) for register in initial.registers()
+    current: Dict[PhysicalRegister, List[_Entry]] = {
+        register: [initial_entry(srset) for srset in initial.sets_for(register)]
+        for register in initial.registers()
     }
+    registers = usage.used_registers()
     decisions: List[RegionDecision] = []
 
     # Steps 4-6: topological traversal of the PST.
@@ -222,14 +201,15 @@ def place_hierarchical(
         boundary_cost = cost_model.boundary_cost(
             function, profile, region.entry_edge, region.exit_edge, cfg=cfg
         )
-        for register in usage.used_registers():
-            sets = current.get(register, [])
-            if not sets:
+        hoisted_labels = frozenset(region.entry_edge + region.exit_edge)
+        for register in registers:
+            entries = current.get(register)
+            if not entries:
                 continue
-            contained = _contained_sets(region, sets, endpoint_cache)
+            contained, remaining = _partition(region, entries)
             if not contained:
                 continue
-            contained_cost = sum(contained_set_cost(srset) for srset in contained)
+            contained_cost = sum(entry.cost for entry in contained)
             replaced = boundary_cost <= contained_cost
             decisions.append(
                 RegionDecision(
@@ -243,10 +223,8 @@ def place_hierarchical(
             )
             if not replaced:
                 continue
-            # Remove the contained sets and substitute a new set whose save
-            # and restore sit at the region boundaries.
-            contained_ids = {id(s) for s in contained}
-            remaining = [s for s in sets if id(s) not in contained_ids]
+            # Substitute one new set whose save and restore sit at the region
+            # boundaries; its cost is the boundary cost just compared.
             new_set = SaveRestoreSet.from_locations(
                 register,
                 [
@@ -255,7 +233,7 @@ def place_hierarchical(
                 ],
                 initial=False,
             )
-            current[register] = remaining + [new_set]
+            current[register] = remaining + [_Entry(new_set, boundary_cost, hoisted_labels)]
 
     # Soundness net: the PST traversal is correct whenever the SESE regions
     # really are single-entry/single-exit, which the cycle-equivalence
@@ -266,7 +244,8 @@ def place_hierarchical(
     # the entry/exit pair).
     placement = SpillPlacement(function.name, f"hierarchical[{cost_model.name}]")
     placement.fallback_registers = list(initial.fallback_registers)
-    for register, sets in current.items():
+    for register, entries in current.items():
+        sets = [entry.srset for entry in entries]
         if register_errors(session, register, usage.blocks_for(register), sets):
             sets = initial.sets_for(register)
             if register not in placement.fallback_registers:

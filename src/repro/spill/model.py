@@ -76,6 +76,10 @@ class SpillLocation:
         return f"{self.kind.value}({self.register}) on {self.edge[0]}->{self.edge[1]}"
 
 
+def _location_order(location: SpillLocation) -> Tuple[str, EdgeKey]:
+    return (location.kind.value, location.edge)
+
+
 @dataclass(frozen=True)
 class SaveRestoreSet:
     """A group of save/restore locations that are valid only together.
@@ -113,6 +117,16 @@ class SaveRestoreSet:
     def restores(self) -> List[SpillLocation]:
         return sorted((l for l in self.locations if l.is_restore()), key=lambda l: l.edge)
 
+    def ordered_locations(self) -> List[SpillLocation]:
+        """The locations in canonical ``(kind, edge)`` order.
+
+        Iterating the frozenset follows string hashes, which vary by
+        process; anything whose result depends on order (a float sum, a
+        printed listing) iterates this list instead.
+        """
+
+        return sorted(self.locations, key=_location_order)
+
     def edges(self) -> Set[EdgeKey]:
         return {l.edge for l in self.locations}
 
@@ -128,7 +142,7 @@ class SaveRestoreSet:
         return len(self.locations)
 
     def __str__(self) -> str:
-        parts = ", ".join(str(l) for l in sorted(self.locations, key=lambda l: (l.kind.value, l.edge)))
+        parts = ", ".join(str(l) for l in self.ordered_locations())
         return f"{{{parts}}}"
 
 
@@ -207,7 +221,7 @@ class SpillPlacement:
     def locations(self) -> Iterator[SpillLocation]:
         for register in self.registers():
             for srset in self.sets[register]:
-                yield from sorted(srset.locations, key=lambda l: (l.kind.value, l.edge))
+                yield from srset.ordered_locations()
 
     def locations_for(self, register: PhysicalRegister) -> List[SpillLocation]:
         result: List[SpillLocation] = []

@@ -1,4 +1,4 @@
-"""Tests for the data-flow framework, liveness, reaching definitions, loops and webs."""
+"""Tests for the data-flow framework, liveness, reaching definitions and loops."""
 
 from hypothesis import given
 
@@ -6,7 +6,6 @@ from repro.analysis.dataflow import DataflowProblem, Direction, Meet, solve_data
 from repro.analysis.liveness import compute_liveness, live_at_each_instruction
 from repro.analysis.loops import compute_loop_forest
 from repro.analysis.reaching import compute_reaching_definitions
-from repro.analysis.webs import compute_webs
 from repro.ir.builder import FunctionBuilder
 from repro.ir.values import VirtualRegister, vreg
 from repro.workloads.programs import diamond_function, loop_function, paper_example
@@ -119,7 +118,7 @@ class TestLiveness:
         assert liveness.live_in[function.entry.label] <= set(function.params)
 
 
-class TestReachingAndWebs:
+class TestReaching:
     def test_shadowed_definition_does_not_reach_exit(self):
         function, a, _b = _straightline_two_defs()
         reaching = compute_reaching_definitions(function)
@@ -146,39 +145,6 @@ class TestReachingAndWebs:
         reaching = compute_reaching_definitions(function)
         defs_reaching_join = {d for d in reaching.reach_in["join"] if d[2] == x}
         assert len(defs_reaching_join) == 2
-
-        webs = compute_webs(function)
-        x_webs = [w for w in webs if w.register == x]
-        # Both definitions reach a common use, so they form a single web.
-        assert len(x_webs) == 1
-        assert len(x_webs[0].definitions) == 2
-
-    def test_disjoint_uses_form_separate_webs(self):
-        builder = FunctionBuilder("two_webs")
-        x = builder.new_vreg()
-        builder.block("entry")
-        builder.const(1, x)
-        builder.add(x, 1)
-        builder.const(2, x)   # starts a new web
-        builder.add(x, 2)
-        builder.block("exit")
-        builder.ret()
-        webs = [w for w in compute_webs(builder.build()) if w.register == x]
-        assert len(webs) == 2
-
-    @given(generated_procedures(max_segments=4))
-    def test_webs_partition_definitions(self, procedure):
-        function = procedure.function
-        reaching = compute_reaching_definitions(function)
-        webs = compute_webs(function)
-        all_defs = set()
-        for defs in reaching.definitions.values():
-            all_defs |= defs
-        covered = set()
-        for web in webs:
-            assert not (covered & web.definitions)
-            covered |= web.definitions
-        assert covered == all_defs
 
 
 class TestLoops:

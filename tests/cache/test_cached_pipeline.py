@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.store import CompileCache
 from repro.evaluation.runner import run_suite
 from repro.pipeline.compiler import TECHNIQUES, compile_many, compile_procedure
-from repro.spill.cost_models import JumpEdgeCostModel
 from repro.target.registry import available_targets
 from repro.workloads.spec_like import build_suite
 
@@ -235,21 +234,6 @@ class TestCacheAndWorkersCompose:
 
 
 class TestCacheBypass:
-    def test_identity_less_cost_model_bypasses_cache(self, tmp_path):
-        class Anonymous(JumpEdgeCostModel):
-            """Behaviourally jump-edge, but declines a cache identity."""
-
-            name = "anonymous"
-
-            def cache_identity(self):
-                return None
-
-        cache = CompileCache(tmp_path)
-        procedure = build_suite(names=["mcf"], scale=SCALE)[0].procedures[0]
-        compile_many([procedure], cost_model=Anonymous(), cache=cache)
-        compile_many([procedure], cost_model=Anonymous(), cache=cache)
-        assert cache.stats.lookups == 0 and cache.stats.stores == 0
-
     def test_no_cache_is_the_default(self, tmp_path):
         procedure = build_suite(names=["mcf"], scale=SCALE)[0].procedures[0]
         (record,) = compile_many([procedure])

@@ -3,7 +3,7 @@
 The central guarantee: sharding over workers changes *nothing* about the
 measurements.  Aggregation runs in generation order on both paths, so every
 float — overheads, counts — must be bit-identical between ``workers=1`` and
-``workers=N`` (only ``pass_seconds`` differ, being wall-clock readings).
+``workers=N`` (only ``pass_seconds`` differ, being timing readings).
 """
 
 import pytest
@@ -11,7 +11,6 @@ import pytest
 from repro.evaluation.parallel import _chunk_plan, effective_workers, resolve_workers
 from repro.evaluation.runner import run_benchmark, run_suite
 from repro.pipeline.compiler import CompileRecord, compile_many, compile_procedure
-from repro.spill.cost_models import JumpEdgeCostModel
 from repro.workloads.spec_like import build_suite
 
 #: A tiny but non-degenerate slice of the suite: gzip has cold procedures,
@@ -115,16 +114,6 @@ class TestEffectiveWorkers:
         assert effective_workers(1, total=100) == 1
         assert effective_workers(8, total=1) == 1  # batch too small to shard
 
-    def test_unpicklable_cost_model_reports_one(self):
-        class ClosureModel(JumpEdgeCostModel):
-            name = "closure"
-
-            def __init__(self, machine=None):
-                super().__init__(machine)
-                self.tweak = lambda cost: cost
-
-        assert effective_workers(8, total=100, cost_model=ClosureModel()) == 1
-
     def test_shardable_batch_reports_the_pool_size(self):
         assert effective_workers(4, total=100) == 4
 
@@ -134,17 +123,17 @@ class TestEffectiveWorkers:
 
         assert effective_workers(8, total=3) == 3
 
-    def test_run_suite_records_actual_not_requested_workers(self):
-        class ClosureModel(JumpEdgeCostModel):
-            name = "closure"
+    def test_run_suite_records_actual_not_requested_workers(self, monkeypatch):
+        import repro.evaluation.parallel as parallel_mod
 
-            def __init__(self, machine=None):
-                super().__init__(machine)
-                self.tweak = lambda cost: cost
+        def boom(*args, **kwargs):  # pragma: no cover - must not be reached
+            raise AssertionError("a one-procedure suite must run serially")
 
-        measurement = run_suite(
-            names=["mcf"], scale=SCALE, cost_model=ClosureModel(), workers=8
-        )
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", boom)
+        # mcf at this scale is one procedure: eight workers are requested,
+        # the batch is too small to shard, and one is what ran.
+        measurement = run_suite(names=["mcf"], scale=SCALE, workers=8)
+        assert measurement.benchmarks[0].num_procedures == 1
         assert measurement.workers_used == 1
 
 
@@ -203,25 +192,6 @@ class TestSerialFallback:
         benchmark = build_suite(names=["mcf"], scale=SCALE)[0]
         measurement = run_benchmark(benchmark, workers=1)
         assert measurement.num_procedures == len(benchmark.procedures)
-
-    def test_non_picklable_cost_model_falls_back(self, monkeypatch):
-        import repro.evaluation.parallel as parallel_mod
-
-        class ClosureModel(JumpEdgeCostModel):
-            """A custom model carrying an unpicklable closure."""
-
-            name = "closure"
-
-            def __init__(self, machine=None):
-                super().__init__(machine)
-                self.tweak = lambda cost: cost  # lambdas do not pickle
-
-        def boom(*args, **kwargs):  # pragma: no cover - must not be reached
-            raise AssertionError("non-picklable cost model must run serially")
-
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", boom)
-        measurement = run_suite(names=["mcf"], scale=SCALE, cost_model=ClosureModel(), workers=4)
-        assert measurement.benchmarks[0].num_procedures >= 1
 
     def test_single_procedure_stays_serial(self, monkeypatch):
         import repro.evaluation.parallel as parallel_mod

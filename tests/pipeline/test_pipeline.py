@@ -1,5 +1,7 @@
 """Tests for the pass manager, timing helpers and the compile pipeline."""
 
+import time
+
 import pytest
 
 from repro.ir.module import Module
@@ -31,6 +33,14 @@ class TestStopwatch:
             pass
         first.merge(second)
         assert first.get("x") >= second.get("x")
+
+    def test_sleep_inside_measure_is_not_counted(self):
+        # Pass time is the measuring thread's CPU time: a thread that is
+        # asleep (or preempted by another process) accrues none.
+        watch = Stopwatch()
+        with watch.measure("idle"):
+            time.sleep(0.05)
+        assert watch.get("idle") < 0.025
 
 
 class TestPassManager:

@@ -86,6 +86,26 @@ class TestRules:
         reads = "def f(term, block):\n    x = term.target\n    block.label = x.name\n"
         assert check_hotpath.check_source(reads, "src/repro/ir/passes.py") == []
 
+    def test_h007_catches_exact_class_dispatch(self):
+        source = (
+            "def f(self, model):\n"
+            "    if type(self) is not Model:\n"
+            "        return type(model) in (A, B)\n"
+            "    return Model == type(model)\n"
+        )
+        for path in ("src/repro/spill/x.py", "src/repro/service/x.py"):
+            found = check_hotpath.check_source(source, path)
+            assert [(v.code, v.line) for v in found] == [
+                ("H007", 2), ("H007", 3), ("H007", 4)
+            ]
+        # isinstance, a class attribute and a type() read are not dispatch.
+        clean = (
+            "def f(model):\n"
+            "    name = type(model).__name__\n"
+            "    return isinstance(model, Model) and model.charges_jumps\n"
+        )
+        assert check_hotpath.check_source(clean, "src/repro/spill/x.py") == []
+
     def test_out_of_scope_paths_are_ignored(self):
         source = "def f(fn, l):\n    return fn.block_out_edges(l)\n"
         assert check_hotpath.check_source(source, "src/repro/evaluation/x.py") == []

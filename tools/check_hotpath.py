@@ -5,7 +5,7 @@ The placement and allocation hot paths went through several optimization PRs
 (bitset liveness, one validated CFG snapshot per compile, mask-based
 anticipation/availability).  Those wins regress silently when new code calls
 the convenient-but-slow per-query APIs, so this tool walks the AST of the
-source tree and enforces six rules:
+source tree and enforces seven rules:
 
 ``H001``
     ``.block_out_edges(...)`` inside ``repro/spill`` or ``repro/regalloc``.
@@ -50,6 +50,13 @@ source tree and enforces six rules:
     a new instruction in the block's list (``replace_registers``,
     ``retarget``) instead of editing the shared one.
 
+``H007``
+    Exact-class dispatch — ``type(x)`` compared with ``is``, ``is not``,
+    ``in``, ``not in``, ``==`` or ``!=`` — anywhere under ``repro/``.  A fork
+    on the concrete class sends a subclass down a different path from its
+    parent without saying so; a behaviour difference belongs in a class
+    attribute or a method the classes define.
+
 A finding can be suppressed for one line with a trailing ``# hotpath: ok``
 comment — the suppression is the audit trail for sanctioned exceptions.
 
@@ -87,6 +94,9 @@ H004_ANALYSES = (
 #: Instruction fields no code outside the instruction module assigns (rule H006).
 H006_FIELDS = ("opcode", "defs", "uses", "target", "targets", "purpose", "uid")
 
+#: Comparison operators that make ``type(x)`` an exact-class dispatch (rule H007).
+H007_OPERATORS = (ast.Is, ast.IsNot, ast.In, ast.NotIn, ast.Eq, ast.NotEq)
+
 #: Dotted names whose direct call blocks the event loop (rule H003).
 H003_BLOCKING_CALLS = (
     "time.sleep",
@@ -109,6 +119,7 @@ RULE_SCOPES = {
     "H004": ("repro/spill/", "repro/pipeline/"),
     "H005": ("repro/",),
     "H006": ("repro/",),
+    "H007": ("repro/",),
 }
 
 #: Path fragments a rule skips inside its scope.
@@ -129,6 +140,18 @@ class Violation(NamedTuple):
         """The ``path:line: CODE message`` form the CI log prints."""
 
         return f"{self.path}:{self.line}: {self.code} {self.message}"
+
+
+def _is_type_call(node: ast.AST) -> bool:
+    """Is ``node`` the one-argument builtin call ``type(x)``?"""
+
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "type"
+        and len(node.args) == 1
+        and not node.keywords
+    )
 
 
 def _dotted_name(node: ast.AST) -> Optional[str]:
@@ -216,6 +239,21 @@ class _HotPathVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     visit_AugAssign = visit_AnnAssign = visit_Assign
+
+    def visit_Compare(self, node: ast.Compare) -> None:
+        if "H007" in self.rules:
+            operands = [node.left] + node.comparators
+            for index, op in enumerate(node.ops):
+                pair = operands[index : index + 2]
+                if isinstance(op, H007_OPERATORS) and any(map(_is_type_call, pair)):
+                    self._record(
+                        node,
+                        "H007",
+                        "exact-class dispatch on type(...); put the behaviour "
+                        "difference in a class attribute or method instead",
+                    )
+                    break
+        self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
@@ -361,6 +399,16 @@ _SELF_TEST_CASES = (
         "src/repro/spill/example.py",
         "def f(block, targets):\n    block.instructions[-1].targets = targets\n",
     ),
+    (
+        "H007",
+        "src/repro/spill/example.py",
+        "def f(self):\n    if type(self) is not Model:\n        return 1\n",
+    ),
+    (
+        "H007",
+        "src/repro/pipeline/example.py",
+        "def f(model):\n    return type(model) in (A, B)\n",
+    ),
 )
 
 _SELF_TEST_CLEAN = (
@@ -388,6 +436,9 @@ _SELF_TEST_CLEAN = (
      "class C:\n    def __init__(self, t):\n        self.target = t\n"),
     ("src/repro/ir/instructions.py",
      "def f(new, opcode):\n    new.opcode = opcode\n"),
+    # isinstance and a class attribute are not exact-class dispatch.
+    ("src/repro/spill/example.py",
+     "def f(model):\n    return isinstance(model, Model) and model.charges_jumps\n"),
 )
 
 
