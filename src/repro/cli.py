@@ -35,18 +35,16 @@ Subcommands::
     repro-spill cache     {stats,clear} --cache-dir DIR [--json]
                                                  # inspect / empty a compile cache
     repro-spill serve     [--host H] [--port P] [--workers N] [--cache-dir DIR]
-                          [--max-queue N] [--batch-max N] [--peer HOST:PORT]
+                          [--max-queue N] [--batch-max N]
                           [--health-interval S] [--no-policy]
                                                  # run the compile server (JSON lines
-                                                 # over TCP; graceful drain on SIGTERM;
-                                                 # --peer joins a fleet's cache tier
-                                                 # at the fleet router's address)
+                                                 # over TCP; graceful drain on SIGTERM)
     repro-spill fleet     [--host H] [--port P] [--shards N]
                           [--workers N] [--cache-root DIR] [--batch-max N]
                           [--max-queue N] [--stall-timeout S] [--remediate]
                                                  # multi-shard fleet: router + N
-                                                 # shard processes + shared tier,
-                                                 # all on the router's one port;
+                                                 # shard processes; the router
+                                                 # coalesces and fills the tier;
                                                  # --remediate lets the policy engine
                                                  # quarantine + restart wedged shards
     repro-spill loadgen   [--host H] [--port P | --self-serve | --fleet N]
@@ -339,11 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--batch-max", type=int, default=None, metavar="N",
         help="most unique entries one batch takes from the queue (default 16)",
-    )
-    serve.add_argument(
-        "--peer", default=None, metavar="HOST:PORT",
-        help="a fleet router's address: consult its shared cache tier after "
-        "a local miss and publish fresh compiles to it",
     )
     serve.add_argument(
         "--health-interval", type=float, default=None, metavar="SECONDS",
@@ -1123,8 +1116,7 @@ def _command_serve(args) -> int:
         print(
             f"  workers={server.workers if server.workers is not None else 'auto'} "
             f"max_queue={server.max_queue} batch_max={server.batch_max_requests} "
-            f"cache={'on' if server.cache is not None else 'off'} "
-            f"peer={args.peer or 'off'}",
+            f"cache={'on' if server.cache is not None else 'off'}",
             file=sys.stderr,
             flush=True,
         )
@@ -1140,7 +1132,6 @@ def _command_serve(args) -> int:
                 batch_max_requests=(
                     args.batch_max if args.batch_max is not None else DEFAULT_BATCH_MAX_REQUESTS
                 ),
-                peer=args.peer,
                 health_interval=(
                     args.health_interval
                     if args.health_interval is not None
@@ -1258,8 +1249,9 @@ def _command_loadgen(args) -> int:
         server_coalesced = 0
         stats = report.server_stats
         if stats is not None and stats.get("schema") == "fleet-stats/v1":
-            # Coalescing happens on the shards; sum their counters.
-            server_coalesced = sum(
+            # The router coalesces cacheable duplicates before they reach
+            # a shard; shards coalesce the rest.  Count both.
+            server_coalesced = stats.get("router", {}).get("coalesced", 0) + sum(
                 (shard.get("stats") or {}).get("requests", {}).get("coalesced", 0)
                 for shard in stats.get("shards", [])
             )

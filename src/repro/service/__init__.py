@@ -23,20 +23,19 @@ requests:
   for tests, benchmarks and ``loadgen --self-serve``;
 * :mod:`repro.service.ring` — deterministic consistent hashing over the
   fleet's shards;
-* :mod:`repro.service.peering` — the shared cache tier, its
-  ``cache-get``/``cache-put`` requests and the shard-side tier client;
 * :mod:`repro.service.fleet` — the multi-shard fleet: consistent-hash
-  router, shard health/drain/rebalance, and the :class:`Fleet` supervisor.
+  router, the shared cache tier it alone fills from the answers it
+  relays, fleet-wide coalescing, shard health/drain/rebalance, and the
+  :class:`Fleet` supervisor.
 
 See ``docs/service.md`` for the wire protocol and deployment notes.
 """
 
 from repro.service.client import OverloadedError, ServiceClient, ServiceError
 from repro.service.embedded import EmbeddedServer
-from repro.service.fleet import Fleet, FleetRouter
+from repro.service.fleet import Fleet, FleetRouter, SharedCacheTier
 from repro.service.loadgen import LoadReport, build_request_plan, render_load_report, run_load
 from repro.service.metrics import ServiceMetrics, cache_stats_payload
-from repro.service.peering import SharedCacheTier
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     CompileRequest,

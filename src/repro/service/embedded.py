@@ -43,7 +43,6 @@ class EmbeddedServer:
         batch_max_requests: int = DEFAULT_BATCH_MAX_REQUESTS,
         host: str = "127.0.0.1",
         startup_timeout: float = 30.0,
-        peer: Optional[str] = None,
     ):
         self.host = host
         self.port: Optional[int] = None
@@ -55,7 +54,6 @@ class EmbeddedServer:
             cache=cache,
             max_queue=max_queue,
             batch_max_requests=batch_max_requests,
-            peer=peer,
         )
         self._startup_timeout = startup_timeout
         self._loop: Optional[asyncio.AbstractEventLoop] = None

@@ -7,18 +7,17 @@ Two halves of one wire discipline (:mod:`repro.service.protocol`):
   oversized-frame answers), the ``hello`` handshake with its version
   check, the bounded per-connection write, the ``stats``/``metrics``/
   ``shutdown`` admin requests, request accounting, the request-resolution
-  memo (:class:`ResolveMemo`), signal handling and the graceful-drain
-  skeleton.
+  memo (:class:`ResolveMemo`), in-flight coalescing (one ``produce()`` per
+  key in flight), signal handling and the graceful-drain skeleton.
   :class:`~repro.service.server.CompileServer` and
   :class:`~repro.service.fleet.FleetRouter` subclass it and keep only what
-  is theirs: ``describe()``, ``stats_snapshot_async()``, a drain hook,
-  ``_handle_request`` and any request types of their own answered inline
-  (the router's shared-tier ``cache-get``/``cache-put``).
+  is theirs: ``describe()``, ``stats_snapshot_async()``, a drain hook and
+  ``_handle_request``.
 * :class:`PipelinedConnection` — the connecting side.  One socket carrying
   many requests in flight, each reply routed to its request's future by
   ``id``, opened with the same ``hello`` the blocking client sends.  The
-  router's shard links, a shard's shared-tier client and the load
-  generator's connections are all one of these.
+  router's shard links and the load generator's connections are both one
+  of these.
 """
 
 from __future__ import annotations
@@ -85,6 +84,19 @@ def string_id(message: Dict[str, Any]) -> Optional[str]:
 
     request_id = message.get("id")
     return request_id if isinstance(request_id, str) else None
+
+
+def may_answer_from_cache(request: Any) -> bool:
+    """Whether ``request`` may be answered with an identical request's answer.
+
+    Only a ``cache: "use"`` request may, and a strict-linted compile must
+    reach the lint gate, which needs its own IR.  The server memoizes
+    exactly these requests' resolutions; the router looks exactly these up
+    in the shared tier, coalesces them and fills the tier with their
+    answers.
+    """
+
+    return request.cache == "use" and getattr(request, "lint", "off") == "off"
 
 
 def _check_admin_fields(message: Dict[str, Any], kind: str) -> None:
@@ -228,9 +240,6 @@ class JsonLinesEndpoint:
     role: str
     #: The ``shutting_down`` error text for work arriving during a drain.
     draining_text: str
-    #: Request types of this endpoint's own, answered inline (in arrival
-    #: order, not counted as requests) by :meth:`_answer_inline`.
-    inline_types: Tuple[str, ...] = ()
 
     def __init__(self, host: str, port: int, health_interval: float):
         if health_interval <= 0:
@@ -248,6 +257,8 @@ class JsonLinesEndpoint:
         self._idle.set()
         self._closed = asyncio.Event()
         self.resolve_memo = ResolveMemo()
+        #: Unique work in flight, by coalesce key (see :meth:`_coalesce`).
+        self._inflight: Dict[str, "asyncio.Future[Any]"] = {}
 
     # -- hooks ---------------------------------------------------------------------
 
@@ -273,11 +284,6 @@ class JsonLinesEndpoint:
         self, connection: Connection, message: Dict[str, Any], kind: str
     ) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def _answer_inline(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """The reply to one request whose type is in :attr:`inline_types`."""
-
-        raise NotImplementedError  # pragma: no cover - abstract
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -443,6 +449,34 @@ class JsonLinesEndpoint:
             )
         return request, resolved, None
 
+    async def _coalesce(
+        self, key: str, produce: Callable[[], Awaitable[Any]]
+    ) -> Tuple[Any, bool]:
+        """``(answer, coalesced)`` with one ``produce()`` per key in flight.
+
+        The first request for a key runs ``produce``; every identical
+        request arriving before it finishes awaits the same answer, or the
+        same exception, instead of producing it again.  The key leaves the
+        table only once ``produce`` has returned, so whatever ``produce``
+        stores before returning (a cache entry, a tier entry) is in place
+        before a later duplicate can miss the table.
+        """
+
+        future = self._inflight.get(key)
+        if future is not None:
+            return await future, True
+        future = asyncio.get_running_loop().create_future()
+        self._inflight[key] = future
+        try:
+            future.set_result(await produce())
+        except Exception as exc:
+            future.set_exception(exc)
+        finally:
+            self._inflight.pop(key, None)
+            if not future.done():
+                future.cancel()
+        return await future, False
+
     # -- the connection handler ----------------------------------------------------
 
     async def _handle_connection(
@@ -480,8 +514,6 @@ class JsonLinesEndpoint:
                     task.add_done_callback(tasks.discard)
                 elif kind in ADMIN_TYPES:
                     await self._handle_admin(connection, message, kind)
-                elif kind in self.inline_types:
-                    await connection.send(self._answer_inline(message))
                 else:
                     self._protocol_error()
                     await connection.send(

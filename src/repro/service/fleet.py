@@ -10,17 +10,15 @@ The router does four things:
 
 * **Routing** — every compile request is resolved to its
   :func:`~repro.ir.fingerprint.procedure_cache_key` and consistent-hashed
-  over the shard ring (:mod:`repro.service.ring`).  Key affinity makes the
-  fleet-wide "one compile per coalesced key" guarantee compositional: the
-  ring sends identical requests to the same shard, the shard's in-flight
-  coalescing collapses them to one compile.
-* **The shared cache tier** — the router hosts a
-  :class:`~repro.service.peering.SharedCacheTier` and answers its
-  ``cache-get``/``cache-put`` requests on its one client endpoint.  Shards
-  publish every fresh compile to it (``cache-put``) and consult it after a
-  local miss (``cache-get``), so one shard's compile is every shard's hit;
-  the router itself answers straight from the tier
-  (``service.cache == "tier"``) without forwarding when it can.
+  over the shard ring (:mod:`repro.service.ring`), so identical requests
+  land on the same shard.
+* **The shared cache tier** — the router holds a :class:`SharedCacheTier`
+  and is its only writer.  It answers a request from the tier
+  (``service.cache == "tier"``) without forwarding when it can; otherwise
+  it forwards once per key in flight (identical requests arriving
+  meanwhile coalesce onto that forward, ``service.coalesced``) and puts
+  the relayed answer into the tier before relaying it.  No client can
+  read or write the tier directly.
 * **Health** — a shard that dies (connection EOF) is removed from the
   ring immediately and its in-flight requests are re-routed to the next
   owner on the ring; compiles are deterministic and idempotent, so a
@@ -32,12 +30,12 @@ The router does four things:
   re-routed around.
 * **Drain** — a ``shutdown`` request (or SIGTERM via the CLI) stops
   admission, finishes every in-flight request, asks each shard to drain
-  gracefully, then closes every connection, the shards' tier links last.
+  gracefully, then closes every connection.
 
 :class:`Fleet` is the synchronous supervisor the CLI, the benchmarks and
 the test-suite use: it runs the router on a background thread and spawns
 shards either as real child processes (``backend="process"``, via
-``repro-spill serve --peer``) or as in-process embedded servers
+``repro-spill serve``) or as in-process embedded servers
 (``backend="thread"``, cheaper and enough for scheduling/trace tests).
 """
 
@@ -51,19 +49,21 @@ import subprocess
 import sys
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.service.endpoint import Connection, JsonLinesEndpoint, PipelinedConnection
+from repro.service.endpoint import (
+    Connection,
+    JsonLinesEndpoint,
+    PipelinedConnection,
+    may_answer_from_cache,
+)
 from repro.service.health import HealthMonitor
 from repro.service.metrics import CounterSet, LatencyHistogram, counter
-from repro.service.peering import (
-    TIER_REQUEST_TYPES,
-    SharedCacheTier,
-    answer_tier_request,
-)
 from repro.service.protocol import (
     CompileAnswer,
+    CompileIdentity,
     error_message,
     lint_result_message,
     resolve_compile_request,
@@ -88,9 +88,99 @@ SHARD_STATS_TIMEOUT_SECONDS = 2.0
 #: Bound on the per-shard graceful-shutdown request during a fleet drain.
 SHARD_DRAIN_TIMEOUT_SECONDS = 30.0
 
+#: Default bound on tier entries held in memory (LRU beyond it).  Entries
+#: are small JSON payloads (a few KB), so the default bounds the tier to
+#: tens of MB.
+DEFAULT_TIER_ENTRIES = 65536
+
 
 class ShardDied(Exception):
     """Raised to in-flight forwards when their shard's link goes down."""
+
+
+@dataclass
+class TierStats:
+    """Counters of one :class:`SharedCacheTier` (per process, not persisted)."""
+
+    gets: int = 0
+    hits: int = 0
+    misses: int = 0
+    puts: int = 0
+    stored: int = 0
+    duplicate_puts: int = 0
+    evictions: int = 0
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of gets answered from the tier (0.0 with no gets)."""
+
+        return self.hits / self.gets if self.gets else 0.0
+
+
+class SharedCacheTier:
+    """The router's shared cache tier: one fleet-wide answer per cache key.
+
+    A bounded LRU mapping of cache key → ``{"result", "pass_seconds"}``,
+    the deterministic part of an answer — exactly what a
+    :class:`~repro.service.protocol.CompileAnswer` replays.  The router is
+    its only reader and writer and touches it only from its event loop,
+    so it takes no lock.  Entries are treated as immutable; duplicate
+    puts of a key are idempotent by determinism (same key ⇒ same bytes)
+    and only counted.
+    """
+
+    def __init__(self, max_entries: int = DEFAULT_TIER_ENTRIES):
+        if max_entries < 1:
+            raise ValueError(f"max_entries must be >= 1, got {max_entries!r}")
+        self.max_entries = max_entries
+        self._entries: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self.stats = TierStats()
+
+    def get(self, key: str) -> Optional[Dict[str, Any]]:
+        """The entry stored under ``key``, or None (counted either way)."""
+
+        self.stats.gets += 1
+        entry = self._entries.get(key)
+        if entry is None:
+            self.stats.misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self.stats.hits += 1
+        return entry
+
+    def put(self, key: str, entry: Mapping[str, Any]) -> bool:
+        """Store ``entry`` under ``key``; returns False for a duplicate."""
+
+        self.stats.puts += 1
+        if key in self._entries:
+            self.stats.duplicate_puts += 1
+            self._entries.move_to_end(key)
+            return False
+        self._entries[key] = dict(entry)
+        self.stats.stored += 1
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
+            self.stats.evictions += 1
+        return True
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def snapshot(self) -> Dict[str, Any]:
+        """A JSON-serializable view of the tier (for fleet stats)."""
+
+        return {
+            "entries": len(self._entries),
+            "max_entries": self.max_entries,
+            "gets": self.stats.gets,
+            "hits": self.stats.hits,
+            "misses": self.stats.misses,
+            "hit_rate": round(self.stats.hit_rate, 4),
+            "puts": self.stats.puts,
+            "stored": self.stats.stored,
+            "duplicate_puts": self.stats.duplicate_puts,
+            "evictions": self.stats.evictions,
+        }
 
 
 @dataclass
@@ -109,6 +199,8 @@ class RouterMetrics(CounterSet):
     rejected_shutting_down: int = counter()
     #: Requests answered straight from the shared tier (no forward).
     tier_hits: int = counter()
+    #: Requests answered with an identical in-flight request's forward.
+    coalesced: int = counter()
     #: Requests forwarded to a shard (re-routes count again).
     forwarded: int = counter()
     #: Forwards retried on another shard after a death/drain/wedge.
@@ -229,14 +321,12 @@ class FleetRouter(JsonLinesEndpoint):
 
     Construct, ``await start()`` (the listener binds; an ephemeral port
     resolves), attach shards with :meth:`attach_shard`, then
-    ``await serve_forever()``.  Shards reach the tier on the same
-    ``host:port`` clients do.  The synchronous wrapper most callers want
+    ``await serve_forever()``.  The synchronous wrapper most callers want
     is :class:`Fleet`.
     """
 
     role = "router"
     draining_text = "fleet is draining; try again later"
-    inline_types = TIER_REQUEST_TYPES
 
     def __init__(
         self,
@@ -264,11 +354,6 @@ class FleetRouter(JsonLinesEndpoint):
 
         await self._listen()
         self._background.append(asyncio.ensure_future(self._watchdog()))
-
-    def _answer_inline(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Answer one shard's ``cache-get``/``cache-put`` from the tier."""
-
-        return answer_tier_request(self.tier, message)
 
     async def attach_shard(self, shard_id: str, host: str, port: int) -> None:
         """Connect a shard, add it to the ring, start routing to it."""
@@ -364,11 +449,7 @@ class FleetRouter(JsonLinesEndpoint):
         return True
 
     async def _drain_hook(self) -> None:
-        """Ask every shard to drain, then drop the links.
-
-        The shards' tier connections stay open through this: the endpoint
-        core closes client connections only after the hook returns.
-        """
+        """Ask every shard to drain, then drop the links."""
 
         # A shard that cannot answer (dead, wedged) is simply closed.
         for link in list(self._links.values()):
@@ -416,22 +497,36 @@ class FleetRouter(JsonLinesEndpoint):
             )
             if reply is None:
                 identity, _resolved = resolution
-                reply = await self._route(
-                    kind, message, request, identity.cache_key, arrived
-                )
+                reply = await self._route(kind, message, request, identity, arrived)
             await connection.send(reply)
         finally:
             self._request_finished()
 
     async def _route(
-        self, kind: str, message: Dict[str, Any], request, cache_key: str, arrived: float
+        self,
+        kind: str,
+        message: Dict[str, Any],
+        request,
+        identity: CompileIdentity,
+        arrived: float,
     ) -> Dict[str, Any]:
-        """The reply to one admitted request: a tier hit or a shard's answer."""
+        """The reply to one admitted request: a tier hit or a shard's answer.
+
+        A request the tier may answer (:func:`may_answer_from_cache`) is
+        looked up in the tier, then forwarded once per coalesce key in
+        flight: identical requests arriving meanwhile wait for the leader's
+        answer instead of forwarding again.  The leader's answer enters the
+        tier before its key leaves the in-flight table, so a duplicate
+        finds one or the other and the fleet compiles each key once.  Every
+        other request (a cache bypass, a strict-lint compile, whose gate
+        runs on the shard) is forwarded as it is.
+        """
 
         request_id = request.id
-        # Tier front: the whole fleet may already know this answer.
-        if request.cache == "use":
-            entry = self.tier.get(cache_key)
+        coalesced = False
+        if may_answer_from_cache(request):
+            # Tier front: the whole fleet may already know this answer.
+            entry = self.tier.get(identity.cache_key)
             if entry is not None:
                 self.metrics.tier_hits += 1
                 self._complete(arrived)
@@ -446,8 +541,15 @@ class FleetRouter(JsonLinesEndpoint):
                     queue_ms=0.0,
                     compile_ms=0.0,
                 ).to_message(request_id)
+            (response, shard_id), coalesced = await self._coalesce(
+                identity.coalesce_key,
+                lambda: self._forward_and_fill(message, identity.cache_key),
+            )
+        else:
+            response, shard_id = await self._forward(message, identity.cache_key)
 
-        response, shard_id = await self._forward(message, cache_key)
+        if coalesced:
+            self.metrics.coalesced += 1
         if response is None:
             self.metrics.errors += 1
             return error_message("internal", "no healthy shard available", request_id)
@@ -456,11 +558,34 @@ class FleetRouter(JsonLinesEndpoint):
         if relayed.get("type") == "result":
             service = dict(relayed.get("service") or {})
             service["shard"] = shard_id
+            if coalesced:
+                service["coalesced"] = True
             relayed["service"] = service
             self._complete(arrived)
         else:
             self.metrics.errors += 1
         return relayed
+
+    async def _forward_and_fill(
+        self, message: Dict[str, Any], cache_key: str
+    ) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
+        """:meth:`_forward`, putting a ``result`` answer into the tier first.
+
+        The entry is the answer's deterministic part: its ``result`` and
+        the compile's ``pass_seconds`` (a lint answer has none).
+        """
+
+        response, shard_id = await self._forward(message, cache_key)
+        if response is not None and response.get("type") == "result":
+            timing = response.get("timing") or {}
+            self.tier.put(
+                cache_key,
+                {
+                    "result": response["result"],
+                    "pass_seconds": dict(timing.get("pass_seconds") or {}),
+                },
+            )
+        return response, shard_id
 
     async def _forward(
         self, message: Dict[str, Any], cache_key: str
@@ -583,7 +708,7 @@ def _package_source_dir() -> str:
 
 
 class ProcessShard:
-    """One shard as a real child process (``python -m repro serve --peer``).
+    """One shard as a real child process (``python -m repro serve``).
 
     The process boundary makes this the backend for fault injection: it
     can be SIGKILLed (death), SIGSTOPped (wedge) and SIGCONTed back.
@@ -594,7 +719,6 @@ class ProcessShard:
     def __init__(
         self,
         shard_id: str,
-        peer: str,
         host: str = "127.0.0.1",
         workers: int = 1,
         cache_dir: Optional[str] = None,
@@ -603,7 +727,6 @@ class ProcessShard:
         startup_timeout: float = 60.0,
     ):
         self.shard_id = shard_id
-        self.peer = peer
         self.host = host
         self.port: Optional[int] = None
         self.workers = workers
@@ -629,7 +752,6 @@ class ProcessShard:
             "--host", self.host,
             "--port", "0",
             "--workers", str(self.workers),
-            "--peer", self.peer,
             "--batch-max", str(self.batch_max_requests),
             "--max-queue", str(self.max_queue),
         ]
@@ -714,8 +836,8 @@ class ProcessShard:
 class ThreadShard:
     """One shard as an in-process embedded server (no process boundary).
 
-    Cheap and deterministic — the backend of choice for scheduling,
-    peering and trace tests that do not need signals.
+    Cheap and deterministic — the backend of choice for scheduling, tier
+    and trace tests that do not need signals.
     """
 
     backend = "thread"
@@ -723,7 +845,6 @@ class ThreadShard:
     def __init__(
         self,
         shard_id: str,
-        peer: str,
         host: str = "127.0.0.1",
         workers: int = 1,
         cache_dir: Optional[str] = None,
@@ -734,7 +855,6 @@ class ThreadShard:
         from repro.service.embedded import EmbeddedServer
 
         self.shard_id = shard_id
-        self.peer = peer
         self.host = host
         self.port: Optional[int] = None
         self.pid: Optional[int] = None
@@ -745,7 +865,6 @@ class ThreadShard:
             batch_max_requests=batch_max_requests,
             host=host,
             startup_timeout=startup_timeout,
-            peer=peer,
         )
 
     def start(self) -> None:
@@ -771,8 +890,8 @@ class Fleet:
     """The synchronous fleet supervisor: router thread + N shards.
 
     ``with Fleet(shards=3) as fleet:`` starts the router (on a dedicated
-    thread with its own event loop), spawns the shards pointed at the
-    router's endpoint for the shared tier, attaches them to the ring, and
+    thread with its own event loop), spawns the shards, attaches them to
+    the ring, and
     yields an object exposing ``host``/``port`` (the router's endpoint),
     the live ``shards`` list and fault-injection helpers.
     Exit drains the whole fleet gracefully.
@@ -904,7 +1023,6 @@ class Fleet:
         shard_cls = ProcessShard if self.backend == "process" else ThreadShard
         return shard_cls(
             shard_id,
-            peer=f"{self.host}:{self.port}",
             host=self.host,
             workers=self._workers,
             cache_dir=cache_dir,

@@ -262,8 +262,6 @@ class LoadReport:
     cache_hit_responses: int = 0
     #: Responses answered from a fleet's shared cache tier by the router.
     tier_hit_responses: int = 0
-    #: Responses answered from the shared tier by a shard (peer hit).
-    peer_hit_responses: int = 0
     wall_seconds: float = 0.0
     latency: LatencyHistogram = field(default_factory=LatencyHistogram)
     #: Stats snapshots sampled during the run when metric recording was on
@@ -314,7 +312,6 @@ class LoadReport:
             "coalesced_responses": self.coalesced_responses,
             "cache_hit_responses": self.cache_hit_responses,
             "tier_hit_responses": self.tier_hit_responses,
-            "peer_hit_responses": self.peer_hit_responses,
             "wall_seconds": round(self.wall_seconds, 4),
             "throughput_rps": round(self.throughput_rps, 3),
             "latency_ms": self.latency.summary(),
@@ -350,8 +347,6 @@ class _Checker:
             self.report.cache_hit_responses += 1
         elif service.get("cache") == "tier":
             self.report.tier_hit_responses += 1
-        elif service.get("cache") == "peer":
-            self.report.peer_hit_responses += 1
         signature = self.signatures[request_id]
         body = response_result_bytes(response)
         previous = self._seen.setdefault(signature, body)
@@ -528,8 +523,8 @@ def fleet_invariant_violations(
 
     Given a fresh fleet's ``fleet-stats/v1`` snapshot after a run, the
     total number of compiles across every shard must not exceed the number
-    of unique request signatures in the plan: the ring's key affinity plus
-    per-shard coalescing plus the shared tier guarantee that no coalesced
+    of unique request signatures in the plan: the router's coalescing plus
+    its fill-before-relay of the shared tier guarantee that no coalesced
     key is ever compiled twice fleet-wide.  Returns violation strings
     (empty = held).
 
@@ -656,8 +651,8 @@ def render_load_report(report: LoadReport) -> str:
         f"  coalesced       : {report.coalesced_responses}",
         f"  cache hits      : {report.cache_hit_responses}"
         + (
-            f" (tier {report.tier_hit_responses}, peer {report.peer_hit_responses})"
-            if report.tier_hit_responses or report.peer_hit_responses
+            f" (tier {report.tier_hit_responses})"
+            if report.tier_hit_responses
             else ""
         ),
         f"  retries         : {report.retries}",
@@ -684,6 +679,7 @@ def render_load_report(report: LoadReport) -> str:
             "  fleet           : "
             f"completed={router.get('completed')} "
             f"tier_hits={router.get('tier_hits')} "
+            f"coalesced={router.get('coalesced')} "
             f"rerouted={router.get('rerouted')} "
             f"shard_deaths={router.get('shard_deaths')} "
             f"wedged={router.get('wedged')} "

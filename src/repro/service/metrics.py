@@ -171,12 +171,6 @@ class ServiceMetrics(CounterSet):
     coalesced: int = counter()
     #: Requests answered from the cache at admission (no queue, no batch).
     cache_hits: int = counter()
-    #: Requests answered from the fleet's shared cache tier (peer hits).
-    peer_hits: int = counter()
-    #: Fresh compile results published to the shared tier (best-effort).
-    peer_puts: int = counter()
-    #: Peer round trips that failed (transport/timeout; served as misses).
-    peer_errors: int = counter()
     #: Requests that went through a compile batch.
     compiled: int = counter()
     #: Batches dispatched.

@@ -21,7 +21,8 @@ concurrent JSON-lines connections (:mod:`repro.service.protocol`):
   to one already in flight (same program, profile, target, techniques and
   cache policy) attaches to it instead of looking the cache up again or
   consuming a queue slot or a compile: one answer fans out to every
-  waiter, each response marked ``coalesced``.
+  waiter, each response marked ``coalesced`` (the endpoint core's
+  coalescer, the same one the fleet router runs).
 * **Shared cache front** — a single :class:`~repro.cache.store.CompileCache`
   serves every connection: admitted-but-cached work is answered at
   admission time (status ``hit``) without touching the queue, and batch
@@ -47,15 +48,14 @@ import json
 import sys
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cache.store import CacheSpec, resolve_cache
 from repro.pipeline.compiler import CompileRecord
-from repro.service.endpoint import Connection, JsonLinesEndpoint
+from repro.service.endpoint import Connection, JsonLinesEndpoint, may_answer_from_cache
 from repro.service.health import HealthMonitor
 from repro.service.metrics import ServiceMetrics, cache_stats_payload
 from repro.service.policy import PolicyEngine, default_engine
-from repro.service.peering import PeerCacheClient, parse_peer_address
 from repro.service.protocol import (
     CompileAnswer,
     CompileIdentity,
@@ -81,16 +81,6 @@ DEFAULT_HEALTH_INTERVAL = 1.0
 
 class _QueueFull(Exception):
     """The admission queue has no slot: the request is answered ``overloaded``."""
-
-
-def _may_skip_resolution(request) -> bool:
-    """Whether ``request`` may be answered from its memoized identity.
-
-    Only a ``cache: "use"`` request can be answered from the cache, and a
-    strict-linted compile needs its IR for the lint gate.
-    """
-
-    return request.cache == "use" and getattr(request, "lint", "off") == "off"
 
 
 @dataclass
@@ -123,7 +113,6 @@ class CompileServer(JsonLinesEndpoint):
         cache: CacheSpec = None,
         max_queue: int = DEFAULT_MAX_QUEUE,
         batch_max_requests: int = DEFAULT_BATCH_MAX_REQUESTS,
-        peer: Optional[str] = None,
         health_interval: float = DEFAULT_HEALTH_INTERVAL,
         enable_policy: bool = True,
         policy: Optional[PolicyEngine] = None,
@@ -139,11 +128,6 @@ class CompileServer(JsonLinesEndpoint):
         self.cache = resolve_cache(cache)
         self.max_queue = max_queue
         self.batch_max_requests = batch_max_requests
-        # Fleet peering: the router whose shared cache tier this shard
-        # consults after a local miss and publishes fresh compiles to.  Parsed eagerly (so a
-        # bad --peer fails fast) but connected lazily on the event loop.
-        self._peer_address = parse_peer_address(peer) if peer else None
-        self.peer: Optional[PeerCacheClient] = None
         self.metrics = ServiceMetrics()
         # The rolling-window health layer and the self-protection policy
         # engine.  The monitor is delta-fed from ``self.metrics`` every
@@ -159,9 +143,6 @@ class CompileServer(JsonLinesEndpoint):
         self._shedding = False
 
         self._queue: "asyncio.Queue[Optional[_PendingEntry]]" = asyncio.Queue()
-        # Unique compile and lint work in flight, by coalesce key (cache
-        # keys are namespaced by kind, so the two never alias).
-        self._inflight: Dict[str, "asyncio.Future[Any]"] = {}
         self._batcher_task: Optional[asyncio.Task] = None
 
     # -- lifecycle ----------------------------------------------------------------
@@ -170,22 +151,16 @@ class CompileServer(JsonLinesEndpoint):
         """Bind the listening socket and start the batch dispatcher."""
 
         await self._listen()
-        if self._peer_address is not None:
-            # Constructed here (not in __init__) so its primitives bind to
-            # the server's running event loop on every Python version.
-            self.peer = PeerCacheClient(*self._peer_address)
         self._batcher_task = asyncio.ensure_future(self._batcher())
 
     async def _drain_hook(self) -> None:
-        """Finish every admitted compile, then drop the tier connection."""
+        """Finish every admitted compile."""
 
         # The batcher keeps dispatching until it sees the sentinel, which
         # is queued *behind* all work.
         await self._queue.put(None)
         if self._batcher_task is not None:
             await self._batcher_task
-        if self.peer is not None:
-            await self.peer.close()
 
     async def stats_snapshot_async(self) -> Dict[str, Any]:
         """The metrics snapshot a ``stats`` request is answered with.
@@ -194,8 +169,6 @@ class CompileServer(JsonLinesEndpoint):
         worker thread, off the event loop.
         """
 
-        if self.peer is not None:
-            self.metrics.peer_errors = self.peer.errors
         snapshot = self.metrics.snapshot(queue_depth=self._queue.qsize())
         snapshot["draining"] = self._draining
         snapshot["health"] = self.health.sample()
@@ -205,8 +178,6 @@ class CompileServer(JsonLinesEndpoint):
             snapshot["cache"] = await asyncio.to_thread(
                 cache_stats_payload, self.cache
             )
-        if self.peer is not None:
-            snapshot["peer"] = self.peer.snapshot()
         return snapshot
 
     def describe(self) -> Dict[str, Any]:
@@ -217,7 +188,6 @@ class CompileServer(JsonLinesEndpoint):
             "batch_max_requests": self.batch_max_requests,
             "workers": self.workers if self.workers is not None else 0,
             "cache": self.cache is not None,
-            "peer": self._peer_address is not None,
             "policy": self.policy_enabled,
         }
 
@@ -292,7 +262,7 @@ class CompileServer(JsonLinesEndpoint):
                 message,
                 kind,
                 lambda request: self._resolve_identity(
-                    request, resolver, memoize=_may_skip_resolution(request)
+                    request, resolver, memoize=may_answer_from_cache(request)
                 ),
             )
             if reply is None:
@@ -394,8 +364,8 @@ class CompileServer(JsonLinesEndpoint):
 
         Lint reports are pure functions of the resolved inputs, so the
         request reuses the compile machinery's guarantees — shared cache
-        (keys namespaced ``kind="lint"``), in-flight coalescing, and the
-        fleet tier — without ever entering the compile batch queue.
+        (keys namespaced ``kind="lint"``) and in-flight coalescing —
+        without ever entering the compile batch queue.
         """
 
         try:
@@ -432,78 +402,36 @@ class CompileServer(JsonLinesEndpoint):
             return payload, "bypass"
         if self.cache is not None:
             await asyncio.to_thread(self.cache.put, identity.cache_key, payload)
-        # Publish to the fleet tier before answering anyone, same ordering
-        # discipline as compile dispatch.
-        if self.peer is not None:
-            self.metrics.peer_puts += 1
-            await self.peer.put(
-                identity.cache_key, {"result": payload, "pass_seconds": {}}
-            )
         return payload, "miss"
-
-    async def _coalesce(
-        self, key: str, produce: Callable[[], Awaitable[Any]]
-    ) -> Tuple[Any, bool]:
-        """``(answer, coalesced)`` with one ``produce()`` per key in flight.
-
-        The first request for a key runs ``produce`` (the cache front, then
-        a compile or a lint); every identical request arriving before it
-        finishes awaits the same answer, or the same exception, instead of
-        looking the cache up or compiling again.  That is what makes each
-        cache miss exactly one compile.
-        """
-
-        future = self._inflight.get(key)
-        if future is not None:
-            return await future, True
-        future = asyncio.get_running_loop().create_future()
-        self._inflight[key] = future
-        try:
-            future.set_result(await produce())
-        except Exception as exc:
-            future.set_exception(exc)
-        finally:
-            self._inflight.pop(key, None)
-            if not future.done():
-                future.cancel()
-        return await future, False
 
     async def _cache_front(
         self, kind: str, request, identity: CompileIdentity
     ) -> Optional[Tuple[str, Dict[str, Any]]]:
-        """Answer unique work from the local cache, then the fleet tier.
+        """Answer unique work from the local cache.
 
-        Returns ``(cache_status, {"result": ..., "pass_seconds": ...})``
-        for a ``hit`` or ``peer`` answer, else None.  A memory-tier hit is
-        answered on the event loop; only a disk read (a pickle load) goes
-        to a thread, and the store is thread-safe.  A peer failure is just
-        a miss (the client never raises), so the tier adds no correctness
-        dependency.
+        Returns ``("hit", {"result": ..., "pass_seconds": ...})`` for a
+        cache hit, else None.  A memory-tier hit is answered on the event
+        loop; only a disk read (a pickle load) goes to a thread, and the
+        store is thread-safe.
         """
 
-        if request.cache != "use":
+        if request.cache != "use" or self.cache is None:
             return None
-        if self.cache is not None:
-            cached = self.cache.get_from_memory(identity.cache_key)
-            if cached is None:
-                cached = await asyncio.to_thread(self.cache.get, identity.cache_key)
-            entry = None
-            if kind == "lint" and isinstance(cached, dict):
-                entry = {"result": cached, "pass_seconds": {}}
-            elif kind == "compile" and isinstance(cached, CompileRecord):
-                entry = {
-                    "result": result_payload(identity, cached),
-                    "pass_seconds": dict(cached.pass_seconds),
-                }
-            if entry is not None:
-                self.metrics.cache_hits += 1
-                return "hit", entry
-        if self.peer is not None:
-            entry = await self.peer.get(identity.cache_key)
-            if entry is not None:
-                self.metrics.peer_hits += 1
-                return "peer", entry
-        return None
+        cached = self.cache.get_from_memory(identity.cache_key)
+        if cached is None:
+            cached = await asyncio.to_thread(self.cache.get, identity.cache_key)
+        entry = None
+        if kind == "lint" and isinstance(cached, dict):
+            entry = {"result": cached, "pass_seconds": {}}
+        elif kind == "compile" and isinstance(cached, CompileRecord):
+            entry = {
+                "result": result_payload(identity, cached),
+                "pass_seconds": dict(cached.pass_seconds),
+            }
+        if entry is None:
+            return None
+        self.metrics.cache_hits += 1
+        return "hit", entry
 
     # -- the batch dispatcher -----------------------------------------------------
 
@@ -560,13 +488,13 @@ class CompileServer(JsonLinesEndpoint):
             outcomes = await asyncio.to_thread(self._compile_groups, grouped)
 
             compile_ms = (time.monotonic() - dispatch_start) * 1000.0
-            completions: List[Tuple[_PendingEntry, Optional[BaseException], Optional[CompileAnswer]]] = []
-            for (options, entries), outcome in zip(grouped, outcomes):
-                kind, value = outcome
+            for (_options, entries), (kind, value) in zip(grouped, outcomes):
                 for position, entry in enumerate(entries):
                     self.metrics.compile_ms.record(compile_ms)
+                    if entry.future.done():  # pragma: no cover - defensive
+                        continue
                     if kind == "error":
-                        completions.append((entry, RuntimeError(str(value)), None))
+                        entry.future.set_exception(RuntimeError(str(value)))
                         continue
                     try:
                         record = value[position]
@@ -583,44 +511,12 @@ class CompileServer(JsonLinesEndpoint):
                             compile_ms=compile_ms,
                         )
                     except Exception as exc:
-                        completions.append(
-                            (entry, RuntimeError(f"result fan-out failed: {exc}"), None)
+                        entry.future.set_exception(
+                            RuntimeError(f"result fan-out failed: {exc}")
                         )
                         continue
-                    completions.append((entry, None, answer))
-
-            # Publish fresh results to the fleet tier BEFORE resolving any
-            # future.  Ordering is what makes the fleet-wide single-compile
-            # guarantee airtight: once a client (or the router) sees this
-            # answer, the tier already holds the entry, so a duplicate
-            # arriving after we leave the in-flight table can never slip
-            # between "no longer coalescible" and "not yet in the tier" and
-            # recompile.  Keys stay in ``_inflight`` until their futures
-            # resolve, so duplicates arriving *during* the put still coalesce.
-            if self.peer is not None:
-                puts = [
-                    self.peer.put(
-                        entry.resolved.cache_key,
-                        {
-                            "result": dict(answer.result),
-                            "pass_seconds": dict(answer.pass_seconds),
-                        },
-                    )
-                    for entry, _exc, answer in completions
-                    if answer is not None and entry.resolved.request.cache == "use"
-                ]
-                if puts:
-                    self.metrics.peer_puts += len(puts)
-                    await asyncio.gather(*puts)
-
-            for entry, exc, answer in completions:
-                if entry.future.done():  # pragma: no cover - defensive
-                    continue
-                if exc is not None:
-                    entry.future.set_exception(exc)
-                    continue
-                self.metrics.compiled += 1
-                entry.future.set_result(answer)
+                    self.metrics.compiled += 1
+                    entry.future.set_result(answer)
         except Exception as exc:
             # Never let a dispatch bug strand the batch (or, worse, kill
             # the batcher): fail every unresolved future.
@@ -680,7 +576,6 @@ async def run_server(
     cache: CacheSpec = None,
     max_queue: int = DEFAULT_MAX_QUEUE,
     batch_max_requests: int = DEFAULT_BATCH_MAX_REQUESTS,
-    peer: Optional[str] = None,
     health_interval: float = DEFAULT_HEALTH_INTERVAL,
     enable_policy: bool = True,
     ready_callback=None,
@@ -699,7 +594,6 @@ async def run_server(
         cache=cache,
         max_queue=max_queue,
         batch_max_requests=batch_max_requests,
-        peer=peer,
         health_interval=health_interval,
         enable_policy=enable_policy,
     )

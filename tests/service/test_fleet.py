@@ -1,30 +1,27 @@
 """The multi-shard fleet, end to end on the thread backend.
 
-Covers the tentpole's functional contract without process faults (those
-live in ``test_fleet_faults.py``): ring-affine routing, the shared cache
-tier turning one shard's compile into fleet-wide hits, byte-identity
-against the serial ``compile_many`` oracle, the shard-side peer path,
+Covers the fleet's functional contract without process faults (those
+live in ``test_fleet_faults.py``): ring-affine routing, the router's shared
+cache tier turning one shard's compile into fleet-wide hits, router-side
+coalescing, byte-identity against the serial ``compile_many`` oracle,
 aggregate stats, and graceful drain.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 
 import pytest
 
-from repro.pipeline.compiler import compile_many
 from repro.service.client import ServiceClient
-from repro.service.fleet import Fleet, FleetRouter
+from repro.service.fleet import Fleet, SharedCacheTier
 from repro.service.protocol import (
     parse_compile_request,
     resolve_compile_request,
     response_result_bytes,
-    result_payload,
 )
 from repro.service.ring import HashRing
-from tests.service.conftest import scenario_message
+from tests.service.conftest import open_pipelined, oracle_result_bytes, scenario_message
 from tests.service.test_metrics import ROUTER_STATS_KEYS, SERVICE_STATS_KEYS, flat_keys
 from tests.service.test_serving_properties import make_mix, serial_oracle, serve_mix
 
@@ -62,8 +59,7 @@ def test_fleet_stats_keys_and_order_are_pinned(fleet):
     # Shard snapshots cross the wire with sorted keys.
     shard = stats["shards"][0]["stats"]
     assert list(shard) == [
-        "batches", "compile_ms", "draining", "health", "latency_ms", "peer",
-        "policy", "queue", "queue_ms", "rates", "requests", "resolve_memo",
+        "batches", "compile_ms", "draining", "health", "latency_ms", "policy", "queue", "queue_ms", "rates", "requests", "resolve_memo",
         "schema", "uptime_seconds",
     ]
     assert sorted(f"requests.{name}" for name in shard["requests"]) == sorted(
@@ -182,61 +178,72 @@ def test_drain_is_graceful_and_idempotent():
             ServiceClient(port=port, timeout=2.0)
 
 
-def test_shard_peer_path_answers_from_a_prepopulated_tier(tmp_path):
-    """The shard-side peer client, deterministically: an embedded server
-    pointed at a shard-less router whose tier already holds the key answers
-    with ``cache_status == "peer"`` and the exact oracle bytes — no compile."""
+def test_router_coalesces_a_duplicate_burst_into_one_compile():
+    """Eight identical compiles pipelined at a fresh fleet: the router
+    forwards one, the rest coalesce onto it or hit the tier it filled, and
+    every answer is the serial oracle's bytes."""
 
-    from repro.service.embedded import EmbeddedServer
+    message = scenario_message("c", "scenario:deep_loop_nest:3:2")
+    truth = oracle_result_bytes(message)
 
-    message = scenario_message("p0", "scenario:switch_dispatch:21:1", target="micro")
-    resolved = resolve_compile_request(parse_compile_request(message))
-    compiled = compile_many(
-        [(resolved.function, resolved.profile)],
-        machine=resolved.request.target,
-        cost_model=resolved.request.cost_model,
-        techniques=list(resolved.request.techniques),
-        verify=True,
-    )[0]
-    payload = result_payload(resolved, compiled)
-    truth = json.dumps(payload, sort_keys=True).encode("utf-8")
+    async def burst(port):
+        connection = await open_pipelined(port)
+        try:
+            return await asyncio.gather(
+                *(connection.request(dict(message, id=f"c{i}")) for i in range(8))
+            )
+        finally:
+            connection.close("burst done")
 
-    import threading
+    with Fleet(shards=2, backend="thread") as fleet:
+        responses = asyncio.run(burst(fleet.port))
+        stats = fleet.stats()
 
-    ready = threading.Event()
-    state = {}
+    for response in responses:
+        assert response["type"] == "result", response
+        assert response_result_bytes(response) == truth
+    compiled = sum(shard["stats"]["requests"]["compiled"] for shard in stats["shards"])
+    assert compiled == 1
+    router = stats["router"]
+    assert router["coalesced"] + router["tier_hits"] == 7
+    assert router["coalesced"] == sum(
+        bool(response["service"]["coalesced"]) for response in responses
+    )
+    assert stats["tier"]["stored"] == 1
 
-    def tier_thread():
-        async def main():
-            router = FleetRouter()
-            await router.start()
-            router.tier.put(resolved.cache_key, {"result": payload, "pass_seconds": {}})
-            state["tier"] = router.tier
-            state["port"] = router.port
-            state["loop"] = asyncio.get_running_loop()
-            state["stop"] = asyncio.Event()
-            ready.set()
-            await state["stop"].wait()
-            await router.drain()
 
-        asyncio.run(main())
+# ---------------------------------------------------------------------------
+# The tier itself.
+# ---------------------------------------------------------------------------
 
-    worker = threading.Thread(target=tier_thread, daemon=True)
-    worker.start()
-    assert ready.wait(10.0)
-    try:
-        with EmbeddedServer(peer=f"127.0.0.1:{state['port']}") as emb:
-            with ServiceClient(port=emb.port, timeout=120.0) as client:
-                response = client.send_compile_message(message)
-            stats = emb.stats()
-    finally:
-        state["loop"].call_soon_threadsafe(state["stop"].set)
-        worker.join(10.0)
+ENTRY = {"result": {"name": "f", "answer": 1}, "pass_seconds": {"spill": 0.5}}
 
-    assert response["type"] == "result"
-    assert response["service"]["cache"] == "peer"
-    assert response_result_bytes(response) == truth
-    assert stats["requests"]["peer_hits"] == 1
-    assert stats["requests"]["compiled"] == 0
-    assert stats["peer"]["connected"] is True
-    assert state["tier"].snapshot()["hits"] == 1
+
+def test_tier_put_get_and_duplicate_counting():
+    tier = SharedCacheTier(max_entries=8)
+    assert tier.get("k") is None
+    assert tier.put("k", ENTRY) is True
+    assert tier.put("k", ENTRY) is False  # idempotent duplicate
+    assert tier.get("k") == ENTRY
+    assert len(tier) == 1
+    snap = tier.snapshot()
+    assert snap["gets"] == 2 and snap["hits"] == 1 and snap["misses"] == 1
+    assert snap["puts"] == 2 and snap["stored"] == 1 and snap["duplicate_puts"] == 1
+    assert snap["hit_rate"] == 0.5
+
+
+def test_tier_lru_evicts_least_recently_used():
+    tier = SharedCacheTier(max_entries=2)
+    tier.put("a", ENTRY)
+    tier.put("b", ENTRY)
+    assert tier.get("a") is not None  # refresh "a"
+    tier.put("c", ENTRY)  # evicts "b", the LRU entry
+    assert tier.get("b") is None
+    assert tier.get("a") is not None
+    assert tier.get("c") is not None
+    assert tier.snapshot()["evictions"] == 1
+
+
+def test_tier_rejects_invalid_bound():
+    with pytest.raises(ValueError):
+        SharedCacheTier(max_entries=0)

@@ -196,8 +196,8 @@ class TestFleetRouting:
         with Fleet(shards=2, backend="thread") as fleet:
             with ServiceClient(port=fleet.port) as client:
                 first = client.lint(scenario=WARN_SCENARIO)
-                # The shard published the answer to the shared tier; the
-                # router now answers without forwarding.
+                # The router put the relayed answer into the shared tier;
+                # it now answers without forwarding.
                 second = client.lint(scenario=WARN_SCENARIO)
         assert canonical(first["result"]) == canonical(local_payload(WARN_SCENARIO))
         assert first["service"].get("shard", "").startswith("s")
@@ -211,6 +211,22 @@ class TestFleetRouting:
                     client.compile(scenario=ERROR_SCENARIO, lint="strict")
         assert excinfo.value.code == "lint_rejected"
         assert excinfo.value.diagnostics is not None
+
+    def test_fleet_strict_compile_is_never_a_tier_hit(self):
+        """A plain compile fills the tier, yet the strict compile of the
+        same program still reaches the shard's lint gate and is rejected,
+        exactly as on a plain server: lint mode is not in the cache key."""
+
+        with Fleet(shards=1, backend="thread") as fleet:
+            with ServiceClient(port=fleet.port) as client:
+                plain = client.compile(scenario=ERROR_SCENARIO)
+                with pytest.raises(ServiceError) as excinfo:
+                    client.compile(scenario=ERROR_SCENARIO, lint="strict")
+            stats = fleet.stats()
+        assert plain["type"] == "result"
+        assert stats["tier"]["stored"] == 1
+        assert excinfo.value.code == "lint_rejected"
+        assert stats["router"]["tier_hits"] == 0
 
 
 class TestLintRequestProtocol:

@@ -150,8 +150,7 @@ SERVICE_STATS_KEYS = (
         for name in (
             "received", "completed", "errors", "protocol_errors",
             "rejected_overloaded", "rejected_shed", "rejected_shutting_down",
-            "coalesced", "cache_hits", "peer_hits", "peer_puts", "peer_errors",
-            "compiled",
+            "coalesced", "cache_hits", "compiled",
         )
     ]
     + ["rates", "rates.qps", "rates.coalesce_rate", "rates.cache_hit_rate"]
@@ -167,7 +166,7 @@ SERVICE_STATS_KEYS = (
 ROUTER_STATS_KEYS = (
     [
         "uptime_seconds", "received", "completed", "errors", "protocol_errors",
-        "rejected_shutting_down", "tier_hits", "forwarded", "rerouted",
+        "rejected_shutting_down", "tier_hits", "coalesced", "forwarded", "rerouted",
         "shard_deaths", "wedged", "qps",
     ]
     + summary_keys("latency_ms")

@@ -18,6 +18,8 @@ from repro.service.protocol import (
     PROTOCOL_VERSION,
     decode_message,
     encode_message,
+    parse_compile_request,
+    resolve_compile_request,
     response_result_bytes,
 )
 from tests.service.conftest import open_pipelined, oracle_result_bytes, scenario_message
@@ -298,7 +300,7 @@ class TestHandshake:
         assert reply["protocol"] == PROTOCOL_VERSION
         assert reply["server"]["max_queue"] == 7
         assert sorted(reply["server"]) == [
-            "batch_max_requests", "cache", "max_queue", "peer", "policy", "workers",
+            "batch_max_requests", "cache", "max_queue", "policy", "workers",
         ]
 
     def test_unknown_message_type_is_bad_request(self, endpoint):
@@ -308,6 +310,35 @@ class TestHandshake:
                 reply = client._receive()
         assert reply["type"] == "error"
         assert reply["code"] == "bad_request"
+
+    def test_no_client_can_read_or_write_the_shared_tier(self, endpoint):
+        """``cache-put``/``cache-get`` are unknown types on both endpoints:
+        a forged entry put under a scenario's cache key is refused, the
+        next compile of that scenario answers with the oracle bytes, and
+        the connection keeps being served."""
+
+        message = scenario_message("f1", "scenario:call_web:0:0")
+        key = resolve_compile_request(parse_compile_request(message)).cache_key
+        forged = {
+            "type": "cache-put",
+            "id": "p1",
+            "key": key,
+            "entry": {"result": {"forged": True}},
+        }
+        with endpoint() as emb:
+            with ServiceClient(port=emb.port, timeout=120.0) as client:
+                client._send(forged)
+                put_reply = client._receive()
+                compiled = client.send_compile_message(message)
+                client._send({"type": "cache-get", "id": "p2", "key": key})
+                get_reply = client._receive()
+                assert client.stats()  # still served
+        for reply, request_id in ((put_reply, "p1"), (get_reply, "p2")):
+            assert reply["type"] == "error"
+            assert reply["code"] == "bad_request"
+            assert reply["id"] == request_id
+            assert "unknown message type" in reply["message"]
+        assert response_result_bytes(compiled) == oracle_result_bytes(message)
 
 
 class TestStatsAndDrain:
