@@ -10,20 +10,28 @@ aggregate stats, and graceful drain.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
 from repro.service.client import ServiceClient
 from repro.service.fleet import Fleet, SharedCacheTier
 from repro.service.protocol import (
+    LintRequest,
     parse_compile_request,
+    parse_lint_request,
     resolve_compile_request,
+    resolve_lint_request,
     response_result_bytes,
 )
 from repro.service.ring import HashRing
 from tests.service.conftest import open_pipelined, oracle_result_bytes, scenario_message
 from tests.service.test_metrics import ROUTER_STATS_KEYS, SERVICE_STATS_KEYS, flat_keys
 from tests.service.test_serving_properties import make_mix, serial_oracle, serve_mix
+
+
+def json_bytes(payload) -> bytes:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +186,16 @@ def test_drain_is_graceful_and_idempotent():
             ServiceClient(port=port, timeout=2.0)
 
 
+async def pipelined_burst(port, messages):
+    """Send every message on one pipelined connection; the replies in order."""
+
+    connection = await open_pipelined(port)
+    try:
+        return await asyncio.gather(*(connection.request(m) for m in messages))
+    finally:
+        connection.close("burst done")
+
+
 def test_router_coalesces_a_duplicate_burst_into_one_compile():
     """Eight identical compiles pipelined at a fresh fleet: the router
     forwards one, the rest coalesce onto it or hit the tier it filled, and
@@ -185,18 +203,10 @@ def test_router_coalesces_a_duplicate_burst_into_one_compile():
 
     message = scenario_message("c", "scenario:deep_loop_nest:3:2")
     truth = oracle_result_bytes(message)
-
-    async def burst(port):
-        connection = await open_pipelined(port)
-        try:
-            return await asyncio.gather(
-                *(connection.request(dict(message, id=f"c{i}")) for i in range(8))
-            )
-        finally:
-            connection.close("burst done")
+    burst = [dict(message, id=f"c{i}") for i in range(8)]
 
     with Fleet(shards=2, backend="thread") as fleet:
-        responses = asyncio.run(burst(fleet.port))
+        responses = asyncio.run(pipelined_burst(fleet.port, burst))
         stats = fleet.stats()
 
     for response in responses:
@@ -210,6 +220,60 @@ def test_router_coalesces_a_duplicate_burst_into_one_compile():
         bool(response["service"]["coalesced"]) for response in responses
     )
     assert stats["tier"]["stored"] == 1
+
+
+def test_router_coalesces_lint_bursts_and_fills_the_tier_without_timings():
+    """Lints share the compile path: a pipelined burst forwards once, and
+    the tier entry the router fills carries the lint ``result`` and no
+    ``pass_seconds``."""
+
+    message = LintRequest(id="l", program={"scenario": "classic_mix:0:0"}).to_message()
+    key = resolve_lint_request(parse_lint_request(message)).cache_key
+    burst = [dict(message, id=f"l{i}") for i in range(6)]
+
+    async def peek(fleet):
+        return fleet.router.tier.get(key)
+
+    with Fleet(shards=2, backend="thread") as fleet:
+        responses = asyncio.run(pipelined_burst(fleet.port, burst))
+        stats = fleet.stats()
+        entry = fleet._call(peek(fleet))
+
+    assert [response["id"] for response in responses] == [m["id"] for m in burst]
+    assert all(response["type"] == "result" for response in responses)
+    assert {json_bytes(response["result"]) for response in responses} == {
+        json_bytes(entry["result"])
+    }
+    router = stats["router"]
+    assert router["forwarded"] == 1
+    assert router["coalesced"] + router["tier_hits"] == 5
+    assert stats["tier"]["stored"] == 1
+    assert entry["pass_seconds"] == {}
+
+
+@pytest.mark.parametrize(
+    "fields", [{"cache": "bypass"}, {"lint": "strict"}], ids=["bypass", "strict"]
+)
+def test_router_forwards_uncacheable_requests_and_never_fills_the_tier(fields):
+    """A cache bypass or a strict-lint compile is forwarded every time:
+    no coalescing onto another request, no tier lookup, no tier entry."""
+
+    message = dict(scenario_message("u", "scenario:classic_mix:0:0"), **fields)
+    burst = [dict(message, id=f"u{i}") for i in range(4)]
+    truth = oracle_result_bytes(message)
+
+    with Fleet(shards=2, backend="thread") as fleet:
+        responses = asyncio.run(pipelined_burst(fleet.port, burst))
+        stats = fleet.stats()
+
+    for response in responses:
+        assert response["type"] == "result", response
+        assert response_result_bytes(response) == truth
+        assert response["service"]["shard"] in ("s0", "s1")
+    router = stats["router"]
+    assert router["forwarded"] == 4
+    assert router["coalesced"] == 0 and router["tier_hits"] == 0
+    assert stats["tier"]["gets"] == 0 and stats["tier"]["puts"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from repro.service.loadgen import (
     WARMUP_BURST,
     build_request_plan,
+    fleet_invariant_violations,
     oracle_results,
     plan_signature,
     render_load_report,
@@ -290,3 +291,42 @@ class TestDrainingStatsRace:
         text = render_load_report(report)
         assert "stats partial" in text
         assert "draining" in text
+
+
+def fleet_snapshot(compiled, router=None):
+    """A minimal ``fleet-stats/v1`` snapshot with per-shard compile counts."""
+
+    return {
+        "schema": "fleet-stats/v1",
+        "router": dict(router or {}),
+        "shards": [
+            {"id": f"s{i}", "stats": {"requests": {"compiled": count}}}
+            for i, count in enumerate(compiled)
+        ],
+    }
+
+
+class TestFleetInvariant:
+    def test_flags_a_fleet_wide_double_compile(self):
+        plan = build_request_plan(mix="hot", requests=12, seed=3)
+        unique = len({plan_signature(message) for message in plan})
+        assert fleet_invariant_violations(fleet_snapshot([unique, 0]), plan) == []
+        violations = fleet_invariant_violations(fleet_snapshot([unique, 1]), plan)
+        assert len(violations) == 1
+        assert f"{unique + 1} compiles for {unique} unique" in violations[0]
+        assert "s1=1" in violations[0]
+
+    @pytest.mark.parametrize(
+        "stats",
+        [
+            None,
+            {"schema": "service-stats/v1", "requests": {"compiled": 99}},
+            fleet_snapshot([99], router={"shard_deaths": 1}),
+            fleet_snapshot([99], router={"wedged": 1}),
+            dict(fleet_snapshot([99]), shards=[{"id": "s0", "status": "unreachable"}]),
+        ],
+        ids=["none", "single-server", "shard-death", "wedged", "partial"],
+    )
+    def test_not_applied_where_it_cannot_be_sound(self, stats):
+        plan = build_request_plan(mix="hot", requests=12, seed=3)
+        assert fleet_invariant_violations(stats, plan) == []
