@@ -5,12 +5,14 @@ rules derive from one function: the CFG snapshot, the block dominator and
 post-dominator trees, the loop forest, liveness, reaching definitions and
 the program structure tree, whose SESE regions are read off the two block
 trees.  Each is computed on first access, so a compile builds each once and
-a ``techniques=`` subset builds only what it reads.  Three content-keyed
-memos are filled by :mod:`repro.spill`: ``edge_solutions`` (``occupied
-blocks -> (save edges, restore edges)``), ``set_groups`` (``(register,
-saves, restores) -> sets``) and ``set_errors`` (``(register, occupied
-blocks, location sets) -> convention errors``), so each shrink-wrapping
-solve, grouping and convention check runs once per compile.
+a ``techniques=`` subset builds only what it reads.  :mod:`repro.spill`
+fills three memos keyed by ``int`` masks of blocks and of numbered edges
+(:meth:`~repro.ir.cfg.FunctionCFG.placement_edges`): ``edge_solutions``
+(``occupied -> (saves, restores)``), ``set_groups`` (``(register, saves,
+restores) -> sets``) and ``set_errors`` (``(register name, occupied,
+saves, restores, duplicates) -> convention errors``), so each shrink-wrapping
+solve, grouping and convention check runs once per compile; ``set_masks``
+maps a set's locations to its edge masks, converting each set once.
 
 The CFG snapshot is fetched once and never re-validated: a pass that
 mutates the IR must start a new session afterwards.
@@ -48,9 +50,10 @@ class CompilationSession:
         self.machine = machine
         if cfg is not None:
             self.__dict__["cfg"] = cfg
-        self.edge_solutions: Dict[FrozenSet[str], Tuple] = {}
+        self.edge_solutions: Dict[int, Tuple[int, int]] = {}
         self.set_groups: Dict[Tuple, List] = {}
         self.set_errors: Dict[Tuple, List[str]] = {}
+        self.set_masks: Dict[FrozenSet, Tuple] = {}
         self._psts: Dict[bool, object] = {}
 
     # The analysis modules import this one, so they are imported on use.

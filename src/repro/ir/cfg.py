@@ -59,15 +59,6 @@ class Edge:
 
         return (self.src, self.dst)
 
-    def is_jump_edge(self) -> bool:
-        return self.kind is EdgeKind.JUMP
-
-    def is_fallthrough(self) -> bool:
-        return self.kind is EdgeKind.FALLTHROUGH
-
-    def is_virtual(self) -> bool:
-        return self.kind is EdgeKind.VIRTUAL
-
     def __str__(self) -> str:
         arrow = {
             EdgeKind.FALLTHROUGH: "->",
@@ -110,10 +101,6 @@ class FunctionCFG:
         "edges",
         "succs",
         "preds",
-        "num_succs",
-        "num_preds",
-        "jump_memo",
-        "_edge_map",
         "_rpo",
         "_graph_succs",
         "_graph_preds",
@@ -170,11 +157,6 @@ class FunctionCFG:
         self.preds: Dict[str, Tuple[str, ...]] = {
             label: tuple(srcs) for label, srcs in preds.items()
         }
-        self.num_succs: Dict[str, int] = {l: len(self.succs[l]) for l in labels}
-        self.num_preds: Dict[str, int] = {l: len(s) for l, s in self.preds.items()}
-        #: Per-edge memo for :func:`repro.spill.cost_models.requires_jump_block`.
-        self.jump_memo: Dict[Tuple[str, str], bool] = {}
-        self._edge_map: Optional[Dict[Tuple[str, str], Edge]] = None
         self._rpo: Optional[List[str]] = None
         self._graph_succs: Optional[Dict[str, List[str]]] = None
         self._graph_preds: Optional[Dict[str, List[str]]] = None
@@ -205,40 +187,14 @@ class FunctionCFG:
     def has_edge(self, src: str, dst: str) -> bool:
         return any(e.dst == dst for e in self.out_edges[src])
 
-    def edge_map(self) -> Dict[Tuple[str, str], Edge]:
-        """All edges keyed by ``(src, dst)`` (computed once, then cached)."""
+    def placement_edges(self) -> "PlacementEdges":
+        """The numbered edges spill code may sit on (built once; needs a single exit)."""
 
-        mapping = self._edge_map
-        if mapping is None:
-            mapping = {e.key: e for e in self.edges}
-            self._edge_map = mapping
-        return mapping
-
-    def placement_edge_keys(self) -> frozenset:
-        """Edge keys a spill location may legally occupy (cached).
-
-        Every real CFG edge plus the virtual procedure-entry and
-        procedure-exit edges; requires a single exit (like :meth:`exit_edge`).
-        """
-
-        keys = self._placement_edges
-        if keys is None:
-            keys = frozenset(
-                [(ENTRY_SENTINEL, self.entry_label), (self.exit_label, EXIT_SENTINEL)]
-                + [e.key for e in self.edges]
-            )
-            self._placement_edges = keys
-        return keys
-
-    def entry_edge(self) -> Edge:
-        """The virtual procedure-entry edge."""
-
-        return Edge(ENTRY_SENTINEL, self.entry_label, EdgeKind.VIRTUAL)
-
-    def exit_edge(self) -> Edge:
-        """The virtual procedure-exit edge (requires a single exit)."""
-
-        return Edge(self.exit_label, EXIT_SENTINEL, EdgeKind.VIRTUAL)
+        edges = self._placement_edges
+        if edges is None:
+            edges = PlacementEdges(self)
+            self._placement_edges = edges
+        return edges
 
     # -- traversal structures ----------------------------------------------------
 
@@ -357,3 +313,52 @@ class FunctionCFG:
             f"<FunctionCFG {self.function_name} ({len(self.labels)} blocks, "
             f"{len(self.edges)} edges)>"
         )
+
+
+class PlacementEdges:
+    """The numbered edges of one CFG snapshot that spill code may sit on.
+
+    Edge 0 is the virtual entry edge, ``1 .. len(cfg.edges)`` are ``cfg.edges``
+    and :attr:`exit` is the virtual exit edge; edge and block sets are ``int``
+    masks (blocks at :meth:`FunctionCFG.aa_maps` positions).  Per edge ``e``:
+    ``keys[e]`` (``number`` maps back), destination position ``dst[e]`` (-1:
+    exit edge) and ``rank[e]``, the key's sorted position; per block ``b``,
+    out-edges ``out[b]`` (the exit block's end with the exit edge).
+    ``jump_mask`` holds the edges that need a jump block.  ``block_masks``
+    memoizes :meth:`block_mask`.
+    """
+
+    __slots__ = ("position", "keys", "number", "exit", "dst", "out", "jump_mask", "rank",
+                 "block_masks")
+
+    def __init__(self, cfg: FunctionCFG):
+        position = cfg.aa_maps()[0]
+        entry, exit_label = cfg.entry_label, cfg.exit_label
+        self.position, self.block_masks = position, {}
+        keys = [(ENTRY_SENTINEL, entry)] + [e.key for e in cfg.edges]
+        self.keys = tuple(keys + [(exit_label, EXIT_SENTINEL)])
+        self.exit = len(self.keys) - 1
+        self.number = {key: n for n, key in enumerate(self.keys)}
+        self.dst = [position[entry]] + [position[e.dst] for e in cfg.edges] + [-1]
+        out: List[List[int]] = [[] for _ in cfg.labels]
+        self.jump_mask = 0
+        for n, e in enumerate(cfg.edges, 1):
+            out[position[e.src]].append(n)
+            critical = (e.dst == entry or len(cfg.preds[e.dst]) != 1) and len(cfg.succs[e.src]) != 1
+            if critical and e.kind is EdgeKind.JUMP:
+                self.jump_mask |= 1 << n
+        out[position[exit_label]].append(self.exit)
+        self.out = [tuple(numbers) for numbers in out]
+        self.rank = [0] * len(self.keys)
+        for r, n in enumerate(sorted(range(len(self.keys)), key=self.keys.__getitem__)):
+            self.rank[n] = r
+
+    def block_mask(self, labels) -> int:
+        """The block mask of ``labels`` (labels outside the CFG are ignored)."""
+
+        key = labels if isinstance(labels, frozenset) else frozenset(labels)
+        mask = self.block_masks.get(key)
+        if mask is None:
+            position = self.position
+            mask = self.block_masks[key] = sum(1 << position[l] for l in key if l in position)
+        return mask

@@ -247,11 +247,6 @@ class Function:
 
         return Edge(self.exit.label, EXIT_SENTINEL, EdgeKind.VIRTUAL)
 
-    def edge_map(self) -> Dict[Tuple[str, str], Edge]:
-        """All edges keyed by ``(src, dst)``."""
-
-        return dict(self.cfg().edge_map())
-
     # -- instructions and registers ----------------------------------------------
 
     def instructions(self) -> Iterator[Instruction]:

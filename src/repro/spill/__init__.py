@@ -39,7 +39,6 @@ from repro.spill.model import (
     SpillPlacement,
 )
 from repro.spill.overhead import placement_dynamic_overhead
-from repro.spill.sets import build_save_restore_sets
 from repro.spill.shrink_wrap import place_shrink_wrap, shrink_wrap_edges
 from repro.spill.verifier import (
     PlacementError,
@@ -61,7 +60,6 @@ __all__ = [
     "SpillLocation",
     "SpillPlacement",
     "apply_placement",
-    "build_save_restore_sets",
     "entry_exit_set",
     "place_entry_exit",
     "place_hierarchical",

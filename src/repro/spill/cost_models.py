@@ -17,13 +17,14 @@ The paper defines two cost models:
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Optional
 
-from repro.ir.cfg import EdgeKind, FunctionCFG
+from repro.analysis.bitset import bit_positions
+from repro.ir.cfg import FunctionCFG, PlacementEdges
 from repro.ir.function import ENTRY_SENTINEL, EXIT_SENTINEL, Function
 from repro.profiling.profile_data import EdgeProfile
-from repro.ir.values import PhysicalRegister
-from repro.spill.model import EdgeKey, SaveRestoreSet, SpillKind, SpillLocation
+from repro.spill.model import EdgeKey, SaveRestoreSet, SpillLocation
+from repro.spill.sets import in_key_order, location_masks
 from repro.target.machine import MachineDescription, cost_weights
 
 
@@ -46,11 +47,8 @@ def requires_jump_block(
     Only a *critical jump edge* — source with several successors, destination
     with several predecessors, transfer by an explicit jump — needs a new
     block terminated by a new jump instruction, which is the extra dynamic
-    cost the jump-edge model charges.
-
-    The verdict is structural, so it is memoized on the CFG snapshot
-    (``cfg.jump_memo``); pass ``cfg`` to skip re-fetching the snapshot in
-    per-edge loops.
+    cost the jump-edge model charges.  Verdicts come from the snapshot's edge
+    table (``KeyError`` for an edge not in it); pass ``cfg`` to skip re-fetching it.
     """
 
     src, dst = edge
@@ -58,32 +56,11 @@ def requires_jump_block(
         return False
     if cfg is None:
         cfg = function.cfg()
-    memo = cfg.jump_memo
-    cached = memo.get(edge)
-    if cached is None:
-        if dst != cfg.entry_label and cfg.num_preds.get(dst, 0) == 1:
-            cached = False
-        elif cfg.num_succs[src] == 1:
-            cached = False
-        else:
-            cached = cfg.edge(src, dst).kind is EdgeKind.JUMP
-        memo[edge] = cached
-    return cached
-
-
-#: Stand-in register for the hypothetical save/restore pair a boundary cost prices.
-_BOUNDARY_REGISTER = PhysicalRegister("__cost__", -1)
-
-
-def _boundary_locations(
-    entry_edge: EdgeKey, exit_edge: EdgeKey
-) -> Tuple[SpillLocation, SpillLocation]:
-    """A save on ``entry_edge`` and a restore on ``exit_edge``."""
-
-    return (
-        SpillLocation(_BOUNDARY_REGISTER, SpillKind.SAVE, entry_edge),
-        SpillLocation(_BOUNDARY_REGISTER, SpillKind.RESTORE, exit_edge),
-    )
+    edges = cfg.placement_edges()
+    number = edges.number.get(edge)
+    if number is None:
+        raise KeyError(f"no edge {src} -> {dst} in function {cfg.function_name!r}")
+    return bool(edges.jump_mask >> number & 1)
 
 
 class CostModel:
@@ -116,11 +93,6 @@ class CostModel:
         self.machine = machine
         self._save_weight, self._restore_weight, self._jump_weight = cost_weights(machine)
 
-    def location_weight(self, location: SpillLocation) -> float:
-        """The target's cost weight for one save or restore instruction."""
-
-        return self._save_weight if location.is_save() else self._restore_weight
-
     def cache_identity(self) -> str:
         """``class|name|save|restore|jump`` with bit-exact (hex) weights.
 
@@ -138,6 +110,36 @@ class CostModel:
             )
         )
 
+    def mask_cost(
+        self,
+        edges: PlacementEdges,
+        counts: Mapping[int, float],
+        saves: int,
+        restores: int,
+        sharing: Optional[Mapping[int, int]] = None,
+    ) -> float:
+        """Cost of saves on the ``saves`` edges and restores on ``restores``.
+
+        This is the one place spill code is priced.  Edges are
+        :class:`~repro.ir.cfg.PlacementEdges` numbers and ``counts[n]`` is
+        edge ``n``'s execution count.  Under the jump-edge model a location
+        needing a jump block also pays the jump, divided among the
+        ``sharing[n]`` registers sharing it (initial sets only).  Summed in
+        canonical location order — restores first, each kind in edge-key
+        order — so the float does not depend on string hashing.
+        """
+
+        jumps = edges.jump_mask if self.charges_jumps else 0
+        total = 0
+        for weight, mask in ((self._restore_weight, restores), (self._save_weight, saves)):
+            for n in in_key_order(edges, mask):
+                cost = counts[n] * weight
+                if jumps >> n & 1:
+                    shared = max(1, sharing.get(n, 1)) if sharing else 1
+                    cost += counts[n] * self._jump_weight / shared
+                total += cost
+        return total
+
     def location_cost(
         self,
         function: Function,
@@ -146,21 +148,10 @@ class CostModel:
         jump_sharing: Optional[Mapping[EdgeKey, int]] = None,
         cfg: Optional[FunctionCFG] = None,
     ) -> float:
-        """Dynamic cost of one save/restore location.
+        """Dynamic cost of one save/restore location of an initial set."""
 
-        ``jump_sharing`` maps edges to the number of callee-saved registers
-        sharing a jump block there; it only applies to locations of *initial*
-        save/restore sets.  Pass ``cfg`` to skip re-fetching the snapshot.
-        """
-
-        count = profile.edge_count(location.edge)
-        cost = count * self.location_weight(location)
-        if not self.charges_jumps or not requires_jump_block(function, location.edge, cfg=cfg):
-            return cost
-        sharing = 1
-        if jump_sharing is not None:
-            sharing = max(1, jump_sharing.get(location.edge, 1))
-        return cost + count * self._jump_weight / sharing
+        srset = SaveRestoreSet(location.register, frozenset([location]))
+        return self.set_cost(function, profile, srset, jump_sharing, cfg)
 
     def set_cost(
         self,
@@ -170,19 +161,22 @@ class CostModel:
         jump_sharing: Optional[Mapping[EdgeKey, int]] = None,
         cfg: Optional[FunctionCFG] = None,
     ) -> float:
-        """Total cost of a save/restore set.
+        """:meth:`mask_cost` of a save/restore set; ``KeyError`` for a location on no CFG edge.
 
-        Summed in the set's canonical location order, so the float result
-        does not depend on how string hashes order the frozenset.
+        ``jump_sharing`` maps edges to the number of callee-saved registers
+        sharing a jump block there; it applies to *initial* sets only.  Pass
+        ``cfg`` to skip re-fetching the snapshot.
         """
 
-        if cfg is None:
-            cfg = function.cfg()
-        sharing = jump_sharing if srset.initial else None
-        return sum(
-            self.location_cost(function, profile, location, sharing, cfg)
-            for location in srset.ordered_locations()
-        )
+        edges = (cfg or function.cfg()).placement_edges()
+        saves, restores, strays = location_masks(edges, srset.locations)
+        if strays:
+            raise KeyError(f"location {strays[0]} does not lie on a CFG edge")
+        counts = {n: profile.edge_count(edges.keys[n]) for n in bit_positions(saves | restores)}
+        sharing = None
+        if jump_sharing is not None and srset.initial:
+            sharing = {edges.number[e]: c for e, c in jump_sharing.items() if e in edges.number}
+        return self.mask_cost(edges, counts, saves, restores, sharing)
 
     def boundary_cost(
         self,
@@ -194,15 +188,13 @@ class CostModel:
     ) -> float:
         """Cost of saving at ``entry_edge`` and restoring at ``exit_edge``.
 
-        New sets always pay the full jump cost, hence no sharing map.
+        New sets always pay the full jump cost, hence no sharing.
         """
 
-        if cfg is None:
-            cfg = function.cfg()
-        save, restore = _boundary_locations(entry_edge, exit_edge)
-        return self.location_cost(function, profile, save, None, cfg) + self.location_cost(
-            function, profile, restore, None, cfg
-        )
+        edges = (cfg or function.cfg()).placement_edges()
+        entry, exit_ = edges.number[entry_edge], edges.number[exit_edge]
+        counts = {entry: profile.edge_count(entry_edge), exit_: profile.edge_count(exit_edge)}
+        return self.mask_cost(edges, counts, 1 << entry, 1 << exit_)
 
 
 class ExecutionCountCostModel(CostModel):

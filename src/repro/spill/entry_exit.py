@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.session import CompilationSession, session_for
-from repro.ir.function import ENTRY_SENTINEL, EXIT_SENTINEL, Function
+from repro.ir.function import Function
 from repro.spill.model import (
     CalleeSavedUsage,
     SaveRestoreSet,
@@ -32,9 +32,9 @@ def entry_exit_set(
     locations fail the soundness check (arbitrary, e.g. irreducible, CFGs).
     """
 
-    cfg = session_for(function, session).cfg
-    save = SpillLocation(register, SpillKind.SAVE, (ENTRY_SENTINEL, cfg.entry_label))
-    restore = SpillLocation(register, SpillKind.RESTORE, (cfg.exit_label, EXIT_SENTINEL))
+    keys = session_for(function, session).cfg.placement_edges().keys
+    save = SpillLocation(register, SpillKind.SAVE, keys[0])
+    restore = SpillLocation(register, SpillKind.RESTORE, keys[-1])
     return SaveRestoreSet.from_locations(register, [save, restore], initial=True)
 
 

@@ -22,26 +22,24 @@ jump edges and is the model evaluated in the paper's experiments.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple, Union
+from functools import cached_property, reduce
+from operator import or_
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple, Union
 
+from repro.analysis.bitset import bit_positions
 from repro.analysis.pst import ProgramStructureTree, Region
 from repro.analysis.session import CompilationSession, session_for
-from repro.ir.cfg import FunctionCFG
+from repro.ir.cfg import FunctionCFG, PlacementEdges
 from repro.ir.function import Function
 from repro.ir.values import PhysicalRegister
 from repro.profiling.profile_data import EdgeProfile
-from repro.spill.cost_models import CostModel, make_cost_model, requires_jump_block
-from repro.spill.model import (
-    CalleeSavedUsage,
-    EdgeKey,
-    SaveRestoreSet,
-    SpillKind,
-    SpillLocation,
-    SpillPlacement,
-)
-from repro.spill.shrink_wrap import place_shrink_wrap
-from repro.spill.verifier import register_errors
+from repro.spill.cost_models import CostModel, make_cost_model
+from repro.spill.model import CalleeSavedUsage, SpillPlacement
+from repro.spill.sets import RegisterSets, edge_set
+from repro.spill.shrink_wrap import shrink_wrap_sets
+from repro.spill.verifier import convention_errors
 from repro.target.machine import MachineDescription
 
 
@@ -67,43 +65,48 @@ class RegionDecision:
 
 @dataclass
 class HierarchicalResult:
-    """Placement plus the decision trace and the structures it was built from."""
+    """Placement plus the decision trace and the structures it was built from.
+
+    ``initial_placement`` (the modified shrink-wrapping start) is built on first use.
+    """
 
     placement: SpillPlacement
-    initial_placement: SpillPlacement
     pst: ProgramStructureTree
     decisions: List[RegionDecision] = field(default_factory=list)
+    initial_sets: Dict[PhysicalRegister, RegisterSets] = field(default_factory=dict, repr=False)
+    initial_fallbacks: List[PhysicalRegister] = field(default_factory=list)
+
+    @cached_property
+    def initial_placement(self) -> SpillPlacement:
+        initial = SpillPlacement(self.placement.function_name, "modified_shrink_wrap")
+        initial.fallback_registers = list(self.initial_fallbacks)
+        for sets in self.initial_sets.values():
+            for srset in sets.sets():
+                initial.add_set(srset)
+        return initial
 
     def decisions_for_register(self, register: PhysicalRegister) -> List[RegionDecision]:
         return [d for d in self.decisions if d.register == register]
 
 
-def compute_jump_sharing(
-    function: Function,
-    placement: SpillPlacement,
-    cfg: Optional[FunctionCFG] = None,
-) -> Dict[EdgeKey, int]:
-    """How many registers share a jump block on each edge of the initial placement.
+def jump_sharing(edges: PlacementEdges, register_pairs: Iterable[Iterable[Tuple]]) -> Counter:
+    """Per jump edge, how many registers' ``(saves, restores)`` set pairs have a location there.
 
-    The jump-edge cost model divides the cost of a jump instruction among all
-    callee-saved registers that have spill locations on the corresponding
-    jump edge (paper, Section 4) — but only for the initial, shrink-wrapping
-    derived sets.
+    The jump-edge model divides a jump's cost among them, for initial sets only (Section 4).
     """
 
-    sharing: Dict[EdgeKey, int] = {}
-    if cfg is None:
-        cfg = function.cfg()
-    for edge, locations in placement.edges_with_locations().items():
-        if requires_jump_block(function, edge, cfg=cfg):
-            sharing[edge] = len({l.register for l in locations})
-    return sharing
+    masks = [reduce(or_, (s | r for s, r in pairs)) for pairs in register_pairs]
+    return Counter(n for mask in masks for n in bit_positions(mask & edges.jump_mask))
 
 
 class _Entry(NamedTuple):
     """One set in a register's working list, priced once when it enters."""
 
-    srset: SaveRestoreSet
+    #: The initial sets it is ``index`` of; ``None`` for a hoisted set.
+    origin: Optional[RegisterSets]
+    index: int
+    saves: int
+    restores: int
     cost: float
     #: The block labels at both ends of the set's location edges.
     labels: FrozenSet[str]
@@ -171,37 +174,40 @@ def place_hierarchical(
         cost_model = make_cost_model(cost_model, machine)
 
     session = session_for(function, session, cfg)
-    cfg = session.cfg
+    edges = session.cfg.placement_edges()
+    keys = edges.keys
+    counts = [profile.edge_count(key) for key in keys]
     # Steps 1-3: PST, modified shrink-wrapping locations, initial sets.
     pst = session.pst(maximal_regions)
-    initial = place_shrink_wrap(
-        function,
-        usage,
-        allow_jump_edges=True,
-        avoid_loops=False,
-        technique_name="modified_shrink_wrap",
-        session=session,
+    by_register, fallbacks = shrink_wrap_sets(
+        function, usage, allow_jump_edges=True, avoid_loops=False, session=session
     )
-    jump_sharing = compute_jump_sharing(function, initial, cfg=cfg)
+    initial_sets = {register: sets for register, sets in by_register.items() if sets.pairs}
+    sharing = jump_sharing(edges, [sets.pairs for sets in initial_sets.values()])
 
-    def initial_entry(srset: SaveRestoreSet) -> _Entry:
-        cost = cost_model.set_cost(function, profile, srset, jump_sharing, cfg=cfg)
-        labels = frozenset(label for location in srset.locations for label in location.edge)
-        return _Entry(srset, cost, labels)
+    def initial_entry(sets: RegisterSets, index: int) -> _Entry:
+        saves, restores = sets.pairs[index]
+        cost = cost_model.mask_cost(edges, counts, saves, restores, sharing)
+        labels = frozenset(label for n in bit_positions(saves | restores) for label in keys[n])
+        return _Entry(sets, index, saves, restores, cost, labels)
 
     current: Dict[PhysicalRegister, List[_Entry]] = {
-        register: [initial_entry(srset) for srset in initial.sets_for(register)]
-        for register in initial.registers()
+        register: [initial_entry(sets, index) for index in range(len(sets.pairs))]
+        for register, sets in initial_sets.items()
     }
     registers = usage.used_registers()
     decisions: List[RegionDecision] = []
 
     # Steps 4-6: topological traversal of the PST.
     for region in pst.topological_order():
-        boundary_cost = cost_model.boundary_cost(
-            function, profile, region.entry_edge, region.exit_edge, cfg=cfg
+        entry_edge, exit_edge = edges.number[region.entry_edge], edges.number[region.exit_edge]
+        boundary_cost = cost_model.mask_cost(edges, counts, 1 << entry_edge, 1 << exit_edge)
+        # One new set whose save and restore sit at the region boundaries;
+        # its cost is the boundary cost.
+        hoisted = _Entry(
+            None, 0, 1 << entry_edge, 1 << exit_edge, boundary_cost,
+            frozenset(region.entry_edge + region.exit_edge),
         )
-        hoisted_labels = frozenset(region.entry_edge + region.exit_edge)
         for register in registers:
             entries = current.get(register)
             if not entries:
@@ -221,19 +227,8 @@ def place_hierarchical(
                     replaced=replaced,
                 )
             )
-            if not replaced:
-                continue
-            # Substitute one new set whose save and restore sit at the region
-            # boundaries; its cost is the boundary cost just compared.
-            new_set = SaveRestoreSet.from_locations(
-                register,
-                [
-                    SpillLocation(register, SpillKind.SAVE, region.entry_edge),
-                    SpillLocation(register, SpillKind.RESTORE, region.exit_edge),
-                ],
-                initial=False,
-            )
-            current[register] = remaining + [_Entry(new_set, boundary_cost, hoisted_labels)]
+            if replaced:
+                current[register] = remaining + [hoisted]
 
     # Soundness net: the PST traversal is correct whenever the SESE regions
     # really are single-entry/single-exit, which the cycle-equivalence
@@ -243,18 +238,28 @@ def place_hierarchical(
     # initial sets, which place_shrink_wrap already checked (or replaced by
     # the entry/exit pair).
     placement = SpillPlacement(function.name, f"hierarchical[{cost_model.name}]")
-    placement.fallback_registers = list(initial.fallback_registers)
+    placement.fallback_registers = list(fallbacks)
     for register, entries in current.items():
-        sets = [entry.srset for entry in entries]
-        if register_errors(session, register, usage.blocks_for(register), sets):
-            sets = initial.sets_for(register)
+        occupied = edges.block_mask(usage.blocks_for(register))
+        pairs = [(entry.saves, entry.restores) for entry in entries]
+        if convention_errors(session, register, occupied, pairs):
+            sets = initial_sets[register].sets()
             if register not in placement.fallback_registers:
                 placement.fallback_registers.append(register)
+        else:
+            masks = session.set_masks
+            sets = [
+                edge_set(edges, masks, register, entry.saves, entry.restores, initial=False)
+                if entry.origin is None
+                else entry.origin.set_at(entry.index)
+                for entry in entries
+            ]
         for srset in sets:
             placement.add_set(srset)
     return HierarchicalResult(
         placement=placement,
-        initial_placement=initial,
         pst=pst,
         decisions=decisions,
+        initial_sets=initial_sets,
+        initial_fallbacks=fallbacks,
     )

@@ -34,7 +34,6 @@ from repro.ir.function import ENTRY_SENTINEL, EXIT_SENTINEL, Function
 from repro.ir.passes import split_edge
 from repro.ir.values import PhysicalRegister, StackSlot
 from repro.profiling.profile_data import EdgeProfile
-from repro.spill.cost_models import requires_jump_block
 from repro.spill.model import EdgeKey, SpillLocation, SpillPlacement
 
 
@@ -49,13 +48,6 @@ class InsertionResult:
     jump_blocks: Dict[EdgeKey, str] = field(default_factory=dict)
     split_blocks: Dict[EdgeKey, str] = field(default_factory=dict)
     inserted_jumps: int = 0
-
-    @property
-    def num_inserted_instructions(self) -> int:
-        return self.inserted_saves + self.inserted_restores + self.inserted_jumps
-
-    def block_for_edge(self, edge: EdgeKey) -> Optional[str]:
-        return self.jump_blocks.get(edge) or self.split_blocks.get(edge)
 
 
 def _make_instruction(location: SpillLocation, slot: StackSlot):

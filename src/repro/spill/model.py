@@ -41,22 +41,6 @@ class SpillLocation:
     kind: SpillKind
     edge: EdgeKey
 
-    def __hash__(self) -> int:
-        # Locations are hashed constantly (frozensets of them form every
-        # SaveRestoreSet); cache the field-tuple hash on first use.  The cache
-        # must not be pickled: string hashes are per-process under hash
-        # randomization, and placements travel through the compile cache.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.register, self.kind, self.edge))
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
     def is_save(self) -> bool:
         return self.kind is SpillKind.SAVE
 
@@ -108,14 +92,6 @@ class SaveRestoreSet:
         initial: bool = True,
     ) -> "SaveRestoreSet":
         return cls(register, frozenset(locations), initial)
-
-    @property
-    def saves(self) -> List[SpillLocation]:
-        return sorted((l for l in self.locations if l.is_save()), key=lambda l: l.edge)
-
-    @property
-    def restores(self) -> List[SpillLocation]:
-        return sorted((l for l in self.locations if l.is_restore()), key=lambda l: l.edge)
 
     def ordered_locations(self) -> List[SpillLocation]:
         """The locations in canonical ``(kind, edge)`` order.
@@ -183,9 +159,6 @@ class CalleeSavedUsage:
             {reg: frozenset(b for b in blocks if b in allowed) for reg, blocks in self.occupancy.items()}
         )
 
-    def total_occupied_blocks(self) -> int:
-        return sum(len(blocks) for blocks in self.occupancy.values())
-
     def __bool__(self) -> bool:
         return any(self.occupancy.values())
 
@@ -243,9 +216,6 @@ class SpillPlacement:
         for location in self.locations():
             by_edge.setdefault(location.edge, []).append(location)
         return by_edge
-
-    def registers_on_edge(self, edge: EdgeKey) -> Set[PhysicalRegister]:
-        return {l.register for l in self.locations() if l.edge == edge}
 
     def describe(self) -> str:
         lines = [f"{self.technique} placement for {self.function_name}:"]

@@ -15,15 +15,15 @@ rewritten function (``tests/oracles/overhead.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import List, Optional
 
 from repro.analysis.session import CompilationSession
 from repro.ir.cfg import FunctionCFG
 from repro.ir.function import Function
 from repro.ir.instructions import Opcode
 from repro.profiling.profile_data import EdgeProfile
-from repro.spill.cost_models import requires_jump_block
-from repro.spill.model import EdgeKey, SpillPlacement
+from repro.spill.model import SpillPlacement
+from repro.spill.sets import in_key_order, location_masks
 from repro.target.machine import MachineDescription, cost_weights
 
 
@@ -61,32 +61,42 @@ def placement_dynamic_overhead(
     instruction per execution — charged once per edge, because registers
     placed on the same edge share the jump block.  When ``machine`` is given,
     saves, restores and jumps are weighted by the target's instruction costs
-    instead of counting one unit each.
+    instead of counting one unit each.  A location on no CFG edge raises
+    ``KeyError``.
     """
 
     save_weight, restore_weight, jump_weight = cost_weights(machine)
+    edges = (cfg or function.cfg()).placement_edges()
+    keys, jump_mask = edges.keys, edges.jump_mask
 
-    save_count = 0.0
-    restore_count = 0.0
-    for location in placement.locations():
-        count = profile.edge_count(location.edge)
-        if location.is_save():
-            save_count += count * save_weight
-        else:
-            restore_count += count * restore_weight
+    # Summed in the placement's canonical location order; each jump edge
+    # is charged once, in the order its first location appears.
+    save_count = restore_count = 0.0
+    jump_edges: List[int] = []
+    for register in placement.registers():
+        for srset in placement.sets[register]:
+            saves, restores, strays = location_masks(edges, srset.locations)
+            if strays:
+                raise KeyError(f"location {strays[0]} does not lie on a CFG edge")
+            restore_edges = in_key_order(edges, restores)
+            save_edges = in_key_order(edges, saves)
+            for n in restore_edges:
+                restore_count += profile.edge_count(keys[n]) * restore_weight
+            for n in save_edges:
+                save_count += profile.edge_count(keys[n]) * save_weight
+            for n in restore_edges + save_edges:
+                if jump_mask >> n & 1 and n not in jump_edges:
+                    jump_edges.append(n)
 
     jump_count = 0.0
-    num_jump_blocks = 0
-    for edge in placement.edges_with_locations():
-        if requires_jump_block(function, edge, cfg=cfg):
-            num_jump_blocks += 1
-            jump_count += profile.edge_count(edge) * jump_weight
+    for n in jump_edges:
+        jump_count += profile.edge_count(keys[n]) * jump_weight
 
     return PlacementOverhead(
         save_count=save_count,
         restore_count=restore_count,
         jump_count=jump_count,
-        num_jump_blocks=num_jump_blocks,
+        num_jump_blocks=len(jump_edges),
     )
 
 

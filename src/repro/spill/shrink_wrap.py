@@ -36,24 +36,16 @@ algorithm (paper, Section 4) applies neither restriction.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.analysis.loops import LoopForest
+from repro.analysis.bitset import bit_positions
 from repro.analysis.session import CompilationSession, session_for
-from repro.ir.cfg import FunctionCFG
-from repro.ir.function import ENTRY_SENTINEL, EXIT_SENTINEL, Function
+from repro.ir.cfg import FunctionCFG, PlacementEdges
+from repro.ir.function import Function
 from repro.ir.values import PhysicalRegister
-from repro.spill.model import (
-    CalleeSavedUsage,
-    EdgeKey,
-    SaveRestoreSet,
-    SpillKind,
-    SpillLocation,
-    SpillPlacement,
-)
-from repro.spill.entry_exit import entry_exit_set
-from repro.spill.sets import build_save_restore_sets
-from repro.spill.verifier import register_errors
+from repro.spill.model import CalleeSavedUsage, SpillPlacement
+from repro.spill.sets import RegisterSets, group_edges
+from repro.spill.verifier import convention_errors
 
 
 def _solve_aa_masks(cfg: FunctionCFG, used_mask: int) -> Tuple[int, int, int, int]:
@@ -106,57 +98,53 @@ def _solve_aa_masks(cfg: FunctionCFG, used_mask: int) -> Tuple[int, int, int, in
     return ant_in, ant_out, av_in, av_out
 
 
+def _solve(cfg: FunctionCFG, edges: PlacementEdges, used_mask: int) -> Tuple[int, int]:
+    """Save and restore edge masks for the blocks of ``used_mask``."""
+
+    ant_in, _ant_out, _av_in, av_out = _solve_aa_masks(cfg, used_mask)
+    # save on (u, v) iff ANTIN(v) and not AVOUT(u) and not ANTIN(u);
+    # restore on (u, v) iff AVOUT(u) and not ANTIN(v) and not AVOUT(v).
+    # The virtual entry/exit ends (position -1) are false for all four.
+    dst = edges.dst
+    saved_or_ant = ant_in | av_out
+    saves = 1 if ant_in >> dst[0] & 1 else 0
+    restores = 0
+    for block, out in enumerate(edges.out):
+        block_bit = 1 << block
+        save_from = not saved_or_ant & block_bit
+        restore_from = bool(av_out & block_bit)
+        if not save_from and not restore_from:
+            continue
+        for n in out:
+            target = dst[n]
+            if target < 0:
+                if restore_from:
+                    restores |= 1 << n
+                continue
+            target_bit = 1 << target
+            if save_from and ant_in & target_bit:
+                saves |= 1 << n
+            elif restore_from and not saved_or_ant & target_bit:
+                restores |= 1 << n
+    return saves, restores
+
+
 def save_restore_edges(
     function: Function,
     used_blocks: FrozenSet[str],
     cfg: Optional[FunctionCFG] = None,
-) -> Tuple[Set[EdgeKey], Set[EdgeKey]]:
-    """Save and restore edges for one register, given its occupied blocks."""
+) -> Tuple[int, int]:
+    """One register's save and restore edge masks, given its occupied blocks."""
 
     if not used_blocks:
-        return set(), set()
+        return 0, 0
     if cfg is None:
         cfg = function.cfg()
-    position = cfg.aa_maps()[0]
-    used_mask = 0
-    for label in used_blocks:
-        bit = position.get(label)
-        if bit is not None:
-            used_mask |= 1 << bit
-    ant_in, _ant_out, _av_in, av_out = _solve_aa_masks(cfg, used_mask)
-    saves: Set[EdgeKey] = set()
-    restores: Set[EdgeKey] = set()
-
-    def consider(u: Optional[str], v: Optional[str], key: EdgeKey) -> None:
-        if v is not None:
-            bit_v = 1 << position[v]
-            ant_in_v = bool(ant_in & bit_v)
-            av_out_v = bool(av_out & bit_v)
-        else:
-            ant_in_v = av_out_v = False
-        if u is not None:
-            bit_u = 1 << position[u]
-            ant_in_u = bool(ant_in & bit_u)
-            av_out_u = bool(av_out & bit_u)
-        else:
-            ant_in_u = av_out_u = False
-        if ant_in_v and not av_out_u and not ant_in_u:
-            saves.add(key)
-        if av_out_u and not ant_in_v and not av_out_v:
-            restores.add(key)
-
-    entry_label = cfg.entry_label
-    consider(None, entry_label, (ENTRY_SENTINEL, entry_label))
-    for edge in cfg.edges:
-        consider(edge.src, edge.dst, edge.key)
-    exit_label = cfg.exit_label
-    consider(exit_label, None, (exit_label, EXIT_SENTINEL))
-    return saves, restores
+    edges = cfg.placement_edges()
+    return _solve(cfg, edges, edges.block_mask(used_blocks))
 
 
-def _expand_through_loops(
-    function: Function, used_blocks: FrozenSet[str], loops: LoopForest
-) -> FrozenSet[str]:
+def _expand_through_loops(occupied: int, loop_masks: List[int]) -> int:
     """Mark every block of a loop occupied as soon as any of its blocks is.
 
     This reproduces Chow's artificial data flow through loop bodies, which
@@ -164,15 +152,14 @@ def _expand_through_loops(
     nested and sibling loops compose.
     """
 
-    expanded = set(used_blocks)
     changed = True
     while changed:
         changed = False
-        for loop in loops.loops:
-            if expanded & loop.body and not loop.body <= expanded:
-                expanded |= loop.body
+        for body in loop_masks:
+            if occupied & body and body & ~occupied:
+                occupied |= body
                 changed = True
-    return frozenset(expanded)
+    return occupied
 
 
 def shrink_wrap_edges(
@@ -182,8 +169,8 @@ def shrink_wrap_edges(
     avoid_loops: bool = False,
     max_iterations: Optional[int] = None,
     session: Optional[CompilationSession] = None,
-) -> Tuple[Set[EdgeKey], Set[EdgeKey]]:
-    """Shrink-wrapping save/restore edges for one register.
+) -> Tuple[int, int]:
+    """Shrink-wrapping save and restore edge masks for one register.
 
     ``allow_jump_edges=True, avoid_loops=False`` gives the modified variant
     used as the hierarchical algorithm's starting point;
@@ -195,21 +182,24 @@ def shrink_wrap_edges(
     """
 
     if not used_blocks:
-        return set(), set()
+        return 0, 0
     session = session_for(function, session)
     cfg = session.cfg
+    edges = cfg.placement_edges()
     solutions = session.edge_solutions
 
-    def solve(occupied: FrozenSet[str]) -> Tuple[Set[EdgeKey], Set[EdgeKey]]:
-        if occupied not in solutions:
-            solutions[occupied] = save_restore_edges(function, occupied, cfg=cfg)
-        saves, restores = solutions[occupied]
-        return set(saves), set(restores)
+    def solve(occupied: int) -> Tuple[int, int]:
+        solution = solutions.get(occupied)
+        if solution is None:
+            solution = solutions[occupied] = _solve(cfg, edges, occupied)
+        return solution
 
-    occupied = frozenset(used_blocks)
+    occupied = edges.block_mask(used_blocks)
     if avoid_loops:
-        occupied = _expand_through_loops(function, occupied, session.loop_forest)
+        loop_masks = [edges.block_mask(loop.body) for loop in session.loop_forest.loops]
+        occupied = _expand_through_loops(occupied, loop_masks)
 
+    keys, position, jump_mask = edges.keys, edges.position, edges.jump_mask
     limit = max_iterations if max_iterations is not None else len(function) + 2
     for _ in range(limit):
         saves, restores = solve(occupied)
@@ -219,51 +209,51 @@ def shrink_wrap_edges(
         # jump edge whose destination has a single predecessor (or whose
         # source has a single successor) can be absorbed into the existing
         # block and is therefore not an offender.
-        from repro.spill.cost_models import requires_jump_block
-
-        offenders_src = {
-            key[0] for key in saves if requires_jump_block(function, key, cfg=cfg)
-        }
-        offenders_dst = {
-            key[1] for key in restores if requires_jump_block(function, key, cfg=cfg)
-        }
-        if not offenders_src and not offenders_dst:
+        offenders = [keys[n][0] for n in bit_positions(saves & jump_mask)]
+        offenders += [keys[n][1] for n in bit_positions(restores & jump_mask)]
+        if not offenders:
             return saves, restores
         # Propagate artificial occupancy along the offending jump edges:
         # the source block for saves, the destination block for restores.
-        occupied = frozenset(occupied | offenders_src | offenders_dst)
+        for label in offenders:
+            occupied |= 1 << position[label]
         if avoid_loops:
-            occupied = _expand_through_loops(function, occupied, session.loop_forest)
+            occupied = _expand_through_loops(occupied, loop_masks)
     # The expansion is monotone and bounded by the number of blocks, so the
     # loop above always terminates; this return is the final fixed point.
     return solve(occupied)
 
 
-def _grouped_sets(
+def shrink_wrap_sets(
+    function: Function,
+    usage: CalleeSavedUsage,
+    allow_jump_edges: bool,
+    avoid_loops: bool,
     session: CompilationSession,
-    register: PhysicalRegister,
-    saves: Set[EdgeKey],
-    restores: Set[EdgeKey],
-) -> List[SaveRestoreSet]:
-    """One register's initial save/restore sets, grouped once per edge content.
+) -> Tuple[Dict[PhysicalRegister, RegisterSets], List[PhysicalRegister]]:
+    """Each used register's checked sets (see :func:`place_shrink_wrap`), and the fallbacks."""
 
-    Chow's technique and the modified variant agree on most registers'
-    edges; the session memo hands the second the first's sets (the same
-    immutable objects), so their grouping and soundness check are shared.
-    """
-
-    key = (register, frozenset(saves), frozenset(restores))
-    sets = session.set_groups.get(key)
-    if sets is None:
-        locations = [SpillLocation(register, SpillKind.SAVE, edge) for edge in sorted(saves)]
-        locations += [
-            SpillLocation(register, SpillKind.RESTORE, edge) for edge in sorted(restores)
-        ]
-        sets = build_save_restore_sets(
-            session.function, register, locations, initial=True, cfg=session.cfg
+    edges = session.cfg.placement_edges()
+    by_register: Dict[PhysicalRegister, RegisterSets] = {}
+    fallbacks: List[PhysicalRegister] = []
+    for register in usage.used_registers():
+        occupied = usage.blocks_for(register)
+        saves, restores = shrink_wrap_edges(
+            function, occupied, allow_jump_edges, avoid_loops, session=session
         )
-        session.set_groups[key] = sets
-    return list(sets)
+        # Chow's technique and the modified variant agree on most registers'
+        # edges: the session hands the second the first's sets.
+        key = (register, saves, restores)
+        sets = session.set_groups.get(key)
+        if sets is None:
+            sets = session.set_groups[key] = RegisterSets(
+                session, register, group_edges(edges, saves, restores)
+            )
+        if convention_errors(session, register, edges.block_mask(occupied), sets.pairs):
+            sets = RegisterSets(session, register, [(1, 1 << edges.exit)])
+            fallbacks.append(register)
+        by_register[register] = sets
+    return by_register, fallbacks
 
 
 def place_shrink_wrap(
@@ -293,20 +283,12 @@ def place_shrink_wrap(
     if technique_name is None:
         technique_name = "shrink_wrap" if not allow_jump_edges else "modified_shrink_wrap"
     session = session_for(function, session, cfg)
+    by_register, fallbacks = shrink_wrap_sets(
+        function, usage, allow_jump_edges, avoid_loops, session
+    )
     placement = SpillPlacement(function.name, technique_name)
-    for register in usage.used_registers():
-        occupied = usage.blocks_for(register)
-        saves, restores = shrink_wrap_edges(
-            function,
-            occupied,
-            allow_jump_edges=allow_jump_edges,
-            avoid_loops=avoid_loops,
-            session=session,
-        )
-        sets = _grouped_sets(session, register, saves, restores)
-        if register_errors(session, register, occupied, sets):
-            sets = [entry_exit_set(function, register, session)]
-            placement.fallback_registers.append(register)
-        for srset in sets:
+    placement.fallback_registers = fallbacks
+    for sets in by_register.values():
+        for srset in sets.sets():
             placement.add_set(srset)
     return placement

@@ -18,20 +18,15 @@ point for straight-line save/restore code to be correct).
 
 from __future__ import annotations
 
-import enum
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+from repro.analysis.bitset import bit_positions
 from repro.analysis.session import CompilationSession, session_for
 from repro.ir.cfg import FunctionCFG
-from repro.ir.function import ENTRY_SENTINEL, EXIT_SENTINEL, Function
+from repro.ir.function import Function
 from repro.ir.values import PhysicalRegister
-from repro.spill.model import (
-    CalleeSavedUsage,
-    EdgeKey,
-    SaveRestoreSet,
-    SpillLocation,
-    SpillPlacement,
-)
+from repro.spill.model import CalleeSavedUsage, SaveRestoreSet, SpillLocation, SpillPlacement
+from repro.spill.sets import set_masks
 
 
 class PlacementError(ValueError):
@@ -42,119 +37,132 @@ class PlacementError(ValueError):
         self.errors = errors
 
 
-class _State(enum.Enum):
-    ORIGINAL = "original"   # the callee-saved value is (still) in the register
-    SAVED = "saved"         # the value is in the save slot; the register is free
+# What sits on one edge: a save, a restore, more than one of either.
+_SAVE, _RESTORE, _DUPLICATE = 1, 2, 4
 
 
-def _apply_edge(
-    state: _State,
-    edge: EdgeKey,
-    locations: List[SpillLocation],
-    errors: List[str],
-    register: PhysicalRegister,
-) -> _State:
-    """Apply the save/restore locations sitting on one edge to the state."""
+def _apply_edge(saved: bool, code: int, edge, errors: List[str], name: str) -> bool:
+    """Apply the locations on one edge to the state: is the value saved after it?"""
 
-    saves = [l for l in locations if l.is_save()]
-    restores = [l for l in locations if l.is_restore()]
-    if len(saves) > 1 or len(restores) > 1:
-        errors.append(f"{register.name}: duplicate locations on edge {edge}")
-    if saves and restores:
-        errors.append(f"{register.name}: both save and restore on edge {edge}")
-        return state
-    if saves:
-        if state is not _State.ORIGINAL:
-            errors.append(
-                f"{register.name}: save on edge {edge} reached with the value already saved"
-            )
-        return _State.SAVED
-    if restores:
-        if state is not _State.SAVED:
-            errors.append(
-                f"{register.name}: restore on edge {edge} reached without a prior save"
-            )
-        return _State.ORIGINAL
-    return state
+    if code & _DUPLICATE:
+        errors.append(f"{name}: duplicate locations on edge {edge}")
+    if code & _SAVE:
+        if code & _RESTORE:
+            errors.append(f"{name}: both save and restore on edge {edge}")
+            return saved
+        if saved:
+            errors.append(f"{name}: save on edge {edge} reached with the value already saved")
+        return True
+    if not saved:
+        errors.append(f"{name}: restore on edge {edge} reached without a prior save")
+    return False
 
 
 def walk_register_convention(
     cfg: FunctionCFG,
     register: PhysicalRegister,
-    occupied: FrozenSet[str],
-    sets: Sequence[SaveRestoreSet],
+    occupied: int,
+    saves: int,
+    restores: int,
+    duplicates: int = 0,
+    strays: Sequence[SpillLocation] = (),
 ) -> List[str]:
-    """Every convention violation of one register's save/restore ``sets``.
+    """Every convention violation of one register's save and restore edges.
 
-    One abstract-interpretation walk over the CFG; ``occupied`` are the
-    blocks the register is occupied in.
+    One abstract-interpretation walk over the CFG.  ``occupied`` is a block
+    mask; ``saves``, ``restores`` and ``duplicates`` (edges with two saves
+    or two restores) are edge masks; ``strays`` are locations on no edge.
     """
 
+    edges = cfg.placement_edges()
+    keys, dst, out, labels = edges.keys, edges.dst, edges.out, cfg.labels
+    name = register.name
     errors: List[str] = []
-    locations = [location for srset in sets for location in srset.locations]
-    by_edge: Dict[EdgeKey, List[SpillLocation]] = {}
-    for location in locations:
-        by_edge.setdefault(location.edge, []).append(location)
-    entry = cfg.entry_label
-    exit_label = cfg.exit_label
-    block_out_edges = cfg.out_edges
+    codes: Dict[int, int] = dict.fromkeys(bit_positions(saves), _SAVE)
+    for n in bit_positions(restores):
+        codes[n] = codes.get(n, 0) | _RESTORE
+    for n in bit_positions(duplicates) if duplicates else ():
+        codes[n] |= _DUPLICATE
+    occupied_blocks = set(bit_positions(occupied))
 
-    # State at block entry, propagated to a fixed point; absent = unknown.
-    state_at: Dict[str, _State] = {}
-    entry_key = (ENTRY_SENTINEL, entry)
-    entry_locations = by_edge.get(entry_key)
-    if entry_locations is None:
-        entry_state = _State.ORIGINAL
-    else:
-        entry_state = _apply_edge(_State.ORIGINAL, entry_key, entry_locations, errors, register)
-    state_at[entry] = entry_state
-
+    # State at block entry, propagated to a fixed point; None = unknown.
+    saved_at: List[Optional[bool]] = [None] * len(labels)
+    entry = dst[0]
+    code = codes.get(0)
+    saved_at[entry] = False if code is None else _apply_edge(False, code, keys[0], errors, name)
     worklist = [entry]
     while worklist:
-        label = worklist.pop()
-        state = state_at[label]
-        if label in occupied and state is not _State.SAVED:
+        block = worklist.pop()
+        saved = saved_at[block]
+        if not saved and block in occupied_blocks:
             errors.append(
-                f"{register.name}: block {label!r} is occupied but the original "
+                f"{name}: block {labels[block]!r} is occupied but the original "
                 "value was never saved on some path"
             )
-        for edge in block_out_edges[label]:
-            key = edge.key
-            edge_locations = by_edge.get(key)
-            if edge_locations is None:
-                # No spill code on this edge: the state passes through.
-                next_state = state
-            else:
-                next_state = _apply_edge(state, key, edge_locations, errors, register)
-            previous = state_at.get(edge.dst)
+        for n in out[block]:
+            target = dst[n]
+            if target < 0:
+                continue  # the procedure-exit edge, applied after the walk
+            code = codes.get(n)
+            next_saved = saved if code is None else _apply_edge(saved, code, keys[n], errors, name)
+            previous = saved_at[target]
             if previous is None:
-                state_at[edge.dst] = next_state
-                worklist.append(edge.dst)
-            elif previous is not next_state:
+                saved_at[target] = next_saved
+                worklist.append(target)
+            elif previous is not next_saved:
                 errors.append(
-                    f"{register.name}: conflicting saved/unsaved state at block "
-                    f"{edge.dst!r} (paths disagree)"
+                    f"{name}: conflicting saved/unsaved state at block "
+                    f"{labels[target]!r} (paths disagree)"
                 )
 
-    exit_state = state_at.get(exit_label)
-    if exit_state is not None:
-        exit_key = (exit_label, EXIT_SENTINEL)
-        exit_locations = by_edge.get(exit_key)
-        if exit_locations is None:
-            final = exit_state
-        else:
-            final = _apply_edge(exit_state, exit_key, exit_locations, errors, register)
-        if final is not _State.ORIGINAL:
+    exit_saved = saved_at[edges.position[keys[edges.exit][0]]]
+    if exit_saved is not None:
+        code = codes.get(edges.exit)
+        if code is not None:
+            exit_saved = _apply_edge(exit_saved, code, keys[edges.exit], errors, name)
+        if exit_saved:
             errors.append(
-                f"{register.name}: procedure exit reached with the original value "
+                f"{name}: procedure exit reached with the original value "
                 "still in the save slot (missing restore)"
             )
 
-    # Every location must sit on an edge that actually exists.
-    valid_edges = cfg.placement_edge_keys()
-    for location in locations:
-        if location.edge not in valid_edges:
-            errors.append(f"{register.name}: location {location} does not lie on a CFG edge")
+    for location in strays:
+        errors.append(f"{name}: location {location} does not lie on a CFG edge")
+    return errors
+
+
+def convention_errors(
+    session: CompilationSession,
+    register: PhysicalRegister,
+    occupied: int,
+    sets: Iterable[Tuple[int, int]],
+    strays: Sequence[SpillLocation] = (),
+) -> List[str]:
+    """One register's convention errors, walked once per content per session.
+
+    ``sets`` are ``(saves, restores)`` edge-mask pairs and ``occupied`` a
+    block mask.  This is the placement techniques' safety net:
+    dataflow-derived locations are provably correct on the CFG shapes the
+    paper analyses, but arbitrary (e.g. irreducible) flowgraphs may break a
+    technique's assumptions, and a register whose sets fail falls back to
+    entry/exit placement.  The memo key — register name, occupied blocks,
+    save, restore and duplicated edges — is all the verdict depends on, so
+    verification reuses the nets' verdicts.  Read-only result.
+    """
+
+    saves = restores = duplicates = 0
+    for set_saves, set_restores in sets:
+        duplicates |= saves & set_saves | restores & set_restores
+        saves |= set_saves
+        restores |= set_restores
+    key = (register.name, occupied, saves, restores, duplicates)
+    errors = None if strays else session.set_errors.get(key)
+    if errors is None:
+        errors = walk_register_convention(
+            session.cfg, register, occupied, saves, restores, duplicates, strays
+        )
+        if not strays:
+            session.set_errors[key] = errors
     return errors
 
 
@@ -164,23 +172,15 @@ def register_errors(
     occupied: FrozenSet[str],
     sets: Sequence[SaveRestoreSet],
 ) -> List[str]:
-    """One register's convention errors, walked once per content per session.
+    """:func:`convention_errors` of ``sets`` on the ``occupied`` blocks."""
 
-    This is the placement techniques' safety net: dataflow-derived locations
-    are provably correct on the CFG shapes the paper analyses, but arbitrary
-    (e.g. irreducible) flowgraphs may break a technique's assumptions, and a
-    register whose sets fail falls back to entry/exit placement.  The memo
-    key — register, occupied blocks, the sets' locations — is all the verdict
-    depends on, so verification reuses the nets' verdicts.  Read-only result.
-    """
-
-    occupied = frozenset(occupied)
-    key = (register, occupied, tuple(srset.locations for srset in sets))
-    errors = session.set_errors.get(key)
-    if errors is None:
-        errors = walk_register_convention(session.cfg, register, occupied, sets)
-        session.set_errors[key] = errors
-    return errors
+    edges = session.cfg.placement_edges()
+    pairs, strays = [], []
+    for srset in sets:
+        saves, restores, set_strays = set_masks(session, srset)
+        pairs.append((saves, restores))
+        strays += set_strays
+    return convention_errors(session, register, edges.block_mask(occupied), pairs, tuple(strays))
 
 
 def collect_placement_errors(

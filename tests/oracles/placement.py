@@ -99,7 +99,7 @@ def min_cut_placement(
     """
 
     cfg = function.cfg()
-    edges: List[EdgeKey] = sorted(cfg.placement_edge_keys())
+    edges: List[EdgeKey] = sorted(cfg.placement_edges().keys)
 
     def price(kind: SpillKind, edge: EdgeKey) -> Fraction:
         location = SpillLocation(register, kind, edge)

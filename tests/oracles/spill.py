@@ -1,19 +1,33 @@
-"""Reference version of shrink-wrapping's anticipation/availability solve.
+"""Reference versions of the callee-saved placement engine (test oracles).
 
 :func:`repro.spill.shrink_wrap.save_restore_edges` solves the two boolean
-data-flow problems as whole-CFG sweeps over integer masks.  This is the
-dict-based Gauss-Seidel solver it replaced, kept as a test oracle:
-``tests/spill/test_mask_aa_equivalence.py`` asserts both reach the same
-fixed point, and ``tests/spill/test_placements.py`` checks its solutions on
-the paper's example.
+data-flow problems as whole-CFG sweeps over integer masks; this module keeps
+the dict-based Gauss-Seidel solver it replaced
+(:func:`compute_anticipation_availability`, checked by
+``tests/spill/test_mask_aa_equivalence.py`` and on the paper's example).
+
+The placement engine groups save/restore sets, walks the callee-saved
+convention and sums a placement's overhead over numbered edges
+(:class:`repro.ir.cfg.PlacementEdges`).  The location-keyed versions those
+replaced are kept here — :func:`build_save_restore_sets`,
+:func:`walk_register_convention` and :func:`placement_overhead` — and
+``tests/spill/test_edge_mask_equivalence.py`` asserts the engine agrees
+with them set for set, error string for error string and bit for bit.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set
 
-from repro.ir.function import Function
+from repro.ir.cfg import EdgeKind, FunctionCFG
+from repro.ir.function import ENTRY_SENTINEL, EXIT_SENTINEL, Function
+from repro.ir.values import PhysicalRegister
+from repro.profiling.profile_data import EdgeProfile
+from repro.spill.model import EdgeKey, SaveRestoreSet, SpillLocation, SpillPlacement
+from repro.spill.overhead import PlacementOverhead
+from repro.target.machine import cost_weights
 
 
 @dataclass(frozen=True)
@@ -80,3 +94,176 @@ def compute_anticipation_availability(
                 changed = True
 
     return AnticipationAvailability(ant_in=ant_in, ant_out=ant_out, av_in=av_in, av_out=av_out)
+
+
+# ---------------------------------------------------------------------------
+# Location-keyed placement engine.
+# ---------------------------------------------------------------------------
+
+
+def requires_jump_block(cfg: FunctionCFG, edge: EdgeKey) -> bool:
+    """Does spill code on ``edge`` need a new block ending in a jump?"""
+
+    src, dst = edge
+    if src == ENTRY_SENTINEL or dst == EXIT_SENTINEL:
+        return False
+    if dst != cfg.entry_label and len(cfg.preds.get(dst, ())) == 1:
+        return False
+    if len(cfg.succs[src]) == 1:
+        return False
+    return cfg.edge(src, dst).kind is EdgeKind.JUMP
+
+
+def build_save_restore_sets(
+    cfg: FunctionCFG,
+    register: PhysicalRegister,
+    locations: Iterable[SpillLocation],
+    initial: bool = True,
+) -> List[SaveRestoreSet]:
+    """Partition one register's locations into save/restore sets.
+
+    A save and a location share a set when the location is reachable from
+    the save without crossing another location; union-find over locations.
+    """
+
+    locations = [l for l in locations if l.register == register]
+    by_edge: Dict[EdgeKey, List[SpillLocation]] = {}
+    for location in locations:
+        by_edge.setdefault(location.edge, []).append(location)
+    parent: Dict[SpillLocation, SpillLocation] = {l: l for l in locations}
+
+    def find(item: SpillLocation) -> SpillLocation:
+        while parent[item] != item:
+            item = parent[item]
+        return item
+
+    exit_label = cfg.exit_label
+    for save in locations:
+        if not save.is_save():
+            continue
+        visited: Set[str] = set()
+        frontier = [save.edge[1]]
+        while frontier:
+            label = frontier.pop()
+            if label in visited:
+                continue
+            visited.add(label)
+            out_edges = [e.key for e in cfg.out_edges[label]]
+            if label == exit_label:
+                out_edges.append((exit_label, EXIT_SENTINEL))
+            for key in out_edges:
+                if key in by_edge:
+                    for other in by_edge[key]:
+                        root_a, root_b = find(save), find(other)
+                        if root_a != root_b:
+                            parent[root_a] = root_b
+                    continue
+                if key[1] != EXIT_SENTINEL and key[1] not in visited:
+                    frontier.append(key[1])
+
+    groups: Dict[SpillLocation, List[SpillLocation]] = {}
+    for location in locations:
+        groups.setdefault(find(location), []).append(location)
+    sets = [SaveRestoreSet.from_locations(register, g, initial) for g in groups.values()]
+    sets.sort(key=lambda s: sorted(l.edge for l in s.locations))
+    return sets
+
+
+class _State(enum.Enum):
+    ORIGINAL = "original"
+    SAVED = "saved"
+
+
+def walk_register_convention(
+    cfg: FunctionCFG,
+    register: PhysicalRegister,
+    occupied: FrozenSet[str],
+    sets: Sequence[SaveRestoreSet],
+) -> List[str]:
+    """Every convention violation of one register's sets, by abstract interpretation."""
+
+    errors: List[str] = []
+    name = register.name
+    locations = [location for srset in sets for location in srset.locations]
+    by_edge: Dict[EdgeKey, List[SpillLocation]] = {}
+    for location in locations:
+        by_edge.setdefault(location.edge, []).append(location)
+
+    def apply(state: _State, edge: EdgeKey) -> _State:
+        on_edge = by_edge.get(edge)
+        if on_edge is None:
+            return state
+        saves = [l for l in on_edge if l.is_save()]
+        restores = [l for l in on_edge if l.is_restore()]
+        if len(saves) > 1 or len(restores) > 1:
+            errors.append(f"{name}: duplicate locations on edge {edge}")
+        if saves and restores:
+            errors.append(f"{name}: both save and restore on edge {edge}")
+            return state
+        if saves:
+            if state is not _State.ORIGINAL:
+                errors.append(f"{name}: save on edge {edge} reached with the value already saved")
+            return _State.SAVED
+        if state is not _State.SAVED:
+            errors.append(f"{name}: restore on edge {edge} reached without a prior save")
+        return _State.ORIGINAL
+
+    entry, exit_label = cfg.entry_label, cfg.exit_label
+    state_at: Dict[str, _State] = {entry: apply(_State.ORIGINAL, (ENTRY_SENTINEL, entry))}
+    worklist = [entry]
+    while worklist:
+        label = worklist.pop()
+        state = state_at[label]
+        if label in occupied and state is not _State.SAVED:
+            errors.append(
+                f"{name}: block {label!r} is occupied but the original "
+                "value was never saved on some path"
+            )
+        for edge in cfg.out_edges[label]:
+            next_state = apply(state, edge.key)
+            previous = state_at.get(edge.dst)
+            if previous is None:
+                state_at[edge.dst] = next_state
+                worklist.append(edge.dst)
+            elif previous is not next_state:
+                errors.append(
+                    f"{name}: conflicting saved/unsaved state at block "
+                    f"{edge.dst!r} (paths disagree)"
+                )
+    if exit_label in state_at:
+        final = apply(state_at[exit_label], (exit_label, EXIT_SENTINEL))
+        if final is not _State.ORIGINAL:
+            errors.append(
+                f"{name}: procedure exit reached with the original value "
+                "still in the save slot (missing restore)"
+            )
+    valid = {(ENTRY_SENTINEL, entry), (exit_label, EXIT_SENTINEL)} | {e.key for e in cfg.edges}
+    for location in locations:
+        if location.edge not in valid:
+            errors.append(f"{name}: location {location} does not lie on a CFG edge")
+    return errors
+
+
+def placement_overhead(
+    cfg: FunctionCFG, profile: EdgeProfile, placement: SpillPlacement, machine=None
+) -> PlacementOverhead:
+    """A placement's dynamic overhead, summed location by location.
+
+    Locations in the placement's canonical order; each jump edge is charged
+    once, in the order its first location appears.
+    """
+
+    save_weight, restore_weight, jump_weight = cost_weights(machine)
+    save_count = restore_count = jump_count = 0.0
+    by_edge: Dict[EdgeKey, List[SpillLocation]] = {}
+    for location in placement.locations():
+        count = profile.edge_count(location.edge)
+        if location.is_save():
+            save_count += count * save_weight
+        else:
+            restore_count += count * restore_weight
+        by_edge.setdefault(location.edge, []).append(location)
+    jump_edges = [edge for edge in by_edge if requires_jump_block(cfg, edge)]
+    for edge in jump_edges:
+        jump_count += profile.edge_count(edge) * jump_weight
+    return PlacementOverhead(save_count, restore_count, jump_count, len(jump_edges))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.session import CompilationSession
 from repro.ir.function import ENTRY_SENTINEL, EXIT_SENTINEL
 from repro.profiling.interpreter import Interpreter
 from repro.spill.cost_models import (
@@ -11,11 +12,11 @@ from repro.spill.cost_models import (
     requires_jump_block,
 )
 from repro.spill.entry_exit import place_entry_exit
-from repro.spill.hierarchical import compute_jump_sharing, place_hierarchical
+from repro.spill.hierarchical import jump_sharing, place_hierarchical
 from repro.spill.insertion import apply_placement
 from repro.spill.model import CalleeSavedUsage, SpillKind, SpillLocation
 from repro.spill.overhead import placement_dynamic_overhead
-from repro.spill.shrink_wrap import place_shrink_wrap
+from repro.spill.shrink_wrap import place_shrink_wrap, shrink_wrap_sets
 from repro.spill.verifier import verify_placement
 from repro.workloads.programs import paper_example
 
@@ -72,21 +73,26 @@ class TestCostModels:
     def test_paper_set1_costs(self, example):
         """Set 1 costs 80 under the execution-count model and 110 under jump-edge."""
 
-        initial = place_shrink_wrap(
-            example.function, example.usage, allow_jump_edges=True, avoid_loops=False
+        session = CompilationSession(example.function)
+        edges = session.cfg.placement_edges()
+        by_register, _ = shrink_wrap_sets(
+            example.function, example.usage, allow_jump_edges=True, avoid_loops=False,
+            session=session,
         )
-        set1 = next(
-            s for s in initial.sets_for(example.register) if ("C", "D") in s.edges()
+        sets = by_register[example.register]
+        index = next(
+            i for i, (saves, restores) in enumerate(sets.pairs)
+            if (saves | restores) >> edges.number[("C", "D")] & 1
         )
-        sharing = compute_jump_sharing(example.function, initial)
-        exec_cost = ExecutionCountCostModel().set_cost(
-            example.function, example.profile, set1, sharing
-        )
-        jump_cost = JumpEdgeCostModel().set_cost(
-            example.function, example.profile, set1, sharing
-        )
-        assert exec_cost == 80
-        assert jump_cost == 110
+        saves, restores = sets.pairs[index]
+        sharing = jump_sharing(edges, [s.pairs for s in by_register.values()])
+        counts = [example.profile.edge_count(key) for key in edges.keys]
+        for model, expected in ((ExecutionCountCostModel(), 80), (JumpEdgeCostModel(), 110)):
+            assert model.mask_cost(edges, counts, saves, restores, sharing) == expected
+            by_key = {edges.keys[n]: count for n, count in sharing.items()}
+            assert model.set_cost(
+                example.function, example.profile, sets.set_at(index), by_key
+            ) == expected
 
     def test_boundary_cost_of_paper_regions(self, example):
         model = JumpEdgeCostModel()

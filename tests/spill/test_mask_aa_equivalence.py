@@ -13,6 +13,8 @@ threaded through.
 
 from hypothesis import given
 
+from repro.analysis.bitset import bit_positions
+
 from repro.regalloc.allocator import allocate_registers
 from repro.spill.entry_exit import place_entry_exit
 from repro.spill.hierarchical import place_hierarchical
@@ -117,7 +119,9 @@ def test_save_restore_edges_match_dict_reference(procedure):
     for used_blocks in _used_block_subsets(function, usage):
         if not used_blocks:
             continue
-        fast = save_restore_edges(function, frozenset(used_blocks))
+        saves, restores = save_restore_edges(function, frozenset(used_blocks))
+        edges = function.cfg().placement_edges()
+        fast = tuple({edges.keys[n] for n in bit_positions(mask)} for mask in (saves, restores))
         assert fast == _reference_save_restore_edges(function, used_blocks)
 
 

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.analysis.bitset import bit_positions
+
 from repro.ir.function import ENTRY_SENTINEL, EXIT_SENTINEL
 from repro.spill.cost_models import requires_jump_block
 from repro.spill.entry_exit import place_entry_exit
 from repro.spill.model import CalleeSavedUsage, SaveRestoreSet, SpillKind, SpillLocation
 from repro.spill.overhead import placement_dynamic_overhead
-from repro.spill.sets import build_save_restore_sets
+from repro.spill.sets import group_edges, location_masks
 from repro.spill.shrink_wrap import (
     place_shrink_wrap,
     save_restore_edges,
@@ -22,6 +24,13 @@ from tests.oracles.spill import compute_anticipation_availability
 @pytest.fixture(scope="module")
 def example():
     return paper_example()
+
+
+def edge_keys(function, masks):
+    """The ``(save keys, restore keys)`` sets of a ``(saves, restores)`` mask pair."""
+
+    edges = function.cfg().placement_edges()
+    return tuple({edges.keys[n] for n in bit_positions(mask)} for mask in masks)
 
 
 class TestModel:
@@ -106,7 +115,9 @@ class TestAnticipationAvailability:
         assert not flow.av_out["P"]
 
     def test_save_restore_edges_for_left_region(self, example):
-        saves, restores = save_restore_edges(example.function, frozenset("DE"))
+        saves, restores = edge_keys(
+            example.function, save_restore_edges(example.function, frozenset("DE"))
+        )
         assert ("C", "D") in saves
         assert ("D", "F") in restores and ("E", "F") in restores
         assert len(saves) == 1 and len(restores) == 2
@@ -127,32 +138,34 @@ class TestShrinkWrap:
         assert overhead.num_jump_blocks == 0
 
     def test_modified_variant_keeps_jump_edge_restore(self, example):
-        saves, restores = shrink_wrap_edges(
+        saves, restores = edge_keys(example.function, shrink_wrap_edges(
             example.function, frozenset("DE"), allow_jump_edges=True, avoid_loops=False
-        )
+        ))
         assert ("D", "F") in restores
         assert ("C", "D") in saves
 
     def test_original_variant_avoids_required_jump_blocks(self, example):
-        saves, restores = shrink_wrap_edges(
+        saves, restores = edge_keys(example.function, shrink_wrap_edges(
             example.function, frozenset("DE"), allow_jump_edges=False, avoid_loops=False
-        )
+        ))
         for edge in saves | restores:
             assert not requires_jump_block(example.function, edge)
 
     def test_loop_avoidance_keeps_spill_code_out_of_loops(self):
         function = loop_function()
         usage = frozenset({"body"})
-        saves, restores = shrink_wrap_edges(function, usage, allow_jump_edges=False, avoid_loops=True)
+        saves, restores = edge_keys(
+            function, shrink_wrap_edges(function, usage, allow_jump_edges=False, avoid_loops=True)
+        )
         loop_blocks = {"header", "body"}
         for src, dst in saves | restores:
             assert not (src in loop_blocks and dst in loop_blocks)
 
     def test_without_loop_avoidance_spill_code_lands_in_the_loop(self):
         function = loop_function()
-        saves, restores = shrink_wrap_edges(
+        saves, restores = edge_keys(function, shrink_wrap_edges(
             function, frozenset({"body"}), allow_jump_edges=True, avoid_loops=False
-        )
+        ))
         assert ("header", "body") in saves
 
     def test_figure1_cold_vs_hot_crossover(self):
@@ -203,8 +216,9 @@ class TestSaveRestoreSets:
             SpillLocation(register, SpillKind.RESTORE, ("H", "G")),
         ]
         # Both saves reach the restores through H, so everything is one set.
-        sets = build_save_restore_sets(example.function, register, locations)
-        assert len(sets) == 1
+        edges = example.function.cfg().placement_edges()
+        saves, restores, _strays = location_masks(edges, locations)
+        assert group_edges(edges, saves, restores) == [(saves, restores)]
 
 
 class TestPlacementVerifier:

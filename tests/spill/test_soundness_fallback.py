@@ -83,7 +83,7 @@ class TestFallbackWiring:
 
         def garbage_edges(*args, **kwargs):
             # A restore with no save on the exit edge: never valid.
-            return set(), {(function.exit.label, EXIT_SENTINEL)}
+            return 0, 1 << function.cfg().placement_edges().exit
 
         monkeypatch.setattr(shrink_wrap_module, "shrink_wrap_edges", garbage_edges)
         placement = place_shrink_wrap(function, usage)
