@@ -7,13 +7,7 @@ This regenerates the paper's whole evaluation section on the synthetic suite:
 * Table 1 — overhead ratios relative to entry/exit placement (with the
   paper's numbers side by side),
 * Table 2 — incremental compile time of shrink-wrapping and the hierarchical
-  algorithm,
-
-and then sweeps the **scenario registry** (``repro.workloads.scenarios``)
-through the differential stress harness: every workload family — switch
-dispatch tables, irreducible loops, deep nests, call webs, pressure sweeps,
-chaos CFGs — compiled on the default target with verification on and the
-overhead invariants diffed (see ``docs/workloads.md``).
+  algorithm.
 
 Run with::
 
@@ -33,15 +27,12 @@ import sys
 from repro.evaluation import (
     figure5,
     render_figure5,
-    render_stress,
     render_table1,
     render_table2,
-    run_stress,
     run_suite,
     table1,
     table2,
 )
-from repro.target.registry import DEFAULT_TARGET
 
 
 def main() -> None:
@@ -60,12 +51,6 @@ def main() -> None:
     # Passing the measurement appends the honest timing note: pass CPU
     # totals (summed across workers) next to wall-clock elapsed.
     print(render_table2(table2(measurement), measurement))
-    print()
-
-    # Beyond the paper's suite: the scenario registry, stress-compiled with
-    # verification on.  A non-empty violation list would be a bug.
-    report = run_stress(targets=[DEFAULT_TARGET], count=2)
-    print(render_stress(report))
     print()
     print("Note: absolute overheads and times are specific to the synthetic suite and")
     print("this Python implementation; the comparison *between techniques* is the")

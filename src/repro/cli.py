@@ -10,11 +10,6 @@ Subcommands::
                           [--cache-dir DIR | --no-cache]
     repro-spill ablation  {cost-model,regions} [--scale S] [--target NAME] [--workers N]
                           [--cache-dir DIR | --no-cache]
-    repro-spill stress    [--target NAME | all targets] [--scenario NAME ...]
-                          [--seed N] [--count N] [--show-programs]
-                                                 # differential stress harness over
-                                                 # the scenario registry (exit 1 on
-                                                 # any violated invariant)
     repro-spill lint      [FILE ...] [--scenario NAME ... | --all-scenarios]
                           [--corpus DIR] [--target NAME] [--seed N] [--count N]
                           [--select CODE ...] [--ignore CODE ...]
@@ -199,46 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_target(ablation)
     _add_workers(ablation)
     _add_cache(ablation)
-
-    stress = subparsers.add_parser(
-        "stress",
-        help="differential stress: every scenario family x target x technique, verified",
-    )
-    stress.add_argument(
-        "--target",
-        choices=available_targets(),
-        default=None,
-        help="restrict to one target (default: every registered target)",
-    )
-    stress.add_argument(
-        "--scenario",
-        action="append",
-        dest="scenarios",
-        metavar="NAME",
-        default=None,
-        help="scenario family to run (repeatable; default: every family)",
-    )
-    stress.add_argument("--seed", type=int, default=0, help="scenario seed (default 0)")
-    stress.add_argument(
-        "--count",
-        type=int,
-        default=None,
-        metavar="N",
-        help="procedures per family (default: each family's own count)",
-    )
-    stress.add_argument(
-        "--show-programs",
-        action="store_true",
-        help="print the textual IR of every procedure that violated an invariant",
-    )
-    stress.add_argument(
-        "--catalog",
-        action="store_true",
-        help="draw procedures from the versioned workload catalog instead of "
-        "the scenario registry (--scenario then takes combination codes or "
-        "aliases) and differentially check every translated pyfunc against "
-        "CPython",
-    )
 
     scenarios = subparsers.add_parser(
         "scenarios", help="list the registered scenario families"
@@ -678,50 +633,6 @@ def _command_targets() -> int:
     for name in available_targets():
         print(f"{name:10s} {get_target(name).describe()}")
     return 0
-
-
-def _command_stress(args) -> int:
-    from repro.evaluation.differential import render_stress, run_stress
-    from repro.workloads.scenarios import scenario_names
-
-    if args.count is not None and args.count < 1:
-        print(f"error: --count must be >= 1, got {args.count}", file=sys.stderr)
-        return 2
-    use_catalog = getattr(args, "catalog", False)
-    if use_catalog:
-        from repro.workloads.catalog import get_catalog
-
-        catalog = get_catalog()
-        known = set(catalog.names()) | set(catalog.aliases)
-        unknown = [name for name in (args.scenarios or []) if name not in known]
-        if unknown:
-            print(
-                f"error: unknown catalog entr{'y' if len(unknown) == 1 else 'ies'} "
-                f"{', '.join(unknown)}; see 'repro-spill catalog list'",
-                file=sys.stderr,
-            )
-            return 2
-    else:
-        unknown = [
-            name for name in (args.scenarios or []) if name not in scenario_names()
-        ]
-        if unknown:
-            print(
-                f"error: unknown scenario(s) {', '.join(unknown)}; "
-                f"expected one of {', '.join(scenario_names())}",
-                file=sys.stderr,
-            )
-            return 2
-    targets = [args.target] if args.target else None
-    report = run_stress(
-        scenarios=args.scenarios,
-        targets=targets,
-        seed=args.seed,
-        count=args.count,
-        catalog=use_catalog,
-    )
-    print(render_stress(report, show_programs=args.show_programs))
-    return 0 if report.ok else 1
 
 
 def _lint_gather(args) -> List:
@@ -1438,8 +1349,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                   "Ablation: SESE region granularity"))
         _report_cache(cache)
         return 0
-    if args.command == "stress":
-        return _command_stress(args)
     if args.command == "lint":
         return _command_lint(args)
     if args.command == "scenarios":

@@ -14,10 +14,6 @@
 * :mod:`repro.evaluation.parallel` — the process-pool engine behind
   ``compile_many`` that shards a batch at procedure granularity
   (``workers=`` on the runners and the CLI).
-* :mod:`repro.evaluation.differential` — the differential stress harness:
-  every scenario family × registered target × technique compiled with
-  verification on, diffed against the techniques' overhead invariants
-  (the CLI's ``stress`` subcommand).
 * :mod:`repro.evaluation.reporting` — plain-text table and bar-chart rendering.
 """
 
@@ -32,21 +28,11 @@ from repro.evaluation.ablations import (
     region_granularity_ablation,
     render_ablation,
 )
-from repro.evaluation.differential import (
-    StressReport,
-    StressRow,
-    StressViolation,
-    render_stress,
-    run_stress,
-)
 
 __all__ = [
     "AblationRow",
     "BenchmarkMeasurement",
     "Figure5Row",
-    "StressReport",
-    "StressRow",
-    "StressViolation",
     "SuiteMeasurement",
     "Table1Row",
     "Table2Row",
@@ -58,11 +44,9 @@ __all__ = [
     "region_granularity_ablation",
     "render_ablation",
     "render_figure5",
-    "render_stress",
     "render_table1",
     "render_table2",
     "run_benchmark",
-    "run_stress",
     "run_suite",
     "table1",
     "table2",

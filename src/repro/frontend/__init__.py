@@ -2,7 +2,7 @@
 
 Translates the bytecode of pure-python integer functions into repro IR so
 any such function — including stdlib code — can be compiled, linted, served
-and stress-tested exactly like a synthetic scenario.  See
+and held to the placement invariants exactly like a synthetic scenario.  See
 :mod:`repro.frontend.translate` for the supported opcode subset, lowering
 rules and the determinism contract, and ``docs/frontend.md`` for the guide.
 """

@@ -105,7 +105,7 @@ def verify_function(
     """Raise :class:`IRVerificationError` when ``function`` is malformed.
 
     With ``collect=True`` the full violation list is returned instead of
-    raising, so batch consumers (the lint CLI, the stress harness) can
+    raising, so batch consumers (the lint CLI) can
     report every problem in one pass; an empty list means the function is
     valid.  The default raising behavior is unchanged and returns the
     empty list for valid functions.

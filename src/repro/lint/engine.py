@@ -2,15 +2,14 @@
 
 :func:`lint_function` is the one entry point everything else goes
 through — the CLI, ``compile_procedure(lint="strict")``, the service's
-``lint`` request type and the stress harness all produce a
+``lint`` request type and the tests all produce a
 :class:`LintReport` here, so their payloads are byte-identical for the
 same inputs (the service tests compare them as bytes).
 
 Reports are deterministic by construction: rules run in code order, each
 rule's findings are sorted by :meth:`Diagnostic.sort_key`, and the JSON
 payload is encoded with sorted keys.  :meth:`LintReport.fingerprint`
-digests that canonical encoding, which is what the stress harness records
-per chaos draw.
+digests that canonical encoding, which is what tests pin per draw.
 """
 
 from __future__ import annotations

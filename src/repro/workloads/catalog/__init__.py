@@ -26,9 +26,9 @@ Entry kinds:
     execution profile for the translated code.
 
 Consumers: ``catalog:<name>[:seed[:index]]`` references in the service
-protocol, the differential stress harness (``repro-spill stress
---catalog``), the loadgen ``catalog`` mix, and the ``repro-spill catalog``
-CLI.  See ``docs/workloads.md`` for the grammar and ``docs/frontend.md``
+protocol, the loadgen ``catalog`` mix, the ``repro-spill catalog`` CLI,
+and the tier-1 placement-invariant and frontend-semantics tests.  See
+``docs/workloads.md`` for the grammar and ``docs/frontend.md``
 for the translation contract.
 """
 
@@ -202,7 +202,7 @@ class CatalogEntry:
     module: Optional[str] = None
     func: Optional[str] = None
     inputs: Tuple[Tuple[int, int], ...] = ()
-    #: How many procedures a default catalog stress run draws.
+    #: How many procedures a default draw of the entry holds.
     default_count: int = 1
 
     @property

@@ -7,7 +7,7 @@ stdlib routines) — whose functions stay inside the frontend's supported
 subset: integer arithmetic, comparisons, ``if``/``while``, ``for`` over
 ``range``, and calls to siblings in the same module.  Every function here is
 translated, compiled on every registered target and differentially checked
-against CPython by the test battery and ``repro-spill stress --catalog``.
+against CPython by the test battery, in every pressure variant.
 """
 
 from repro.workloads.catalog.pyfuncs import stdlib_derived, textbook

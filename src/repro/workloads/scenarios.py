@@ -9,10 +9,10 @@ webs of calls, register-pressure sweeps, and arbitrary seeded chaos.
 
 Each :class:`ScenarioFamily` is a named, deterministic generator: the same
 ``(family, seed, index, machine)`` always produces the bit-identical
-procedure (fingerprints are stable across processes), so stress runs are
-reproducible and the compile cache works across sessions.  Families are
-registered in :data:`SCENARIO_FAMILIES` and consumed by the differential
-stress harness (:mod:`repro.evaluation.differential`), the documentation
+procedure (fingerprints are stable across processes), so a failing test
+reproduces from its family and seed and the compile cache works across
+sessions.  Families are registered in :data:`SCENARIO_FAMILIES` and
+consumed by the tier-1 placement-invariant suite, the documentation
 examples and the benchmark suite.
 
 Families and the control-flow situation each one pins down:
@@ -78,14 +78,14 @@ class ScenarioFamily:
     ``builder`` is deterministic: identical ``(seed, index, machine)``
     arguments must produce a procedure with an identical fingerprint.
     ``tags`` classify the control flow the family exercises (used by tests
-    and the stress harness to select subsets).
+    to select subsets).
     """
 
     name: str
     description: str
     tags: Tuple[str, ...]
     builder: ScenarioBuilder
-    #: How many procedures a default stress run draws from this family.
+    #: How many procedures a default draw of this family holds.
     default_count: int = 4
 
     def build(

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import json
+import os
+from functools import lru_cache
+
 import pytest
 
 from hypothesis import HealthCheck, settings, strategies as st
 
+from repro.ir.parser import parse_function
+from repro.profiling.synthetic import profile_from_branch_probabilities, uniform_profile
 from repro.target.generic import riscish_target, tiny_target
 from repro.target.parisc import parisc_target
 from repro.target.registry import available_targets, get_target
+from repro.workloads.catalog import get_catalog
 from repro.workloads.generator import GeneratorConfig, generate_procedure
 from repro.workloads.programs import (
     call_chain_function,
@@ -90,6 +97,46 @@ def figure1_cold():
 @pytest.fixture()
 def figure1_hot():
     return figure1_function(hot_allocation=True)
+
+
+# ---------------------------------------------------------------------------
+# The regression corpus.
+# ---------------------------------------------------------------------------
+
+CORPUS_DIR = os.path.join(os.path.dirname(__file__), "workloads", "corpus")
+CORPUS_FIXTURES = sorted(name for name in os.listdir(CORPUS_DIR) if name.endswith(".ir"))
+
+
+def load_corpus_fixture(name: str):
+    """Parse one corpus program and its recorded profile (uniform if absent)."""
+
+    path = os.path.join(CORPUS_DIR, name)
+    with open(path, "r", encoding="utf-8") as handle:
+        function = parse_function(handle.read())
+    profile_path = path[: -len(".ir")] + ".profile.json"
+    if not os.path.exists(profile_path):
+        return function, uniform_profile(function, invocations=1000.0)
+    with open(profile_path, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    probabilities = {
+        tuple(key.split("->", 1)): value for key, value in data["probabilities"].items()
+    }
+    profile = profile_from_branch_probabilities(
+        function, invocations=data["invocations"], probabilities=probabilities
+    )
+    return function, profile
+
+
+@lru_cache(maxsize=None)
+def pyfunc_procedure(name: str):
+    """A ``pyfunc`` catalog entry's procedure at seed 0, index 0.
+
+    No target changes it, and building it runs the interpreter for its
+    profile, so the session builds each entry once.  Every caller shares
+    the one object: compile, lint and clone it, never mutate it.
+    """
+
+    return get_catalog().resolve(name).build(0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,13 @@
 """Differential semantics: translated IR must return what CPython returns.
 
-Every corpus function is run three ways and all results must agree with
+Every corpus function is run two ways and all results must agree with
 calling the original Python function:
 
 1. raw translated IR through the interpreter,
-2. after register allocation on every registered target,
-3. after allocation *plus* each placement technique's spill code, with the
-   machine's calling convention active (caller-saved clobbering, callee-saved
-   sentinels).
-
-The same check runs continuously inside ``repro-spill stress --catalog`` as
-the ``frontend-semantics`` invariant; this battery is its tier-1 anchor.
+2. after register allocation *plus* each placement technique's spill code,
+   for every ``pyfunc`` catalog entry (every pressure variant) on every
+   registered target, with the machine's calling convention active
+   (caller-saved clobbering, callee-saved sentinels).
 """
 
 from __future__ import annotations
@@ -26,6 +23,8 @@ from repro.spill.insertion import apply_placement
 from repro.target.registry import available_targets, get_target
 from repro.workloads.catalog import corpus_functions, corpus_module, get_catalog
 from repro.workloads.catalog.pyfuncs import CORPUS_MODULES
+
+from tests.conftest import pyfunc_procedure
 
 #: Seeded trials per (function, configuration).
 TRIALS = 3
@@ -84,28 +83,28 @@ def test_raw_translation_matches_cpython(short, name):
 
 
 @pytest.mark.parametrize("target", available_targets())
-@pytest.mark.parametrize("short,name", corpus_cases())
-def test_compiled_translation_matches_cpython(short, name, target):
-    """Allocation + every technique's spill code preserve the semantics on
-    every registered target, with calling-convention clobbering active."""
+@pytest.mark.parametrize("entry_name", get_catalog().names("pyfunc"))
+def test_compiled_translation_matches_cpython(entry_name, target):
+    """Allocation + every technique's spill code preserve the semantics of
+    every pyfunc catalog entry on every registered target, with
+    calling-convention clobbering active."""
 
-    python_func = corpus_functions(short)[name]
-    entry = pyfunc_entry(short, name)
+    entry = get_catalog().resolve(entry_name)
+    python_func = corpus_functions(entry.module)[entry.func]
     machine = get_target(target)
-    procedure = entry.build(0, 0, machine)
     compiled = compile_procedure(
-        procedure, machine=machine, techniques=TECHNIQUES, verify=True
+        pyfunc_procedure(entry_name), machine=machine, techniques=TECHNIQUES, verify=True
     )
-    cases = seeded_args(entry, f"compiled/{target}/{short}.{name}")
+    cases = seeded_args(entry, f"compiled/{target}/{entry_name}")
     for technique in TECHNIQUES:
         final = compiled.allocation.function.clone()
         apply_placement(final, compiled.outcomes[technique].placement)
-        module = sibling_module(short, final)
+        module = sibling_module(entry.module, final)
         interpreter = Interpreter(module=module, machine=machine)
         for args in cases:
             got = interpreter.run(final, args).return_values
             assert got == (int(python_func(*args)),), (
-                f"{short}.{name}{tuple(args)} via {technique} on {target}"
+                f"{entry_name}{tuple(args)} via {technique} on {target}"
             )
 
 

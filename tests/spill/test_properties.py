@@ -6,9 +6,11 @@ procedures and register allocations:
 1. every technique produces a *valid* placement (the callee-saved convention
    state machine never conflicts on any path), and
 2. the hierarchical placement's dynamic overhead is never greater than either
-   shrink-wrapping's or the entry/exit placement's.
+   shrink-wrapping's or the entry/exit placement's; under the execution-count
+   model it is exactly the optimum, the min cut of ``tests/oracles/placement.py``.
 """
 
+import pytest
 from hypothesis import given, settings
 
 from repro.regalloc.allocator import allocate_registers
@@ -22,6 +24,7 @@ from repro.target.generic import tiny_target
 from repro.target.parisc import parisc_target
 
 from tests.conftest import generated_procedures
+from tests.oracles.placement import min_cuts
 
 
 def _allocate(procedure, machine):
@@ -57,25 +60,28 @@ def test_hierarchical_is_never_worse_jump_edge_model(procedure):
     assert optimized <= shrink + tolerance
 
 
-@given(generated_procedures(max_segments=5))
-def test_hierarchical_save_restore_counts_never_exceed_alternatives(procedure):
-    """The paper's guarantee is phrased over inserted save/restore instructions."""
+@pytest.mark.parametrize("machine", [parisc_target(), tiny_target()], ids=["parisc", "tiny"])
+@given(procedure=generated_procedures(max_segments=5))
+def test_execution_count_hierarchical_equals_the_min_cut(machine, procedure):
+    """Section 4's optimality claim, register by register, against the exact
+    optimum.  The cut is also no dearer than the entry/exit and shrink-wrap
+    sets, so the hierarchical save/restore counts never exceed theirs."""
 
-    function, usage = _allocate(procedure, parisc_target())
+    function, usage = _allocate(procedure, machine)
     profile = procedure.profile
-
-    def save_restore_cost(placement):
-        overhead = placement_dynamic_overhead(function, profile, placement)
-        return overhead.save_count + overhead.restore_count
-
-    baseline = save_restore_cost(place_entry_exit(function, usage))
-    shrink = save_restore_cost(place_shrink_wrap(function, usage))
-    optimized = save_restore_cost(
-        place_hierarchical(function, usage, profile, cost_model="execution_count").placement
-    )
-    tolerance = 1e-6 * max(1.0, baseline)
-    assert optimized <= baseline + tolerance
-    assert optimized <= shrink + tolerance
+    model = make_cost_model("execution_count", machine)
+    placements = [
+        place_hierarchical(function, usage, profile, cost_model=model).placement,
+        place_entry_exit(function, usage),
+        place_shrink_wrap(function, usage),
+    ]
+    for register, cut in min_cuts(function, profile, usage, model).items():
+        optimized, *alternatives = [
+            sum(model.set_cost(function, profile, s) for s in placement.sets_for(register))
+            for placement in placements
+        ]
+        assert optimized == pytest.approx(cut.cost, rel=1e-9), register
+        assert all(cut.cost <= cost * (1 + 1e-9) for cost in alternatives), register
 
 
 @given(generated_procedures(max_segments=4))

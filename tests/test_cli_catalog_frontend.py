@@ -1,16 +1,14 @@
 """CLI surface of the workload catalog and the bytecode frontend.
 
 ``repro-spill scenarios --json`` (combination codes alongside legacy
-names), ``repro-spill catalog list|show|lint``, ``repro-spill frontend
-translate`` and ``repro-spill stress --catalog`` — each exercised through
-:func:`repro.cli.main` exactly as a shell invocation would reach it.
+names), ``repro-spill catalog list|show|lint`` and ``repro-spill frontend
+translate`` — each exercised through :func:`repro.cli.main` exactly as a
+shell invocation would reach it.
 """
 
 from __future__ import annotations
 
 import json
-
-import pytest
 
 from repro.cli import main
 from repro.workloads.catalog import get_catalog
@@ -120,27 +118,3 @@ class TestFrontendCommand:
     def test_bad_spec_exits_two(self, capsys):
         assert main(["frontend", "translate", "no.such.module:f"]) == 2
         assert main(["frontend", "translate", "colonless"]) == 2
-
-
-class TestStressCatalogFlag:
-    def test_catalog_sweep_over_one_entry(self, capsys):
-        assert main(
-            ["stress", "--catalog", "--scenario", "gcd1_MD_RED",
-             "--target", "parisc", "--count", "1"]
-        ) == 0
-        output = capsys.readouterr().out
-        assert "gcd1_MD_RED" in output
-        assert "0 violation(s)" in output
-
-    def test_catalog_accepts_aliases(self, capsys):
-        assert main(
-            ["stress", "--catalog", "--scenario", "switch_dispatch",
-             "--target", "tiny", "--count", "1"]
-        ) == 0
-        assert "switch1_MD_RED" in capsys.readouterr().out
-
-    def test_unknown_catalog_entry_rejected(self, capsys):
-        assert main(["stress", "--catalog", "--scenario", "bogus1_MD_RED"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown catalog entr" in err
-        assert "repro-spill catalog list" in err

@@ -1,7 +1,7 @@
-"""Regression corpus: stress-harness-found programs as parser round-tripped fixtures.
+"""Regression corpus: programs the placement invariants surfaced, as parser round-tripped fixtures.
 
-Every ``tests/workloads/corpus/*.ir`` file is a textual-IR program the
-differential stress harness surfaced as interesting (a broken or boundary
+Every ``tests/workloads/corpus/*.ir`` file is a textual-IR program that a
+placement-invariant failure surfaced as interesting (a broken or boundary
 behaviour at the time it was found).  The tests parse each fixture, check the
 parser↔printer round trip preserves its fingerprint, and compile it with
 verification on — so the behaviours stay fixed forever, independently of the
@@ -9,9 +9,6 @@ scenario generators that originally produced them.
 """
 
 from __future__ import annotations
-
-import json
-import os
 
 import pytest
 
@@ -22,44 +19,14 @@ from repro.ir.parser import parse_function
 from repro.ir.printer import print_function
 from repro.ir.verifier import verify_function
 from repro.pipeline.compiler import compile_procedure
-from repro.profiling.synthetic import (
-    profile_from_branch_probabilities,
-    uniform_profile,
-)
 
-CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
-FIXTURES = sorted(
-    name for name in os.listdir(CORPUS_DIR) if name.endswith(".ir")
-)
+from tests.conftest import CORPUS_FIXTURES, load_corpus_fixture
 
 
-def load_fixture(name: str):
-    """Parse one corpus program and its recorded profile (uniform if absent)."""
-
-    path = os.path.join(CORPUS_DIR, name)
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    function = parse_function(text)
-    profile_path = path[: -len(".ir")] + ".profile.json"
-    if os.path.exists(profile_path):
-        with open(profile_path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        probabilities = {
-            tuple(key.split("->", 1)): value
-            for key, value in data["probabilities"].items()
-        }
-        profile = profile_from_branch_probabilities(
-            function, invocations=data["invocations"], probabilities=probabilities
-        )
-    else:
-        profile = uniform_profile(function, invocations=1000.0)
-    return function, profile
-
-
-@pytest.mark.parametrize("name", FIXTURES)
+@pytest.mark.parametrize("name", CORPUS_FIXTURES)
 class TestEveryFixture:
     def test_parses_verifies_and_round_trips(self, name):
-        function, _ = load_fixture(name)
+        function, _ = load_corpus_fixture(name)
         verify_function(function, require_single_exit=True)
         text = print_function(function)
         assert fingerprint_function(parse_function(text)) == fingerprint_function(
@@ -68,7 +35,7 @@ class TestEveryFixture:
 
     @pytest.mark.parametrize("target", ("parisc", "tiny"))
     def test_compiles_with_verification(self, name, target):
-        function, profile = load_fixture(name)
+        function, profile = load_corpus_fixture(name)
         compiled = compile_procedure((function, profile), machine=target, verify=True)
         for technique in ("baseline", "shrinkwrap", "optimized"):
             assert compiled.callee_saved_overhead(technique) >= 0.0
@@ -77,7 +44,7 @@ class TestEveryFixture:
         """Every recorded (or defaulted) profile satisfies Kirchhoff's law —
         the R008 lint rule must never fire on the committed corpus."""
 
-        function, profile = load_fixture(name)
+        function, profile = load_corpus_fixture(name)
         assert profile.check_flow_conservation(function) == []
 
     def test_lint_profile_rules_are_clean(self, name):
@@ -86,7 +53,7 @@ class TestEveryFixture:
 
         from repro.lint import lint_function
 
-        function, profile = load_fixture(name)
+        function, profile = load_corpus_fixture(name)
         report = lint_function(
             function, profile=profile, select=["R008", "R009"]
         )
@@ -100,7 +67,7 @@ class TestFixtureSpecifics:
         (jump blocks included) exceeds entry/exit — the program that
         motivates the jump-edge cost model."""
 
-        function, profile = load_fixture("jump_blind_execution_count.ir")
+        function, profile = load_corpus_fixture("jump_blind_execution_count.ir")
         compiled = compile_procedure(
             (function, profile), machine="parisc", cost_model="execution_count"
         )
@@ -122,7 +89,7 @@ class TestFixtureSpecifics:
         )
 
     def test_switch_critical_multiway_program(self):
-        function, profile = load_fixture("switch_critical_multiway.ir")
+        function, profile = load_corpus_fixture("switch_critical_multiway.ir")
         switches = [
             block.terminator
             for block in function.blocks
@@ -135,11 +102,11 @@ class TestFixtureSpecifics:
         )
 
     def test_irreducible_two_entry_program(self):
-        function, _ = load_fixture("irreducible_two_entry.ir")
+        function, _ = load_corpus_fixture("irreducible_two_entry.ir")
         assert not is_reducible(function)
 
     def test_chaos_program_is_irreducible_and_switch_bearing(self):
-        function, _ = load_fixture("chaos_irreducible_switch.ir")
+        function, _ = load_corpus_fixture("chaos_irreducible_switch.ir")
         assert not is_reducible(function)
         assert any(
             inst.opcode is Opcode.SWITCH for inst in function.instructions()

@@ -4,16 +4,16 @@ Each family's size and control-flow shape, and the mean overhead ratio of
 shrink-wrapping and the hierarchical placement against entry/exit placement,
 are asserted exactly.  A change to a generator, to the register allocator or
 to a placement technique that moves any of them shows up here by family.
-The figures come from the full differential stress run (every family x every
-registered target x every technique, verified), which must also report no
-invariant violation and no soundness fallback.
+A ratio is the mean, over the family's procedures, of the technique's
+callee-saved overhead over entry/exit's, compiled with verification under
+the jump-edge model.
 """
 
 import pytest
 
 from repro.analysis.loops import compute_loop_forest, is_reducible
-from repro.evaluation.differential import run_stress
 from repro.ir.instructions import Opcode
+from repro.pipeline.compiler import compile_procedure
 from repro.target.registry import get_target
 from repro.workloads.scenarios import build_scenario, scenario_names
 
@@ -50,25 +50,22 @@ def family_facts(name):
     )
 
 
-@pytest.fixture(scope="module")
-def stress():
-    return run_stress(seed=SEED)
+def mean_ratios(name):
+    machine = get_target(TARGET)
+    ratios = {"optimized": [], "shrinkwrap": []}
+    for procedure in build_scenario(name, seed=SEED, machine=machine):
+        compiled = compile_procedure(procedure, machine=machine, verify=True)
+        baseline = compiled.callee_saved_overhead("baseline")
+        for technique, values in ratios.items():
+            overhead = compiled.callee_saved_overhead(technique)
+            values.append(overhead / baseline if baseline > 0.0 else 1.0)
+    return tuple(round(sum(values) / len(values), 4) for values in ratios.values())
 
 
 def test_every_family_is_pinned():
     assert sorted(scenario_names()) == sorted(FACTS)
 
 
-def test_stress_matrix_is_clean(stress):
-    assert TARGET in stress.targets
-    assert len(stress.violations) == 0
-    assert stress.total_fallbacks() == 0
-
-
 @pytest.mark.parametrize("name", sorted(FACTS))
-def test_family_facts(stress, name):
-    ratios = tuple(
-        round(stress.mean_ratio(name, TARGET, technique), 4)
-        for technique in ("optimized", "shrinkwrap")
-    )
-    assert family_facts(name) + ratios == FACTS[name]
+def test_family_facts(name):
+    assert family_facts(name) + mean_ratios(name) == FACTS[name]
