@@ -3,11 +3,9 @@
 The package contains:
 
 * :mod:`repro.analysis.dominance` — dominator and post-dominator trees.
-* :mod:`repro.analysis.dataflow` — a generic iterative data-flow framework.
-* :mod:`repro.analysis.bitset` — the packed-bitset fast path behind it
-  (register ↔ bit interning, integer-mask fixed-point solver).
-* :mod:`repro.analysis.liveness` — live-variable analysis.
-* :mod:`repro.analysis.reaching` — reaching definitions.
+* :mod:`repro.analysis.bitset` — packed register bitsets (register ↔ bit
+  interning, the union-meet integer-mask fixed-point solver).
+* :mod:`repro.analysis.liveness` — live-variable analysis on those masks.
 * :mod:`repro.analysis.loops` — natural loops and the loop nesting forest.
 * :mod:`repro.analysis.cycle_equiv` — Johnson–Pearson–Pingali cycle
   equivalence (bracket algorithm) plus a brute-force reference.
@@ -16,22 +14,15 @@ The package contains:
   regions used by the hierarchical spill-placement algorithm.
 * :mod:`repro.analysis.session` — :class:`CompilationSession`, the
   per-function owner of all of the above, each computed at most once.
+
+Register facts have one representation: the liveness solution's
+:class:`RegisterIndex` numbering and ``int`` masks over it.  The set-based
+formulations (the generic solver, reaching definitions, set liveness) are
+test oracles in ``tests/oracles/``.
 """
 
-from repro.analysis.bitset import (
-    BitDataflowProblem,
-    BitDataflowResult,
-    BitLiveness,
-    MaskSetView,
-    RegisterIndex,
-    solve_bit_dataflow,
-)
+from repro.analysis.bitset import RegisterIndex, solve_bit_dataflow
 from repro.analysis.dominance import DominatorTree, compute_dominators, compute_postdominators
-from repro.analysis.dataflow import (
-    DataflowProblem,
-    DataflowResult,
-    solve_dataflow,
-)
 from repro.analysis.liveness import LivenessInfo, compute_liveness
 from repro.analysis.loops import (
     Loop,
@@ -45,15 +36,9 @@ from repro.analysis.session import CompilationSession
 from repro.analysis.sese import SESERegion, find_canonical_regions, find_maximal_regions
 
 __all__ = [
-    "BitDataflowProblem",
-    "BitDataflowResult",
-    "BitLiveness",
     "CompilationSession",
-    "DataflowProblem",
-    "DataflowResult",
     "DominatorTree",
     "LivenessInfo",
-    "MaskSetView",
     "RegisterIndex",
     "Loop",
     "LoopForest",
@@ -70,5 +55,4 @@ __all__ = [
     "find_canonical_regions",
     "find_maximal_regions",
     "solve_bit_dataflow",
-    "solve_dataflow",
 ]

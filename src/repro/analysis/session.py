@@ -2,8 +2,9 @@
 
 A :class:`CompilationSession` owns every structure the pipeline and the lint
 rules derive from one function: the CFG snapshot, the block dominator and
-post-dominator trees, the loop forest, liveness, reaching definitions and
-the program structure tree, whose SESE regions are read off the two block
+post-dominator trees, the loop forest, liveness, the ``defined_in`` masks
+(registers written on some path to each block) and the program structure
+tree, whose SESE regions are read off the two block
 trees.  Each is computed on first access, so a compile builds each once and
 a ``techniques=`` subset builds only what it reads.  :mod:`repro.spill`
 fills three memos keyed by ``int`` masks of blocks and of numbered edges
@@ -23,8 +24,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.analysis.bitset import solve_bit_dataflow
 from repro.analysis.liveness import LivenessInfo, compute_liveness
-from repro.analysis.reaching import ReachingDefinitions, compute_reaching_definitions
 from repro.ir.cfg import FunctionCFG
 from repro.ir.function import Function, blocks_reaching_exit, reachable_blocks
 from repro.profiling.profile_data import EdgeProfile
@@ -100,8 +101,13 @@ class CompilationSession:
         return compute_liveness(self.function, machine=self.machine)
 
     @cached_property
-    def reaching(self) -> ReachingDefinitions:
-        return compute_reaching_definitions(self.function)
+    def defined_in(self) -> Dict[str, int]:
+        """Per block, the registers written on some path from the entry to
+        the block's start: the forward union of the blocks' ``defs`` masks,
+        over the liveness index."""
+
+        entering, _ = solve_bit_dataflow(self.function, self.liveness.defs, {}, forward=True)
+        return entering
 
     @cached_property
     def reachable(self) -> Set[str]:

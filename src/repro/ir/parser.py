@@ -8,7 +8,8 @@ The grammar is line oriented::
     instruction lines are mnemonics followed by comma-separated operands.
 
 Operands: registers (``v3``, ``gr5``), immediates (``#-7``), stack slots
-(``[sp+2]``) and labels (``@loop``).  Calls use
+(``[sp+2]``) and labels (``@loop``).  A parameter is a register or, once
+the allocator has passed it on the stack, an ``arg`` stack slot.  Calls use
 ``call @callee(args) -> (rets)``; multiway branches use
 ``switch v0, @case0, @case1, @default``.  A trailing ``!purpose`` tags
 overhead loads/stores.  ``#`` and ``;`` start comments outside of immediates.
@@ -82,6 +83,15 @@ def parse_operand(token: str) -> Operand:
         return Label(match.group(1))
     if not token:
         raise IRParseError("empty operand")
+    return parse_register(token)
+
+
+def _parse_parameter(token: str):
+    """A parameter: a register, or the ``arg`` stack slot it is passed in."""
+
+    match = _SLOT_RE.match(token)
+    if match:
+        return StackSlot(int(match.group(1)), "arg")
     return parse_register(token)
 
 
@@ -196,10 +206,10 @@ def parse_module(text: str, name: str = "module") -> Module:
             if current_function is not None:
                 raise IRParseError("nested function definition", line_number)
             func_name, params_text = func_match.groups()
-            params = [parse_register(tok) for tok in _split_operands(params_text)]
+            params = [_parse_parameter(tok) for tok in _split_operands(params_text)]
             current_function = Function(func_name, params)
             current_block = None
-            max_slot = -1
+            max_slot = max((p.index for p in params if isinstance(p, StackSlot)), default=-1)
             continue
 
         if line == "}":

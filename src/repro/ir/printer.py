@@ -74,7 +74,7 @@ def format_instruction(inst: Instruction) -> str:
 def print_function(function: Function) -> str:
     """Render a function, blocks in layout order."""
 
-    params = ", ".join(p.name for p in function.params)
+    params = ", ".join(_format_operand(p) for p in function.params)
     lines = [f"func {function.name}({params}) {{"]
     for block in function.blocks:
         lines.append(f"{block.label}:")

@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Set
 
+from repro.analysis.liveness import live_masks_at_each_instruction
 from repro.analysis.session import CompilationSession
 from repro.ir.instructions import Opcode
-from repro.ir.values import Register, VirtualRegister
+from repro.ir.values import Register
 from repro.lint.diagnostics import Diagnostic, Severity
 
 Checker = Callable[[CompilationSession], Iterator[Diagnostic]]
@@ -111,7 +112,7 @@ def _sorted_registers(registers: Iterable[Register]) -> List[Register]:
 
 
 # ---------------------------------------------------------------------------
-# R001 — uninitialized register reads (reaching definitions).
+# R001 — uninitialized register reads (registers defined on some path).
 # ---------------------------------------------------------------------------
 
 
@@ -122,28 +123,36 @@ def _sorted_registers(registers: Iterable[Register]) -> List[Register]:
     "a register is read with no reaching definition on any path",
 )
 def check_uninitialized_read(ctx: CompilationSession) -> Iterator[Diagnostic]:
-    """Flag reads of registers that no definition (or parameter) reaches."""
+    """Flag reads of registers no path from the entry writes (or parameters).
 
-    params = set(ctx.function.params)
-    reaching = ctx.reaching
+    A register counts as defined at a block's start when some path from
+    the entry writes it (the session's ``defined_in`` masks), which is
+    exactly when some definition of it reaches there.
+    """
+
+    liveness = ctx.liveness
+    bit_of = liveness.index.bit_of
+    parameters = liveness.index.mask_of(ctx.function.params)
+    defined_in = ctx.defined_in
     for block in ctx.function.blocks:
         if block.label not in ctx.reachable:
             continue
-        reached: Set[Register] = {d[2] for d in reaching.reach_in[block.label]}
-        for index, inst in enumerate(block.instructions):
-            for reg in inst.registers_read():
-                if reg in params or reg in reached:
-                    continue
-                yield _diag(
-                    "R001",
-                    ctx,
-                    f"read of register {reg} with no reaching definition",
-                    block=block.label,
-                    instruction=index,
-                    note="the register is never written on any path from entry "
-                    "and is not a parameter",
-                )
-            reached.update(inst.registers_written())
+        defined = defined_in[block.label] | parameters
+        for index, (written, read) in enumerate(liveness.instruction_masks(block.label)):
+            if read & ~defined:
+                for reg in block.instructions[index].registers_read():
+                    if defined >> bit_of(reg) & 1:
+                        continue
+                    yield _diag(
+                        "R001",
+                        ctx,
+                        f"read of register {reg} with no reaching definition",
+                        block=block.label,
+                        instruction=index,
+                        note="the register is never written on any path from entry "
+                        "and is not a parameter",
+                    )
+            defined |= written
 
 
 # ---------------------------------------------------------------------------
@@ -166,18 +175,19 @@ def check_dead_definition(ctx: CompilationSession) -> Iterator[Diagnostic]:
     is the optimizer's question, not a source-hygiene one.
     """
 
-    from repro.analysis.liveness import live_at_each_instruction
-
     liveness = ctx.liveness
+    bit_of = liveness.index.bit_of
     for block in ctx.function.blocks:
         if block.label not in ctx.reachable:
             continue
-        live_after = live_at_each_instruction(ctx.function, liveness, block.label)
+        live_after = live_masks_at_each_instruction(liveness, block.label)
+        masks = liveness.instruction_masks(block.label)
         for index, inst in enumerate(block.instructions):
-            if inst.is_call() or inst.is_overhead():
+            dead = masks[index][0] & ~live_after[index]
+            if not dead or inst.is_call() or inst.is_overhead():
                 continue
             for reg in inst.registers_written():
-                if reg not in live_after[index]:
+                if dead >> bit_of(reg) & 1:
                     yield _diag(
                         "R002",
                         ctx,
@@ -434,30 +444,28 @@ def check_callee_saved_pressure(ctx: CompilationSession) -> Iterator[Diagnostic]
     traffic there is unavoidable — worth knowing before placement runs.
     """
 
-    from repro.analysis.liveness import live_at_each_instruction
-
     budget = ctx.machine.num_callee_saved
     liveness = ctx.liveness
+    virtual = liveness.index.virtual_mask
     for block in ctx.function.blocks:
         if block.label not in ctx.reachable:
             continue
         if not any(inst.is_call() for inst in block.instructions):
             continue
-        live_after = live_at_each_instruction(ctx.function, liveness, block.label)
+        live_after = live_masks_at_each_instruction(liveness, block.label)
+        masks = liveness.instruction_masks(block.label)
         for index, inst in enumerate(block.instructions):
             if not inst.is_call():
                 continue
-            across = {
-                reg
-                for reg in live_after[index]
-                if isinstance(reg, VirtualRegister) and reg not in inst.defs
-            }
-            if len(across) > budget:
-                names = ", ".join(str(r) for r in _sorted_registers(across))
+            across = live_after[index] & virtual & ~masks[index][0]
+            count = across.bit_count()
+            if count > budget:
+                registers = _sorted_registers(liveness.index.iter_bits(across))
+                names = ", ".join(str(r) for r in registers)
                 yield _diag(
                     "R010",
                     ctx,
-                    f"{len(across)} virtual registers live across call to "
+                    f"{count} virtual registers live across call to "
                     f"{inst.target.name if inst.target else '?'} exceed the "
                     f"{budget} callee-saved registers: {names}",
                     block=block.label,

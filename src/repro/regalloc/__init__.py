@@ -20,8 +20,10 @@ Each allocation round numbers its virtual registers once, by the liveness
 solution's bit, and runs on integers from there: live-range statistics are
 flat lists, interference is one adjacency mask per register, and colouring
 pops bits.  ``Register`` objects reappear only in the assignment and the
-rewrite.  The register-keyed stages this replaced are kept as test oracles
-in ``tests/oracles/regalloc.py``.
+rewrite; live ranges and the interference graph have no register-keyed
+view.  The register-keyed stages this replaced (``LiveRange`` objects, a
+``Set[Register]`` graph) are kept as test oracles in
+``tests/oracles/regalloc.py``.
 """
 
 from repro.regalloc.allocator import AllocationResult, allocate_registers

@@ -120,9 +120,9 @@ def allocate_registers(
 
     # The final round's liveness describes ``work`` up to the renaming the
     # rewrite applies, so it also yields the callee-saved occupancy.
-    bits = ranges.liveness.bits
+    liveness = ranges.liveness
     assignment = coloring.assignment
-    rewritten = apply_assignment(work, assignment, bits)
+    rewritten = apply_assignment(work, assignment, liveness)
     # Parameters live in their assigned physical registers from the entry on;
     # remap the signature so callers (and the interpreter) see the real
     # location of each argument.
@@ -133,7 +133,7 @@ def allocate_registers(
             f"virtual registers left after allocation of {function.name!r}: "
             + ", ".join(sorted(r.name for r in leftovers))
         )
-    usage = callee_saved_occupancy(bits, work.block_labels, machine, coloring.colour_masks)
+    usage = callee_saved_occupancy(liveness, work.block_labels, machine, coloring.colour_masks)
     return AllocationResult(
         function=work,
         machine=machine,

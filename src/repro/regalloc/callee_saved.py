@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from typing import List, Mapping, Sequence
 
-from repro.analysis.bitset import BitLiveness
-from repro.analysis.liveness import compute_liveness
+from repro.analysis.liveness import LivenessInfo, compute_liveness
 from repro.ir.function import Function
 from repro.ir.values import PhysicalRegister
 from repro.spill.model import CalleeSavedUsage
@@ -30,7 +29,7 @@ from repro.target.machine import MachineDescription
 
 
 def callee_saved_occupancy(
-    bits: BitLiveness,
+    liveness: LivenessInfo,
     labels: Sequence[str],
     machine: MachineDescription,
     colour_masks: Mapping[PhysicalRegister, int],
@@ -42,7 +41,7 @@ def callee_saved_occupancy(
     first occupied block, then of their bit.
     """
 
-    index = bits.index
+    index = liveness.index
     registers = sorted((index.add(register), register) for register in machine.callee_saved)
     masks = [(1 << bit) | colour_masks.get(register, 0) for bit, register in registers]
     any_mask = 0
@@ -50,7 +49,8 @@ def callee_saved_occupancy(
         any_mask |= mask
     occupied: List[List[str]] = [[] for _ in registers]
     first_seen: List[int] = []
-    live_in, live_out, uses, defs = bits.live_in, bits.live_out, bits.uses, bits.defs
+    live_in, live_out = liveness.live_in, liveness.live_out
+    uses, defs = liveness.uses, liveness.defs
     for label in labels:
         present = (live_in[label] | live_out[label] | uses[label] | defs[label]) & any_mask
         if present:
@@ -70,4 +70,4 @@ def compute_callee_saved_usage(
     """Blocks occupied by each callee-saved register of an allocated ``function``."""
 
     liveness = compute_liveness(function, machine=machine)
-    return callee_saved_occupancy(liveness.bits, function.block_labels, machine, {})
+    return callee_saved_occupancy(liveness, function.block_labels, machine, {})

@@ -71,7 +71,7 @@ def color_graph(
     and :func:`~repro.regalloc.interference.build_interference_graph` do.
     """
 
-    if ranges.liveness.bits.index is not graph.index:
+    if ranges.liveness.index is not graph.index:
         raise ValueError("the graph and the live ranges must come from one liveness solution")
     result = ColoringResult()
     node_mask = graph.node_mask

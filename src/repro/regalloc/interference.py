@@ -8,24 +8,23 @@ The graph is dense-indexed, as Briggs, Cooper & Torczon keep it: every node
 is a bit of the round's :class:`~repro.analysis.bitset.RegisterIndex`, its
 adjacency is one integer mask, and move partners are bit lists.  The edges
 come from the allocation round's single instruction scan
-(:func:`repro.regalloc.live_ranges.scan_edges`); ``Register`` objects
-appear only at the public accessors.  The set-based construction this
-replaced is kept as a test oracle in ``tests/oracles/regalloc.py``.
+(:func:`repro.regalloc.live_ranges.scan_edges`).  The set-based
+construction this replaced is kept as a test oracle in
+``tests/oracles/regalloc.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.bitset import RegisterIndex
 from repro.analysis.liveness import LivenessInfo
 from repro.ir.function import Function
-from repro.ir.values import Register
 from repro.regalloc.live_ranges import scan_edges
 
 
 class InterferenceGraph:
-    """An undirected graph over registers, one adjacency mask per bit.
+    """An undirected graph over register bits, one adjacency mask per bit.
 
     Read-only: :func:`build_interference_graph` is the one constructor.
     """
@@ -50,38 +49,6 @@ class InterferenceGraph:
             self.partners.setdefault(dst, []).append(src)
             self.partners.setdefault(src, []).append(dst)
 
-    def _mask_of(self, register: Register) -> int:
-        if register not in self.index or not self.node_mask >> self.index.bit_of(register) & 1:
-            return 0
-        return self.adjacency[self.index.bit_of(register)]
-
-    @property
-    def nodes(self) -> Set[Register]:
-        return self.index.set_of(self.node_mask)  # hotpath: ok (public accessor)
-
-    def interferes(self, a: Register, b: Register) -> bool:
-        return b in self.index and bool(self._mask_of(a) >> self.index.bit_of(b) & 1)
-
-    def neighbours(self, register: Register) -> Set[Register]:
-        return self.index.set_of(self._mask_of(register))  # hotpath: ok (public accessor)
-
-    def degree(self, register: Register) -> int:
-        return self._mask_of(register).bit_count()
-
-    def num_edges(self) -> int:
-        return sum(mask.bit_count() for mask in self.adjacency) // 2
-
-    @property
-    def move_pairs(self) -> FrozenSet[Tuple[Register, Register]]:
-        facts = self.index.facts
-        return frozenset((facts[dst], facts[src]) for dst, src in self.moves)
-
-    def move_partners(self, register: Register) -> Set[Register]:
-        facts = self.index.facts
-        return {facts[src] for dst, src in self.moves if facts[dst] == register} | {
-            facts[dst] for dst, src in self.moves if facts[src] == register
-        }
-
 
 def build_interference_graph(
     function: Function, liveness: LivenessInfo
@@ -93,4 +60,4 @@ def build_interference_graph(
     """
 
     edges = scan_edges(function, liveness)
-    return InterferenceGraph(liveness.bits.index, *edges)
+    return InterferenceGraph(liveness.index, *edges)

@@ -14,51 +14,22 @@ from the packed ``(write, read)`` masks and, in the same pass, counts
 references, accumulates spill costs, flags call-crossing and returned
 ranges and records the Chaitin interference edges, which
 :func:`scan_edges` hands to
-:func:`repro.regalloc.interference.build_interference_graph`.
-:class:`LiveRange` objects exist only as an on-demand view.
+:func:`repro.regalloc.interference.build_interference_graph`.  A
+register's facts are read at its ``RegisterIndex.bit_of`` position.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.analysis.bitset import bit_positions
-from repro.analysis.liveness import LivenessInfo, compute_liveness, liveness_bits
+from repro.analysis.liveness import LivenessInfo, compute_liveness
 from repro.analysis.loops import compute_loop_forest
 from repro.ir.function import Function
 from repro.ir.instructions import Opcode
-from repro.ir.values import Register, VirtualRegister
+from repro.ir.values import VirtualRegister
 from repro.profiling.profile_data import EdgeProfile
-
-
-@dataclass
-class LiveRange:
-    """Aggregate information about one virtual register."""
-
-    register: Register
-    blocks: Set[str] = field(default_factory=set)
-    definitions: int = 0
-    uses: int = 0
-    crosses_call: bool = False
-    #: The register is an incoming parameter; arguments arrive in caller-saved
-    #: registers, so such ranges never get a callee-saved register directly.
-    is_parameter: bool = False
-    #: The value is returned by a ``ret`` instruction; the calling convention
-    #: returns values in caller-saved registers, so such ranges must not be
-    #: given a callee-saved register (its restore would clobber the result).
-    used_by_return: bool = False
-    spill_cost: float = 0.0
-
-    @property
-    def references(self) -> int:
-        return self.definitions + self.uses
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<LiveRange {self.register} blocks={len(self.blocks)} refs={self.references} "
-            f"crosses_call={self.crosses_call} cost={self.spill_cost:.1f}>"
-        )
 
 
 @dataclass
@@ -75,43 +46,12 @@ class LiveRangeInfo:
     definitions: List[int]
     uses: List[int]
     spill_cost: List[float]
+    #: Ranges live across a call, read by a ``ret``, and incoming parameters.
     crossing_mask: int
     return_mask: int
     parameter_mask: int
     #: Virtual registers live in, defined in or used in each block.
     block_masks: Dict[str, int]
-    _ranges: Optional[Dict[Register, LiveRange]] = field(default=None, repr=False)
-
-    @property
-    def ranges(self) -> Dict[Register, LiveRange]:
-        """One :class:`LiveRange` per virtual register, built on first access."""
-
-        if self._ranges is None:
-            facts = self.liveness.bits.index.facts
-            blocks: Dict[int, Set[str]] = {bit: set() for bit in bit_positions(self.node_mask)}
-            for label, mask in self.block_masks.items():
-                for bit in bit_positions(mask):
-                    blocks[bit].add(label)
-            self._ranges = {
-                facts[bit]: LiveRange(
-                    register=facts[bit],
-                    blocks=labels,
-                    definitions=self.definitions[bit],
-                    uses=self.uses[bit],
-                    crosses_call=bool(self.crossing_mask >> bit & 1),
-                    is_parameter=bool(self.parameter_mask >> bit & 1),
-                    used_by_return=bool(self.return_mask >> bit & 1),
-                    spill_cost=self.spill_cost[bit],
-                )
-                for bit, labels in blocks.items()
-            }
-        return self._ranges
-
-    def registers(self) -> List[Register]:
-        return sorted(self.ranges.keys(), key=lambda r: r.name)
-
-    def call_crossing_registers(self) -> List[Register]:
-        return [r for r in self.registers() if self.ranges[r].crosses_call]
 
 
 class InterferenceEdges(NamedTuple):
@@ -134,10 +74,9 @@ def scan_edges(function: Function, liveness: LivenessInfo) -> InterferenceEdges:
     weights do not affect the edges).
     """
 
-    bits = liveness_bits(function, liveness)
-    if bits.scan is None:
+    if liveness.scan is None:
         scan_instructions(function, liveness, dict.fromkeys(function.block_labels, 0.0))
-    return bits.scan
+    return liveness.scan
 
 
 def scan_instructions(
@@ -158,8 +97,7 @@ def scan_instructions(
     :func:`scan_edges` finds them.
     """
 
-    bits = liveness.bits
-    index = bits.index
+    index = liveness.index
     bit_of = index.bit_of
     vmask = index.virtual_mask
     size = len(index)
@@ -170,14 +108,14 @@ def scan_instructions(
     moves: Dict[Tuple[int, int], None] = {}  # an insertion-ordered set
     crossing = returns = node_mask = 0
     block_masks: Dict[str, int] = {}
-    live_in = bits.live_in
+    live_in = liveness.live_in
     MOV, CALL, RET = Opcode.MOV, Opcode.CALL, Opcode.RET
 
     for block in function.blocks:
         label = block.label
         weight = weights[label]
-        masks, repeats = bits.instructions[label]
-        live = bits.live_out[label]
+        masks, repeats = liveness.instructions[label]
+        live = liveness.live_out[label]
         present = (live_in[label] | live) & vmask
         instructions = block.instructions
         position = len(masks)
@@ -264,7 +202,7 @@ def scan_instructions(
     for bit, mask in enumerate(adjacency[:]):
         for other in bit_positions(mask):
             adjacency[other] |= 1 << bit
-    bits.scan = InterferenceEdges(node_mask, adjacency, list(moves))
+    liveness.scan = InterferenceEdges(node_mask, adjacency, list(moves))
 
     return LiveRangeInfo(
         liveness, node_mask, definitions, uses, spill_cost, crossing, returns, parameters,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from typing import Dict, Iterable, List, Set
 
-from repro.analysis.bitset import BitLiveness
+from repro.analysis.liveness import LivenessInfo
 from repro.ir import instructions as ins
 from repro.ir.function import Function
 from repro.ir.values import PhysicalRegister, Register, StackSlot, VirtualRegister
@@ -162,21 +162,21 @@ def insert_spill_code(function: Function, spilled: Iterable[Register]) -> Dict[R
 
 
 def apply_assignment(
-    function: Function, assignment: Dict[Register, PhysicalRegister], bits: BitLiveness
+    function: Function, assignment: Dict[Register, PhysicalRegister], liveness: LivenessInfo
 ) -> List[ins.Instruction]:
     """Replace every assigned virtual register with its physical register.
 
-    ``bits`` is the liveness solution the assignment was coloured from; only
+    ``liveness`` is the liveness solution the assignment was coloured from; only
     instructions whose masks mention a virtual register are rewritten, and
     those are returned.
     """
 
-    virtual = bits.index.virtual_mask
+    virtual = liveness.index.virtual_mask
     rewritten: List[ins.Instruction] = []
     for block in function.blocks:
         instructions = list(block.instructions)
         for position, (write_mask, read_mask) in enumerate(
-            bits.instruction_masks(function, block.label)
+            liveness.instruction_masks(block.label)
         ):
             if (write_mask | read_mask) & virtual:
                 inst = instructions[position].replace_registers(assignment)

@@ -1,53 +1,34 @@
-"""Differential tests: the bitset dataflow fast path against pure-set references.
+"""Differential tests: the packed-bitset analyses against pure-set references.
 
-The bitset solver (:mod:`repro.analysis.bitset`) must be observationally
-identical to the original set-based implementations it replaced.  These tests
-compare it with reference liveness and interference construction written
-directly over ``set`` objects (the seed's algorithms; the generic solver lives
-in ``tests/oracles/dataflow.py``, interference in ``tests/oracles/regalloc.py``)
-and assert set-equality on randomly generated CFGs.
+The mask solver (:func:`repro.analysis.bitset.solve_bit_dataflow`), liveness
+and the interference graph must be observationally identical to the
+set-based implementations they replaced.  These tests compare them with the
+reference solver, liveness and reaching definitions in
+``tests/oracles/dataflow.py`` and the interference construction in
+``tests/oracles/regalloc.py``, reading masks back through
+``register_sets``, and assert set-equality on randomly generated CFGs.
 """
 
 from hypothesis import given
 
-from repro.analysis.bitset import RegisterIndex
-from repro.analysis.dataflow import (
-    DataflowProblem,
-    Direction,
-    Meet,
-    solve_dataflow,
-)
-from repro.analysis.liveness import (
-    LivenessInfo,
-    block_upward_exposed_uses,
-    compute_liveness,
-    live_at_each_instruction,
-    liveness_dataflow_problem,
-)
-from repro.analysis.reaching import reaching_dataflow_problem
+from repro.analysis.bitset import RegisterIndex, solve_bit_dataflow
+from repro.analysis.liveness import compute_liveness, live_masks_at_each_instruction
+from repro.analysis.session import CompilationSession
 from repro.ir.values import vreg
 from repro.regalloc.interference import build_interference_graph
 from repro.workloads.programs import diamond_function, loop_function
 
 from tests.conftest import generated_procedures
-from tests.oracles.dataflow import solve_dataflow_reference
-from tests.oracles.regalloc import reference_interference, reference_live_after
-
-
-# ---------------------------------------------------------------------------
-# Reference implementations (the seed's pure-set algorithms).
-# ---------------------------------------------------------------------------
-
-
-def reference_liveness(function):
-    """Block-level liveness computed with the original set-based solver."""
-
-    problem = liveness_dataflow_problem(function)
-    result = solve_dataflow_reference(function, problem)
-    return LivenessInfo(
-        live_in=result.block_in, live_out=result.block_out,
-        uses=problem.gen, defs=problem.kill,
-    )
+from tests.oracles.dataflow import (
+    DataflowProblem,
+    block_upward_exposed_uses,
+    reaching_definitions,
+    reference_live_after,
+    reference_liveness,
+    register_sets,
+    solve_dataflow_reference,
+)
+from tests.oracles.regalloc import reference_interference
 
 
 # ---------------------------------------------------------------------------
@@ -88,92 +69,64 @@ class TestRegisterIndex:
 
 
 # ---------------------------------------------------------------------------
-# Generic solver equivalence.
+# Solver equivalence.
 # ---------------------------------------------------------------------------
 
 
 def _assert_same_solution(function, problem):
-    fast = solve_dataflow(function, problem)
+    index = RegisterIndex()
+    gen = {label: index.mask_of(facts) for label, facts in problem.gen.items()}
+    kill = {label: index.mask_of(facts) for label, facts in problem.kill.items()}
+    entering, leaving = solve_bit_dataflow(function, gen, kill, forward=problem.forward)
     slow = solve_dataflow_reference(function, problem)
-    for label in function.block_labels:
-        assert fast.block_in[label] == slow.block_in[label], label
-        assert fast.block_out[label] == slow.block_out[label], label
+    assert register_sets(index, entering) == slow.block_in
+    assert register_sets(index, leaving) == slow.block_out
+
+
+def _block_sets(function):
+    """Per block, its upward-exposed uses and its definitions."""
+
+    uses, defs = {}, {}
+    for block in function.blocks:
+        uses[block.label], defs[block.label] = block_upward_exposed_uses(block.instructions)
+    return uses, defs
 
 
 class TestSolverEquivalence:
     def test_forward_union_diamond(self):
-        function = diamond_function()
+        x, y = vreg(0), vreg(1)
         problem = DataflowProblem(
-            direction=Direction.FORWARD,
-            meet=Meet.UNION,
-            gen={"entry": {"x"}, "then": {"y"}},
-            kill={"merge": {"x"}},
+            forward=True, gen={"entry": {x}, "then": {y}}, kill={"merge": {x}}
         )
-        _assert_same_solution(function, problem)
-
-    def test_forward_intersection_diamond(self):
-        function = diamond_function()
-        problem = DataflowProblem(
-            direction=Direction.FORWARD,
-            meet=Meet.INTERSECTION,
-            gen={"then": {"x"}, "else_": {"x", "y"}},
-            kill={},
-        )
-        _assert_same_solution(function, problem)
+        _assert_same_solution(diamond_function(), problem)
 
     def test_backward_union_loop(self):
-        function = loop_function()
+        inside, after = vreg(0), vreg(1)
         problem = DataflowProblem(
-            direction=Direction.BACKWARD,
-            meet=Meet.UNION,
-            gen={"body": {"inside"}, "exit": {"after"}},
-            kill={"header": {"after"}},
+            forward=False,
+            gen={"body": {inside}, "exit": {after}},
+            kill={"header": {after}},
         )
-        _assert_same_solution(function, problem)
-
-    def test_boundary_and_initial(self):
-        function = diamond_function()
-        problem = DataflowProblem(
-            direction=Direction.FORWARD,
-            meet=Meet.INTERSECTION,
-            gen={},
-            kill={"then": {"b"}},
-            boundary={"a", "b"},
-            universe={"a", "b", "c"},
-            initial={"c"},
-        )
-        _assert_same_solution(function, problem)
+        _assert_same_solution(loop_function(), problem)
 
     @given(generated_procedures(max_segments=5))
-    def test_liveness_problem_on_random_cfgs(self, procedure):
+    def test_liveness_and_definition_problems_on_random_cfgs(self, procedure):
         function = procedure.function
-        uses, defs = {}, {}
-        for block in function.blocks:
-            exposed, defined = block_upward_exposed_uses(block.instructions)
-            uses[block.label] = exposed
-            defs[block.label] = defined
-        problem = DataflowProblem(
-            direction=Direction.BACKWARD, meet=Meet.UNION, gen=uses, kill=defs
-        )
-        _assert_same_solution(function, problem)
-        # Reaching definitions on the same CFG: a forward union problem with
-        # one fact per definition site, far more facts than registers.
-        _assert_same_solution(function, reaching_dataflow_problem(function)[0])
+        uses, defs = _block_sets(function)
+        _assert_same_solution(function, DataflowProblem(forward=False, gen=uses, kill=defs))
+        _assert_same_solution(function, DataflowProblem(forward=True, gen=defs, kill={}))
 
-    @given(generated_procedures(max_segments=4))
-    def test_forward_intersection_on_random_cfgs(self, procedure):
-        """Availability-style problem: defs generate, uses kill (arbitrary)."""
+    @given(generated_procedures(max_segments=5))
+    def test_defined_in_is_the_registers_of_reaching_definitions(self, procedure):
+        """R001's masks: a register is defined on some path into a block
+        exactly when one of its definitions reaches the block."""
 
         function = procedure.function
-        gen, kill = {}, {}
-        for block in function.blocks:
-            exposed, defined = block_upward_exposed_uses(block.instructions)
-            gen[block.label] = defined
-            kill[block.label] = exposed - defined
-        problem = DataflowProblem(
-            direction=Direction.FORWARD, meet=Meet.INTERSECTION, gen=gen, kill=kill
-        )
-        _assert_same_solution(function, problem)
+        session = CompilationSession(function)
+        reaching = reaching_definitions(function)
+        assert register_sets(session.liveness.index, session.defined_in) == {
+            label: {d[2] for d in facts} for label, facts in reaching.block_in.items()
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +140,8 @@ class TestLivenessEquivalence:
         function = procedure.function
         fast = compute_liveness(function)
         slow = reference_liveness(function)
-        for label in function.block_labels:
-            assert fast.live_in[label] == slow.live_in[label], label
-            assert fast.live_out[label] == slow.live_out[label], label
-            assert fast.uses[label] == slow.uses[label], label
-            assert fast.defs[label] == slow.defs[label], label
+        for field in ("live_in", "live_out", "uses", "defs"):
+            assert register_sets(fast.index, getattr(fast, field)) == getattr(slow, field), field
 
     @given(generated_procedures(max_segments=4))
     def test_instruction_liveness_matches_reference(self, procedure):
@@ -199,28 +149,18 @@ class TestLivenessEquivalence:
         fast = compute_liveness(function)
         slow = reference_liveness(function)
         for label in function.block_labels:
-            assert live_at_each_instruction(function, fast, label) == reference_live_after(
-                function, slow, label
-            ), label
+            assert register_sets(
+                fast.index, live_masks_at_each_instruction(fast, label)
+            ) == reference_live_after(function, slow, label), label
 
     @given(generated_procedures(max_segments=4))
     def test_interference_graph_matches_reference(self, procedure):
         function = procedure.function
         fast = build_interference_graph(function, compute_liveness(function))
         slow = reference_interference(function, reference_liveness(function))
-        assert fast.nodes == slow.nodes
-        assert fast.move_pairs == slow.move_pairs
-        for register in fast.nodes:
-            assert fast.neighbours(register) == slow.neighbours(register), register
-
-    def test_interference_accepts_hand_built_liveness(self):
-        """Consumers may pass a LivenessInfo made of plain sets (bits=None)."""
-
-        function = loop_function()
-        slow = reference_liveness(function)
-        assert slow.bits is None
-        graph = build_interference_graph(function, slow)
-        reference = reference_interference(function, reference_liveness(function))
-        assert graph.nodes == reference.nodes
-        for register in graph.nodes:
-            assert graph.neighbours(register) == reference.neighbours(register)
+        index = fast.index
+        assert register_sets(index, fast.node_mask) == slow.nodes
+        assert {(index.fact_at(d), index.fact_at(s)) for d, s in fast.moves} == slow.move_pairs
+        for register in slow.nodes:
+            neighbours = fast.adjacency[index.bit_of(register)]
+            assert register_sets(index, neighbours) == slow.neighbours(register), register

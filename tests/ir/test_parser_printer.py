@@ -10,6 +10,9 @@ from repro.ir import instructions as ins
 from repro.ir.instructions import Opcode
 from repro.ir.module import Module
 from repro.ir.values import Immediate, Label, PhysicalRegister, StackSlot, VirtualRegister, vreg
+from repro.regalloc.allocator import allocate_registers
+from repro.target.registry import get_target
+from repro.workloads.catalog import get_catalog
 from repro.workloads.programs import call_chain_function, diamond_function, loop_function, paper_example
 
 from tests.conftest import generated_procedures
@@ -109,6 +112,20 @@ class TestRoundTrip:
     def test_generated_procedures_round_trip(self, procedure):
         text = print_function(procedure.function)
         assert print_function(parse_function(text)) == text
+
+    @pytest.mark.parametrize("name", ["clamp1_MD_RED", "maxof1_MD_RED"])
+    def test_allocated_function_with_a_stack_parameter_round_trips(self, name):
+        """On ``tiny`` the allocator passes a parameter of these in a stack slot."""
+
+        machine = get_target("tiny")
+        procedure = get_catalog().resolve(name).build(0, 0, machine)
+        function = allocate_registers(procedure.function, machine, procedure.profile).function
+        assert StackSlot(0, "arg") in function.params
+        text = print_function(function)
+        reparsed = parse_function(text)
+        assert print_function(reparsed) == text
+        assert reparsed.params == function.params
+        assert reparsed.next_stack_slot == function.next_stack_slot
 
 
 class TestFormatting:

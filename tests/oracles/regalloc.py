@@ -27,8 +27,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.analysis.bitset import live_masks_at_each_instruction
-from repro.analysis.liveness import LivenessInfo, compute_liveness, liveness_bits
+from repro.analysis.liveness import LivenessInfo, compute_liveness, live_masks_at_each_instruction
 from repro.analysis.loops import compute_loop_forest
 from repro.ir.function import Function
 from repro.ir.instructions import Opcode
@@ -43,6 +42,8 @@ from repro.regalloc.rewriter import (
 )
 from repro.spill.model import CalleeSavedUsage
 from repro.target.machine import MachineDescription
+
+from tests.oracles.dataflow import reference_live_after, reference_liveness
 
 
 # -- live ranges -------------------------------------------------------------------
@@ -123,7 +124,7 @@ def compute_live_ranges_reference(
     """
 
     liveness = compute_liveness(function, machine=machine)
-    bits = liveness.bits
+    bits = liveness
     index = bits.index
     vreg_mask = bits.index.virtual_mask
     loops = compute_loop_forest(function)
@@ -145,8 +146,8 @@ def compute_live_ranges_reference(
     for block in function.blocks:
         label = block.label
         weight = weights[label]
-        live_after = live_masks_at_each_instruction(function, bits, label)
-        inst_masks = bits.instruction_masks(function, label)
+        live_after = live_masks_at_each_instruction(bits, label)
+        inst_masks = bits.instruction_masks(label)
 
         # Track block membership: anything live-in, live-out, defined or used.
         present = (bits.live_in[label] | bits.live_out[label]) & vreg_mask
@@ -271,7 +272,7 @@ def build_interference_graph_reference(
 ) -> InterferenceGraph:
     """Chaitin-style interference graph over the virtual registers of ``function``."""
 
-    bits = liveness_bits(function, liveness)
+    bits = liveness
     index = bits.index
     vreg_mask = bits.index.virtual_mask
 
@@ -289,7 +290,7 @@ def build_interference_graph_reference(
     adjacency: Dict[int, int] = {}
 
     for block in function.blocks:
-        live_after = live_masks_at_each_instruction(function, bits, block.label)
+        live_after = live_masks_at_each_instruction(bits, block.label)
         for position, inst in enumerate(block.instructions):
             written = [r for r in inst.registers_written() if isinstance(r, VirtualRegister)]
             if not written:
@@ -343,18 +344,6 @@ def build_interference_graph_reference(
     for bit, mask in adjacency.items():
         graph.add_neighbours(index.fact_at(bit), index.set_of(mask))
     return graph
-
-
-def reference_live_after(function, liveness, label):
-    block = function.block(label)
-    live = set(liveness.live_out[label])
-    after = [set() for _ in block.instructions]
-    for i in range(len(block.instructions) - 1, -1, -1):
-        after[i] = set(live)
-        inst = block.instructions[i]
-        live -= set(inst.registers_written())
-        live |= set(inst.registers_read())
-    return after
 
 
 def reference_interference(function, liveness):
@@ -668,8 +657,7 @@ def compute_callee_saved_usage_mask_reference(
 ) -> CalleeSavedUsage:
     """Blocks occupied by each callee-saved register of ``machine``."""
 
-    liveness = compute_liveness(function, machine=machine)
-    bits = liveness.bits
+    bits = compute_liveness(function, machine=machine)
     index = bits.index
     callee_mask = 0
     for register in machine.callee_saved:
@@ -695,7 +683,7 @@ def compute_callee_saved_usage_reference(
     """The original set-based occupancy computation (differential reference)."""
 
     callee_saved: FrozenSet[PhysicalRegister] = machine.callee_saved_set
-    liveness = compute_liveness(function)
+    liveness = reference_liveness(function)
     occupancy: Dict[PhysicalRegister, Set[str]] = {}
 
     for block in function.blocks:

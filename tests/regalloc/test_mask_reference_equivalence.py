@@ -26,7 +26,9 @@ from repro.workloads.catalog import get_catalog
 from repro.workloads.scenarios import build_scenario_suite, scenario_names
 
 from tests.conftest import generated_procedures
+from tests.oracles.dataflow import register_sets
 from tests.oracles.regalloc import (
+    build_interference_graph_reference,
     color_graph_reference,
     compute_callee_saved_usage_reference,
     compute_live_ranges_reference,
@@ -41,10 +43,12 @@ def _scenario_procedures(machine, seed=3, count=1):
 
 
 def _assert_same_coloring(procedure, machine):
-    ranges = compute_live_ranges(procedure.function, procedure.profile, machine=machine)
-    graph = build_interference_graph(procedure.function, ranges.liveness)
-    fast = color_graph(graph, ranges, machine)
-    reference = color_graph_reference(graph, ranges, machine)
+    function, profile = procedure.function, procedure.profile
+    ranges = compute_live_ranges(function, profile, machine=machine)
+    fast = color_graph(build_interference_graph(function, ranges.liveness), ranges, machine)
+    slow_ranges = compute_live_ranges_reference(function, profile, machine=machine)
+    slow_graph = build_interference_graph_reference(function, slow_ranges.liveness)
+    reference = color_graph_reference(slow_graph, slow_ranges, machine)
     assert fast.assignment == reference.assignment
     assert fast.spilled == reference.spilled
 
@@ -87,17 +91,34 @@ def test_callee_saved_usage_matches_reference_across_scenario_families():
             _assert_same_usage(allocation.function, machine)
 
 
+def _range_facts(ranges):
+    """``register -> facts`` of a dense :class:`LiveRangeInfo`, read by bit."""
+
+    index = ranges.liveness.index
+    facts = {}
+    for register in register_sets(index, ranges.node_mask):
+        bit = index.bit_of(register)
+        blocks = {label for label, mask in ranges.block_masks.items() if mask >> bit & 1}
+        facts[register] = (
+            blocks,
+            ranges.definitions[bit],
+            ranges.uses[bit],
+            ranges.spill_cost[bit],
+            bool(ranges.crossing_mask >> bit & 1),
+            bool(ranges.parameter_mask >> bit & 1),
+            bool(ranges.return_mask >> bit & 1),
+        )
+    return facts
+
+
 def _assert_same_live_ranges(function, profile, machine):
-    dense = compute_live_ranges(function, profile, machine=machine).ranges
+    dense = _range_facts(compute_live_ranges(function, profile, machine=machine))
     reference = compute_live_ranges_reference(function, profile, machine=machine).ranges
     assert set(dense) == set(reference)
     for register, slow in reference.items():
-        fast = dense[register]
-        assert (fast.blocks, fast.definitions, fast.uses, fast.spill_cost) == (
-            slow.blocks, slow.definitions, slow.uses, slow.spill_cost
-        ), register
-        assert (fast.crosses_call, fast.is_parameter, fast.used_by_return) == (
-            slow.crosses_call, slow.is_parameter, slow.used_by_return
+        assert dense[register] == (
+            slow.blocks, slow.definitions, slow.uses, slow.spill_cost,
+            slow.crosses_call, slow.is_parameter, slow.used_by_return,
         ), register
 
 
@@ -126,16 +147,7 @@ def test_live_ranges_identical_with_and_without_persistent_index(procedure):
     machine = parisc_target()
     with_index = compute_live_ranges(procedure.function, procedure.profile, machine=machine)
     without = compute_live_ranges(procedure.function, procedure.profile)
-    assert set(with_index.ranges) == set(without.ranges)
-    for register, fast in with_index.ranges.items():
-        slow = without.ranges[register]
-        assert fast.blocks == slow.blocks
-        assert fast.definitions == slow.definitions
-        assert fast.uses == slow.uses
-        assert fast.crosses_call == slow.crosses_call
-        assert fast.is_parameter == slow.is_parameter
-        assert fast.used_by_return == slow.used_by_return
-        assert fast.spill_cost == slow.spill_cost
+    assert _range_facts(with_index) == _range_facts(without)
 
 
 @given(generated_procedures(max_segments=5))
@@ -154,7 +166,7 @@ def test_interference_nodes_never_leak_from_persistent_index(procedure):
             for register in inst.registers():
                 if isinstance(register, VirtualRegister):
                     mentioned.add(register)
-    assert graph.nodes <= mentioned
+    assert register_sets(graph.index, graph.node_mask) <= mentioned
 
 
 def test_persistent_index_reuse_is_isolated_across_compiles():

@@ -20,6 +20,7 @@ from repro.target.parisc import parisc_target
 from repro.workloads.programs import call_chain_function, diamond_function, loop_function
 
 from tests.conftest import generated_procedures
+from tests.oracles.dataflow import register_sets
 
 
 def _call_crossing_function():
@@ -41,9 +42,9 @@ class TestLiveRanges:
     def test_call_crossing_detection(self):
         function, x, y = _call_crossing_function()
         ranges = compute_live_ranges(function)
-        assert ranges.ranges[x].crosses_call
-        assert not ranges.ranges[y].crosses_call
-        assert x in set(ranges.call_crossing_registers())
+        crossing = register_sets(ranges.liveness.index, ranges.crossing_mask)
+        assert x in crossing
+        assert y not in crossing
 
     def test_return_value_detection(self):
         builder = FunctionBuilder("retval")
@@ -52,7 +53,7 @@ class TestLiveRanges:
         builder.block("exit")
         builder.ret([value])
         ranges = compute_live_ranges(builder.build())
-        assert ranges.ranges[value].used_by_return
+        assert value in register_sets(ranges.liveness.index, ranges.return_mask)
 
     def test_parameter_flag_and_blocks(self):
         builder = FunctionBuilder("params")
@@ -63,8 +64,9 @@ class TestLiveRanges:
         builder.block("exit")
         builder.ret()
         ranges = compute_live_ranges(builder.build())
-        assert ranges.ranges[param].is_parameter
-        assert "entry" in ranges.ranges[param].blocks
+        index = ranges.liveness.index
+        assert param in register_sets(index, ranges.parameter_mask)
+        assert param in register_sets(index, ranges.block_masks["entry"])
 
     def test_spill_cost_uses_profile_weights(self):
         function = loop_function()
@@ -73,16 +75,21 @@ class TestLiveRanges:
         profile = profile_from_branch_probabilities(function, invocations=10)
         ranges = compute_live_ranges(function, profile)
         counter = VirtualRegister("v0")
-        unweighted = compute_live_ranges(function).ranges[counter].spill_cost
-        weighted = ranges.ranges[counter].spill_cost
-        assert weighted != unweighted
+        unweighted = compute_live_ranges(function)
+        weighted = ranges.spill_cost[ranges.liveness.index.bit_of(counter)]
+        assert weighted != unweighted.spill_cost[unweighted.liveness.index.bit_of(counter)]
+
+
+def _neighbours(graph, register):
+    return register_sets(graph.index, graph.adjacency[graph.index.bit_of(register)])
 
 
 class TestInterference:
     def test_simultaneously_live_values_interfere(self):
         function, x, y = _call_crossing_function()
         graph = build_interference_graph(function, compute_liveness(function))
-        assert graph.interferes(x, y)
+        assert y in _neighbours(graph, x)
+        assert x in _neighbours(graph, y)
 
     def test_move_related_values_do_not_interfere_through_the_move(self):
         builder = FunctionBuilder("moves")
@@ -95,14 +102,9 @@ class TestInterference:
         builder.ret()
         function = builder.build()
         graph = build_interference_graph(function, compute_liveness(function))
-        assert not graph.interferes(a, b)
-        assert b in graph.move_partners(a) or a in graph.move_partners(b)
-
-    def test_degree_and_edge_count(self):
-        function, x, y = _call_crossing_function()
-        graph = build_interference_graph(function, compute_liveness(function))
-        assert graph.degree(x) >= 1
-        assert graph.num_edges() >= 1
+        assert b not in _neighbours(graph, a)
+        assert (graph.index.bit_of(b), graph.index.bit_of(a)) in graph.moves
+        assert graph.partners[graph.index.bit_of(a)] == [graph.index.bit_of(b)]
 
 
 class TestColoring:
@@ -122,8 +124,8 @@ class TestColoring:
         ranges = compute_live_ranges(function)
         graph = build_interference_graph(function, ranges.liveness)
         result = color_graph(graph, ranges, machine)
-        for node in graph.nodes:
-            for neighbour in graph.neighbours(node):
+        for node in register_sets(graph.index, graph.node_mask):
+            for neighbour in _neighbours(graph, node):
                 if node in result.assignment and neighbour in result.assignment:
                     assert result.assignment[node] != result.assignment[neighbour]
 

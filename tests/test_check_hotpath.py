@@ -22,11 +22,12 @@ class TestRules:
         assert [v.code for v in found] == ["H001"]
         assert found[0].line == 2
 
-    def test_h002_catches_mask_materialization_in_spill_and_regalloc(self):
+    def test_h002_catches_mask_materialization_in_analysis_spill_and_regalloc(self):
         source = "def f(ix, m):\n    return ix.set_of(m)\n"
-        for path in ("src/repro/spill/x.py", "src/repro/regalloc/interference.py"):
+        for path in ("src/repro/spill/x.py", "src/repro/regalloc/interference.py",
+                     "src/repro/analysis/liveness.py"):
             assert [v.code for v in check_hotpath.check_source(source, path)] == ["H002"]
-        assert check_hotpath.check_source(source, "src/repro/analysis/x.py") == []
+        assert check_hotpath.check_source(source, "src/repro/evaluation/x.py") == []
 
     def test_h003_catches_blocking_calls_in_async_defs(self):
         source = "import time\nasync def f():\n    time.sleep(0.1)\n"

@@ -14,12 +14,10 @@ source tree and enforces seven rules:
     mapping directly.
 
 ``H002``
-    ``.set_of(...)`` inside ``repro/spill`` or ``repro/regalloc``.
-    Materializing a register bitmask back into a Python set throws away the
-    whole point of the mask pipeline; allocation and spill placement work on
-    masks end to end.  The sanctioned materialization points are the
-    interference graph's public ``Set[Register]`` accessors, each marked
-    ``# hotpath: ok``.
+    ``.set_of(...)`` inside ``repro/analysis``, ``repro/spill`` or
+    ``repro/regalloc``.  Materializing a register bitmask back into a
+    Python set throws away the whole point of the mask pipeline; the
+    analyses, allocation and spill placement work on masks end to end.
 
 ``H003``
     Blocking calls (``time.sleep``, the ``subprocess`` run/call family,
@@ -114,7 +112,7 @@ SUPPRESSION = "hotpath: ok"
 #: the file's path with separators normalized).
 RULE_SCOPES = {
     "H001": ("repro/spill/", "repro/regalloc/"),
-    "H002": ("repro/spill/", "repro/regalloc/"),
+    "H002": ("repro/analysis/", "repro/spill/", "repro/regalloc/"),
     "H003": ("repro/service/",),
     "H004": ("repro/spill/", "repro/pipeline/"),
     "H005": ("repro/",),
@@ -270,8 +268,7 @@ class _HotPathVisitor(ast.NodeVisitor):
                     node,
                     "H002",
                     f".{func.attr}() materializes a register mask into a set; "
-                    "allocation and spill placement must stay on masks (only "
-                    "public accessors may materialize, marked # hotpath: ok)",
+                    "the analyses, allocation and spill placement stay on masks",
                 )
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
         if "H004" in self.rules and name in H004_ANALYSES:
@@ -365,6 +362,11 @@ _SELF_TEST_CASES = (
         "def f(graph, bit):\n    return graph.index.set_of(graph.adjacency[bit])\n",
     ),
     (
+        "H002",
+        "src/repro/analysis/example.py",
+        "def f(liveness, label):\n    return liveness.index.set_of(liveness.live_in[label])\n",
+    ),
+    (
         "H003",
         "src/repro/service/example.py",
         "import time\nasync def f():\n    time.sleep(1)\n",
@@ -415,9 +417,6 @@ _SELF_TEST_CLEAN = (
     # Out of scope: the same calls outside the rule's directories.
     ("src/repro/evaluation/example.py",
      "def f(function, label):\n    return function.block_out_edges(label)\n"),
-    # A sanctioned public accessor in regalloc, marked as such.
-    ("src/repro/regalloc/example.py",
-     "def f(index, mask):\n    return index.set_of(mask)  # hotpath: ok\n"),
     # Suppressed by the audit-trail comment.
     ("src/repro/spill/example.py",
      "def f(index, mask):\n    return index.set_of(mask)  # hotpath: ok\n"),
